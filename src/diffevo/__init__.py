@@ -19,7 +19,7 @@ from .benchmarks import (
     make_synthetic,
     write_tabular,
 )
-from .de import DEConfig, Individual, Population, initialize, run_de
+from .de import DEConfig, run_de
 from .harness import (
     AggregateCurve,
     aggregate,
@@ -29,22 +29,8 @@ from .harness import (
     run_experiment,
     write_curve_csv,
 )
-from .space import (
-    Configuration,
-    ParameterSpec,
-    SearchSpace,
-    bin_index,
-    discretize,
-    random_genotype,
-)
-from .trace import (
-    Budget,
-    RunTrace,
-    TraceEvent,
-    check_trace_invariants,
-    read_traces,
-    write_traces,
-)
+from .space import Configuration, ParameterSpec, SearchSpace, bin_index
+from .trace import Budget, RunTrace, check_trace_invariants, read_traces, write_traces
 
 __all__ = [
     "AggregateCurve",
@@ -55,25 +41,19 @@ __all__ = [
     "DEConfig",
     "EvaluationResult",
     "FunctionBenchmark",
-    "Individual",
     "ParameterSpec",
-    "Population",
     "REConfig",
     "RunTrace",
     "SearchSpace",
     "TabularBenchmark",
-    "TraceEvent",
     "aggregate",
     "bin_index",
     "check_trace_invariants",
     "continuous_function",
-    "discretize",
     "final_regrets",
-    "initialize",
     "load_tabular",
     "make_synthetic",
     "paired_sign_test",
-    "random_genotype",
     "read_traces",
     "regret_series",
     "run_de",

@@ -5,23 +5,21 @@ optimizer, so their traces are directly comparable: same genotype encoding,
 same invalid-configuration penalty, same budget semantics (checked before
 every evaluation).
 
-Regularized evolution keeps a fixed-capacity population with strictly
-oldest-first removal: each step draws a tournament of ``sample_size``
-members uniformly with replacement, mutates the fittest entrant by
-resampling exactly one genotype coordinate, evaluates the child, appends
-it, and evicts the oldest member.
+Regularized evolution keeps a fixed-size population as a genotype array
+and a fitness vector, oldest first: each step draws a tournament of
+``sample_size`` members uniformly with replacement, mutates the fittest
+entrant by resampling exactly one genotype coordinate, evaluates the child,
+shifts out the oldest member (row 0) and appends the child as the last row.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .benchmarks import Benchmark
-from .de import Individual
-from .space import SearchSpace, random_genotype
+from .space import SearchSpace
 from .trace import Budget, BudgetExhausted, RunRecorder, RunTrace
 
 
@@ -31,7 +29,7 @@ def run_random_search(space: SearchSpace, bench: Benchmark, budget: Budget, seed
     recorder = RunRecorder(bench, budget)
     try:
         while True:
-            recorder.evaluate(random_genotype(space.dimension, rng), space)
+            recorder.evaluate(rng.random(space.dimension), space)
     except BudgetExhausted:
         pass
     return recorder.finish(seed=seed, optimizer_id="rs", config={})
@@ -52,41 +50,14 @@ class REConfig:
             )
 
 
-class AgingPopulation:
-    """Fixed-capacity population with strictly FIFO eviction.
-
-    Removal is by age alone, never by fitness; ``append`` returns the
-    evicted member (the oldest) once the population is full.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._members: deque[Individual] = deque()
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def members(self) -> list[Individual]:
-        return list(self._members)
-
-    def append(self, member: Individual) -> Individual | None:
-        self._members.append(member)
-        if len(self._members) > self.capacity:
-            return self._members.popleft()
-        return None
-
-
-def tournament_select(members: list[Individual], sample_size: int,
+def tournament_select(fitness: np.ndarray, sample_size: int,
                       rng: np.random.Generator) -> int:
     """Index of the fittest of ``sample_size`` entrants drawn with replacement.
 
     Fitness ties go to the entrant with the lowest population index.
     """
-    entrants = rng.integers(0, len(members), size=sample_size)
-    return int(min(sorted(entrants), key=lambda i: members[i].fitness))
+    entrants = np.sort(rng.integers(0, len(fitness), size=sample_size))
+    return int(entrants[np.argmin(fitness[entrants])])
 
 
 def mutate_one_dimension(genotype: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -101,16 +72,18 @@ def run_regularized_evolution(space: SearchSpace, bench: Benchmark, cfg: REConfi
     """One regularized-evolution run; returns the full evaluation trace."""
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, cfg.budget)
-    pop = AgingPopulation(cfg.population_size)
+    genotypes = rng.random((cfg.population_size, space.dimension))
+    fitness = np.empty(cfg.population_size)
     try:
-        for _ in range(cfg.population_size):
-            genotype = random_genotype(space.dimension, rng)
-            pop.append(Individual(genotype=genotype, fitness=recorder.evaluate(genotype, space)))
+        for i in range(cfg.population_size):
+            fitness[i] = recorder.evaluate(genotypes[i], space)
         while True:
-            parent = pop.members[tournament_select(pop.members, cfg.sample_size, rng)]
-            child_genotype = mutate_one_dimension(parent.genotype, rng)
-            fitness = recorder.evaluate(child_genotype, space)
-            pop.append(Individual(genotype=child_genotype, fitness=fitness))
+            parent = genotypes[tournament_select(fitness, cfg.sample_size, rng)]
+            child = mutate_one_dimension(parent, rng)
+            child_fitness = recorder.evaluate(child, space)
+            # aging: the oldest member leaves whatever its fitness
+            genotypes[:-1], fitness[:-1] = genotypes[1:], fitness[1:]
+            genotypes[-1], fitness[-1] = child, child_fitness
     except BudgetExhausted:
         pass
     return recorder.finish(seed=seed, optimizer_id="re", config={

@@ -150,8 +150,8 @@ def cmd_run(args, parser) -> int:
                             jobs=cfg["jobs"])
     write_traces(traces, cfg["out"])
     regrets = final_regrets(traces)
-    costs = np.array([t.final_event.cumulative_cost for t in traces])
-    events = sum(len(t.events) for t in traces)
+    costs = np.array([t.cumulative_cost[-1] for t in traces])
+    events = sum(len(t) for t in traces)
     print(f"optimizer={cfg['optimizer']} benchmark={bench.benchmark_id} "
           f"runs={cfg['runs']} evaluations={events} "
           f"final_mean_regret={regrets.mean():.6f} mean_cumulative_cost={costs.mean():.6f}")

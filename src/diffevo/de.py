@@ -1,12 +1,13 @@
 """Canonical differential evolution (rand/1/bin) on unit-hypercube genotypes.
 
-The population lives in continuous [0, 1]^D space regardless of the
-parameter types underneath; genotypes are discretized only when a candidate
-is evaluated. Each generation, for every target member, a mutant is built
-from three distinct other members (rand/1), crossed binomially with the
-target, evaluated, and the better of target/trial (ties to the trial) is
-written into the next generation. Replacement is synchronous: all mutations
-in a generation read the current population.
+The population is an (NP, D) genotype array in continuous [0, 1]^D space,
+whatever the parameter types underneath, plus a fitness vector; genotypes
+are discretized only when a candidate is evaluated. Each generation, for
+every target row, a mutant is built from three distinct other rows
+(rand/1), crossed binomially with the target, evaluated, and the better of
+target/trial (ties to the trial) is written into copies of both arrays.
+Replacement is synchronous: all mutations in a generation read the current
+population.
 
 Out-of-bounds mutant coordinates are clipped back into [0, 1], the simplest
 rule that keeps every genotype inside the hypercube.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import Benchmark
-from .space import SearchSpace, random_genotype
+from .space import SearchSpace
 from .trace import Budget, BudgetExhausted, RunRecorder, RunTrace
 
 MIN_POPULATION = 4  # target plus three distinct mutation parents
@@ -43,62 +44,19 @@ class DEConfig:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
 
 
-@dataclass
-class Individual:
-    genotype: np.ndarray
-    fitness: float | None = None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
-
-@dataclass
-class Population:
-    members: list[Individual]
-    generation: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def initialize(population_size: int, dimension: int, rng: np.random.Generator) -> Population:
-    """Population of i.i.d. uniform [0, 1)^D genotypes at generation 0."""
-    if population_size < MIN_POPULATION:
-        raise ValueError(
-            f"population size must be >= {MIN_POPULATION}, got {population_size}"
-        )
-    members = [Individual(genotype=random_genotype(dimension, rng))
-               for _ in range(population_size)]
-    return Population(members=members, generation=0)
-
-
 def draw_parent_indices(population_size: int, target: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """Three indices, pairwise distinct and distinct from ``target``."""
-    others = np.delete(np.arange(population_size), target)
-    r1, r2, r3 = rng.choice(others, size=3, replace=False)
-    return int(r1), int(r2), int(r3)
+    """Three indices, pairwise distinct and distinct from ``target``.
+
+    Draws from the ``population_size - 1`` other members and shifts indices
+    at or above the target past it.
+    """
+    r = rng.choice(population_size - 1, size=3, replace=False)
+    return tuple((r + (r >= target)).tolist())
 
 
 def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor: float) -> np.ndarray:
     """rand/1 mutant: ``x1 + F * (x2 - x3)``, clipped coordinatewise to [0, 1]."""
     return np.clip(x1 + scaling_factor * (x2 - x3), 0.0, 1.0)
-
-
-def mutate_rand1(pop: Population, target: int, scaling_factor: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    if pop.size < MIN_POPULATION:
-        raise ValueError(f"mutation needs a population of >= {MIN_POPULATION}")
-    if not 0 <= target < pop.size:
-        raise ValueError(f"target index {target} outside population of {pop.size}")
-    r1, r2, r3 = draw_parent_indices(pop.size, target, rng)
-    return mutant_vector(
-        pop.members[r1].genotype,
-        pop.members[r2].genotype,
-        pop.members[r3].genotype,
-        scaling_factor,
-    )
 
 
 def crossover_binomial(target: np.ndarray, mutant: np.ndarray, crossover_rate: float,
@@ -136,21 +94,24 @@ def run_de(space: SearchSpace, bench: Benchmark, cfg: DEConfig, seed: int) -> Ru
     """
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, cfg.budget)
-    pop = initialize(cfg.population_size, space.dimension, rng)
+    size = cfg.population_size
+    genotypes = rng.random((size, space.dimension))
+    fitness = np.empty(size)
     try:
-        for member in pop.members:
-            member.fitness = recorder.evaluate(member.genotype, space)
+        for i in range(size):
+            fitness[i] = recorder.evaluate(genotypes[i], space)
         while True:
-            next_members = []
-            for i, member in enumerate(pop.members):
-                mutant = mutate_rand1(pop, i, cfg.scaling_factor, rng)
-                trial = crossover_binomial(member.genotype, mutant, cfg.crossover_rate, rng)
+            # every mutation reads this generation; winners go into copies
+            next_genotypes, next_fitness = genotypes.copy(), fitness.copy()
+            for i in range(size):
+                r1, r2, r3 = draw_parent_indices(size, i, rng)
+                mutant = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3],
+                                       cfg.scaling_factor)
+                trial = crossover_binomial(genotypes[i], mutant, cfg.crossover_rate, rng)
                 trial_fitness = recorder.evaluate(trial, space)
-                if trial_wins(member.fitness, trial_fitness):
-                    next_members.append(Individual(genotype=trial, fitness=trial_fitness))
-                else:
-                    next_members.append(member)
-            pop = Population(members=next_members, generation=pop.generation + 1)
+                if trial_wins(fitness[i], trial_fitness):
+                    next_genotypes[i], next_fitness[i] = trial, trial_fitness
+            genotypes, fitness = next_genotypes, next_fitness
     except BudgetExhausted:
         pass
     return recorder.finish(seed=seed, optimizer_id="de", config={

@@ -46,21 +46,15 @@ def regret_series(trace: RunTrace, bench: Benchmark | None = None) -> tuple[np.n
     else:
         best_val, best_test = trace.best_validation_error, trace.best_test_error
 
-    validation = np.array([e.incumbent_objective - best_val for e in trace.events])
+    validation = trace.incumbent_objective - best_val
     if best_test is None:
         return validation, None
-    test = np.array([
-        np.nan if e.incumbent_test_error is None else e.incumbent_test_error - best_test
-        for e in trace.events
-    ])
-    return validation, test
+    return validation, trace.incumbent_test_error - best_test
 
 
 def final_regrets(traces: Sequence[RunTrace]) -> np.ndarray:
     """Final validation regret of each trace."""
-    return np.array([
-        t.final_event.incumbent_objective - t.best_validation_error for t in traces
-    ])
+    return np.array([t.incumbent_objective[-1] - t.best_validation_error for t in traces])
 
 
 def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int = 0,
@@ -114,7 +108,7 @@ def aggregate(traces: Sequence[RunTrace], grid: str | Sequence[float] = "union",
     series = []
     for trace in traces:
         validation, _ = regret_series(trace)
-        series.append((trace.times, validation))
+        series.append((trace.cumulative_cost, validation))
 
     grid_times = _build_grid(grid, points, [t for t, _ in series])
     total = np.zeros(len(grid_times))

@@ -37,9 +37,10 @@ class ParameterSpec:
 
     ``lo``/``hi`` apply to float and integer kinds, ``values`` to ordinal,
     ``choices`` to categorical. Exactly the fields of the matching kind may
-    be set. Degenerate single-value numeric ranges are rejected: every
-    parameter must offer at least two distinct values for float/integer
-    kinds, and at least one token otherwise.
+    be set. Numeric bounds must be finite, and degenerate single-value
+    numeric ranges are rejected: every parameter must offer at least two
+    distinct values for float/integer kinds, and at least one token
+    otherwise.
     """
 
     name: str
@@ -67,6 +68,8 @@ class ParameterSpec:
                 raise ValueError(f"parameter {self.name!r}: {self.kind} kind takes no token list")
             if not all(_is_number(b) for b in (self.lo, self.hi)):
                 raise ValueError(f"parameter {self.name!r}: bounds must be numeric")
+            if not all(math.isfinite(b) for b in (self.lo, self.hi)):
+                raise ValueError(f"parameter {self.name!r}: bounds must be finite")
             if self.kind == "integer" and not (
                 isinstance(self.lo, int) and isinstance(self.hi, int)
             ):
@@ -229,14 +232,3 @@ def bin_index(u: float, n: int) -> int:
         raise ValueError(f"genotype value {u} outside [0, 1]")
     return min(int(math.floor(u * n)), n - 1)
 
-
-def random_genotype(dimension: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a genotype with i.i.d. uniform [0, 1) coordinates."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    return rng.random(dimension)
-
-
-def discretize(genotype: np.ndarray, space: SearchSpace) -> Configuration:
-    """Functional alias for :meth:`SearchSpace.discretize`."""
-    return space.discretize(genotype)

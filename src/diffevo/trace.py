@@ -1,7 +1,7 @@
 """Run traces: the unit of all analysis.
 
-Every optimizer run produces a :class:`RunTrace`, an ordered list of
-evaluation events with cumulative cost and the best-so-far (incumbent)
+Every optimizer run produces a :class:`RunTrace`: one numpy array per event
+field, among them the cumulative cost and the best-so-far (incumbent)
 objective. The :class:`RunRecorder` centralizes the shared run mechanics:
 the budget check before each evaluation, discretizing a copy of the
 genotype, the invalid-configuration penalty (error 1.0 at zero cost), and
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -42,35 +43,42 @@ class Budget:
             raise ValueError(f"max_cost must be positive, got {self.max_cost}")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    eval_index: int
-    cumulative_cost: float
-    objective: float
-    incumbent_objective: float
-    incumbent_test_error: float | None
-    valid: bool
+# per-event fields, in the order of a recorder row
+COLUMNS = ("cumulative_cost", "objective", "incumbent_objective", "incumbent_test_error", "valid")
+EVENT_FIELDS = ("eval_index", *COLUMNS)
+# required in a trace file; a run header may also carry a "config" object
+_HEADER_KEYS = frozenset(("seed", "optimizer", "benchmark", "best_validation_error",
+                          "best_test_error"))
+_EVENT_KEYS = frozenset(EVENT_FIELDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunTrace:
-    """One optimizer run: identity, benchmark reference points, events."""
+    """One optimizer run: identity, benchmark reference points, and one
+    array per event field. Event ``i`` is row ``i`` of every column;
+    ``incumbent_test_error`` is NaN where the incumbent has no test error.
+    """
 
     seed: int
     optimizer_id: str
     benchmark_id: str
     best_validation_error: float
     best_test_error: float | None
-    events: tuple[TraceEvent, ...]
+    cumulative_cost: np.ndarray
+    objective: np.ndarray
+    incumbent_objective: np.ndarray
+    incumbent_test_error: np.ndarray
+    valid: np.ndarray
     config: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def final_event(self) -> TraceEvent:
-        return self.events[-1]
+    def __len__(self) -> int:
+        return len(self.objective)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([e.cumulative_cost for e in self.events])
+
+def _columns(rows: list[tuple]) -> dict[str, np.ndarray]:
+    """Columns from non-empty rows ordered like :data:`COLUMNS`; None becomes NaN."""
+    return {name: np.array(column, dtype=bool if name == "valid" else float)
+            for name, column in zip(COLUMNS, zip(*rows))}
 
 
 class BudgetExhausted(Exception):
@@ -78,7 +86,7 @@ class BudgetExhausted(Exception):
 
 
 class RunRecorder:
-    """Accumulates trace events for a single sequential run.
+    """Accumulates the event rows of a single sequential run.
 
     ``evaluate`` checks the budget first and raises :class:`BudgetExhausted`
     once a limit is reached, so optimizer loops need no explicit budget
@@ -88,7 +96,7 @@ class RunRecorder:
     def __init__(self, bench: Benchmark, budget: Budget):
         self.bench = bench
         self.budget = budget
-        self.events: list[TraceEvent] = []
+        self.rows: list[tuple] = []  # one tuple per event, ordered like COLUMNS
         self.cumulative_cost = 0.0
         self._inc_objective = math.inf
         self._inc_test: float | None = None
@@ -96,7 +104,7 @@ class RunRecorder:
 
     def exhausted(self) -> bool:
         if (self.budget.max_evaluations is not None
-                and len(self.events) >= self.budget.max_evaluations):
+                and len(self.rows) >= self.budget.max_evaluations):
             return True
         if self.budget.max_cost is not None and self.cumulative_cost >= self.budget.max_cost:
             return True
@@ -129,14 +137,8 @@ class RunRecorder:
             self._inc_test = test
             self._inc_valid = result.valid
 
-        self.events.append(TraceEvent(
-            eval_index=len(self.events),
-            cumulative_cost=self.cumulative_cost,
-            objective=objective,
-            incumbent_objective=self._inc_objective,
-            incumbent_test_error=self._inc_test,
-            valid=result.valid,
-        ))
+        self.rows.append((self.cumulative_cost, objective, self._inc_objective,
+                          self._inc_test, result.valid))
         return objective
 
     def finish(self, seed: int, optimizer_id: str, config: dict | None = None) -> RunTrace:
@@ -146,8 +148,8 @@ class RunRecorder:
             benchmark_id=self.bench.benchmark_id,
             best_validation_error=self.bench.best_validation_error,
             best_test_error=self.bench.best_test_error,
-            events=tuple(self.events),
             config=dict(config or {}),
+            **_columns(self.rows),
         )
         check_trace_invariants(trace)
         return trace
@@ -156,31 +158,38 @@ class RunRecorder:
 def check_trace_invariants(trace: RunTrace):
     """Raise ValueError when a trace violates the recorded-run contract.
 
-    Checked for every produced trace: contiguous event indices, objectives
-    in [0, 1], non-decreasing cumulative cost with zero increments on
-    invalid evaluations, a non-increasing incumbent, and non-negative
-    regret against the benchmark's best validation error.
+    Checked for every produced and every read trace: objectives in [0, 1],
+    non-decreasing cumulative cost with zero increments on invalid
+    evaluations, a non-increasing incumbent, and non-negative regret
+    against the benchmark's best validation error. The message names the
+    first offending event.
     """
-    if not trace.events:
+    if not len(trace):
         raise ValueError("trace has no events")
-    prev_cost = 0.0
-    prev_incumbent = math.inf
-    for i, e in enumerate(trace.events):
-        where = f"event {i} of {trace.optimizer_id} run (seed {trace.seed})"
-        if e.eval_index != i:
-            raise ValueError(f"{where}: eval_index {e.eval_index} != position {i}")
-        if not 0.0 <= e.objective <= 1.0:
-            raise ValueError(f"{where}: objective {e.objective} outside [0, 1]")
-        if e.cumulative_cost < prev_cost:
-            raise ValueError(f"{where}: cumulative cost decreased")
-        if not e.valid and e.cumulative_cost != prev_cost:
-            raise ValueError(f"{where}: invalid evaluation accrued cost")
-        if e.incumbent_objective > prev_incumbent:
-            raise ValueError(f"{where}: incumbent objective increased")
-        if e.incumbent_objective < trace.best_validation_error:
-            raise ValueError(f"{where}: incumbent beats the benchmark's best (negative regret)")
-        prev_cost = e.cumulative_cost
-        prev_incumbent = e.incumbent_objective
+    cost, objective, incumbent = trace.cumulative_cost, trace.objective, trace.incumbent_objective
+    prev_cost = np.concatenate(([0.0], cost[:-1]))
+    prev_incumbent = np.concatenate(([math.inf], incumbent[:-1]))
+    # negated comparisons, so that NaN (null in a file) is a violation too
+    violations = np.stack([
+        ~((0.0 <= objective) & (objective <= 1.0)),
+        ~(cost >= prev_cost),
+        ~trace.valid & (cost != prev_cost),
+        ~(incumbent <= prev_incumbent),
+        incumbent < trace.best_validation_error,
+    ])
+    bad = np.flatnonzero(violations.any(axis=0))
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    messages = (
+        f"objective {objective[i]} outside [0, 1]",
+        "cumulative cost decreased or is not a number",
+        "invalid evaluation accrued cost",
+        "incumbent objective increased or is not a number",
+        "incumbent beats the benchmark's best (negative regret)",
+    )
+    raise ValueError(f"event {i} of {trace.optimizer_id} run (seed {trace.seed}): "
+                     f"{messages[int(np.argmax(violations[:, i]))]}")
 
 
 def _header_line(trace: RunTrace) -> str:
@@ -194,49 +203,63 @@ def _header_line(trace: RunTrace) -> str:
     }}, separators=(",", ":"), sort_keys=True)
 
 
-def _event_line(e: TraceEvent) -> str:
-    return json.dumps({
-        "eval_index": e.eval_index,
-        "cumulative_cost": e.cumulative_cost,
-        "objective": e.objective,
-        "incumbent_objective": e.incumbent_objective,
-        "incumbent_test_error": e.incumbent_test_error,
-        "valid": e.valid,
-    }, separators=(",", ":"), sort_keys=True)
-
-
 def write_traces(traces: list[RunTrace], path: str | Path):
     """Write traces as JSON Lines, atomically (temp file then rename)."""
     path = Path(path)
     lines = []
     for trace in traces:
         lines.append(_header_line(trace))
-        lines.extend(_event_line(e) for e in trace.events)
+        test = [None if math.isnan(t) else t for t in trace.incumbent_test_error.tolist()]
+        rows = zip(trace.cumulative_cost.tolist(), trace.objective.tolist(),
+                   trace.incumbent_objective.tolist(), test, trace.valid.tolist())
+        lines.extend(
+            json.dumps(dict(zip(EVENT_FIELDS, (i, *row))), separators=(",", ":"), sort_keys=True)
+            for i, row in enumerate(rows)
+        )
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("\n".join(lines) + "\n")
     tmp.replace(path)
 
 
+_event_row = operator.itemgetter(*COLUMNS)
+
+
 def read_traces(path: str | Path) -> list[RunTrace]:
+    """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
+
+    Raises ValueError naming ``path:line`` for a line that is not JSON, is
+    neither a run header nor an event, lacks a field, or carries an
+    ``eval_index`` other than its position in the run.
+    """
     path = Path(path)
     traces: list[RunTrace] = []
     header: dict | None = None
-    events: list[TraceEvent] = []
+    header_line = 0
+    rows: list[tuple] = []
 
     def flush():
         if header is None:
             return
-        if not events:
+        if not rows:
             raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
-        traces.append(RunTrace(
-            seed=header["seed"],
-            optimizer_id=header["optimizer"],
-            benchmark_id=header["benchmark"],
-            best_validation_error=header["best_validation_error"],
-            best_test_error=header["best_test_error"],
-            events=tuple(events),
-            config=header.get("config", {}),
-        ))
+        try:
+            trace = RunTrace(
+                seed=header["seed"],
+                optimizer_id=header["optimizer"],
+                benchmark_id=header["benchmark"],
+                best_validation_error=header["best_validation_error"],
+                best_test_error=header["best_test_error"],
+                config=header.get("config", {}),
+                **_columns(rows),
+            )
+            check_trace_invariants(trace)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{header_line}: {exc}") from exc
+        traces.append(trace)
+
+    def require(doc: dict, keys: frozenset[str], what: str, lineno: int):
+        if not keys <= doc.keys():
+            raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
 
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
@@ -245,21 +268,20 @@ def read_traces(path: str | Path) -> list[RunTrace]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        if "run" in doc:
+        if isinstance(doc, dict) and isinstance(doc.get("run"), dict):
             flush()
-            header = doc["run"]
-            events = []
-        elif "eval_index" in doc:
+            header, header_line, rows = doc["run"], lineno, []
+            require(header, _HEADER_KEYS, "run header", lineno)
+        elif isinstance(doc, dict) and not doc.keys().isdisjoint(_EVENT_KEYS):
             if header is None:
                 raise ValueError(f"{path}:{lineno}: event before any run header")
-            events.append(TraceEvent(
-                eval_index=doc["eval_index"],
-                cumulative_cost=doc["cumulative_cost"],
-                objective=doc["objective"],
-                incumbent_objective=doc["incumbent_objective"],
-                incumbent_test_error=doc["incumbent_test_error"],
-                valid=doc["valid"],
-            ))
+            require(doc, _EVENT_KEYS, "event", lineno)
+            if type(doc["valid"]) is not bool:
+                raise ValueError(f"{path}:{lineno}: valid must be true or false")
+            if doc["eval_index"] != len(rows):
+                raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
+                                 f"!= position {len(rows)} in its run")
+            rows.append(_event_row(doc))
         else:
             raise ValueError(f"{path}:{lineno}: unrecognized line")
     flush()

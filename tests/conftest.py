@@ -1,7 +1,56 @@
 import numpy as np
 import pytest
 
-from diffevo import EvaluationResult, ParameterSpec, SearchSpace
+import diffevo.baselines as baselines
+from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace
+from diffevo.trace import COLUMNS
+
+HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
+          "config")
+
+
+def trace_from_rows(rows, best_validation_error=0.0, best_test_error=None, seed=0,
+                    optimizer_id="x", benchmark_id="hand"):
+    """Hand-built trace from event rows ordered like ``COLUMNS``:
+    (cumulative cost, objective, incumbent, incumbent test error or None, valid).
+    """
+    columns = zip(*rows) if rows else [()] * len(COLUMNS)
+    cost, objective, incumbent, test, valid = (
+        np.array(c, dtype=bool if name == "valid" else float) for name, c in zip(COLUMNS, columns)
+    )
+    return RunTrace(seed=seed, optimizer_id=optimizer_id, benchmark_id=benchmark_id,
+                    best_validation_error=best_validation_error, best_test_error=best_test_error,
+                    cumulative_cost=cost, objective=objective, incumbent_objective=incumbent,
+                    incumbent_test_error=test, valid=valid)
+
+
+def assert_same_traces(got, want):
+    """Every header field and every column equal, run by run.
+
+    Only ``incumbent_test_error`` may hold NaN (no test error), and NaN
+    there matches NaN.
+    """
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in HEADER:
+            assert getattr(a, name) == getattr(b, name), name
+        for name in COLUMNS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype, name
+            assert np.array_equal(x, y, equal_nan=name == "incumbent_test_error"), name
+
+
+def watch_tournaments(monkeypatch):
+    """Record a copy of the age-ordered fitness array of every RE tournament."""
+    seen = []
+    select = baselines.tournament_select
+
+    def watching(fitness, sample_size, rng):
+        seen.append(fitness.copy())
+        return select(fitness, sample_size, rng)
+
+    monkeypatch.setattr(baselines, "tournament_select", watching)
+    return seen
 
 
 class RecordingBenchmark:

@@ -12,13 +12,10 @@ import time
 import numpy as np
 import pytest
 
-import diffevo.baselines as baselines
 from diffevo import (
     Budget,
     DEConfig,
     REConfig,
-    TraceEvent,
-    RunTrace,
     aggregate,
     bin_index,
     check_trace_invariants,
@@ -33,11 +30,10 @@ from diffevo import (
     run_regularized_evolution,
     write_tabular,
 )
-from diffevo.baselines import AgingPopulation
 from diffevo.cli import main as cli_main
 from diffevo.de import crossover_binomial, mutant_vector
 
-from conftest import RecordingBenchmark
+from conftest import RecordingBenchmark, trace_from_rows, watch_tournaments
 
 
 def criterion(number, title):
@@ -176,19 +172,21 @@ def test_criterion_4_invalid_contract():
         best_valid_so_far = math.inf
         previous_cost = 0.0
         seen_valid = False
-        for event in trace.events:
-            increment = event.cumulative_cost - previous_cost
-            if event.valid:
+        events = zip(trace.cumulative_cost.tolist(), trace.objective.tolist(),
+                     trace.incumbent_objective.tolist(), trace.valid.tolist())
+        for cumulative_cost, objective, incumbent_objective, valid in events:
+            increment = cumulative_cost - previous_cost
+            if valid:
                 assert increment > 0.0
                 seen_valid = True
-                best_valid_so_far = min(best_valid_so_far, event.objective)
+                best_valid_so_far = min(best_valid_so_far, objective)
             else:
                 assert increment == 0.0
             if seen_valid:
                 # once any valid configuration exists the incumbent tracks
                 # the best valid objective, so it is never an invalid one
-                assert event.incumbent_objective == best_valid_so_far
-            previous_cost = event.cumulative_cost
+                assert incumbent_objective == best_valid_so_far
+            previous_cost = cumulative_cost
 
 
 @criterion(5, "DE reaches the sphere optimum level within 1e-2")
@@ -232,12 +230,8 @@ def test_criterion_7_trace_invariants(de_result, rs_result, sphere_traces):
 @criterion(8, "aggregation reproduces the hand-built two-trace example")
 def test_criterion_8_aggregation():
     def step_trace(times, regrets, seed):
-        events = tuple(
-            TraceEvent(i, t, r, r, None, True)
-            for i, (t, r) in enumerate(zip(times, regrets))
-        )
-        return RunTrace(seed=seed, optimizer_id="x", benchmark_id="hand",
-                        best_validation_error=0.0, best_test_error=None, events=events)
+        rows = [(t, r, r, None, True) for t, r in zip(times, regrets)]
+        return trace_from_rows(rows, best_validation_error=0.0, seed=seed)
 
     first = step_trace([1.0, 3.0], [0.4, 0.2], seed=0)
     second = step_trace([2.0], [0.3], seed=1)
@@ -254,32 +248,17 @@ def test_criterion_8_aggregation():
 
 @criterion(9, "regularized evolution: FIFO removal, and no worse than RS")
 def test_criterion_9_re_sanity(monkeypatch, comparison_bench, re_result, rs_result):
-    evictions = []
-
-    class Instrumented(AgingPopulation):
-        counter = 0
-
-        def append(self, member):
-            member.birth = Instrumented.counter
-            Instrumented.counter += 1
-            evicted = super().append(member)
-            if evicted is not None:
-                alive_births = [m.birth for m in self.members]
-                alive_fitness = [m.fitness for m in self.members]
-                evictions.append({
-                    "fifo": evicted.birth < min(alive_births),
-                    "was_worst": evicted.fitness >= max(alive_fitness),
-                })
-            return evicted
-
-    monkeypatch.setattr(baselines, "AgingPopulation", Instrumented)
+    seen = watch_tournaments(monkeypatch)
     cfg = REConfig(population_size=50, sample_size=10,
                    budget=Budget(max_evaluations=200))
-    run_regularized_evolution(comparison_bench.space, comparison_bench, cfg, seed=0)
-    assert len(evictions) == 150
-    assert all(e["fifo"] for e in evictions)
+    trace = run_regularized_evolution(comparison_bench.space, comparison_bench, cfg, seed=0)
+    # the k-th tournament sees evaluations k .. k + 49, oldest first, so
+    # between consecutive tournaments exactly the oldest member left
+    assert len(seen) - 1 == 150
+    for k, fitness in enumerate(seen):
+        assert np.array_equal(fitness, trace.objective[k:k + 50])
     # removal ignores fitness: plenty of evictions took a non-worst member
-    assert any(not e["was_worst"] for e in evictions)
+    assert any(before[0] < after.max() for before, after in zip(seen, seen[1:]))
 
     re_final = final_regrets(re_result[0])
     rs_final = final_regrets(rs_result[0])

@@ -3,72 +3,82 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import diffevo.baselines as baselines
 from diffevo import Budget, REConfig, make_synthetic, run_random_search, run_regularized_evolution
-from diffevo.baselines import AgingPopulation, mutate_one_dimension, tournament_select
-from diffevo.de import Individual
+from diffevo.baselines import mutate_one_dimension, tournament_select
+
+from conftest import assert_same_traces, watch_tournaments
 
 
 class TestRandomSearch:
     def test_single_evaluation_budget(self):
         bench = make_synthetic(5, 4, seed=0)
         trace = run_random_search(bench.space, bench, Budget(max_evaluations=1), seed=0)
-        assert len(trace.events) == 1
-        assert trace.events[0].incumbent_objective == trace.events[0].objective
+        assert len(trace) == 1
+        assert trace.incumbent_objective[0] == trace.objective[0]
 
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         budget = Budget(max_evaluations=100)
         a = run_random_search(bench.space, bench, budget, seed=5)
         b = run_random_search(bench.space, bench, budget, seed=5)
-        assert a == b
+        assert_same_traces([a], [b])
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)
         trace = run_random_search(bench.space, bench, Budget(max_evaluations=300), seed=1)
-        incumbents = [e.incumbent_objective for e in trace.events]
-        assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
+        assert np.all(np.diff(trace.incumbent_objective) <= 0.0)
 
 
-class TestAgingPopulation:
-    def test_eviction_is_strictly_fifo(self):
-        pop = AgingPopulation(capacity=3)
-        members = [Individual(genotype=np.array([i / 10]), fitness=i / 10) for i in range(6)]
-        evicted = [pop.append(m) for m in members]
-        assert evicted[:3] == [None, None, None]
-        # oldest leaves first even though it has the best fitness
-        assert evicted[3:] == members[:3]
-        assert pop.members == members[3:]
+def assert_fifo(seen, trace, population_size):
+    """The k-th tournament saw exactly evaluations k .. k + size - 1, oldest first."""
+    for k, fitness in enumerate(seen):
+        assert np.array_equal(fitness, trace.objective[k:k + population_size])
 
-    def test_capacity_validation(self):
+
+class TestAging:
+    def test_eviction_is_strictly_fifo(self, monkeypatch):
+        seen = watch_tournaments(monkeypatch)
+        bench = make_synthetic(5, 4, seed=0)
+        cfg = REConfig(population_size=3, sample_size=2, budget=Budget(max_evaluations=60))
+        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        assert len(seen) == 60 - 3 + 1
+        assert_fifo(seen, trace, 3)
+        # the oldest leaves first even when it is the fittest member
+        assert any(before[0] < after.min() for before, after in zip(seen, seen[1:]))
+
+    def test_capacity_validation(self, monkeypatch):
         with pytest.raises(ValueError):
-            AgingPopulation(capacity=0)
+            REConfig(population_size=0)
+        # the smallest population: every child replaces the only member
+        seen = watch_tournaments(monkeypatch)
+        bench = make_synthetic(5, 4, seed=0)
+        cfg = REConfig(population_size=1, sample_size=1, budget=Budget(max_evaluations=20))
+        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        assert len(seen) == 20
+        assert_fifo(seen, trace, 1)
 
 
 class TestTournament:
-    def members_with(self, fitnesses):
-        return [Individual(genotype=np.zeros(1), fitness=f) for f in fitnesses]
-
     def test_picks_fittest_entrant(self):
-        members = self.members_with([0.9, 0.1, 0.5, 0.7])
+        fitness = np.array([0.9, 0.1, 0.5, 0.7])
         rng = np.random.default_rng(3)
         expected_entrants = np.random.default_rng(3).integers(0, 4, size=3)
-        choice = tournament_select(members, sample_size=3, rng=rng)
-        assert choice == min(expected_entrants, key=lambda i: members[i].fitness)
+        choice = tournament_select(fitness, sample_size=3, rng=rng)
+        assert choice == min(expected_entrants, key=lambda i: fitness[i])
 
     def test_tie_broken_by_lowest_index(self):
-        members = self.members_with([0.5, 0.5, 0.5, 0.5])
+        fitness = np.array([0.5, 0.5, 0.5, 0.5])
         for seed in range(50):
             rng = np.random.default_rng(seed)
             entrants = np.random.default_rng(seed).integers(0, 4, size=2)
-            assert tournament_select(members, 2, rng) == min(entrants)
+            assert tournament_select(fitness, 2, rng) == min(entrants)
 
     def test_sample_size_one_returns_the_single_draw(self):
-        members = self.members_with([0.4, 0.2, 0.9])
+        fitness = np.array([0.4, 0.2, 0.9])
         for seed in range(50):
             rng = np.random.default_rng(seed)
             drawn = int(np.random.default_rng(seed).integers(0, 3, size=1)[0])
-            assert tournament_select(members, 1, rng) == drawn
+            assert tournament_select(fitness, 1, rng) == drawn
 
 
 class TestMutateOneDimension:
@@ -103,61 +113,38 @@ class TestRegularizedEvolution:
         cfg = REConfig(population_size=20, sample_size=5, budget=Budget(max_evaluations=100))
         a = run_regularized_evolution(bench.space, bench, cfg, seed=9)
         b = run_regularized_evolution(bench.space, bench, cfg, seed=9)
-        assert a == b
+        assert_same_traces([a], [b])
 
     def test_budget_smaller_than_warmup(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=50, sample_size=5, budget=Budget(max_evaluations=10))
         trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
-        assert len(trace.events) == 10
+        assert len(trace) == 10
 
     def test_population_stays_at_capacity(self, monkeypatch):
-        sizes = []
-
-        class Watching(AgingPopulation):
-            def append(self, member):
-                evicted = super().append(member)
-                sizes.append(len(self))
-                return evicted
-
-        monkeypatch.setattr(baselines, "AgingPopulation", Watching)
+        seen = watch_tournaments(monkeypatch)
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=15, sample_size=3, budget=Budget(max_evaluations=80))
-        run_regularized_evolution(bench.space, bench, cfg, seed=0)
-        assert max(sizes) == 15
-        assert sizes[15:] == [15] * (80 - 15)
+        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        # one tournament per child, plus the one cut short by the budget
+        assert [len(fitness) for fitness in seen] == [15] * (80 - 15 + 1)
+        assert_fifo(seen, trace, 15)
 
     def test_eviction_order_matches_insertion_order(self, monkeypatch):
-        births = []
-
-        class Instrumented(AgingPopulation):
-            counter = 0
-
-            def append(self, member):
-                member.birth = Instrumented.counter
-                Instrumented.counter += 1
-                evicted = super().append(member)
-                if evicted is not None:
-                    alive = [m.birth for m in self.members] + [evicted.birth]
-                    births.append((evicted.birth, min(alive)))
-                return evicted
-
-        monkeypatch.setattr(baselines, "AgingPopulation", Instrumented)
+        seen = watch_tournaments(monkeypatch)
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=10, sample_size=3, budget=Budget(max_evaluations=60))
-        run_regularized_evolution(bench.space, bench, cfg, seed=2)
-        assert len(births) == 50
-        assert all(evicted == oldest for evicted, oldest in births)
+        trace = run_regularized_evolution(bench.space, bench, cfg, seed=2)
+        evictions = len(seen) - 1  # a member leaves between consecutive tournaments
+        assert evictions == 50
+        assert_fifo(seen, trace, 10)
 
     def test_invalid_configurations_cost_nothing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.6, seed=1)
         cfg = REConfig(population_size=20, sample_size=4, budget=Budget(max_evaluations=200))
         trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
-        invalid = [e for e in trace.events if not e.valid]
-        assert invalid, "expected some invalid evaluations on this benchmark"
-        prev = 0.0
-        for e in trace.events:
-            if not e.valid:
-                assert e.cumulative_cost == prev
-            assert e.objective == 1.0 if not e.valid else True
-            prev = e.cumulative_cost
+        invalid = ~trace.valid
+        assert invalid.any(), "expected some invalid evaluations on this benchmark"
+        increments = np.diff(trace.cumulative_cost, prepend=0.0)
+        assert np.all(increments[invalid] == 0.0)
+        assert np.all(trace.objective[invalid] == 1.0)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -51,7 +52,7 @@ class TestRun:
                        "--runs", "2", "--seed", "0", "--out", str(out))
         assert code == 0
         traces = read_traces(out)
-        assert len(traces) == 2 and all(len(t.events) == 50 for t in traces)
+        assert len(traces) == 2 and all(len(t) == 50 for t in traces)
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("optimizer=de benchmark=synthetic:3x3")
         assert "final_mean_regret=" in lines[0]
@@ -135,6 +136,45 @@ class TestRun:
         assert err.value.code == 2
 
 
+class TestGoldenBytes:
+    """Output bytes pinned by sha256; a change to any trace or curve byte
+    must update these constants deliberately."""
+
+    TRACES = {
+        "de": "970f8f99011ce1fb9d5f37f1a513de81c9cb3f34255917ca67c33230620c1660",
+        "rs": "98b71d1bb476e33313d41ad27724a18e48cd4d04d163522da21806260afc0cca",
+        "re": "7ad235494e1436c9ad9e55b109ff8c287695074e0a4989bba2e80bdbd7f143f4",
+    }
+    CURVES = {
+        "de": "e662455eea76665dfb977672ed7ced119cd6deb7bef15d4569393494dafdb634",
+        "rs": "4302c9d191c46044379f553ae966ae48b1a5d55b1625ab771166c0663b379339",
+        "re": "3c023bc7aa5d2d9df9e5d036dd28dbf35a702ca9c6345189c0c438e991b1d493",
+    }
+
+    def test_run_traces(self, tmp_path):
+        # the three invocations of acceptance criterion 6
+        tabular_path = tmp_path / "bench.jsonl"
+        write_tabular(make_synthetic(3, 3, invalid_fraction=0.2, seed=4), tabular_path)
+        combos = [
+            ("de", "synthetic:4x3:invalid=0.1", ("--np", "8")),
+            ("rs", "sphere:2", ()),
+            ("re", str(tabular_path), ("--pop", "15", "--sample", "4")),
+        ]
+        for optimizer, benchmark, flags in combos:
+            out = tmp_path / f"{optimizer}.jsonl"
+            assert run_cli("run", "--optimizer", optimizer, *flags, "--benchmark", benchmark,
+                           "--evals", "80", "--runs", "3", "--seed", "0", "--out", str(out)) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TRACES[optimizer]
+
+    def test_compare_curves(self, tmp_path):
+        assert run_cli("compare", "--optimizers", "de,rs,re",
+                       "--benchmark", "synthetic:5x4:invalid=0.2", "--cost", "500",
+                       "--runs", "6", "--seed", "2", "--out-dir", str(tmp_path)) == 0
+        for optimizer, digest in self.CURVES.items():
+            got = hashlib.sha256((tmp_path / f"{optimizer}.csv").read_bytes()).hexdigest()
+            assert got == digest, optimizer
+
+
 class TestCompare:
     def test_emits_csv_per_optimizer_and_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "curves"
@@ -187,7 +227,7 @@ class TestAggregateCommand:
         # union of one run's event times: the curve is its own regret steps
         got = {float(r["time"]): float(r["mean_regret"]) for r in rows}
         want = {}
-        for t, v in zip(trace.times, validation):
+        for t, v in zip(trace.cumulative_cost, validation):
             want[float(t)] = float(v)  # zero-cost events collapse to the last
         assert got == want
 
@@ -197,6 +237,31 @@ class TestAggregateCommand:
         code = run_cli("aggregate", str(a), str(b), "--out", str(tmp_path / "c.csv"))
         assert code == 1
         assert "multiple benchmarks" in capsys.readouterr().err
+
+    def test_trace_missing_a_field_fails_cleanly(self, tmp_path, capsys):
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        lines = trace_file.read_text().splitlines()
+        event = json.loads(lines[2])
+        del event["cumulative_cost"]
+        lines[2] = json.dumps(event)
+        trace_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace_file}:3:") and "'cumulative_cost'" in err
+        assert not out.exists()
+
+    def test_trace_breaking_invariants_fails_cleanly(self, tmp_path, capsys):
+        trace_file = tmp_path / "t.jsonl"
+        trace_file.write_text(
+            '{"run":{"benchmark":"hand","best_test_error":null,"best_validation_error":0.0,'
+            '"config":{},"optimizer":"x","seed":0}}\n'
+            '{"cumulative_cost":-1.0,"eval_index":0,"incumbent_objective":-0.4,'
+            '"incumbent_test_error":null,"objective":0.5,"valid":true}\n')
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {trace_file}:1: event 0 ")
+        assert not out.exists()
 
     def test_multiple_files_aggregate(self, tmp_path):
         a = self.write_run(tmp_path, "a.jsonl", seed=0)

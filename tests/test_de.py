@@ -3,17 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, initialize, make_synthetic, run_de
+from diffevo import Budget, DEConfig, make_synthetic, run_de
 from diffevo.benchmarks import continuous_function
-from diffevo.de import (
-    crossover_binomial,
-    draw_parent_indices,
-    mutant_vector,
-    mutate_rand1,
-    trial_wins,
-)
+from diffevo.de import crossover_binomial, draw_parent_indices, mutant_vector, trial_wins
 
-from conftest import RecordingBenchmark, TransformedBenchmark
+from conftest import RecordingBenchmark, TransformedBenchmark, assert_same_traces
 
 
 def identity_bench(dimension):
@@ -21,24 +15,36 @@ def identity_bench(dimension):
     return continuous_function("sphere", dimension, lo=0.0, hi=1.0)
 
 
-class TestInitialize:
-    def test_population_shape_and_range(self, rng):
-        pop = initialize(20, 5, rng)
-        assert pop.size == 20 and pop.generation == 0
-        for member in pop.members:
-            assert member.genotype.shape == (5,)
-            assert np.all((member.genotype >= 0.0) & (member.genotype < 1.0))
-            assert not member.evaluated
+def initial_population(population_size, dimension, seed):
+    """The genotypes DE evaluates first, read back through an identity benchmark."""
+    bench = RecordingBenchmark(identity_bench(dimension))
+    cfg = DEConfig(population_size=population_size,
+                   budget=Budget(max_evaluations=population_size))
+    run_de(bench.space, bench, cfg, seed=seed)
+    return np.array(bench.configs)
 
-    def test_too_small_population_rejected(self, rng):
+
+class TestInitialize:
+    def test_population_shape_and_range(self):
+        population = initial_population(20, 5, seed=12345)
+        assert population.shape == (20, 5)
+        assert np.all((population >= 0.0) & (population < 1.0))
+
+    def test_too_small_population_rejected(self):
         with pytest.raises(ValueError):
-            initialize(3, 5, rng)
+            DEConfig(population_size=3)
+        # four members are enough: the target plus three distinct parents
+        bench = make_synthetic(4, 3, seed=0)
+        trace = run_de(bench.space, bench,
+                       DEConfig(population_size=4, budget=Budget(max_evaluations=40)), seed=0)
+        assert len(trace) == 40
 
     def test_same_seed_identical(self):
-        a = initialize(8, 3, np.random.default_rng(4))
-        b = initialize(8, 3, np.random.default_rng(4))
-        for ma, mb in zip(a.members, b.members):
-            assert np.array_equal(ma.genotype, mb.genotype)
+        a = initial_population(8, 3, seed=4)
+        b = initial_population(8, 3, seed=4)
+        assert np.array_equal(a, b)
+        # one (NP, D) uniform draw from the run's generator, row by row
+        assert np.array_equal(a, np.random.default_rng(4).random((8, 3)))
 
 
 class TestParentIndices:
@@ -53,6 +59,18 @@ class TestParentIndices:
             assert target not in (r1, r2, r3)
             seen.update((r1, r2, r3))
         assert seen == set(range(population_size))
+
+    @pytest.mark.parametrize("population_size", [4, 5, 20, 100])
+    def test_matches_sampling_from_the_other_members(self, population_size):
+        # reference: choose three of the members other than the target
+        for target in range(population_size):
+            for seed in range(20):
+                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                others = np.delete(np.arange(population_size), target)
+                want = reference.choice(others, size=3, replace=False).tolist()
+                assert list(draw_parent_indices(population_size, target, rng)) == want
+                # same draws consumed: the generators stay in step
+                assert rng.random() == reference.random()
 
 
 class TestMutantVector:
@@ -82,16 +100,14 @@ class TestMutantVector:
         assert np.all((v >= 0.0) & (v <= 1.0))
 
     def test_mutate_uses_three_distinct_members(self, rng):
-        pop = initialize(4, 3, rng)
-        # NP=4 leaves exactly one choice of parents; any F with r2/r3 swap
-        # symmetry aside, the mutant must stay inside the cube
-        v = mutate_rand1(pop, 0, 0.5, rng)
-        assert np.all((v >= 0.0) & (v <= 1.0))
-
-    def test_mutate_rejects_bad_target(self, rng):
-        pop = initialize(4, 3, rng)
-        with pytest.raises(ValueError):
-            mutate_rand1(pop, 4, 0.5, rng)
+        population = rng.random((4, 3))
+        # NP=4 leaves exactly one choice of parents, in some order, and the
+        # mutant built from them must stay inside the cube
+        for target in range(4):
+            parents = draw_parent_indices(4, target, rng)
+            assert sorted(parents) == sorted(set(range(4)) - {target})
+            v = mutant_vector(*population[list(parents)], 0.5)
+            assert np.all((v >= 0.0) & (v <= 1.0))
 
 
 class TestCrossover:
@@ -145,31 +161,31 @@ class TestRunDE:
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=20))
         trace = run_de(bench.space, bench, cfg, seed=0)
-        assert len(trace.events) == 20
+        assert len(trace) == 20
 
     def test_run_may_stop_mid_generation(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=27))
         trace = run_de(bench.space, bench, cfg, seed=0)
-        assert len(trace.events) == 27
+        assert len(trace) == 27
 
     def test_cost_budget_stops_run(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_cost=33.0))
         trace = run_de(bench.space, bench, cfg, seed=0)
-        assert len(trace.events) == 33
+        assert len(trace) == 33
 
     def test_incumbent_objective_non_increasing(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(budget=Budget(max_evaluations=400))
         trace = run_de(bench.space, bench, cfg, seed=3)
-        incumbents = [e.incumbent_objective for e in trace.events]
-        assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
+        assert np.all(np.diff(trace.incumbent_objective) <= 0.0)
 
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(budget=Budget(max_evaluations=200))
-        assert run_de(bench.space, bench, cfg, seed=7) == run_de(bench.space, bench, cfg, seed=7)
+        assert_same_traces([run_de(bench.space, bench, cfg, seed=7)],
+                           [run_de(bench.space, bench, cfg, seed=7)])
 
     def test_genotypes_stay_in_hypercube(self):
         bench = RecordingBenchmark(identity_bench(4))

@@ -1,13 +1,15 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diffevo import (
     Budget,
     DEConfig,
-    RunTrace,
-    TraceEvent,
     aggregate,
     check_trace_invariants,
     final_regrets,
@@ -22,24 +24,14 @@ from diffevo import (
     write_traces,
 )
 
-from conftest import RecordingBenchmark
+from conftest import assert_same_traces, trace_from_rows
 
 
 def make_trace(times, regrets, best=0.0, seed=0, optimizer="x", benchmark="hand"):
     """Hand-built trace whose incumbent regret steps are given directly."""
-    events = tuple(
-        TraceEvent(
-            eval_index=i,
-            cumulative_cost=t,
-            objective=best + r,
-            incumbent_objective=best + r,
-            incumbent_test_error=None,
-            valid=True,
-        )
-        for i, (t, r) in enumerate(zip(times, regrets))
-    )
-    return RunTrace(seed=seed, optimizer_id=optimizer, benchmark_id=benchmark,
-                    best_validation_error=best, best_test_error=None, events=events)
+    rows = [(t, best + r, best + r, None, True) for t, r in zip(times, regrets)]
+    return trace_from_rows(rows, best_validation_error=best, seed=seed,
+                           optimizer_id=optimizer, benchmark_id=benchmark)
 
 
 class TestRegret:
@@ -66,13 +58,11 @@ class TestRegret:
             regret_series(trace, other)
 
     def test_test_regret_uses_validation_incumbent(self):
-        events = (
-            TraceEvent(0, 1.0, 0.3, 0.3, 0.35, True),
-            TraceEvent(1, 2.0, 0.2, 0.2, 0.22, True),
-            TraceEvent(2, 3.0, 0.9, 0.2, 0.22, True),
-        )
-        trace = RunTrace(seed=0, optimizer_id="x", benchmark_id="hand",
-                         best_validation_error=0.2, best_test_error=0.2, events=events)
+        trace = trace_from_rows([
+            (1.0, 0.3, 0.3, 0.35, True),
+            (2.0, 0.2, 0.2, 0.22, True),
+            (3.0, 0.9, 0.2, 0.22, True),
+        ], best_validation_error=0.2, best_test_error=0.2)
         _, test = regret_series(trace)
         assert test.tolist() == pytest.approx([0.15, 0.02, 0.02])
 
@@ -186,13 +176,13 @@ class TestRunExperiment:
         bench = make_synthetic(4, 3, seed=0)
         a = run_experiment(self.runner(), bench, n_runs=4, base_seed=3)
         b = run_experiment(self.runner(), bench, n_runs=4, base_seed=3)
-        assert a == b
+        assert_same_traces(a, b)
 
     def test_concurrent_execution_matches_sequential(self):
         bench = make_synthetic(4, 3, seed=0)
         sequential = run_experiment(self.runner(50), bench, n_runs=6, base_seed=0, jobs=1)
         concurrent = run_experiment(self.runner(50), bench, n_runs=6, base_seed=0, jobs=4)
-        assert sequential == concurrent
+        assert_same_traces(concurrent, sequential)
 
     def test_abort_carries_the_seed(self):
         bench = make_synthetic(4, 3, seed=0)
@@ -211,7 +201,46 @@ class TestRunExperiment:
             run_experiment(self.runner(), bench, n_runs=0)
 
 
+def scalar_invariant_violation(trace):
+    """Reference: the event-by-event check, returning its first message or None."""
+    prev_cost, prev_incumbent = 0.0, math.inf
+    events = zip(trace.cumulative_cost.tolist(), trace.objective.tolist(),
+                 trace.incumbent_objective.tolist(), trace.valid.tolist())
+    for i, (cost, objective, incumbent, valid) in enumerate(events):
+        where = f"event {i} of {trace.optimizer_id} run (seed {trace.seed})"
+        if not 0.0 <= objective <= 1.0:
+            return f"{where}: objective {objective} outside [0, 1]"
+        if not cost >= prev_cost:
+            return f"{where}: cumulative cost decreased or is not a number"
+        if not valid and cost != prev_cost:
+            return f"{where}: invalid evaluation accrued cost"
+        if not incumbent <= prev_incumbent:
+            return f"{where}: incumbent objective increased or is not a number"
+        if incumbent < trace.best_validation_error:
+            return f"{where}: incumbent beats the benchmark's best (negative regret)"
+        prev_cost, prev_incumbent = cost, incumbent
+    return None
+
+
 class TestTraceInvariants:
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 2.5, math.nan]),
+                              st.sampled_from([-0.1, 0.0, 0.3, 1.0, 1.5, math.nan]),
+                              st.sampled_from([0.0, 0.2, 0.3, 0.6, math.nan]),
+                              st.booleans()),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.0, 0.25]))
+    def test_matches_event_by_event_reference(self, events, best):
+        rows = [(cost, objective, incumbent, None, valid)
+                for cost, objective, incumbent, valid in events]
+        trace = trace_from_rows(rows, best_validation_error=best)
+        want = scalar_invariant_violation(trace)
+        if want is None:
+            check_trace_invariants(trace)
+        else:
+            with pytest.raises(ValueError) as err:
+                check_trace_invariants(trace)
+            assert str(err.value) == want
+
     def test_recorded_runs_always_satisfy_them(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.4, seed=2)
         trace = run_de(bench.space, bench, DEConfig(budget=Budget(max_evaluations=200)), seed=0)
@@ -223,15 +252,13 @@ class TestTraceInvariants:
             check_trace_invariants(trace)
 
     def test_detects_decreasing_cost(self):
-        events = (TraceEvent(0, 2.0, 0.5, 0.5, None, True),
-                  TraceEvent(1, 1.0, 0.5, 0.5, None, True))
-        trace = RunTrace(0, "x", "hand", 0.0, None, events)
+        trace = trace_from_rows([(2.0, 0.5, 0.5, None, True),
+                                 (1.0, 0.5, 0.5, None, True)])
         with pytest.raises(ValueError, match="cost"):
             check_trace_invariants(trace)
 
     def test_detects_invalid_evaluation_with_cost(self):
-        events = (TraceEvent(0, 1.0, 1.0, 1.0, None, False),)
-        trace = RunTrace(0, "x", "hand", 0.0, None, events)
+        trace = trace_from_rows([(1.0, 1.0, 1.0, None, False)])
         with pytest.raises(ValueError, match="invalid"):
             check_trace_invariants(trace)
 
@@ -242,7 +269,7 @@ class TestTraceInvariants:
             check_trace_invariants(trace)
 
     def test_detects_empty_trace(self):
-        trace = RunTrace(0, "x", "hand", 0.0, None, events=())
+        trace = trace_from_rows([])
         with pytest.raises(ValueError, match="no events"):
             check_trace_invariants(trace)
 
@@ -256,7 +283,16 @@ class TestTracePersistence:
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)
         loaded = read_traces(path)
-        assert loaded == traces
+        assert_same_traces(loaded, traces)
+
+    def test_missing_test_error_round_trips_as_null(self, tmp_path):
+        trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, 0.45, True)],
+                                best_test_error=0.3)
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        first_event = path.read_text().splitlines()[1]
+        assert '"incumbent_test_error":null' in first_event
+        assert_same_traces(read_traces(path), [trace])
 
     def test_reaggregation_equals_in_process(self, tmp_path):
         bench = make_synthetic(5, 4, seed=0)
@@ -282,6 +318,66 @@ class TestTracePersistence:
         path.write_text('{"eval_index":0,"cumulative_cost":1.0,"objective":0.5,'
                         '"incumbent_objective":0.5,"incumbent_test_error":null,"valid":true}\n')
         with pytest.raises(ValueError, match="before any run header"):
+            read_traces(path)
+
+
+class TestTraceFileValidation:
+    HEADER = ('{"run":{"benchmark":"hand","best_test_error":null,"best_validation_error":0.1,'
+              '"config":{},"optimizer":"x","seed":3}}')
+
+    def event(self, index, cost, objective, incumbent, valid=True):
+        return json.dumps({"eval_index": index, "cumulative_cost": cost, "objective": objective,
+                           "incumbent_objective": incumbent, "incumbent_test_error": None,
+                           "valid": valid})
+
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_well_formed_file_reads(self, tmp_path):
+        path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5),
+                          self.event(1, 2.0, 0.3, 0.3))
+        (trace,) = read_traces(path)
+        assert trace.seed == 3 and len(trace) == 2
+
+    def test_event_missing_a_field_names_line_and_field(self, tmp_path):
+        broken = json.loads(self.event(1, 2.0, 0.3, 0.3))
+        del broken["incumbent_objective"]
+        path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5), json.dumps(broken))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: .*'incumbent_objective'"):
+            read_traces(path)
+
+    def test_header_missing_a_field_names_line_and_field(self, tmp_path):
+        header = json.loads(self.HEADER)
+        del header["run"]["best_validation_error"]
+        path = self.write(tmp_path, json.dumps(header), self.event(0, 1.0, 0.5, 0.5))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: .*'best_validation_error'"):
+            read_traces(path)
+
+    def test_eval_index_out_of_sequence_names_line(self, tmp_path):
+        path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5),
+                          self.event(2, 2.0, 0.3, 0.3))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: eval_index 2"):
+            read_traces(path)
+
+    def test_null_number_or_non_boolean_valid_rejected(self, tmp_path):
+        null_cost = json.loads(self.event(1, 2.0, 0.3, 0.3))
+        null_cost["cumulative_cost"] = None
+        path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5), json.dumps(null_cost))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: event 1 .*not a number"):
+            read_traces(path)
+        word = json.loads(self.event(1, 2.0, 0.3, 0.3))
+        word["valid"] = "false"
+        path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5), json.dumps(word))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: valid must be"):
+            read_traces(path)
+
+    def test_run_breaking_invariants_names_the_path(self, tmp_path):
+        # the second incumbent lies below the benchmark's best (0.1)
+        path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5),
+                          self.event(1, 2.0, 0.05, 0.05))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1: event 1 .*negative regret"):
             read_traces(path)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffevo import ParameterSpec, SearchSpace, bin_index, discretize, random_genotype
+from diffevo import ParameterSpec, SearchSpace, bin_index
 
 
 def scan_bin(u, n):
@@ -74,8 +74,10 @@ class TestParameterSpec:
             ParameterSpec(name="x", kind="integer", lo=0.5, hi=2)
 
     def test_float_rejects_non_numeric_bounds(self):
-        with pytest.raises(ValueError):
-            ParameterSpec(name="x", kind="float", lo="0", hi=1.0)
+        inf, nan = math.inf, math.nan
+        for lo, hi in [("0", 1.0), (-inf, inf), (0.0, inf), (-inf, 0.0), (nan, 1.0), (0.0, nan)]:
+            with pytest.raises(ValueError):
+                ParameterSpec(name="x", kind="float", lo=lo, hi=hi)
 
     def test_tokens_must_be_unique(self):
         with pytest.raises(ValueError):
@@ -161,7 +163,7 @@ class TestDiscretize:
         assert mixed_space.contains(config)
 
     def test_deterministic(self, mixed_space, rng):
-        g = random_genotype(mixed_space.dimension, rng)
+        g = rng.random(mixed_space.dimension)
         assert mixed_space.discretize(g) == mixed_space.discretize(g)
 
     def test_dimension_mismatch(self, mixed_space):
@@ -171,10 +173,6 @@ class TestDiscretize:
     def test_out_of_range_coordinate(self, mixed_space):
         with pytest.raises(ValueError):
             mixed_space.discretize(np.array([0.5, 0.5, 0.5, 1.5]))
-
-    def test_functional_alias(self, mixed_space):
-        g = np.full(4, 0.5)
-        assert discretize(g, mixed_space) == mixed_space.discretize(g)
 
     @given(u1=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
            u2=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
@@ -190,29 +188,6 @@ class TestDiscretize:
         p_int = ParameterSpec(name="k", kind="integer", lo=-4, hi=9)
         assert -2.0 <= p_float.value_at(u) <= 3.0
         assert p_int.value_at(u) in range(-4, 10)
-
-
-class TestRandomGenotype:
-    def test_range_and_shape(self, rng):
-        g = random_genotype(3, rng)
-        assert g.shape == (3,)
-        assert np.all((g >= 0.0) & (g < 1.0))
-
-    def test_same_seed_same_genotype(self):
-        a = random_genotype(6, np.random.default_rng(99))
-        b = random_genotype(6, np.random.default_rng(99))
-        assert np.array_equal(a, b)
-
-    def test_coordinate_means_near_half(self):
-        # law of large numbers at 10k draws: per-coordinate mean in [0.48, 0.52]
-        rng = np.random.default_rng(0)
-        draws = np.array([random_genotype(4, rng) for _ in range(10_000)])
-        assert np.all(draws.mean(axis=0) >= 0.48)
-        assert np.all(draws.mean(axis=0) <= 0.52)
-
-    def test_rejects_zero_dimension(self, rng):
-        with pytest.raises(ValueError):
-            random_genotype(0, rng)
 
 
 class TestJsonRoundTrip:
