@@ -20,17 +20,21 @@ import numpy as np
 
 from .benchmarks import Benchmark
 from .space import SearchSpace
-from .trace import Budget, BudgetExhausted, RunRecorder, RunTrace
+from .trace import Budget, RunRecorder, RunTrace
+
+RS_BLOCK = 1024  # genotypes drawn and evaluated per recorder call
 
 
 def run_random_search(space: SearchSpace, bench: Benchmark, budget: Budget, seed: int) -> RunTrace:
-    """Evaluate independent uniform genotypes until the budget is exhausted."""
+    """Evaluate independent uniform genotypes until the budget is exhausted.
+
+    A (k, D) draw is the same stream as k draws of D values, so drawing
+    blocks leaves the trace as one genotype at a time would make it.
+    """
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, budget)
-    try:
-        while True:
-            recorder.evaluate(rng.random(space.dimension), space)
-    except BudgetExhausted:
+    block = min(RS_BLOCK, budget.max_evaluations or RS_BLOCK)
+    while len(recorder.evaluate(rng.random((block, space.dimension)), space)) == block:
         pass
     return recorder.finish(seed=seed, optimizer_id="rs", config={})
 
@@ -56,8 +60,8 @@ def tournament_select(fitness: np.ndarray, sample_size: int,
 
     Fitness ties go to the entrant with the lowest population index.
     """
-    entrants = np.sort(rng.integers(0, len(fitness), size=sample_size))
-    return int(entrants[np.argmin(fitness[entrants])])
+    entrants = sorted(rng.integers(0, len(fitness), size=sample_size).tolist())
+    return min(entrants, key=fitness.__getitem__)  # min keeps the first of equals
 
 
 def mutate_one_dimension(genotype: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -73,19 +77,15 @@ def run_regularized_evolution(space: SearchSpace, bench: Benchmark, cfg: REConfi
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, cfg.budget)
     genotypes = rng.random((cfg.population_size, space.dimension))
-    fitness = np.empty(cfg.population_size)
-    try:
-        for i in range(cfg.population_size):
-            fitness[i] = recorder.evaluate(genotypes[i], space)
-        while True:
-            parent = genotypes[tournament_select(fitness, cfg.sample_size, rng)]
-            child = mutate_one_dimension(parent, rng)
-            child_fitness = recorder.evaluate(child, space)
-            # aging: the oldest member leaves whatever its fitness
-            genotypes[:-1], fitness[:-1] = genotypes[1:], fitness[1:]
-            genotypes[-1], fitness[-1] = child, child_fitness
-    except BudgetExhausted:
-        pass
+    fitness = recorder.evaluate(genotypes, space)
+    while len(fitness) == cfg.population_size:
+        child = mutate_one_dimension(genotypes[tournament_select(fitness, cfg.sample_size, rng)], rng)
+        child_fitness = recorder.evaluate(child[None], space)
+        if not len(child_fitness):
+            break
+        # aging: the oldest member leaves whatever its fitness
+        genotypes[:-1], fitness[:-1] = genotypes[1:], fitness[1:]
+        genotypes[-1], fitness[-1] = child, child_fitness[0]
     return recorder.finish(seed=seed, optimizer_id="re", config={
         "population_size": cfg.population_size,
         "sample_size": cfg.sample_size,

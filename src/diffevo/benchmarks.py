@@ -117,8 +117,8 @@ def _check_row(space, key, val, test, cost, where: str):
         raise BenchmarkLoadError(f"{where}: validation error {val} outside [0, 1]")
     if test is not None and not 0.0 <= test <= 1.0:
         raise BenchmarkLoadError(f"{where}: test error {test} outside [0, 1]")
-    if not cost >= 0.0:
-        raise BenchmarkLoadError(f"{where}: negative cost {cost}")
+    if not 0.0 <= cost < math.inf:
+        raise BenchmarkLoadError(f"{where}: cost {cost} is negative or not finite")
 
 
 def _canonical_key(space: SearchSpace, raw) -> Configuration:

@@ -186,9 +186,19 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_aggregate(args, parser) -> int:
-    traces = []
+    # count each run once and average one optimizer; aggregate() checks benchmarks
+    traces, source = [], {}  # (benchmark, optimizer, seed) -> the file holding it
     for path in args.traces:
-        traces.extend(read_traces(path))
+        for trace in read_traces(path):
+            run = (trace.benchmark_id, trace.optimizer_id, trace.seed)
+            if run in source:
+                raise ValueError(f"run ({run[1]}, seed {run[2]}) is in both {source[run]} "
+                                 f"and {path}")
+            if traces and run[1] != traces[0].optimizer_id:
+                raise ValueError(f"optimizers {traces[0].optimizer_id!r} ({args.traces[0]}) "
+                                 f"and {run[1]!r} ({path}) cannot be averaged together")
+            source[run] = path
+            traces.append(trace)
     curve = aggregate(traces, grid=args.grid, points=args.points)
     write_curve_csv(curve, args.out)
     print(f"wrote {args.out}")

@@ -2,12 +2,12 @@
 
 The population is an (NP, D) genotype array in continuous [0, 1]^D space,
 whatever the parameter types underneath, plus a fitness vector; genotypes
-are discretized only when a candidate is evaluated. Each generation, for
-every target row, a mutant is built from three distinct other rows
-(rand/1), crossed binomially with the target, evaluated, and the better of
-target/trial (ties to the trial) is written into copies of both arrays.
-Replacement is synchronous: all mutations in a generation read the current
-population.
+are discretized only when a candidate is evaluated. Replacement is
+synchronous: every trial of a generation reads the same population, so a
+generation is one step over whole arrays. Each target row gets a mutant
+built from three distinct other rows (rand/1), crossed binomially with the
+target; the (NP, D) trial block is evaluated in one recorder call, and each
+trial replaces its target when at least as good (ties to the trial).
 
 Out-of-bounds mutant coordinates are clipped back into [0, 1], the simplest
 rule that keeps every genotype inside the hypercube.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .benchmarks import Benchmark
 from .space import SearchSpace
-from .trace import Budget, BudgetExhausted, RunRecorder, RunTrace
+from .trace import Budget, RunRecorder, RunTrace
 
 MIN_POPULATION = 4  # target plus three distinct mutation parents
 
@@ -44,14 +44,16 @@ class DEConfig:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
 
 
-def draw_parent_indices(population_size: int, target: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """Three indices, pairwise distinct and distinct from ``target``.
+def parent_indices(population_size: int, rng: np.random.Generator) -> np.ndarray:
+    """(NP, 3) parent rows: row ``i`` is an ordered triple of distinct rows other than ``i``.
 
-    Draws from the ``population_size - 1`` other members and shifts indices
-    at or above the target past it.
+    Each row ranks the other members by one uniform key apiece (the target's
+    own key is +inf) and takes the three lowest, so every ordered triple of
+    other members is equally likely in each row.
     """
-    r = rng.choice(population_size - 1, size=3, replace=False)
-    return tuple((r + (r >= target)).tolist())
+    keys = rng.random((population_size, population_size))
+    np.fill_diagonal(keys, np.inf)
+    return np.argsort(keys, axis=1)[:, :3]
 
 
 def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor: float) -> np.ndarray:
@@ -61,27 +63,19 @@ def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor
 
 def crossover_binomial(target: np.ndarray, mutant: np.ndarray, crossover_rate: float,
                        rng: np.random.Generator) -> np.ndarray:
-    """Binomial crossover with one forced mutant dimension.
+    """Binomial crossover along the last axis, with one forced mutant dimension.
 
-    A uniformly drawn index always inherits from the mutant (otherwise a
-    crossover rate of 0 would reproduce the target exactly and the trial
-    could make no progress); every other dimension takes the mutant's value
-    with probability ``crossover_rate``.
+    In every vector a uniformly drawn index always inherits from the mutant
+    (otherwise a crossover rate of 0 would reproduce the target exactly and
+    the trial could make no progress); every other dimension takes the
+    mutant's value with probability ``crossover_rate``.
     """
-    if len(target) != len(mutant):
-        raise ValueError(
-            f"target and mutant dimensions differ: {len(target)} vs {len(mutant)}"
-        )
-    dimension = len(target)
-    j_rand = int(rng.integers(dimension))
-    take_mutant = rng.random(dimension) < crossover_rate
-    take_mutant[j_rand] = True
+    if target.shape != mutant.shape:
+        raise ValueError(f"target and mutant shapes differ: {target.shape} vs {mutant.shape}")
+    take_mutant = rng.random(target.shape) < crossover_rate
+    forced = rng.integers(target.shape[-1], size=target.shape[:-1])
+    np.put_along_axis(take_mutant, forced[..., None], True, axis=-1)
     return np.where(take_mutant, mutant, target)
-
-
-def trial_wins(target_fitness: float, trial_fitness: float) -> bool:
-    """Selection: the trial replaces the target when at least as good."""
-    return trial_fitness <= target_fitness
 
 
 def run_de(space: SearchSpace, bench: Benchmark, cfg: DEConfig, seed: int) -> RunTrace:
@@ -96,24 +90,16 @@ def run_de(space: SearchSpace, bench: Benchmark, cfg: DEConfig, seed: int) -> Ru
     recorder = RunRecorder(bench, cfg.budget)
     size = cfg.population_size
     genotypes = rng.random((size, space.dimension))
-    fitness = np.empty(size)
-    try:
-        for i in range(size):
-            fitness[i] = recorder.evaluate(genotypes[i], space)
-        while True:
-            # every mutation reads this generation; winners go into copies
-            next_genotypes, next_fitness = genotypes.copy(), fitness.copy()
-            for i in range(size):
-                r1, r2, r3 = draw_parent_indices(size, i, rng)
-                mutant = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3],
-                                       cfg.scaling_factor)
-                trial = crossover_binomial(genotypes[i], mutant, cfg.crossover_rate, rng)
-                trial_fitness = recorder.evaluate(trial, space)
-                if trial_wins(fitness[i], trial_fitness):
-                    next_genotypes[i], next_fitness[i] = trial, trial_fitness
-            genotypes, fitness = next_genotypes, next_fitness
-    except BudgetExhausted:
-        pass
+    fitness = recorder.evaluate(genotypes, space)
+    while len(fitness) == size:
+        r1, r2, r3 = parent_indices(size, rng).T
+        mutants = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3], cfg.scaling_factor)
+        trials = crossover_binomial(genotypes, mutants, cfg.crossover_rate, rng)
+        trial_fitness = recorder.evaluate(trials, space)
+        if len(trial_fitness) < size:
+            break  # the budget ran out mid-generation, which ends the run
+        wins = trial_fitness <= fitness
+        genotypes[wins], fitness[wins] = trials[wins], trial_fitness[wins]
     return recorder.finish(seed=seed, optimizer_id="de", config={
         "population_size": cfg.population_size,
         "scaling_factor": cfg.scaling_factor,

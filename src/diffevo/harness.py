@@ -15,13 +15,13 @@ runs is reported alongside the mean.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .benchmarks import Benchmark
 from .trace import RunTrace
@@ -163,8 +163,8 @@ def write_curve_csv(curve: AggregateCurve, path: str | Path):
 def paired_sign_test(x: Sequence[float], y: Sequence[float]) -> float:
     """One-sided sign test p-value for the alternative "x is below y".
 
-    Pairs are compared elementwise; ties are dropped. Small p-values mean
-    the x series wins significantly more pairs than chance.
+    Pairs are compared elementwise; ties are dropped. The p-value is the
+    exact chance of at least as many wins in as many fair coin flips.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -174,4 +174,4 @@ def paired_sign_test(x: Sequence[float], y: Sequence[float]) -> float:
     decided = int(np.sum(x != y))
     if decided == 0:
         return 1.0
-    return float(binomtest(wins, decided, p=0.5, alternative="greater").pvalue)
+    return sum(math.comb(decided, k) for k in range(wins, decided + 1)) / 2**decided

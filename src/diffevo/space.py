@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -96,26 +97,6 @@ class ParameterSpec:
             return self.choices
         return None
 
-    @property
-    def cardinality(self) -> int | None:
-        """Number of distinct native values; None for float (uncountable)."""
-        if self.kind == "float":
-            return None
-        if self.kind == "integer":
-            return int(self.hi) - int(self.lo) + 1
-        return len(self.tokens)
-
-    def value_at(self, u: float) -> Value:
-        """Map a unit-interval coordinate to this parameter's native domain."""
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"parameter {self.name!r}: genotype value {u} outside [0, 1]")
-        if self.kind == "float":
-            return self.lo + (self.hi - self.lo) * u
-        if self.kind == "integer":
-            return _round_half_away(self.lo + (self.hi - self.lo) * u)
-        tokens = self.tokens
-        return tokens[bin_index(u, len(tokens))]
-
     def contains(self, value: Value) -> bool:
         """True when ``value`` lies in this parameter's native domain."""
         if self.kind == "float":
@@ -155,11 +136,25 @@ def _check_tokens(name: str, tokens: tuple[Token, ...]):
         raise ValueError(f"parameter {name!r}: tokens must be unique")
 
 
-def _round_half_away(x: float) -> int:
+def _float_value(lo: float, span: float, u: float) -> float:
+    return lo + span * u
+
+
+def _integer_value(lo: int, span: int, u: float) -> int:
     # round() is half-to-even; integer discretization wants half away from zero
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return int(math.ceil(x - 0.5))
+    x = lo + span * u
+    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+
+
+def _token_value(tokens: tuple[Token, ...], u: float) -> Token:
+    return tokens[min(int(u * len(tokens)), len(tokens) - 1)]  # bin_index, unchecked
+
+
+def _decoder(p: ParameterSpec) -> Callable[[float], Value]:
+    """The map of ``p`` for a coordinate already checked to lie in [0, 1]."""
+    if p.kind in ("float", "integer"):
+        return partial(_float_value if p.kind == "float" else _integer_value, p.lo, p.hi - p.lo)
+    return partial(_token_value, p.tokens)
 
 
 @dataclass(frozen=True)
@@ -175,6 +170,8 @@ class SearchSpace:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names}")
+        # not a field: equality, hashing and the JSON form see only the params
+        object.__setattr__(self, "_decoders", tuple(_decoder(p) for p in self.params))
 
     @property
     def dimension(self) -> int:
@@ -186,11 +183,26 @@ class SearchSpace:
         Deterministic and total on valid inputs; raises ValueError on a
         dimension mismatch or any coordinate outside [0, 1].
         """
-        if len(genotype) != self.dimension:
-            raise ValueError(
-                f"genotype has {len(genotype)} values, space has dimension {self.dimension}"
-            )
-        return tuple(p.value_at(float(u)) for p, u in zip(self.params, genotype))
+        return next(self.discretize_rows(np.reshape(genotype, (1, -1))))
+
+    def discretize_rows(self, genotypes: np.ndarray) -> Iterator[Configuration]:
+        """The configurations of the rows of an (N, D) genotype block, in order.
+
+        A wrong width or any coordinate outside [0, 1] raises ValueError
+        before any row is decoded; rows are decoded as the iterator is read.
+        """
+        genotypes = np.asarray(genotypes, dtype=float)
+        if genotypes.ndim != 2 or genotypes.shape[1] != self.dimension:
+            raise ValueError(f"genotypes of shape {genotypes.shape} do not have "
+                             f"{self.dimension} values a row, the space's dimension")
+        rows = genotypes.tolist()
+        # a Python pass: numpy's fixed cost per call would dominate one-row blocks
+        if not all([0.0 <= u <= 1.0 for row in rows for u in row]):
+            p, u = next((p, u) for row in rows for p, u in zip(self.params, row)
+                        if not 0.0 <= u <= 1.0)
+            raise ValueError(f"parameter {p.name!r}: genotype value {u} outside [0, 1]")
+        decoders = self._decoders
+        return (tuple([decode(u) for decode, u in zip(decoders, row)]) for row in rows)
 
     def contains(self, config: Iterable[Value]) -> bool:
         config = tuple(config)
@@ -223,8 +235,8 @@ def bin_index(u: float, n: int) -> int:
     """Index of the bin containing ``u`` when [0, 1] is split into ``n`` bins.
 
     Bins are ``[k/n, (k+1)/n)`` for ``k < n - 1``; the final bin is closed at
-    1, so ``u = 1.0`` maps to ``n - 1``. Kept separate from discretize so the
-    rule can be property-tested against a brute-force interval scan.
+    1, so ``u = 1.0`` maps to ``n - 1``. The token decoders apply this rule
+    unchecked; it is kept here to be property-tested against an interval scan.
     """
     if n < 1:
         raise ValueError(f"bin count must be >= 1, got {n}")

@@ -3,9 +3,9 @@
 Every optimizer run produces a :class:`RunTrace`: one numpy array per event
 field, among them the cumulative cost and the best-so-far (incumbent)
 objective. The :class:`RunRecorder` centralizes the shared run mechanics:
-the budget check before each evaluation, discretizing a copy of the
-genotype, the invalid-configuration penalty (error 1.0 at zero cost), and
-incumbent tracking.
+the budget check before each evaluation, discretizing genotype blocks, the
+invalid-configuration penalty (error 1.0 at zero cost), and incumbent
+tracking.
 
 Traces persist as JSON Lines: one header line per run followed by one line
 per event. The header carries the benchmark's best-known errors so trace
@@ -81,16 +81,11 @@ def _columns(rows: list[tuple]) -> dict[str, np.ndarray]:
             for name, column in zip(COLUMNS, zip(*rows))}
 
 
-class BudgetExhausted(Exception):
-    """Internal control flow: raised by the recorder when the budget is hit."""
-
-
 class RunRecorder:
-    """Accumulates the event rows of a single sequential run.
+    """Evaluates genotype blocks for one run and accumulates its event rows.
 
-    ``evaluate`` checks the budget first and raises :class:`BudgetExhausted`
-    once a limit is reached, so optimizer loops need no explicit budget
-    bookkeeping and may stop mid-generation.
+    Optimizers need no budget bookkeeping: a block may stop part-way, and
+    every call after the budget is spent evaluates nothing.
     """
 
     def __init__(self, bench: Benchmark, budget: Budget):
@@ -98,48 +93,44 @@ class RunRecorder:
         self.budget = budget
         self.rows: list[tuple] = []  # one tuple per event, ordered like COLUMNS
         self.cumulative_cost = 0.0
-        self._inc_objective = math.inf
-        self._inc_test: float | None = None
-        self._inc_valid = False
+        self._incumbent = (math.inf, None, False)  # objective, test error, valid
 
-    def exhausted(self) -> bool:
-        if (self.budget.max_evaluations is not None
-                and len(self.rows) >= self.budget.max_evaluations):
-            return True
-        if self.budget.max_cost is not None and self.cumulative_cost >= self.budget.max_cost:
-            return True
-        return False
+    def evaluate(self, genotypes: np.ndarray, space: SearchSpace) -> np.ndarray:
+        """Evaluate and record the rows of an (N, D) genotype block, in order.
 
-    def evaluate(self, genotype: np.ndarray, space: SearchSpace) -> float:
-        """Discretize a copy of ``genotype``, evaluate it, record the event.
-
-        Returns the fitness the optimizer should use: the validation error
-        for valid configurations, 1.0 for invalid ones (at zero cost).
+        Returns the fitness of each evaluated row: the validation error, or
+        1.0 (at zero cost) for an invalid configuration. Fewer values than
+        rows means the budget ran out: the evaluation limit cuts the block
+        up front, the cost limit is checked before each row.
         """
-        if self.exhausted():
-            raise BudgetExhausted
-        result = self.bench.evaluate(space.discretize(genotype))
-        if result.valid:
-            objective = result.validation_error
-            cost = result.cost_seconds
-            test = result.test_error
-        else:
-            objective, cost, test = 1.0, 0.0, None
-        self.cumulative_cost += cost
-
-        # a valid configuration displaces an invalid incumbent even on ties,
-        # so an invalid point never stays incumbent once a valid one is seen
-        better = objective < self._inc_objective or (
-            result.valid and not self._inc_valid and objective <= self._inc_objective
-        )
-        if better:
-            self._inc_objective = objective
-            self._inc_test = test
-            self._inc_valid = result.valid
-
-        self.rows.append((self.cumulative_cost, objective, self._inc_objective,
-                          self._inc_test, result.valid))
-        return objective
+        budget = self.budget
+        if budget.max_evaluations is not None:
+            genotypes = genotypes[:max(budget.max_evaluations - len(self.rows), 0)]
+        max_cost = math.inf if budget.max_cost is None else budget.max_cost
+        evaluate, append = self.bench.evaluate, self.rows.append
+        cumulative = self.cumulative_cost
+        inc_objective, inc_test, inc_valid = self._incumbent
+        fitness = []
+        for config in space.discretize_rows(genotypes):
+            if cumulative >= max_cost:
+                break
+            result = evaluate(config)
+            valid = result.valid
+            if valid:
+                objective, test = result.validation_error, result.test_error
+                cumulative += result.cost_seconds
+            else:
+                objective, test = 1.0, None
+            # a valid configuration displaces an invalid incumbent even on ties,
+            # so an invalid point never stays incumbent once a valid one is seen
+            if objective < inc_objective or (
+                    valid and not inc_valid and objective <= inc_objective):
+                inc_objective, inc_test, inc_valid = objective, test, valid
+            append((cumulative, objective, inc_objective, inc_test, valid))
+            fitness.append(objective)
+        self.cumulative_cost = cumulative
+        self._incumbent = (inc_objective, inc_test, inc_valid)
+        return np.array(fitness, dtype=float)
 
     def finish(self, seed: int, optimizer_id: str, config: dict | None = None) -> RunTrace:
         trace = RunTrace(
@@ -203,18 +194,30 @@ def _header_line(trace: RunTrace) -> str:
     }}, separators=(",", ":"), sort_keys=True)
 
 
+def _json_floats(column: np.ndarray, nan: str = "NaN") -> list[str]:
+    """Each value spelled as ``json.dumps`` spells a float: ``repr`` when finite."""
+    text = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        x = column[i]
+        text[i] = nan if x != x else ("Infinity" if x > 0 else "-Infinity")
+    return text
+
+
 def write_traces(traces: list[RunTrace], path: str | Path):
-    """Write traces as JSON Lines, atomically (temp file then rename)."""
+    """Write traces as JSON Lines, atomically (temp file then rename); event
+    lines are built column by column, byte for byte as ``json.dumps`` spells them."""
     path = Path(path)
     lines = []
     for trace in traces:
         lines.append(_header_line(trace))
-        test = [None if math.isnan(t) else t for t in trace.incumbent_test_error.tolist()]
-        rows = zip(trace.cumulative_cost.tolist(), trace.objective.tolist(),
-                   trace.incumbent_objective.tolist(), test, trace.valid.tolist())
+        columns = zip(_json_floats(trace.cumulative_cost), _json_floats(trace.incumbent_objective),
+                      _json_floats(trace.incumbent_test_error, nan="null"),
+                      _json_floats(trace.objective),
+                      ["true" if v else "false" for v in trace.valid.tolist()])
         lines.extend(
-            json.dumps(dict(zip(EVENT_FIELDS, (i, *row))), separators=(",", ":"), sort_keys=True)
-            for i, row in enumerate(rows)
+            f'{{"cumulative_cost":{cost},"eval_index":{i},"incumbent_objective":{incumbent},'
+            f'"incumbent_test_error":{test},"objective":{objective},"valid":{valid}}}'
+            for i, (cost, incumbent, test, objective, valid) in enumerate(columns)
         )
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text("\n".join(lines) + "\n")

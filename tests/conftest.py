@@ -1,16 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 import diffevo.baselines as baselines
-from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace
-from diffevo.trace import COLUMNS
+from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace, bin_index
+from diffevo.trace import COLUMNS, check_trace_invariants
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
           "config")
 
 
 def trace_from_rows(rows, best_validation_error=0.0, best_test_error=None, seed=0,
-                    optimizer_id="x", benchmark_id="hand"):
+                    optimizer_id="x", benchmark_id="hand", config=None):
     """Hand-built trace from event rows ordered like ``COLUMNS``:
     (cumulative cost, objective, incumbent, incumbent test error or None, valid).
     """
@@ -21,7 +23,7 @@ def trace_from_rows(rows, best_validation_error=0.0, best_test_error=None, seed=
     return RunTrace(seed=seed, optimizer_id=optimizer_id, benchmark_id=benchmark_id,
                     best_validation_error=best_validation_error, best_test_error=best_test_error,
                     cumulative_cost=cost, objective=objective, incumbent_objective=incumbent,
-                    incumbent_test_error=test, valid=valid)
+                    incumbent_test_error=test, valid=valid, config=dict(config or {}))
 
 
 def assert_same_traces(got, want):
@@ -38,6 +40,64 @@ def assert_same_traces(got, want):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype, name
             assert np.array_equal(x, y, equal_nan=name == "incumbent_test_error"), name
+
+
+def reference_discretize(space, genotype):
+    """Scalar reference for discretization: one coordinate at a time, by the
+    rules in the README (integers round half away from zero, tokens by
+    ``bin_index``)."""
+    assert len(genotype) == space.dimension
+    config = []
+    for p, u in zip(space.params, (float(u) for u in genotype)):
+        assert 0.0 <= u <= 1.0
+        if p.kind == "float":
+            config.append(p.lo + (p.hi - p.lo) * u)
+        elif p.kind == "integer":
+            x = p.lo + (p.hi - p.lo) * u
+            config.append(int(math.copysign(math.floor(abs(x) + 0.5), x)))
+        else:
+            config.append(p.tokens[bin_index(u, len(p.tokens))])
+    return tuple(config)
+
+
+class ReferenceRecorder:
+    """Scalar reference for ``RunRecorder``: one genotype per call, with the
+    budget checked before each evaluation. ``evaluate`` returns None once
+    the budget is spent."""
+
+    def __init__(self, bench, budget):
+        self.bench, self.budget = bench, budget
+        self.rows = []
+        self.cumulative_cost = 0.0
+        self.inc_objective, self.inc_test, self.inc_valid = math.inf, None, False
+
+    def exhausted(self):
+        if self.budget.max_evaluations is not None and len(self.rows) >= self.budget.max_evaluations:
+            return True
+        return self.budget.max_cost is not None and self.cumulative_cost >= self.budget.max_cost
+
+    def evaluate(self, genotype, space):
+        if self.exhausted():
+            return None
+        result = self.bench.evaluate(reference_discretize(space, genotype))
+        if result.valid:
+            objective, cost, test = result.validation_error, result.cost_seconds, result.test_error
+        else:
+            objective, cost, test = 1.0, 0.0, None
+        self.cumulative_cost += cost
+        if objective < self.inc_objective or (
+                result.valid and not self.inc_valid and objective <= self.inc_objective):
+            self.inc_objective, self.inc_test, self.inc_valid = objective, test, result.valid
+        self.rows.append((self.cumulative_cost, objective, self.inc_objective, self.inc_test,
+                          result.valid))
+        return objective
+
+    def finish(self, seed, optimizer_id, config=None):
+        trace = trace_from_rows(self.rows, self.bench.best_validation_error,
+                                self.bench.best_test_error, seed, optimizer_id,
+                                self.bench.benchmark_id, config)
+        check_trace_invariants(trace)
+        return trace
 
 
 def watch_tournaments(monkeypatch):

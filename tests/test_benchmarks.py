@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,15 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": -1.0}),
         ])
         with pytest.raises(BenchmarkLoadError, match="cost"):
+            load_tabular(path)
+
+    @pytest.mark.parametrize("cost", ["Infinity", "NaN"])
+    def test_non_finite_cost_fails_naming_the_line(self, tmp_path, cost):
+        path = self.write_file(tmp_path, [
+            json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
+            f'{{"key":["b",1],"val_err":0.3,"cost":{cost}}}',
+        ])
+        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: .*not finite"):
             load_tabular(path)
 
     def test_key_outside_space_fails(self, tmp_path):

@@ -138,15 +138,17 @@ class TestRun:
 
 class TestGoldenBytes:
     """Output bytes pinned by sha256; a change to any trace or curve byte
-    must update these constants deliberately."""
+    must update these constants deliberately. The de constants changed when
+    DE began drawing a whole generation at once (a new draw order); rs and
+    re are unchanged since they were first recorded."""
 
     TRACES = {
-        "de": "970f8f99011ce1fb9d5f37f1a513de81c9cb3f34255917ca67c33230620c1660",
+        "de": "c65f8aac0f5d6fc72831868384ce4f38ac4692a2b88630a7ea8dc4b43105fbff",
         "rs": "98b71d1bb476e33313d41ad27724a18e48cd4d04d163522da21806260afc0cca",
         "re": "7ad235494e1436c9ad9e55b109ff8c287695074e0a4989bba2e80bdbd7f143f4",
     }
     CURVES = {
-        "de": "e662455eea76665dfb977672ed7ced119cd6deb7bef15d4569393494dafdb634",
+        "de": "adc4c88423da535c6f6dc4df693ebd0746439cb557e5dd4525eae3526b02af3b",
         "rs": "4302c9d191c46044379f553ae966ae48b1a5d55b1625ab771166c0663b379339",
         "re": "3c023bc7aa5d2d9df9e5d036dd28dbf35a702ca9c6345189c0c438e991b1d493",
     }
@@ -261,6 +263,27 @@ class TestAggregateCommand:
         out = tmp_path / "c.csv"
         assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith(f"error: {trace_file}:1: event 0 ")
+        assert not out.exists()
+
+    def test_same_run_twice_refused(self, tmp_path, capsys):
+        a = self.write_run(tmp_path, "a.jsonl")
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(a), str(a), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: run (rs, seed 0) is in both {a} and {a}\n"
+        assert not out.exists()
+
+    def test_mixed_optimizers_refused(self, tmp_path, capsys):
+        rs = self.write_run(tmp_path, "rs.jsonl")
+        de = tmp_path / "de.jsonl"
+        run_cli("run", "--optimizer", "de", "--np", "4", "--benchmark", "synthetic:3x3",
+                "--evals", "20", "--runs", "1", "--seed", "1", "--out", str(de))
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(de), str(rs), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: optimizers 'de' ({de}) and 'rs' ({rs}) "
+                       "cannot be averaged together\n")
         assert not out.exists()
 
     def test_multiple_files_aggregate(self, tmp_path):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, make_synthetic, run_de
+from diffevo import Budget, DEConfig, EvaluationResult, make_synthetic, run_de
 from diffevo.benchmarks import continuous_function
-from diffevo.de import crossover_binomial, draw_parent_indices, mutant_vector, trial_wins
+from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
-from conftest import RecordingBenchmark, TransformedBenchmark, assert_same_traces
+from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark,
+                      assert_same_traces)
 
 
 def identity_bench(dimension):
@@ -22,6 +23,98 @@ def initial_population(population_size, dimension, seed):
                    budget=Budget(max_evaluations=population_size))
     run_de(bench.space, bench, cfg, seed=seed)
     return np.array(bench.configs)
+
+
+# -- scalar references for the generation-at-a-time code ----------------------
+
+
+def draw_parent_indices(population_size, target, rng):
+    """Per-target reference: three distinct indices other than ``target``,
+    drawn from the other members and shifted past the target."""
+    r = rng.choice(population_size - 1, size=3, replace=False)
+    return tuple((r + (r >= target)).tolist())
+
+
+def trial_wins(target_fitness, trial_fitness):
+    """Per-target reference selection: the trial wins when at least as good."""
+    return trial_fitness <= target_fitness
+
+
+def reference_parents(keys, target):
+    """The three other members with the lowest keys, lowest first."""
+    others = [k for k in range(len(keys)) if k != target]
+    return sorted(others, key=keys[target].__getitem__)[:3]
+
+
+def reference_run_de(space, bench, cfg, seed):
+    """DE one target at a time, consuming the generator exactly like
+    ``run_de``: per generation an (NP, NP) parent-key draw, an (NP, D)
+    crossover draw and NP forced dimensions. Uses the scalar recorder."""
+    rng = np.random.default_rng(seed)
+    recorder = ReferenceRecorder(bench, cfg.budget)
+    size, dimension = cfg.population_size, space.dimension
+    genotypes = rng.random((size, dimension))
+    fitness = [recorder.evaluate(g, space) for g in genotypes]
+    while not recorder.exhausted():
+        keys = rng.random((size, size))
+        crossover_draws = rng.random((size, dimension))
+        forced = rng.integers(dimension, size=size)
+        next_genotypes, next_fitness = genotypes.copy(), list(fitness)
+        for i in range(size):
+            r1, r2, r3 = reference_parents(keys, i)
+            mutant = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3],
+                                   cfg.scaling_factor)
+            trial = np.array([mutant[j] if crossover_draws[i, j] < cfg.crossover_rate
+                              or j == forced[i] else genotypes[i, j]
+                              for j in range(dimension)])
+            trial_fitness = recorder.evaluate(trial, space)
+            if trial_fitness is None:
+                break
+            if trial_wins(fitness[i], trial_fitness):
+                next_genotypes[i], next_fitness[i] = trial, trial_fitness
+        genotypes, fitness = next_genotypes, next_fitness
+    return recorder.finish(seed=seed, optimizer_id="de", config={
+        "population_size": cfg.population_size,
+        "scaling_factor": cfg.scaling_factor,
+        "crossover_rate": cfg.crossover_rate,
+    })
+
+
+class OnePointBenchmark:
+    """Scores genotypes by membership: ``known`` configurations get
+    ``known_result``, every other one ``other_result``. Float bounds [0, 1]."""
+
+    def __init__(self, dimension, known, known_result, other_result):
+        self.space = identity_bench(dimension).space
+        self.benchmark_id = "one-point"
+        self.best_validation_error = 0.0
+        self.best_test_error = None
+        self.known, self.known_result, self.other_result = set(known), known_result, other_result
+        self.configs = []
+
+    def evaluate(self, config):
+        self.configs.append(config)
+        return self.known_result if config in self.known else self.other_result
+
+
+def generation_trials(known_result, other_result, population_size=6, dimension=4, seed=0):
+    """Evaluated genotypes of a Cr=0, F=0 run, one array per generation.
+
+    With Cr=0 and F=0 a trial is its target with exactly one coordinate
+    copied from another member, so which genotype a trial started from
+    shows whether the previous trial replaced its target.
+    """
+    initial = [tuple(g) for g in np.random.default_rng(seed).random((population_size, dimension))]
+    bench = OnePointBenchmark(dimension, initial, known_result, other_result)
+    cfg = DEConfig(population_size=population_size, scaling_factor=0.0, crossover_rate=0.0,
+                   budget=Budget(max_evaluations=population_size * 5))
+    run_de(bench.space, bench, cfg, seed=seed)
+    return np.array(bench.configs).reshape(5, population_size, dimension)
+
+
+def differing(a, b):
+    """Number of differing coordinates, row by row."""
+    return (a != b).sum(axis=-1)
 
 
 class TestInitialize:
@@ -52,25 +145,48 @@ class TestParentIndices:
     def test_distinct_and_exclude_target(self, population_size):
         rng = np.random.default_rng(0)
         seen = set()
-        for _ in range(10_000):
-            target = int(rng.integers(population_size))
-            r1, r2, r3 = draw_parent_indices(population_size, target, rng)
-            assert len({r1, r2, r3}) == 3
-            assert target not in (r1, r2, r3)
-            seen.update((r1, r2, r3))
+        for _ in range(2_000):
+            parents = parent_indices(population_size, rng)
+            assert parents.shape == (population_size, 3)
+            for target, triple in enumerate(parents.tolist()):
+                assert len(set(triple)) == 3
+                assert target not in triple
+                seen.update(triple)
         assert seen == set(range(population_size))
 
     @pytest.mark.parametrize("population_size", [4, 5, 20, 100])
     def test_matches_sampling_from_the_other_members(self, population_size):
-        # reference: choose three of the members other than the target
-        for target in range(population_size):
-            for seed in range(20):
-                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-                others = np.delete(np.arange(population_size), target)
-                want = reference.choice(others, size=3, replace=False).tolist()
-                assert list(draw_parent_indices(population_size, target, rng)) == want
-                # same draws consumed: the generators stay in step
-                assert rng.random() == reference.random()
+        # reference: per target, the three other members with the lowest keys
+        for seed in range(20):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            keys = reference.random((population_size, population_size))
+            want = [reference_parents(keys, target) for target in range(population_size)]
+            assert parent_indices(population_size, rng).tolist() == want
+            # same draws consumed: the generators stay in step
+            assert rng.random() == reference.random()
+
+    def test_each_role_and_triple_is_uniform(self):
+        # NP=5 at a fixed seed: per target, each role takes each of the 4
+        # other members and each of the 24 ordered triples about equally often
+        # as the per-target reference sampler does
+        size, draws = 5, 12_000
+        rng = np.random.default_rng(11)
+        block = np.array([parent_indices(size, rng) for _ in range(draws)])
+        reference_rng = np.random.default_rng(12)
+        reference = np.array([[draw_parent_indices(size, t, reference_rng) for t in range(size)]
+                              for _ in range(draws)])
+        for sample in (block, reference):
+            for target in range(size):
+                for role in range(3):
+                    counts = np.bincount(sample[:, target, role], minlength=size)
+                    assert counts[target] == 0
+                    expected = draws / 4  # binomial sd ~47
+                    assert np.all(np.abs(np.delete(counts, target) - expected) < 5 * 47)
+                codes = sample[:, target] @ np.array([size * size, size, 1])
+                counts = np.unique(codes, return_counts=True)[1]
+                assert len(counts) == 24
+                expected = draws / 24  # binomial sd ~22
+                assert np.all(np.abs(counts - expected) < 5 * 22)
 
 
 class TestMutantVector:
@@ -102,12 +218,23 @@ class TestMutantVector:
     def test_mutate_uses_three_distinct_members(self, rng):
         population = rng.random((4, 3))
         # NP=4 leaves exactly one choice of parents, in some order, and the
-        # mutant built from them must stay inside the cube
-        for target in range(4):
-            parents = draw_parent_indices(4, target, rng)
-            assert sorted(parents) == sorted(set(range(4)) - {target})
-            v = mutant_vector(*population[list(parents)], 0.5)
+        # mutants built from them must stay inside the cube
+        for _ in range(50):
+            parents = parent_indices(4, rng)
+            for target, triple in enumerate(parents.tolist()):
+                assert sorted(triple) == sorted(set(range(4)) - {target})
+            r1, r2, r3 = parents.T
+            v = mutant_vector(population[r1], population[r2], population[r3], 0.5)
+            assert v.shape == population.shape
             assert np.all((v >= 0.0) & (v <= 1.0))
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=0.0, max_value=2.0))
+    def test_block_equals_row_by_row(self, seed, f):
+        x1, x2, x3 = np.random.default_rng(seed).random((3, 7, 5))
+        block = mutant_vector(x1, x2, x3, f)
+        for i in range(7):
+            assert np.array_equal(block[i], mutant_vector(x1[i], x2[i], x3[i], f))
 
 
 class TestCrossover:
@@ -132,6 +259,26 @@ class TestCrossover:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             crossover_binomial(np.zeros(3), np.zeros(4), 0.5, rng)
+        with pytest.raises(ValueError):
+            crossover_binomial(np.zeros((5, 3)), np.zeros((4, 3)), 0.5, rng)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=1, max_value=8),
+           st.integers(min_value=1, max_value=12))
+    def test_block_equals_row_by_row_reference(self, seed, cr, rows, dimension):
+        # reference: each row takes the mutant where its draw is below Cr or
+        # at its forced index; the block consumes an (N, D) draw, then N indices
+        targets, mutants = np.random.default_rng(seed + 1).random((2, rows, dimension))
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        trials = crossover_binomial(targets, mutants, cr, rng)
+        draws = reference.random((rows, dimension))
+        forced = reference.integers(dimension, size=rows)
+        for i in range(rows):
+            want = [mutants[i, j] if draws[i, j] < cr or j == forced[i] else targets[i, j]
+                    for j in range(dimension)]
+            assert trials[i].tolist() == want
+        assert rng.random() == reference.random()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=0.0, max_value=1.0),
@@ -146,13 +293,34 @@ class TestCrossover:
 
 
 class TestSelection:
+    # Cr=0, F=0 runs (see generation_trials): the trial of generation g + 1
+    # differs in at most one coordinate from whichever genotype held the
+    # target's row after generation g
+
     def test_tie_goes_to_trial(self):
-        assert trial_wins(target_fitness=0.30, trial_fitness=0.30)
+        same = EvaluationResult(valid=True, validation_error=0.3, cost_seconds=1.0)
+        trials = generation_trials(known_result=same, other_result=same)
+        # every trial tied its target, so each row moved on to its trial
+        assert np.all(differing(trials[2:], trials[1:-1]) <= 1)
+        # and some trials started from a target that had already changed
+        assert np.any(differing(trials[2], trials[0]) == 2)
 
     def test_worse_trial_loses(self):
-        assert not trial_wins(target_fitness=0.30, trial_fitness=0.50)
+        trials = generation_trials(
+            known_result=EvaluationResult(valid=True, validation_error=0.3, cost_seconds=1.0),
+            other_result=EvaluationResult(valid=True, validation_error=0.5, cost_seconds=1.0))
+        # every row kept its initial genotype
+        assert np.all(differing(trials[1:], trials[0]) == 1)
 
     def test_invalid_penalty_loses(self):
+        trials = generation_trials(
+            known_result=EvaluationResult(valid=True, validation_error=0.2, cost_seconds=1.0),
+            other_result=EvaluationResult.invalid())
+        assert np.all(differing(trials[1:], trials[0]) == 1)
+
+    def test_scalar_reference_selection(self):
+        assert trial_wins(target_fitness=0.30, trial_fitness=0.30)
+        assert not trial_wins(target_fitness=0.30, trial_fitness=0.50)
         assert not trial_wins(target_fitness=0.20, trial_fitness=1.00)
 
 
@@ -236,3 +404,28 @@ class TestRunDE:
         cfg = DEConfig(budget=Budget(max_evaluations=100))
         with pytest.raises(RuntimeError, match="backend gone"):
             run_de(bench.space, bench, cfg, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.sampled_from([4, 5, 9]),
+           st.sampled_from([0.0, 0.5, 0.9]),
+           st.sampled_from([0.0, 0.3, 1.0]),
+           st.one_of(st.builds(Budget, max_evaluations=st.integers(1, 120)),
+                     st.builds(Budget, max_cost=st.floats(0.5, 90.0))),
+           st.sampled_from(["invalid", "ties", "sphere"]))
+    def test_matches_scalar_reference(self, seed, size, f, cr, budget, kind):
+        # budgets stop runs mid-initialization and mid-generation; invalid
+        # keys, a constant objective (every selection a tie) and float
+        # discretization all give the same trace one target at a time
+        if kind == "invalid":
+            bench = make_synthetic(3, 4, invalid_fraction=0.5, seed=seed % 7)
+        elif kind == "ties":
+            bench = make_synthetic(3, 3, cost_model="unit", seed=0)
+            bench = TransformedBenchmark(bench, lambda x: 0.5)
+        else:
+            bench = continuous_function("sphere", 2)
+        cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
+        got, want = RecordingBenchmark(bench), RecordingBenchmark(bench)
+        assert_same_traces([run_de(bench.space, got, cfg, seed)],
+                           [reference_run_de(bench.space, want, cfg, seed)])
+        assert got.configs == want.configs

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffevo import ParameterSpec, SearchSpace, bin_index
+
+from conftest import reference_discretize
+
+
+def value_at(p, u):
+    """The native value of one coordinate, through a one-parameter space."""
+    return SearchSpace(params=(p,)).discretize([u])[0]
 
 
 def scan_bin(u, n):
@@ -99,8 +107,8 @@ class TestParameterSpec:
 
     def test_single_token_is_allowed(self):
         p = ParameterSpec(name="x", kind="categorical", choices=("only",))
-        assert p.value_at(0.0) == "only"
-        assert p.value_at(1.0) == "only"
+        assert value_at(p, 0.0) == "only"
+        assert value_at(p, 1.0) == "only"
 
 
 class TestSearchSpace:
@@ -180,14 +188,74 @@ class TestDiscretize:
         p = ParameterSpec(name="x", kind="float", lo=-2.0, hi=3.0)
         if u1 > u2:
             u1, u2 = u2, u1
-        assert p.value_at(u1) <= p.value_at(u2)
+        assert value_at(p, u1) <= value_at(p, u2)
 
     @given(u=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_values_stay_in_native_domains(self, u):
         p_float = ParameterSpec(name="x", kind="float", lo=-2.0, hi=3.0)
         p_int = ParameterSpec(name="k", kind="integer", lo=-4, hi=9)
-        assert -2.0 <= p_float.value_at(u) <= 3.0
-        assert p_int.value_at(u) in range(-4, 10)
+        assert -2.0 <= value_at(p_float, u) <= 3.0
+        assert value_at(p_int, u) in range(-4, 10)
+
+
+# bins of 3, 4 and 6 tokens, integers whose .5 ties are exact ([-4, 4] at
+# u = (m + 4.5) / 8) and a float; special coordinates 0, 1 and k/n
+BLOCK_SPACE = SearchSpace(params=(
+    ParameterSpec(name="a", kind="categorical", choices=("x", "y", "z")),
+    ParameterSpec(name="b", kind="ordinal", values=("1", "2", "3", "4")),
+    ParameterSpec(name="c", kind="categorical", choices=tuple("abcdef")),
+    ParameterSpec(name="k", kind="integer", lo=-4, hi=4),
+    ParameterSpec(name="m", kind="integer", lo=0, hi=10),
+    ParameterSpec(name="x", kind="float", lo=-2.5, hi=7.0),
+))
+SPECIAL = sorted({k / n for n in (3, 4, 6, 8, 10, 16, 20) for k in range(n + 1)})
+coordinates = st.one_of(st.sampled_from(SPECIAL),
+                        st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+
+
+class TestDiscretizeRows:
+    @given(st.lists(st.lists(coordinates, min_size=6, max_size=6), max_size=12))
+    def test_equals_scalar_reference_row_by_row(self, rows):
+        block = np.array(rows, dtype=float).reshape(-1, 6)
+        got = list(BLOCK_SPACE.discretize_rows(block))
+        assert got == [reference_discretize(BLOCK_SPACE, row) for row in block]
+        assert got == [BLOCK_SPACE.discretize(row) for row in block]
+        for config, row in zip(got, block.tolist()):
+            for p, value, u in zip(BLOCK_SPACE.params[:3], config, row):
+                assert value == p.tokens[bin_index(u, len(p.tokens))]
+
+    def test_integer_ties_round_away_from_zero(self):
+        # k = -4 + 8u hits m + 0.5 exactly; m = 10u lands near j + 0.5
+        block = np.array([[0.0, 0.0, 0.0, (m + 4.5) / 8, 0.05 * (2 * j + 1), 0.0]
+                          for j, m in enumerate(range(-4, 4))])
+        got = list(BLOCK_SPACE.discretize_rows(block))
+        assert [config[3] for config in got] == [-4, -3, -2, -1, 1, 2, 3, 4]
+        assert got == [reference_discretize(BLOCK_SPACE, row) for row in block]
+
+    def test_bin_edges_are_left_closed(self):
+        block = np.array([[k / 6] * 6 for k in range(7)])
+        got = [config[2] for config in BLOCK_SPACE.discretize_rows(block)]
+        assert got == ["a", "b", "c", "d", "e", "f", "f"]
+
+    def test_whole_block_checked_before_decoding(self):
+        block = np.full((4, 6), 0.5)
+        block[3, 4] = 1.0 + 1e-12
+        with pytest.raises(ValueError, match="'m'.*outside"):
+            BLOCK_SPACE.discretize_rows(block)
+        block[3, 4] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            BLOCK_SPACE.discretize_rows(block)
+        with pytest.raises(ValueError):
+            BLOCK_SPACE.discretize_rows(np.full((2, 5), 0.5))
+
+    def test_space_pickles_with_its_decoders(self):
+        block = np.array([SPECIAL[:6], SPECIAL[-6:]])
+        copy = pickle.loads(pickle.dumps(BLOCK_SPACE))
+        assert copy == BLOCK_SPACE
+        assert list(copy.discretize_rows(block)) == list(BLOCK_SPACE.discretize_rows(block))
+
+    def test_empty_block(self):
+        assert list(BLOCK_SPACE.discretize_rows(np.empty((0, 6)))) == []
 
 
 class TestJsonRoundTrip:

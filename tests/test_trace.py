@@ -1,0 +1,157 @@
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffevo import Budget, EvaluationResult, make_synthetic, read_traces, write_traces
+from diffevo.trace import EVENT_FIELDS, RunRecorder
+
+from conftest import ReferenceRecorder, RecordingBenchmark, assert_same_traces, trace_from_rows
+
+
+class TableBench:
+    """Scores a 1-D genotype space with 5 bins by a fixed result per bin."""
+
+    def __init__(self, results):
+        self.space = make_synthetic(1, 5, seed=0).space
+        self.benchmark_id = "bins"
+        self.best_validation_error = min(r.validation_error for r in results if r.valid)
+        self.best_test_error = None
+        self.results = dict(zip(self.space.params[0].choices, results))
+
+    def evaluate(self, config):
+        return self.results[config[0]]
+
+
+def run_blocks(bench, budget, genotypes, cuts):
+    """Feed ``genotypes`` to a RunRecorder in blocks split at ``cuts`` until
+    one comes back short; returns the fitness values and the trace."""
+    recorder = RunRecorder(bench, budget)
+    fitness = []
+    for block in np.split(genotypes, cuts):
+        got = recorder.evaluate(block, bench.space)
+        fitness.extend(got.tolist())
+        if len(got) < len(block):
+            break
+    return fitness, recorder.finish(seed=0, optimizer_id="x")
+
+
+def run_rows(bench, budget, genotypes):
+    recorder = ReferenceRecorder(bench, budget)
+    fitness = []
+    for genotype in genotypes:
+        got = recorder.evaluate(genotype, bench.space)
+        if got is None:
+            break
+        fitness.append(got)
+    return fitness, recorder.finish(seed=0, optimizer_id="x")
+
+
+class TestBlockRecorder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=1, max_value=60),
+           st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=50)),
+           st.one_of(st.none(), st.floats(min_value=0.1, max_value=40.0)))
+    def test_equals_sequential_reference(self, seed, rows, cuts, max_evaluations, max_cost):
+        # count and cost caps land anywhere in a block; half the keys are invalid
+        if max_evaluations is None and max_cost is None:
+            max_evaluations = 30
+        budget = Budget(max_evaluations=max_evaluations, max_cost=max_cost)
+        base = make_synthetic(3, 3, invalid_fraction=0.5, seed=seed % 5)
+        genotypes = np.random.default_rng(seed).random((rows, 3))
+        got_bench, want_bench = RecordingBenchmark(base), RecordingBenchmark(base)
+        got_fitness, got = run_blocks(got_bench, budget, genotypes, sorted(cuts))
+        want_fitness, want = run_rows(want_bench, budget, genotypes)
+        assert got_fitness == want_fitness
+        assert_same_traces([got], [want])
+        # no evaluation is made past the budget
+        assert got_bench.configs == want_bench.configs
+
+    def test_spent_budget_evaluates_nothing(self):
+        bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
+        recorder = RunRecorder(bench, Budget(max_cost=2.0))
+        assert recorder.evaluate(np.full((5, 3), 0.5), bench.space).tolist() == [
+            bench.base.evaluate(("c1", "c1", "c1")).validation_error] * 2
+        assert len(recorder.evaluate(np.full((5, 3), 0.5), bench.space)) == 0
+        assert len(bench.configs) == 2
+
+    def test_valid_point_displaces_invalid_incumbent_on_a_tie(self):
+        # bins: invalid, valid at error 1.0 (ties the invalid penalty), valid 0.4
+        bench = TableBench([EvaluationResult.invalid(),
+                            EvaluationResult(valid=True, validation_error=1.0, test_error=0.9,
+                                             cost_seconds=2.0),
+                            EvaluationResult(valid=True, validation_error=0.4, test_error=0.5,
+                                             cost_seconds=1.0),
+                            EvaluationResult.invalid(), EvaluationResult.invalid()])
+        genotypes = np.array([[0.1], [0.9], [0.3], [0.1], [0.5], [0.7]])
+        for cuts in ([], [1], [2, 4], [1, 2, 3, 4, 5]):
+            fitness, trace = run_blocks(bench, Budget(max_evaluations=10), genotypes, cuts)
+            assert fitness == [1.0, 1.0, 1.0, 1.0, 0.4, 1.0]
+            assert trace.incumbent_objective.tolist() == [1.0, 1.0, 1.0, 1.0, 0.4, 0.4]
+            assert np.array_equal(trace.incumbent_test_error,
+                                  [np.nan, np.nan, 0.9, 0.9, 0.5, 0.5], equal_nan=True)
+            assert trace.cumulative_cost.tolist() == [0.0, 0.0, 2.0, 2.0, 3.0, 3.0]
+            assert_same_traces([trace], [run_rows(bench, Budget(max_evaluations=10),
+                                                  genotypes)[1]])
+
+
+def reference_event_line(index, row):
+    """The event line as ``json.dumps`` writes it."""
+    cost, objective, incumbent, test, valid = row
+    event = dict(zip(EVENT_FIELDS, (index, cost, objective, incumbent,
+                                    None if math.isnan(test) else test, valid)))
+    return json.dumps(event, separators=(",", ":"), sort_keys=True)
+
+
+def reference_lines(trace):
+    rows = zip(trace.cumulative_cost.tolist(), trace.objective.tolist(),
+               trace.incumbent_objective.tolist(), trace.incumbent_test_error.tolist(),
+               trace.valid.tolist())
+    return [reference_event_line(i, row) for i, row in enumerate(rows)]
+
+
+def written_event_lines(trace):
+    """The event lines ``write_traces`` writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        write_traces([trace], path)
+        return path.read_text().splitlines()[1:]
+
+
+ODD_FLOATS = [0.0, -0.0, 5e-324, 1e-17, 0.1, 1 / 3, 1.0, 1e16, 1.5e300,
+              math.inf, -math.inf]
+
+
+class TestTraceWriter:
+    def test_odd_floats_match_json_dumps(self):
+        rows = [(x, y, x, y, i % 2 == 0)
+                for i, (x, y) in enumerate(zip(ODD_FLOATS, reversed(ODD_FLOATS)))]
+        rows.append((1.0, 0.5, 0.5, None, False))
+        rows.append((math.nan, math.nan, 0.5, 0.25, True))
+        trace = trace_from_rows(rows)
+        assert written_event_lines(trace) == reference_lines(trace)
+
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(),
+                              st.one_of(st.none(), st.floats()), st.booleans()),
+                    min_size=1, max_size=20))
+    def test_any_floats_match_json_dumps(self, rows):
+        trace = trace_from_rows(rows)
+        assert written_event_lines(trace) == reference_lines(trace)
+
+    def test_recorded_run_round_trips(self, tmp_path):
+        bench = make_synthetic(3, 3, invalid_fraction=0.3, seed=1)
+        recorder = RunRecorder(bench, Budget(max_evaluations=40))
+        recorder.evaluate(np.random.default_rng(0).random((40, 3)), bench.space)
+        trace = recorder.finish(seed=4, optimizer_id="x")
+        path = tmp_path / "t.jsonl"
+        write_traces([trace], path)
+        assert path.read_text().splitlines()[1:] == reference_lines(trace)
+        assert_same_traces(read_traces(path), [trace])
+
