@@ -91,8 +91,7 @@ class TabularBenchmark:
                 )
         if not self.table:
             raise ValueError("tabular benchmark needs at least one listed configuration")
-        for key, (val, test, cost) in self.table.items():
-            _check_row(self.space, key, val, test, cost, where=repr(key))
+        _check_rows(self.space, self.table, where=repr)
         best_val = min(val for val, _, _ in self.table.values())
         tests = [t for _, t, _ in self.table.values() if t is not None]
         object.__setattr__(self, "best_validation_error", best_val)
@@ -110,15 +109,21 @@ class TabularBenchmark:
         return EvaluationResult(valid=True, validation_error=val, test_error=test, cost_seconds=cost)
 
 
-def _check_row(space, key, val, test, cost, where: str):
-    if not space.contains(key):
-        raise BenchmarkLoadError(f"{where}: key {key!r} outside the declared space")
-    if not 0.0 <= val <= 1.0:
-        raise BenchmarkLoadError(f"{where}: validation error {val} outside [0, 1]")
-    if test is not None and not 0.0 <= test <= 1.0:
-        raise BenchmarkLoadError(f"{where}: test error {test} outside [0, 1]")
-    if not 0.0 <= cost < math.inf:
-        raise BenchmarkLoadError(f"{where}: cost {cost} is negative or not finite")
+def _check_rows(space, table, where):
+    """Raise BenchmarkLoadError, naming the row by ``where(key)``, for the first
+    row of ``table`` whose key or values break the contract."""
+    for key, (val, test, cost) in table.items():
+        if not space.contains(key):
+            problem = f"key {key!r} outside the declared space"
+        elif not 0.0 <= val <= 1.0:
+            problem = f"validation error {val} outside [0, 1]"
+        elif test is not None and not 0.0 <= test <= 1.0:
+            problem = f"test error {test} outside [0, 1]"
+        elif not 0.0 <= cost < math.inf:
+            problem = f"cost {cost} is negative or not finite"
+        else:
+            continue
+        raise BenchmarkLoadError(f"{where(key)}: {problem}")
 
 
 def _canonical_key(space: SearchSpace, raw) -> Configuration:
@@ -147,9 +152,6 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     if not lines:
         raise BenchmarkLoadError(f"{path}: empty benchmark file")
 
-    def fail(lineno: int, msg: str):
-        raise BenchmarkLoadError(f"{path}:{lineno}: {msg}")
-
     try:
         header = json.loads(lines[0])
         space = SearchSpace.from_json_dict(header)
@@ -158,6 +160,19 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
 
     table: dict[Configuration, tuple[float, float | None, float]] = {}
+    linenos: list[int] = []  # the line of each table row, in insertion order
+
+    # rows are range-checked once, by the TabularBenchmark constructor; on any
+    # error, the rows read so far are checked here first, so that the error
+    # names the first bad line as a line-by-line check would
+    def check_rows():
+        line_of = dict(zip(table, linenos))
+        _check_rows(space, table, where=lambda key: f"{path}:{line_of[key]}: line {line_of[key]}")
+
+    def fail(lineno: int, msg: str):
+        check_rows()
+        raise BenchmarkLoadError(f"{path}:{lineno}: {msg}")
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -170,17 +185,23 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
             fail(lineno, f"record lacks fields {sorted(missing)}")
         try:
             key = _canonical_key(space, row["key"])
-            _check_row(space, key, row["val_err"], row.get("test_err"), row["cost"],
-                       where=f"line {lineno}")
         except BenchmarkLoadError as exc:
             fail(lineno, str(exc))
+        values = (row["val_err"], row.get("test_err"), row["cost"])
         if key in table:
+            check_rows()  # then this row's own values, then the repeat
+            _check_rows(space, {key: values}, where=lambda _: f"{path}:{lineno}: line {lineno}")
             fail(lineno, f"duplicate configuration key {list(key)!r}")
-        table[key] = (row["val_err"], row.get("test_err"), row["cost"])
+        table[key] = values
+        linenos.append(lineno)
 
     if not table:
         raise BenchmarkLoadError(f"{path}: no configuration records")
-    return TabularBenchmark(space=space, table=table, benchmark_id=benchmark_id)
+    try:
+        return TabularBenchmark(space=space, table=table, benchmark_id=benchmark_id)
+    except ValueError:
+        check_rows()  # the constructor names a key; name its line instead
+        raise
 
 
 def write_tabular(bench: TabularBenchmark, path: str | Path):

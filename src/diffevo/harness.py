@@ -14,7 +14,6 @@ runs is reported alongside the mean.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +26,9 @@ from .benchmarks import Benchmark
 from .trace import RunTrace
 
 RunFn = Callable[[Benchmark, int], RunTrace]
+
+# rows per write of a curve CSV: bounds the text held in memory at once
+_CSV_CHUNK_ROWS = 4096
 
 
 def regret_series(trace: RunTrace, bench: Benchmark | None = None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -111,14 +113,15 @@ def aggregate(traces: Sequence[RunTrace], grid: str | Sequence[float] = "union",
         series.append((trace.cumulative_cost, validation))
 
     grid_times = _build_grid(grid, points, [t for t, _ in series])
-    total = np.zeros(len(grid_times))
-    count = np.zeros(len(grid_times), dtype=int)
+    n = len(grid_times)
+    total = np.zeros(n)
+    count = np.zeros(n, dtype=int)
     for times, regret in series:
-        # index of the last event at or before each grid time; -1 = not started
-        pos = np.searchsorted(times, grid_times, side="right") - 1
-        started = pos >= 0
-        total[started] += regret[pos[started]]
-        count[started] += 1
+        # event j is the latest one at grid points first[j] .. first[j + 1] - 1;
+        # before first[0] the run has not started
+        first = np.searchsorted(grid_times, times, side="left")
+        total[first[0]:] += np.repeat(regret, np.diff(first, append=n))
+        count[first[0]:] += 1
     mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     return AggregateCurve(times=grid_times, mean_regret=mean, n_runs=count)
 
@@ -143,20 +146,25 @@ def _build_grid(grid, points: int, all_times: list[np.ndarray]) -> np.ndarray:
     grid_times = np.asarray(grid, dtype=float)
     if grid_times.ndim != 1 or len(grid_times) < 1:
         raise ValueError("explicit grid must be a non-empty 1-d sequence")
-    if np.any(np.diff(grid_times) < 0):
+    if not np.all(grid_times[1:] >= grid_times[:-1]):  # NaN is not ascending either
         raise ValueError("explicit grid must be ascending")
     return grid_times
 
 
 def write_curve_csv(curve: AggregateCurve, path: str | Path):
-    """Write an aggregate curve as ``time,mean_regret,n_runs`` CSV."""
+    """Write an aggregate curve as ``time,mean_regret,n_runs`` CSV, atomically
+    (temp file then rename), in the bytes ``csv.writer`` would give: floats
+    by ``repr``, rows ended by ``\\r\\n``, written a chunk of rows at a time."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "mean_regret", "n_runs"])
-        for t, r, n in zip(curve.times, curve.mean_regret, curve.n_runs):
-            writer.writerow([repr(float(t)), repr(float(r)), int(n)])
+        fh.write("time,mean_regret,n_runs\r\n")
+        for start in range(0, len(curve.times), _CSV_CHUNK_ROWS):
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            fh.write("".join(
+                f"{t!r},{r!r},{n}\r\n" for t, r, n in zip(curve.times[rows].tolist(),
+                                                      curve.mean_regret[rows].tolist(),
+                                                      curve.n_runs[rows].tolist())))
     tmp.replace(path)
 
 

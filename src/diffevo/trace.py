@@ -75,10 +75,10 @@ class RunTrace:
         return len(self.objective)
 
 
-def _columns(rows: list[tuple]) -> dict[str, np.ndarray]:
-    """Columns from non-empty rows ordered like :data:`COLUMNS`; None becomes NaN."""
+def _columns(columns) -> dict[str, np.ndarray]:
+    """Arrays from non-empty columns ordered like :data:`COLUMNS`; None becomes NaN."""
     return {name: np.array(column, dtype=bool if name == "valid" else float)
-            for name, column in zip(COLUMNS, zip(*rows))}
+            for name, column in zip(COLUMNS, columns)}
 
 
 class RunRecorder:
@@ -140,7 +140,7 @@ class RunRecorder:
             best_validation_error=self.bench.best_validation_error,
             best_test_error=self.bench.best_test_error,
             config=dict(config or {}),
-            **_columns(self.rows),
+            **_columns(zip(*self.rows)),
         )
         check_trace_invariants(trace)
         return trace
@@ -204,27 +204,29 @@ def _json_floats(column: np.ndarray, nan: str = "NaN") -> list[str]:
 
 
 def write_traces(traces: list[RunTrace], path: str | Path):
-    """Write traces as JSON Lines, atomically (temp file then rename); event
-    lines are built column by column, byte for byte as ``json.dumps`` spells them."""
+    """Write traces as JSON Lines, atomically (temp file then rename), one run
+    at a time; event lines are built column by column, byte for byte as
+    ``json.dumps`` spells them."""
     path = Path(path)
-    lines = []
-    for trace in traces:
-        lines.append(_header_line(trace))
-        columns = zip(_json_floats(trace.cumulative_cost), _json_floats(trace.incumbent_objective),
-                      _json_floats(trace.incumbent_test_error, nan="null"),
-                      _json_floats(trace.objective),
-                      ["true" if v else "false" for v in trace.valid.tolist()])
-        lines.extend(
-            f'{{"cumulative_cost":{cost},"eval_index":{i},"incumbent_objective":{incumbent},'
-            f'"incumbent_test_error":{test},"objective":{objective},"valid":{valid}}}'
-            for i, (cost, incumbent, test, objective, valid) in enumerate(columns)
-        )
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
+    with open(tmp, "w") as fh:
+        for trace in traces:
+            fh.write(_header_line(trace) + "\n")
+            columns = zip(_json_floats(trace.cumulative_cost),
+                          _json_floats(trace.incumbent_objective),
+                          _json_floats(trace.incumbent_test_error, nan="null"),
+                          _json_floats(trace.objective),
+                          ["true" if v else "false" for v in trace.valid.tolist()])
+            fh.write("".join(
+                f'{{"cumulative_cost":{cost},"eval_index":{i},"incumbent_objective":{incumbent},'
+                f'"incumbent_test_error":{test},"objective":{objective},"valid":{valid}}}\n'
+                for i, (cost, incumbent, test, objective, valid) in enumerate(columns)
+            ))
     tmp.replace(path)
 
 
-_event_row = operator.itemgetter(*COLUMNS)
+_decode = json.JSONDecoder().raw_decode
+_field_getters = [operator.itemgetter(name) for name in EVENT_FIELDS]
 
 
 def read_traces(path: str | Path) -> list[RunTrace]:
@@ -232,18 +234,21 @@ def read_traces(path: str | Path) -> list[RunTrace]:
 
     Raises ValueError naming ``path:line`` for a line that is not JSON, is
     neither a run header nor an event, lacks a field, or carries an
-    ``eval_index`` other than its position in the run.
+    ``eval_index`` other than its position in the run. Lines are checked a
+    run at a time, but the error is always the one for the first bad line.
     """
     path = Path(path)
     traces: list[RunTrace] = []
     header: dict | None = None
     header_line = 0
-    rows: list[tuple] = []
+    events: list = []  # the decoded lines after the header, not yet checked
+    linenos: list[int] = []
 
     def flush():
+        columns = _event_columns(path, header, events, linenos)
         if header is None:
             return
-        if not rows:
+        if not columns:
             raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
         try:
             trace = RunTrace(
@@ -253,41 +258,72 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 best_validation_error=header["best_validation_error"],
                 best_test_error=header["best_test_error"],
                 config=header.get("config", {}),
-                **_columns(rows),
+                **_columns(columns),
             )
             check_trace_invariants(trace)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
         traces.append(trace)
 
-    def require(doc: dict, keys: frozenset[str], what: str, lineno: int):
-        if not keys <= doc.keys():
-            raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
-
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+        text = line.strip(" \t")  # JSON whitespace; splitlines() leaves no \r or \n
         try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        if isinstance(doc, dict) and isinstance(doc.get("run"), dict):
-            flush()
-            header, header_line, rows = doc["run"], lineno, []
-            require(header, _HEADER_KEYS, "run header", lineno)
-        elif isinstance(doc, dict) and not doc.keys().isdisjoint(_EVENT_KEYS):
-            if header is None:
-                raise ValueError(f"{path}:{lineno}: event before any run header")
-            require(doc, _EVENT_KEYS, "event", lineno)
-            if type(doc["valid"]) is not bool:
-                raise ValueError(f"{path}:{lineno}: valid must be true or false")
-            if doc["eval_index"] != len(rows):
-                raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
-                                 f"!= position {len(rows)} in its run")
-            rows.append(_event_row(doc))
-        else:
-            raise ValueError(f"{path}:{lineno}: unrecognized line")
+            doc, end = _decode(text)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(text):
+            if not line.strip():
+                continue
+            _event_columns(path, header, events, linenos)  # an earlier bad line comes first
+            try:
+                doc = json.loads(line)  # for the decoder's own message
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        run = doc.get("run") if type(doc) is dict else None
+        if type(run) is not dict:
+            events.append(doc)
+            linenos.append(lineno)
+            continue
+        flush()
+        header, header_line, events, linenos = run, lineno, [], []
+        _require(path, lineno, header, _HEADER_KEYS, "run header")
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")
     return traces
+
+
+def _require(path: Path, lineno: int, doc: dict, keys: frozenset[str], what: str):
+    if not keys <= doc.keys():
+        raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
+
+
+def _event_columns(path: Path, header: dict | None, events: list,
+                   linenos: list[int]) -> list[list]:
+    """The event lines of one run as columns ordered like :data:`COLUMNS`.
+
+    All lines are checked at once; when a check fails, the lines are walked
+    in order to raise the error for the first bad one.
+    """
+    if not events:
+        return []
+    if header is not None:
+        try:
+            index, *columns = [list(map(get, events)) for get in _field_getters]
+        except (KeyError, TypeError):
+            pass
+        else:
+            if index == list(range(len(events))) and set(map(type, columns[-1])) == {bool}:
+                return columns
+    for position, (lineno, doc) in enumerate(zip(linenos, events)):
+        if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_KEYS):
+            raise ValueError(f"{path}:{lineno}: unrecognized line")
+        if header is None:
+            raise ValueError(f"{path}:{lineno}: event before any run header")
+        _require(path, lineno, doc, _EVENT_KEYS, "event")
+        if type(doc["valid"]) is not bool:
+            raise ValueError(f"{path}:{lineno}: valid must be true or false")
+        if doc["eval_index"] != position:
+            raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
+                             f"!= position {position} in its run")
+    raise AssertionError("the column checks and the line walk disagree")

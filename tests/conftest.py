@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffevo.baselines as baselines
 from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace, bin_index
-from diffevo.trace import COLUMNS, check_trace_invariants
+from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
           "config")
@@ -29,17 +31,81 @@ def trace_from_rows(rows, best_validation_error=0.0, best_test_error=None, seed=
 def assert_same_traces(got, want):
     """Every header field and every column equal, run by run.
 
-    Only ``incumbent_test_error`` may hold NaN (no test error), and NaN
-    there matches NaN.
+    Among the columns only ``incumbent_test_error`` may hold NaN (no test
+    error), and NaN there matches NaN; a NaN header field matches NaN.
     """
     assert len(got) == len(want)
     for a, b in zip(got, want):
         for name in HEADER:
-            assert getattr(a, name) == getattr(b, name), name
+            x, y = getattr(a, name), getattr(b, name)
+            assert x == y or (x != x and y != y), name
         for name in COLUMNS:
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype, name
             assert np.array_equal(x, y, equal_nan=name == "incumbent_test_error"), name
+
+
+def reference_read_traces(path):
+    """Reference trace reader: one ``json.loads`` and every check per line,
+    in file order. ``read_traces`` must return the same traces or raise the
+    same error."""
+    path = Path(path)
+    header_keys = {"seed", "optimizer", "benchmark", "best_validation_error", "best_test_error"}
+    event_keys = set(EVENT_FIELDS)
+    traces = []
+    header = None
+    header_line = 0
+    rows = []
+
+    def flush():
+        if header is None:
+            return
+        if not rows:
+            raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
+        try:
+            columns = {name: np.array(column, dtype=bool if name == "valid" else float)
+                       for name, column in zip(COLUMNS, zip(*rows))}
+            trace = RunTrace(seed=header["seed"], optimizer_id=header["optimizer"],
+                             benchmark_id=header["benchmark"],
+                             best_validation_error=header["best_validation_error"],
+                             best_test_error=header["best_test_error"],
+                             config=header.get("config", {}), **columns)
+            check_trace_invariants(trace)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{header_line}: {exc}") from exc
+        traces.append(trace)
+
+    def require(doc, keys, what, lineno):
+        if not keys <= doc.keys():
+            raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
+
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        if isinstance(doc, dict) and isinstance(doc.get("run"), dict):
+            flush()
+            header, header_line, rows = doc["run"], lineno, []
+            require(header, header_keys, "run header", lineno)
+        elif isinstance(doc, dict) and not doc.keys().isdisjoint(event_keys):
+            if header is None:
+                raise ValueError(f"{path}:{lineno}: event before any run header")
+            require(doc, event_keys, "event", lineno)
+            if type(doc["valid"]) is not bool:
+                raise ValueError(f"{path}:{lineno}: valid must be true or false")
+            if doc["eval_index"] != len(rows):
+                raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
+                                 f"!= position {len(rows)} in its run")
+            rows.append(tuple(doc[name] for name in COLUMNS))
+        else:
+            raise ValueError(f"{path}:{lineno}: unrecognized line")
+    flush()
+    if not traces:
+        raise ValueError(f"{path}: no runs found")
+    return traces
 
 
 def reference_discretize(space, genotype):

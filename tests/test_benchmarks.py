@@ -131,6 +131,35 @@ class TestTabularFile:
         with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: .*not finite"):
             load_tabular(path)
 
+    @pytest.mark.parametrize("later", [
+        "{not json",
+        json.dumps({"key": ["b", 2], "cost": 1.0}),
+        json.dumps({"key": ["b"], "val_err": 0.2, "cost": 1.0}),
+        json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
+        json.dumps({"key": ["z", 2], "val_err": 0.2, "cost": 1.0}),
+        json.dumps({"key": ["b", 2], "val_err": 0.2, "cost": 1.0}),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, later):
+        # rows are range-checked after the whole file is read, yet the error
+        # is the one a line-by-line check meets first
+        path = self.write_file(tmp_path, [
+            json.dumps({"key": ["a", 2], "val_err": 0.3, "cost": 1.0}),
+            json.dumps({"key": ["a", 1], "val_err": 1.2, "cost": 1.0}),
+            later,
+        ])
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:3: line 3: validation error 1.2 outside [0, 1]"
+
+    def test_repeated_key_with_bad_values_names_the_values(self, tmp_path):
+        path = self.write_file(tmp_path, [
+            json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0}),
+            json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": -1.0}),
+        ])
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:3: line 3: cost -1.0 is negative or not finite"
+
     def test_key_outside_space_fails(self, tmp_path):
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["z", 1], "val_err": 0.2, "cost": 1.0}),

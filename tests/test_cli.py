@@ -140,7 +140,8 @@ class TestGoldenBytes:
     """Output bytes pinned by sha256; a change to any trace or curve byte
     must update these constants deliberately. The de constants changed when
     DE began drawing a whole generation at once (a new draw order); rs and
-    re are unchanged since they were first recorded."""
+    re are unchanged since they were first recorded. AGGREGATES pins
+    ``diffevo aggregate`` over the TRACES files on both grids."""
 
     TRACES = {
         "de": "c65f8aac0f5d6fc72831868384ce4f38ac4692a2b88630a7ea8dc4b43105fbff",
@@ -153,8 +154,18 @@ class TestGoldenBytes:
         "re": "3c023bc7aa5d2d9df9e5d036dd28dbf35a702ca9c6345189c0c438e991b1d493",
     }
 
-    def test_run_traces(self, tmp_path):
-        # the three invocations of acceptance criterion 6
+    AGGREGATES = {
+        ("de", "union"): "d029cec07f9972b333d0e15de0d88e7a83a7526a0c3c6eab5bbb5166b8c102c7",
+        ("de", "log"): "ab0582918819942c9c8c8d8fefe78bb0317a0d1056e4ab10a7d9ef6022dc17ab",
+        ("rs", "union"): "bbebd4fb57bfb26533281ec1214724b6cbcad5c7d1b011e616b6e24f06395dff",
+        ("rs", "log"): "b597846ec17e4744f215fe5b04dafb7c9819b0cd1f4bbcf67fd7c0155185fa10",
+        ("re", "union"): "ca5ff3a25ebec6989ec67c2e2aa2f555236212a66ead6d50872656e1979b6e61",
+        ("re", "log"): "c0d0a1f6c0d4e96abfd3f7b7e2d4d7632037275365c6cddd8da54b98616e8d76",
+    }
+
+    @staticmethod
+    def write_run_traces(tmp_path):
+        """The three invocations of acceptance criterion 6; returns {optimizer: trace path}."""
         tabular_path = tmp_path / "bench.jsonl"
         write_tabular(make_synthetic(3, 3, invalid_fraction=0.2, seed=4), tabular_path)
         combos = [
@@ -162,11 +173,25 @@ class TestGoldenBytes:
             ("rs", "sphere:2", ()),
             ("re", str(tabular_path), ("--pop", "15", "--sample", "4")),
         ]
+        paths = {}
         for optimizer, benchmark, flags in combos:
-            out = tmp_path / f"{optimizer}.jsonl"
+            out = paths[optimizer] = tmp_path / f"{optimizer}.jsonl"
             assert run_cli("run", "--optimizer", optimizer, *flags, "--benchmark", benchmark,
                            "--evals", "80", "--runs", "3", "--seed", "0", "--out", str(out)) == 0
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TRACES[optimizer]
+        return paths
+
+    def test_run_traces(self, tmp_path):
+        for optimizer, path in self.write_run_traces(tmp_path).items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TRACES[optimizer]
+
+    def test_aggregate_curves(self, tmp_path):
+        paths = self.write_run_traces(tmp_path)
+        for (optimizer, grid), digest in self.AGGREGATES.items():
+            out = tmp_path / f"{optimizer}-{grid}.csv"
+            assert run_cli("aggregate", str(paths[optimizer]), "--grid", grid,
+                           "--out", str(out)) == 0
+            got = hashlib.sha256(out.read_bytes()).hexdigest()
+            assert got == digest, (optimizer, grid)
 
     def test_compare_curves(self, tmp_path):
         assert run_cli("compare", "--optimizers", "de,rs,re",

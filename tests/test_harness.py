@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffevo import (
@@ -23,6 +24,8 @@ from diffevo import (
     write_curve_csv,
     write_traces,
 )
+
+from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, _build_grid
 
 from conftest import assert_same_traces, trace_from_rows
 
@@ -149,6 +152,66 @@ class TestAggregate:
             aggregate([trace], grid="linear")
         with pytest.raises(ValueError):
             aggregate([trace], grid=[3.0, 1.0])
+        with pytest.raises(ValueError, match="ascending"):
+            aggregate([trace], grid=[math.nan, 1.0])
+
+
+def reference_aggregate(traces, grid="union", points=512):
+    """Reference: one ``searchsorted`` of every grid time into each run's event times."""
+    series = [(t.cumulative_cost, regret_series(t)[0]) for t in traces]
+    grid_times = _build_grid(grid, points, [t for t, _ in series])
+    total = np.zeros(len(grid_times))
+    count = np.zeros(len(grid_times), dtype=int)
+    for times, regret in series:
+        pos = np.searchsorted(times, grid_times, side="right") - 1
+        started = pos >= 0
+        total[started] += regret[pos[started]]
+        count[started] += 1
+    mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
+    return AggregateCurve(times=grid_times, mean_regret=mean, n_runs=count)
+
+
+@st.composite
+def step_runs(draw):
+    """1-5 runs of 1-6 events; zero-cost steps repeat a time stamp."""
+    runs = []
+    for seed in range(draw(st.integers(min_value=1, max_value=5))):
+        time = draw(st.sampled_from([0.0, 0.5, 3.0]))
+        regret = draw(st.floats(min_value=0.0, max_value=1.0))
+        times, regrets = [], []
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            time += draw(st.sampled_from([0.0, 0.0, 0.25, 1.0, 7.5]))
+            regret = draw(st.floats(min_value=0.0, max_value=regret))
+            times.append(time)
+            regrets.append(regret)
+        runs.append(make_trace(times, regrets, seed=seed))
+    return runs
+
+
+class TestAggregateAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(step_runs(), st.one_of(
+        st.just("union"),
+        st.integers(min_value=1, max_value=40).map(lambda points: ("log", points)),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0, 9.0, 40.0, math.inf]),
+                 min_size=1, max_size=12).map(sorted)))
+    def test_matches_searchsorted_reference(self, traces, grid):
+        grid, points = grid if isinstance(grid, tuple) else (grid, 512)
+        got = aggregate(traces, grid=grid, points=points)
+        want = reference_aggregate(traces, grid=grid, points=points)
+        for name in ("times", "mean_regret", "n_runs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+
+    @pytest.mark.parametrize("grid", ["union", "log", [0.0, 0.5, 0.5, 1.0, 6.0, 6.0, 100.0]])
+    def test_edge_runs_match_reference(self, grid):
+        # grid points before every first event, repeated zero-cost times, single events
+        traces = [make_trace([6.0], [0.5], seed=0),
+                  make_trace([1.0, 1.0, 1.0, 6.0], [0.9, 0.9, 0.4, 0.1], seed=1),
+                  make_trace([6.0, 6.0], [0.3, 0.2], seed=2)]
+        got = aggregate(traces, grid=grid)
+        want = reference_aggregate(traces, grid=grid)
+        for name in ("times", "mean_regret", "n_runs"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
 
 class TestRunExperiment:
@@ -381,7 +444,46 @@ class TestTraceFileValidation:
             read_traces(path)
 
 
+def reference_curve_csv(curve, path):
+    """Reference: the curve through ``csv.writer``, floats by ``repr``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "mean_regret", "n_runs"])
+        for t, r, n in zip(curve.times, curve.mean_regret, curve.n_runs):
+            writer.writerow([repr(float(t)), repr(float(r)), int(n)])
+
+
+def assert_csv_matches_reference(curve, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_curve_csv(curve, got)
+    reference_curve_csv(curve, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+ODD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3]
+
+
 class TestCurveCsv:
+    def test_odd_floats_match_csv_writer(self, tmp_path):
+        n = len(ODD_FLOATS)
+        curve = AggregateCurve(times=np.array(ODD_FLOATS), mean_regret=np.array(ODD_FLOATS[::-1]),
+                               n_runs=np.arange(n) * 7)
+        assert_csv_matches_reference(curve, tmp_path)
+        assert curve.n_runs[0] == 0
+
+    @pytest.mark.parametrize("n", [_CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS + 3])
+    def test_curve_longer_than_a_write_chunk(self, tmp_path, n):
+        rng = np.random.default_rng(0)
+        curve = AggregateCurve(times=np.cumsum(rng.random(n)),
+                               mean_regret=np.where(np.arange(n) < 5, np.nan, rng.random(n)),
+                               n_runs=rng.integers(0, 50, n))
+        assert_csv_matches_reference(curve, tmp_path)
+
+    def test_empty_curve_is_a_header(self, tmp_path):
+        curve = AggregateCurve(times=np.array([]), mean_regret=np.array([]),
+                               n_runs=np.array([], dtype=int))
+        assert_csv_matches_reference(curve, tmp_path)
+
     def test_columns_and_values(self, tmp_path):
         curve = aggregate([make_trace([1.0, 2.0], [0.4, 0.1])], grid="union")
         path = tmp_path / "curve.csv"

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from diffevo import Budget, EvaluationResult, make_synthetic, read_traces, write_traces
 from diffevo.trace import EVENT_FIELDS, RunRecorder
 
-from conftest import ReferenceRecorder, RecordingBenchmark, assert_same_traces, trace_from_rows
+from conftest import (
+    ReferenceRecorder,
+    RecordingBenchmark,
+    assert_same_traces,
+    reference_read_traces,
+    trace_from_rows,
+)
 
 
 class TableBench:
@@ -155,3 +161,95 @@ class TestTraceWriter:
         assert path.read_text().splitlines()[1:] == reference_lines(trace)
         assert_same_traces(read_traces(path), [trace])
 
+
+
+@st.composite
+def trace_file_lines(draw):
+    """The lines of a valid trace file: 1-3 runs of 1-4 events each."""
+    lines = []
+    for seed in range(draw(st.integers(min_value=1, max_value=3))):
+        best = draw(st.sampled_from([0.0, 0.1]))
+        lines.append(json.dumps({"run": {
+            "seed": seed, "optimizer": "x", "benchmark": "b", "best_validation_error": best,
+            "best_test_error": draw(st.sampled_from([None, 0.2])), "config": {"np": 4}}}))
+        cost, incumbent = 0.0, math.inf
+        for index in range(draw(st.integers(min_value=1, max_value=4))):
+            valid = draw(st.booleans())
+            objective = draw(st.sampled_from([best, 0.3, 0.7, 1.0])) if valid else 1.0
+            if valid:
+                cost += draw(st.sampled_from([0.0, 0.5, 2.25]))
+            incumbent = min(incumbent, objective)
+            lines.append(json.dumps({
+                "eval_index": index, "cumulative_cost": cost, "objective": objective,
+                "incumbent_objective": incumbent,
+                "incumbent_test_error": draw(st.sampled_from([None, 0.25])), "valid": valid}))
+    return lines
+
+
+ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", [1], {}, math.nan, math.inf,
+              -math.inf]
+
+
+def mutate(data, lines):
+    """One edit of the kinds a damaged or hand-edited trace file shows."""
+    kind = data.draw(st.sampled_from(["pad", "blank", "join", "split", "truncate", "drop key",
+                                      "set key", "replace", "move", "delete", "repeat"]))
+    i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    line = lines[i]
+    cut = data.draw(st.integers(min_value=1, max_value=max(len(line) - 1, 1)))
+    if kind == "pad":  # whitespace around a line
+        space = st.sampled_from(["", " ", "\t", " \t ", "\xa0"])
+        lines[i] = data.draw(space) + line + data.draw(space)
+    elif kind == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", " ", "\t", "\xa0 "])))
+    elif kind == "join":  # two JSON values on one line
+        lines[i] = line + data.draw(st.sampled_from(["", " "])) + lines[j]
+    elif kind == "split":  # one line across two
+        lines[i:i + 1] = [line[:cut], line[cut:]]
+    elif kind == "truncate":
+        lines[i] = line[:cut]
+    elif kind in ("drop key", "set key"):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError:  # an earlier edit broke the line
+            return
+        target = doc["run"] if isinstance(doc, dict) and isinstance(doc.get("run"), dict) \
+            and data.draw(st.booleans()) else doc
+        if not isinstance(target, dict) or not target:
+            return
+        key = data.draw(st.sampled_from(sorted(target)))
+        if kind == "drop key":
+            del target[key]
+        else:  # "valid": 1, a wrong eval_index, an integer cost, null, NaN, Infinity, ...
+            target[key] = data.draw(st.sampled_from(ODD_VALUES))
+        lines[i] = json.dumps(doc)
+    elif kind == "replace":  # JSON that is neither a header nor an event
+        lines[i] = data.draw(st.sampled_from(["3", "null", "[]", '["run"]', '"run"', "{}",
+                                              '{"run": 1}', '{"run": [], "valid": true}']))
+    elif kind == "move":  # events before any header, headers with no events
+        lines.insert(j, lines.pop(i))
+    elif kind == "delete":
+        del lines[i]
+    else:
+        lines.insert(j, line)
+
+
+class TestTraceReader:
+    @settings(max_examples=400, deadline=None)
+    @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.data())
+    def test_matches_line_by_line_reference(self, lines, edits, data):
+        for _ in range(edits):
+            if lines:
+                mutate(data, lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "runs.jsonl"
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                want = reference_read_traces(path)
+            except Exception as exc:  # noqa: BLE001 - the error itself is compared
+                with pytest.raises(type(exc)) as err:
+                    read_traces(path)
+                assert str(err.value) == str(exc)
+            else:
+                assert_same_traces(read_traces(path), want)
