@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from diffevo import Budget, DEConfig, continuous_function, final_regrets, run_de, run_experiment
+from diffevo import Budget, DEConfig, FunctionBenchmark, final_regrets, run_de, run_experiment
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
     parser.add_argument("--tolerance", type=float, default=1e-2)
     args = parser.parse_args()
 
-    bench = continuous_function(args.function, args.dimension)
+    bench = FunctionBenchmark(args.function, args.dimension)
     cfg = DEConfig(population_size=args.population_size,
                    scaling_factor=args.scaling_factor,
                    crossover_rate=args.crossover_rate,

@@ -14,7 +14,6 @@ from .benchmarks import (
     EvaluationResult,
     FunctionBenchmark,
     TabularBenchmark,
-    continuous_function,
     load_tabular,
     make_synthetic,
     write_tabular,
@@ -29,7 +28,7 @@ from .harness import (
     run_experiment,
     write_curve_csv,
 )
-from .space import Configuration, ParameterSpec, SearchSpace, bin_index
+from .space import Configuration, ParameterSpec, SearchSpace
 from .trace import Budget, RunTrace, check_trace_invariants, read_traces, write_traces
 
 __all__ = [
@@ -47,9 +46,7 @@ __all__ = [
     "SearchSpace",
     "TabularBenchmark",
     "aggregate",
-    "bin_index",
     "check_trace_invariants",
-    "continuous_function",
     "final_regrets",
     "load_tabular",
     "make_synthetic",

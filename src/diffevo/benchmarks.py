@@ -10,7 +10,7 @@ families are provided:
 * :func:`make_synthetic` -- a seeded, exhaustively enumerated table with an
   additive-plus-pairwise score model, so nearby configurations have similar
   errors and the global optimum is known by construction.
-* :func:`continuous_function` -- sphere/rastrigin over a box, with the raw
+* :class:`FunctionBenchmark` -- sphere/rastrigin over a box, with the raw
   objective squashed into [0, 1).
 
 All benchmarks are immutable after construction and their ``evaluate`` is a
@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class EvaluationResult:
         return cls(valid=False, validation_error=1.0, test_error=None, cost_seconds=0.0)
 
 
-@runtime_checkable
 class Benchmark(Protocol):
     """What optimizers and the harness need from an objective."""
 
@@ -96,10 +95,6 @@ class TabularBenchmark:
         tests = [t for _, t, _ in self.table.values() if t is not None]
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
-
-    @property
-    def size(self) -> int:
-        return len(self.table)
 
     def evaluate(self, config: Configuration) -> EvaluationResult:
         row = self.table.get(tuple(config))
@@ -366,6 +361,3 @@ class FunctionBenchmark:
             cost_seconds=1.0,
         )
 
-
-def continuous_function(name: str, dimension: int, lo: float = -5.0, hi: float = 5.0) -> FunctionBenchmark:
-    return FunctionBenchmark(name=name, dimension=dimension, lo=lo, hi=hi)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import REConfig, run_random_search, run_regularized_evolution
-from .benchmarks import Benchmark, continuous_function, load_tabular, make_synthetic
+from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
 from .de import DEConfig, run_de
 from .harness import RunFn, aggregate, final_regrets, run_experiment, write_curve_csv
 from .trace import Budget, read_traces, write_traces
@@ -71,7 +71,7 @@ def parse_benchmark(spec: str) -> Benchmark:
     if head in ("sphere", "rastrigin"):
         parts = rest.split(":")
         options = _parse_options(parts[1:], {"lo": float, "hi": float})
-        return continuous_function(
+        return FunctionBenchmark(
             head, int(parts[0]),
             lo=options.get("lo", -5.0), hi=options.get("hi", 5.0),
         )
@@ -135,17 +135,18 @@ def _require(cfg: dict, parser: argparse.ArgumentParser, *keys: str):
             parser.error(f"--{key} is required (flag or config file)")
 
 
-def _budget(cfg: dict) -> Budget:
+def _budget(cfg: dict, parser: argparse.ArgumentParser) -> Budget:
+    if cfg["evals"] is None and cfg["cost"] is None:
+        parser.error("a budget is required: --evals and/or --cost")
     return Budget(max_evaluations=cfg["evals"], max_cost=cfg["cost"])
 
 
 def cmd_run(args, parser) -> int:
     cfg = _merge_config(args, parser)
     _require(cfg, parser, "benchmark", "out")
-    if cfg["evals"] is None and cfg["cost"] is None:
-        parser.error("a budget is required: --evals and/or --cost")
+    budget = _budget(cfg, parser)
     bench = parse_benchmark(cfg["benchmark"])
-    runner = build_runner(cfg["optimizer"], cfg, _budget(cfg))
+    runner = build_runner(cfg["optimizer"], cfg, budget)
     traces = run_experiment(runner, bench, n_runs=cfg["runs"], base_seed=cfg["seed"],
                             jobs=cfg["jobs"])
     write_traces(traces, cfg["out"])
@@ -162,8 +163,7 @@ def cmd_run(args, parser) -> int:
 def cmd_compare(args, parser) -> int:
     cfg = _merge_config(args, parser)
     _require(cfg, parser, "benchmark")
-    if cfg["evals"] is None and cfg["cost"] is None:
-        parser.error("a budget is required: --evals and/or --cost")
+    budget = _budget(cfg, parser)
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
     if len(optimizers) < 2:
         parser.error("--optimizers needs at least two comma-separated names")
@@ -171,7 +171,6 @@ def cmd_compare(args, parser) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     bench = parse_benchmark(cfg["benchmark"])
-    budget = _budget(cfg)
     for optimizer in optimizers:
         runner = build_runner(optimizer, cfg, budget)
         traces = run_experiment(runner, bench, n_runs=cfg["runs"], base_seed=cfg["seed"],

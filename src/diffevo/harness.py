@@ -31,27 +31,17 @@ RunFn = Callable[[Benchmark, int], RunTrace]
 _CSV_CHUNK_ROWS = 4096
 
 
-def regret_series(trace: RunTrace, bench: Benchmark | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-event (validation, test) regret; test is None without test data.
+def regret_series(trace: RunTrace) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-event (validation, test) regret against the reference points stored
+    in the trace; test is None without test data.
 
-    When ``bench`` is given it must be the benchmark the trace was produced
-    against; otherwise the reference points stored in the trace are used.
     Events where the incumbent has no test error (for example while the
     incumbent is still an invalid configuration) carry NaN test regret.
     """
-    if bench is not None:
-        if bench.benchmark_id != trace.benchmark_id:
-            raise ValueError(
-                f"trace from {trace.benchmark_id!r} does not match benchmark {bench.benchmark_id!r}"
-            )
-        best_val, best_test = bench.best_validation_error, bench.best_test_error
-    else:
-        best_val, best_test = trace.best_validation_error, trace.best_test_error
-
-    validation = trace.incumbent_objective - best_val
-    if best_test is None:
+    validation = trace.incumbent_objective - trace.best_validation_error
+    if trace.best_test_error is None:
         return validation, None
-    return validation, trace.incumbent_test_error - best_test
+    return validation, trace.incumbent_test_error - trace.best_test_error
 
 
 def final_regrets(traces: Sequence[RunTrace]) -> np.ndarray:

@@ -16,11 +16,9 @@ which makes them hashable keys for tabular benchmark lookups.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -118,11 +116,7 @@ class ParameterSpec:
         extra = set(doc) - known
         if extra:
             raise ValueError(f"parameter document has unknown fields {sorted(extra)}")
-        fields = dict(doc)
-        for key in ("values", "choices"):
-            if fields.get(key) is not None:
-                fields[key] = tuple(fields[key])
-        return cls(**fields)
+        return cls(**doc)
 
 
 def _is_number(value) -> bool:
@@ -147,7 +141,7 @@ def _integer_value(lo: int, span: int, u: float) -> int:
 
 
 def _token_value(tokens: tuple[Token, ...], u: float) -> Token:
-    return tokens[min(int(u * len(tokens)), len(tokens) - 1)]  # bin_index, unchecked
+    return tokens[min(int(u * len(tokens)), len(tokens) - 1)]
 
 
 def _decoder(p: ParameterSpec) -> Callable[[float], Value]:
@@ -218,29 +212,3 @@ class SearchSpace:
         if "params" not in doc:
             raise ValueError("search space document lacks a 'params' list")
         return cls(params=tuple(ParameterSpec.from_json_dict(p) for p in doc["params"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def loads(cls, text: str) -> "SearchSpace":
-        return cls.from_json_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SearchSpace":
-        return cls.loads(Path(path).read_text())
-
-
-def bin_index(u: float, n: int) -> int:
-    """Index of the bin containing ``u`` when [0, 1] is split into ``n`` bins.
-
-    Bins are ``[k/n, (k+1)/n)`` for ``k < n - 1``; the final bin is closed at
-    1, so ``u = 1.0`` maps to ``n - 1``. The token decoders apply this rule
-    unchecked; it is kept here to be property-tested against an interval scan.
-    """
-    if n < 1:
-        raise ValueError(f"bin count must be >= 1, got {n}")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"genotype value {u} outside [0, 1]")
-    return min(int(math.floor(u * n)), n - 1)
-

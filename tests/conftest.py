@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import diffevo.baselines as baselines
-from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace, bin_index
+from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
@@ -106,6 +107,26 @@ def reference_read_traces(path):
     if not traces:
         raise ValueError(f"{path}: no runs found")
     return traces
+
+
+def bin_index(u, n):
+    """Scalar reference for the token rule: the index of the bin holding
+    ``u`` when [0, 1] is split into ``n`` bins ``[k/n, (k+1)/n)``, the last
+    one closed at 1."""
+    assert n >= 1 and 0.0 <= u <= 1.0
+    return min(math.floor(u * n), n - 1)
+
+
+@functools.cache
+def token_space(n):
+    """A one-parameter space whose ``n`` categorical tokens name their index."""
+    return SearchSpace(params=(
+        ParameterSpec(name="c", kind="categorical", choices=tuple(map(str, range(n)))),))
+
+
+def decoded_bin(u, n):
+    """The bin the shipped decoder picks for ``u`` among ``n`` tokens."""
+    return int(token_space(n).discretize([u])[0])
 
 
 def reference_discretize(space, genotype):

@@ -15,11 +15,10 @@ import pytest
 from diffevo import (
     Budget,
     DEConfig,
+    FunctionBenchmark,
     REConfig,
     aggregate,
-    bin_index,
     check_trace_invariants,
-    continuous_function,
     final_regrets,
     make_synthetic,
     paired_sign_test,
@@ -33,7 +32,7 @@ from diffevo import (
 from diffevo.cli import main as cli_main
 from diffevo.de import crossover_binomial, mutant_vector
 
-from conftest import RecordingBenchmark, trace_from_rows, watch_tournaments
+from conftest import RecordingBenchmark, decoded_bin, trace_from_rows, watch_tournaments
 
 
 def criterion(number, title):
@@ -92,7 +91,7 @@ def re_result(comparison_bench):
 
 @pytest.fixture(scope="module")
 def sphere_traces():
-    bench = continuous_function("sphere", 3)
+    bench = FunctionBenchmark("sphere", 3)
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=10_000))
     return run_experiment(lambda b, s: run_de(b.space, b, cfg, s), bench,
@@ -102,7 +101,7 @@ def sphere_traces():
 # -- criteria -----------------------------------------------------------------
 
 
-@criterion(1, "bin index matches the brute-force interval scan")
+@criterion(1, "token decoder matches the brute-force interval scan")
 def test_criterion_1_discretization_oracle():
     def scan(u, n):
         for k in range(n):
@@ -115,9 +114,9 @@ def test_criterion_1_discretization_oracle():
     for _ in range(10_000):
         u = float(rng.random())
         n = int(rng.integers(1, 11))
-        assert bin_index(u, n) == scan(u, n)
+        assert decoded_bin(u, n) == scan(u, n)
     for n in range(1, 11):
-        assert bin_index(1.0, n) == n - 1
+        assert decoded_bin(1.0, n) == n - 1
     assert time.perf_counter() - start < 1.0
 
 
@@ -138,7 +137,7 @@ def test_criterion_2_de_mechanics():
     population_size, generations = 10, 100
     budget = Budget(max_evaluations=population_size * (generations + 1))
     for seed in range(20):
-        bench = RecordingBenchmark(continuous_function("sphere", 4, lo=0.0, hi=1.0))
+        bench = RecordingBenchmark(FunctionBenchmark("sphere", 4, lo=0.0, hi=1.0))
         cfg = DEConfig(population_size=population_size, scaling_factor=0.9,
                        crossover_rate=0.7, budget=budget)
         run_de(bench.space, bench, cfg, seed=seed)

@@ -9,10 +9,10 @@ import pytest
 from diffevo import (
     BenchmarkLoadError,
     EvaluationResult,
+    FunctionBenchmark,
     ParameterSpec,
     SearchSpace,
     TabularBenchmark,
-    continuous_function,
     load_tabular,
     make_synthetic,
     write_tabular,
@@ -180,12 +180,12 @@ class TestTabularFile:
 class TestSynthetic:
     def test_enumerates_full_space(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.0, seed=0)
-        assert bench.size == 4**5 == 1024
+        assert len(bench.table) == 4**5 == 1024
 
     @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5])
     def test_exact_invalid_count(self, fraction):
         bench = make_synthetic(5, 4, invalid_fraction=fraction, seed=0)
-        assert bench.size == 1024 - math.floor(1024 * fraction)
+        assert len(bench.table) == 1024 - math.floor(1024 * fraction)
 
     def test_best_matches_exhaustive_scan(self):
         # oracle: query every configuration through the public interface
@@ -232,20 +232,20 @@ class TestSynthetic:
 
 class TestContinuous:
     def test_sphere_optimum_hits_best(self):
-        bench = continuous_function("sphere", 3)
+        bench = FunctionBenchmark("sphere", 3)
         res = bench.evaluate((0.0, 0.0, 0.0))
         assert res.validation_error == bench.best_validation_error == 0.0
         assert res.cost_seconds == 1.0
         assert res.test_error is None and bench.best_test_error is None
 
     def test_sphere_increases_with_axis_distance(self):
-        bench = continuous_function("sphere", 3)
+        bench = FunctionBenchmark("sphere", 3)
         errs = [bench.evaluate((x, 0.0, 0.0)).validation_error for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
         assert errs == sorted(errs)
         assert len(set(errs)) == len(errs)
 
     def test_rastrigin_closed_form(self):
-        bench = continuous_function("rastrigin", 2)
+        bench = FunctionBenchmark("rastrigin", 2)
         assert bench.evaluate((0.0, 0.0)).validation_error == 0.0
         x = (0.5, 0.0)
         raw = 10 * 2 + sum(v * v - 10 * math.cos(2 * math.pi * v) for v in x)
@@ -254,23 +254,23 @@ class TestContinuous:
         assert got == pytest.approx(raw / (1 + raw))
 
     def test_squash_stays_below_one(self):
-        bench = continuous_function("sphere", 2)
+        bench = FunctionBenchmark("sphere", 2)
         assert bench.evaluate((5.0, 5.0)).validation_error < 1.0
 
     def test_space_matches_bounds(self):
-        bench = continuous_function("sphere", 2, lo=-1.0, hi=2.0)
+        bench = FunctionBenchmark("sphere", 2, lo=-1.0, hi=2.0)
         assert all(p.kind == "float" and p.lo == -1.0 and p.hi == 2.0
                    for p in bench.space.params)
 
     def test_unknown_function(self):
         with pytest.raises(ValueError, match="unknown function"):
-            continuous_function("ackley", 2)
+            FunctionBenchmark("ackley", 2)
 
     def test_bounds_must_contain_origin(self):
         with pytest.raises(ValueError, match="contain 0"):
-            continuous_function("sphere", 2, lo=1.0, hi=2.0)
+            FunctionBenchmark("sphere", 2, lo=1.0, hi=2.0)
 
     def test_dimension_mismatch(self):
-        bench = continuous_function("sphere", 3)
+        bench = FunctionBenchmark("sphere", 3)
         with pytest.raises(ValueError):
             bench.evaluate((0.0, 0.0))

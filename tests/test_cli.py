@@ -15,12 +15,12 @@ def run_cli(*argv):
 class TestParseBenchmark:
     def test_synthetic_shorthand(self):
         bench = parse_benchmark("synthetic:5x4")
-        assert bench.size == 1024
+        assert len(bench.table) == 1024
         assert bench.benchmark_id == "synthetic:5x4:invalid=0:cost=lognormal:seed=0"
 
     def test_synthetic_with_options(self):
         bench = parse_benchmark("synthetic:3x3:invalid=0.5:seed=7:cost=unit")
-        assert bench.size == 27 - 13
+        assert len(bench.table) == 27 - 13
         assert "invalid=0.5" in bench.benchmark_id and "seed=7" in bench.benchmark_id
 
     def test_continuous_shorthand(self):
@@ -36,8 +36,8 @@ class TestParseBenchmark:
     def test_tabular_path(self, tmp_path):
         path = tmp_path / "bench.jsonl"
         write_tabular(make_synthetic(3, 3, seed=0), path)
-        assert parse_benchmark(f"tabular:{path}").size == 27
-        assert parse_benchmark(str(path)).size == 27
+        assert len(parse_benchmark(f"tabular:{path}").table) == 27
+        assert len(parse_benchmark(str(path)).table) == 27
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="bad benchmark option"):

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, EvaluationResult, make_synthetic, run_de
-from diffevo.benchmarks import continuous_function
+from diffevo import Budget, DEConfig, EvaluationResult, FunctionBenchmark, make_synthetic, run_de
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
 from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark,
@@ -13,7 +12,7 @@ from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmar
 
 def identity_bench(dimension):
     # float bounds [0, 1] make discretized configs equal the genotypes
-    return continuous_function("sphere", dimension, lo=0.0, hi=1.0)
+    return FunctionBenchmark("sphere", dimension, lo=0.0, hi=1.0)
 
 
 def initial_population(population_size, dimension, seed):
@@ -423,7 +422,7 @@ class TestRunDE:
             bench = make_synthetic(3, 3, cost_model="unit", seed=0)
             bench = TransformedBenchmark(bench, lambda x: 0.5)
         else:
-            bench = continuous_function("sphere", 2)
+            bench = FunctionBenchmark("sphere", 2)
         cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
         got, want = RecordingBenchmark(bench), RecordingBenchmark(bench)
         assert_same_traces([run_de(bench.space, got, cfg, seed)],

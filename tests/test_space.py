@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diffevo import ParameterSpec, SearchSpace, bin_index
+from diffevo import ParameterSpec, SearchSpace
 
-from conftest import reference_discretize
+from conftest import bin_index, decoded_bin, reference_discretize, token_space
 
 
 def value_at(p, u):
@@ -31,24 +31,26 @@ def scan_bin(u, n):
 
 
 class TestBinIndex:
+    """The token decoder of a one-parameter categorical space against the scan."""
+
     def test_interior_boundary_is_left_closed(self):
         # 1/3 belongs to the second of three bins, not the first
-        assert bin_index(1 / 3, 3) == 1
-        assert bin_index(2 / 3, 3) == 2
+        assert decoded_bin(1 / 3, 3) == 1
+        assert decoded_bin(2 / 3, 3) == 2
 
     def test_zero_maps_to_first_bin(self):
-        assert bin_index(0.0, 7) == 0
+        assert decoded_bin(0.0, 7) == 0
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_one_maps_to_last_bin(self, n):
-        assert bin_index(1.0, n) == n - 1
+        assert decoded_bin(1.0, n) == n - 1
 
     def test_matches_scan_on_random_draws(self):
         rng = np.random.default_rng(7)
         for _ in range(10_000):
             u = float(rng.random())
             n = int(rng.integers(1, 11))
-            assert bin_index(u, n) == scan_bin(u, n)
+            assert decoded_bin(u, n) == scan_bin(u, n) == bin_index(u, n)
 
     @given(u=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
            n=st.integers(min_value=1, max_value=10))
@@ -56,16 +58,16 @@ class TestBinIndex:
         # within an ulp of a boundary the two float procedures may round
         # differently; everywhere else they must agree exactly
         assume(abs(u * n - round(u * n)) > 1e-9)
-        assert bin_index(u, n) == scan_bin(u, n)
+        assert decoded_bin(u, n) == scan_bin(u, n)
 
     @pytest.mark.parametrize("u, n", [(-0.001, 3), (1.001, 3)])
     def test_rejects_out_of_range(self, u, n):
-        with pytest.raises(ValueError):
-            bin_index(u, n)
+        with pytest.raises(ValueError, match="outside"):
+            token_space(n).discretize([u])
 
     def test_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            bin_index(0.5, 0)
+        with pytest.raises(ValueError, match="at least one token"):
+            ParameterSpec(name="c", kind="categorical", choices=())
 
 
 class TestParameterSpec:
@@ -260,7 +262,7 @@ class TestDiscretizeRows:
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_space(self, mixed_space):
-        doc = json.loads(mixed_space.dumps())
+        doc = json.loads(json.dumps(mixed_space.to_json_dict()))
         assert SearchSpace.from_json_dict(doc) == mixed_space
 
     def test_field_names_are_normative(self, mixed_space):
@@ -272,12 +274,13 @@ class TestJsonRoundTrip:
         assert set(by_kind["categorical"]) == {"name", "kind", "choices"}
 
     def test_load_from_document(self):
-        space = SearchSpace.loads(json.dumps({"params": [
+        space = SearchSpace.from_json_dict(json.loads(json.dumps({"params": [
             {"name": "op", "kind": "categorical", "choices": ["a", "b"]},
             {"name": "depth", "kind": "integer", "lo": 1, "hi": 4},
-        ]}))
+        ]})))
         assert space.dimension == 2
         assert space.params[0].choices == ("a", "b")
+        assert hash(space) == hash(SearchSpace.from_json_dict(space.to_json_dict()))
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
@@ -291,5 +294,5 @@ class TestJsonRoundTrip:
 
     def test_load_from_file(self, mixed_space, tmp_path):
         path = tmp_path / "space.json"
-        path.write_text(mixed_space.dumps())
-        assert SearchSpace.load(path) == mixed_space
+        path.write_text(json.dumps(mixed_space.to_json_dict()))
+        assert SearchSpace.from_json_dict(json.loads(path.read_text())) == mixed_space
