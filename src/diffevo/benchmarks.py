@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -104,16 +105,26 @@ class TabularBenchmark:
         return EvaluationResult(valid=True, validation_error=val, test_error=test, cost_seconds=cost)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_rows(space, table, where):
     """Raise BenchmarkLoadError, naming the row by ``where(key)``, for the first
     row of ``table`` whose key or values break the contract."""
     for key, (val, test, cost) in table.items():
         if not space.contains(key):
             problem = f"key {key!r} outside the declared space"
+        elif not _is_real(val):
+            problem = f"validation error {val!r} is not a number"
         elif not 0.0 <= val <= 1.0:
             problem = f"validation error {val} outside [0, 1]"
+        elif test is not None and not _is_real(test):
+            problem = f"test error {test!r} is not a number or null"
         elif test is not None and not 0.0 <= test <= 1.0:
             problem = f"test error {test} outside [0, 1]"
+        elif not _is_real(cost):
+            problem = f"cost {cost!r} is not a number"
         elif not 0.0 <= cost < math.inf:
             problem = f"cost {cost} is negative or not finite"
         else:
@@ -150,9 +161,11 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     try:
         header = json.loads(lines[0])
         space = SearchSpace.from_json_dict(header)
-    except (json.JSONDecodeError, ValueError) as exc:
+        benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
+        if not isinstance(benchmark_id, str):
+            raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
-    benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
 
     table: dict[Configuration, tuple[float, float | None, float]] = {}
     linenos: list[int] = []  # the line of each table row, in insertion order
@@ -175,6 +188,8 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             fail(lineno, f"bad JSON: {exc}")
+        if not isinstance(row, dict):
+            fail(lineno, "record is not a JSON object")
         missing = {"key", "val_err", "cost"} - set(row)
         if missing:
             fail(lineno, f"record lacks fields {sorted(missing)}")

@@ -55,7 +55,7 @@ def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int 
 
     Runs may execute concurrently (``jobs``); results come back in seed
     order regardless of completion order. A failing run propagates with its
-    seed attached.
+    seed attached: a ValueError stays one, anything else becomes RuntimeError.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
@@ -65,7 +65,8 @@ def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int 
         try:
             return run_fn(bench, seed)
         except Exception as exc:
-            raise RuntimeError(f"run with seed {seed} failed: {exc}") from exc
+            kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+            raise kind(f"run with seed {seed} failed: {exc}") from exc
 
     if jobs <= 1:
         return [one(seed) for seed in seeds]

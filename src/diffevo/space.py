@@ -50,7 +50,7 @@ class ParameterSpec:
     choices: tuple[Token, ...] | None = None
 
     def __post_init__(self):
-        if not self.name:
+        if not isinstance(self.name, str) or not self.name:
             raise ValueError("parameter name must be a non-empty string")
         if self.kind not in KINDS:
             raise ValueError(f"parameter {self.name!r}: unknown kind {self.kind!r}")

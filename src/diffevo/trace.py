@@ -43,12 +43,19 @@ class Budget:
             raise ValueError(f"max_cost must be positive, got {self.max_cost}")
 
 
+# under a cost-only budget, this many evaluations in a row that leave the
+# cumulative cost unchanged (invalid or free) stop a run with ValueError
+ZERO_COST_LIMIT = 100_000
+
 # per-event fields, in the order of a recorder row
 COLUMNS = ("cumulative_cost", "objective", "incumbent_objective", "incumbent_test_error", "valid")
 EVENT_FIELDS = ("eval_index", *COLUMNS)
-# required in a trace file; a run header may also carry a "config" object
-_HEADER_KEYS = frozenset(("seed", "optimizer", "benchmark", "best_validation_error",
-                          "best_test_error"))
+# the JSON types of the run header fields; all but "config" are required
+_HEADER_TYPES = {"seed": ("an integer", int), "optimizer": ("a string", str),
+                 "benchmark": ("a string", str), "best_validation_error": ("a number", int, float),
+                 "best_test_error": ("a number or null", int, float, type(None)),
+                 "config": ("an object", dict)}
+_HEADER_KEYS = frozenset(_HEADER_TYPES) - {"config"}
 _EVENT_KEYS = frozenset(EVENT_FIELDS)
 
 
@@ -93,6 +100,7 @@ class RunRecorder:
         self.budget = budget
         self.rows: list[tuple] = []  # one tuple per event, ordered like COLUMNS
         self.cumulative_cost = 0.0
+        self._free = 0  # evaluations since the cumulative cost last changed
         self._incumbent = (math.inf, None, False)  # objective, test error, valid
 
     def evaluate(self, genotypes: np.ndarray, space: SearchSpace) -> np.ndarray:
@@ -102,13 +110,15 @@ class RunRecorder:
         1.0 (at zero cost) for an invalid configuration. Fewer values than
         rows means the budget ran out: the evaluation limit cuts the block
         up front, the cost limit is checked before each row.
+        :data:`ZERO_COST_LIMIT` stops a cost-only run that spends nothing.
         """
         budget = self.budget
         if budget.max_evaluations is not None:
             genotypes = genotypes[:max(budget.max_evaluations - len(self.rows), 0)]
+        free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else math.inf
         max_cost = math.inf if budget.max_cost is None else budget.max_cost
         evaluate, append = self.bench.evaluate, self.rows.append
-        cumulative = self.cumulative_cost
+        cumulative, free = self.cumulative_cost, self._free
         inc_objective, inc_test, inc_valid = self._incumbent
         fitness = []
         for config in space.discretize_rows(genotypes):
@@ -118,9 +128,17 @@ class RunRecorder:
             valid = result.valid
             if valid:
                 objective, test = result.validation_error, result.test_error
-                cumulative += result.cost_seconds
+                spent = cumulative + result.cost_seconds
             else:
-                objective, test = 1.0, None
+                objective, test, spent = 1.0, None, cumulative
+            if spent != cumulative:
+                cumulative, free = spent, 0
+            else:
+                free += 1
+                if free >= free_limit:
+                    raise ValueError(f"{free} evaluations in a row left the cumulative cost at "
+                                     f"{cumulative!r}, so the cost budget may never be spent; "
+                                     "add an evaluation limit (--evals)")
             # a valid configuration displaces an invalid incumbent even on ties,
             # so an invalid point never stays incumbent once a valid one is seen
             if objective < inc_objective or (
@@ -128,7 +146,7 @@ class RunRecorder:
                 inc_objective, inc_test, inc_valid = objective, test, valid
             append((cumulative, objective, inc_objective, inc_test, valid))
             fitness.append(objective)
-        self.cumulative_cost = cumulative
+        self.cumulative_cost, self._free = cumulative, free
         self._incumbent = (inc_objective, inc_test, inc_valid)
         return np.array(fitness, dtype=float)
 
@@ -233,9 +251,10 @@ def read_traces(path: str | Path) -> list[RunTrace]:
     """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
 
     Raises ValueError naming ``path:line`` for a line that is not JSON, is
-    neither a run header nor an event, lacks a field, or carries an
-    ``eval_index`` other than its position in the run. Lines are checked a
-    run at a time, but the error is always the one for the first bad line.
+    neither a run header nor an event, lacks a field, has a run header field
+    of the wrong JSON type, or carries an ``eval_index`` other than its
+    position in the run. Lines are checked a run at a time, but the error is
+    always the one for the first bad line.
     """
     path = Path(path)
     traces: list[RunTrace] = []
@@ -287,6 +306,10 @@ def read_traces(path: str | Path) -> list[RunTrace]:
         flush()
         header, header_line, events, linenos = run, lineno, [], []
         _require(path, lineno, header, _HEADER_KEYS, "run header")
+        for name, (kind, *types) in _HEADER_TYPES.items():
+            if type(header.get(name, {})) not in types:  # bool is not int here
+                raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
+                                 f"{header[name]!r}")
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")

@@ -80,6 +80,25 @@ def reference_read_traces(path):
         if not keys <= doc.keys():
             raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
 
+    def check_header_types(header, lineno):
+        def is_number(x):
+            return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+        kinds = {"seed": "an integer", "optimizer": "a string", "benchmark": "a string",
+                 "best_validation_error": "a number", "best_test_error": "a number or null",
+                 "config": "an object"}
+        ok = {"seed": isinstance(header["seed"], int) and not isinstance(header["seed"], bool),
+              "optimizer": isinstance(header["optimizer"], str),
+              "benchmark": isinstance(header["benchmark"], str),
+              "best_validation_error": is_number(header["best_validation_error"]),
+              "best_test_error": header["best_test_error"] is None
+              or is_number(header["best_test_error"]),
+              "config": isinstance(header.get("config", {}), dict)}
+        for name in kinds:
+            if not ok[name]:
+                raise ValueError(f"{path}:{lineno}: run header field {name!r} is not "
+                                 f"{kinds[name]}: {header[name]!r}")
+
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -91,6 +110,7 @@ def reference_read_traces(path):
             flush()
             header, header_line, rows = doc["run"], lineno, []
             require(header, header_keys, "run header", lineno)
+            check_header_types(header, lineno)
         elif isinstance(doc, dict) and not doc.keys().isdisjoint(event_keys):
             if header is None:
                 raise ValueError(f"{path}:{lineno}: event before any run header")
@@ -150,12 +170,15 @@ def reference_discretize(space, genotype):
 class ReferenceRecorder:
     """Scalar reference for ``RunRecorder``: one genotype per call, with the
     budget checked before each evaluation. ``evaluate`` returns None once
-    the budget is spent."""
+    the budget is spent, and under a cost-only budget raises ValueError
+    after 100,000 evaluations in a row that left the cumulative cost as it
+    was."""
 
     def __init__(self, bench, budget):
         self.bench, self.budget = bench, budget
         self.rows = []
         self.cumulative_cost = 0.0
+        self.free = 0
         self.inc_objective, self.inc_test, self.inc_valid = math.inf, None, False
 
     def exhausted(self):
@@ -171,7 +194,13 @@ class ReferenceRecorder:
             objective, cost, test = result.validation_error, result.cost_seconds, result.test_error
         else:
             objective, cost, test = 1.0, 0.0, None
+        before = self.cumulative_cost
         self.cumulative_cost += cost
+        self.free = self.free + 1 if self.cumulative_cost == before else 0
+        if self.budget.max_evaluations is None and self.free == 100_000:
+            raise ValueError(f"100000 evaluations in a row left the cumulative cost at "
+                             f"{before!r}, so the cost budget may never be spent; "
+                             f"add an evaluation limit (--evals)")
         if objective < self.inc_objective or (
                 result.valid and not self.inc_valid and objective <= self.inc_objective):
             self.inc_objective, self.inc_test, self.inc_valid = objective, test, result.valid

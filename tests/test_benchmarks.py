@@ -65,6 +65,17 @@ class TestTabularBenchmark:
         with pytest.raises(BenchmarkLoadError):
             TabularBenchmark(space=tiny_space(), table=table, benchmark_id="t")
 
+    @pytest.mark.parametrize("row", [("0.3", None, 1.0), (True, None, 1.0), (0.3, "x", 1.0),
+                                     (0.3, None, None), (0.3, None, np.bool_(True))])
+    def test_rejects_values_that_are_not_numbers(self, row):
+        with pytest.raises(BenchmarkLoadError, match=r"^\('a', 1\): .* is not a number"):
+            TabularBenchmark(space=tiny_space(), table={("a", 1): row}, benchmark_id="t")
+
+    def test_accepts_numpy_numbers(self):
+        row = (np.float64(0.3), np.float32(0.25), np.int64(2))
+        bench = TabularBenchmark(space=tiny_space(), table={("a", 1): row}, benchmark_id="t")
+        assert bench.best_validation_error == np.float64(0.3)
+
 
 class TestTabularFile:
     def test_round_trip_identical_behavior(self, tmp_path):
@@ -150,6 +161,47 @@ class TestTabularFile:
         with pytest.raises(BenchmarkLoadError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:3: line 3: validation error 1.2 outside [0, 1]"
+
+    @pytest.mark.parametrize("values, problem", [
+        ({"val_err": "0.3", "cost": 1.0}, "validation error '0.3' is not a number"),
+        ({"val_err": True, "cost": 1.0}, "validation error True is not a number"),
+        ({"val_err": None, "cost": 1.0}, "validation error None is not a number"),
+        ({"val_err": 0.3, "test_err": "0.2", "cost": 1.0},
+         "test error '0.2' is not a number or null"),
+        ({"val_err": 0.3, "test_err": False, "cost": 1.0},
+         "test error False is not a number or null"),
+        ({"val_err": 0.3, "cost": "1"}, "cost '1' is not a number"),
+        ({"val_err": 0.3, "cost": None}, "cost None is not a number"),
+        ({"val_err": 0.3, "cost": [1.0]}, "cost [1.0] is not a number"),
+    ])
+    def test_value_that_is_not_a_number_fails_naming_the_line(self, tmp_path, values, problem):
+        path = self.write_file(tmp_path, [
+            json.dumps({"key": ["a", 2], "val_err": 0.3, "cost": 1.0}),
+            json.dumps({"key": ["a", 1], **values}),
+            json.dumps({"key": ["b", 2], "val_err": 0.3, "cost": 1.0}),
+        ])
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:3: line 3: {problem}"
+
+    @pytest.mark.parametrize("record", ["3", "[1]", '"key"', "null"])
+    def test_record_that_is_not_an_object_fails_naming_the_line(self, tmp_path, record):
+        path = self.write_file(tmp_path, [
+            json.dumps({"key": ["a", 2], "val_err": 0.3, "cost": 1.0}), record])
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:3: record is not a JSON object"
+
+    @pytest.mark.parametrize("header", ["3", "[]", '{"params": [3]}', '{"params": 3}',
+                                        '{"params": [{"name": "a", "kind": "ordinal", '
+                                        '"values": 5}]}',
+                                        '{"params": [{"name": "a", "kind": "ordinal", '
+                                        '"values": ["x"]}], "benchmark_id": 4}'])
+    def test_malformed_header_fails_naming_the_line(self, tmp_path, header):
+        path = tmp_path / "bench.jsonl"
+        path.write_text(header + "\n" + json.dumps({"key": ["x"], "val_err": 0.3, "cost": 1.0}))
+        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:1: bad header: "):
+            load_tabular(path)
 
     def test_repeated_key_with_bad_values_names_the_values(self, tmp_path):
         path = self.write_file(tmp_path, [

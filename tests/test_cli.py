@@ -87,6 +87,19 @@ class TestRun:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_run_that_never_spends_its_cost_budget_fails_cleanly(self, tmp_path, capsys):
+        # F = 0 only recombines the initial coordinates, all invalid at seed 189
+        out = tmp_path / "x.jsonl"
+        code = run_cli("run", "--benchmark", "synthetic:3x4:invalid=0.5:seed=0", "--np", "4",
+                       "--f", "0", "--cr", "0", "--cost", "0.5", "--seed", "189",
+                       "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: run with seed 189 failed: 100000 evaluations in a row left the "
+                       "cumulative cost at 0.0, so the cost budget may never be spent; add an "
+                       "evaluation limit (--evals)\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_tabular_file_fails_cleanly(self, tmp_path, capsys):
         code = run_cli("run", "--benchmark", str(tmp_path / "nope.jsonl"),
                        "--evals", "5", "--out", str(tmp_path / "t.jsonl"))
@@ -276,6 +289,24 @@ class TestAggregateCommand:
         assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace_file}:3:") and "'cumulative_cost'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("seed", [1], "an integer"), ("seed", "zero", "an integer"),
+        ("optimizer", 5, "a string"), ("config", [1], "an object"),
+        ("best_test_error", "0.1", "a number or null"),
+    ])
+    def test_wrongly_typed_header_fails_cleanly(self, tmp_path, capsys, field, value, kind):
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        lines = trace_file.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["run"][field] = value
+        lines[0] = json.dumps(header)
+        trace_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: {trace_file}:1: run header field {field!r} "
+                                           f"is not {kind}: {value!r}\n")
         assert not out.exists()
 
     def test_trace_breaking_invariants_fails_cleanly(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffevo import Budget, DEConfig, EvaluationResult, FunctionBenchmark, make_synthetic, run_de
@@ -25,6 +25,14 @@ def initial_population(population_size, dimension, seed):
 
 
 # -- scalar references for the generation-at-a-time code ----------------------
+
+
+def outcome(run, *args):
+    """A run's trace, or the message of the ValueError that stopped it."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def draw_parent_indices(population_size, target, rng):
@@ -412,10 +420,14 @@ class TestRunDE:
            st.one_of(st.builds(Budget, max_evaluations=st.integers(1, 120)),
                      st.builds(Budget, max_cost=st.floats(0.5, 90.0))),
            st.sampled_from(["invalid", "ties", "sphere"]))
+    # F = 0 recombines only the initial coordinates, all of them invalid
+    # here, so this run meets the zero-cost limit
+    @example(seed=189, size=4, f=0.0, cr=0.0, budget=Budget(max_cost=0.5), kind="invalid")
     def test_matches_scalar_reference(self, seed, size, f, cr, budget, kind):
         # budgets stop runs mid-initialization and mid-generation; invalid
         # keys, a constant objective (every selection a tie) and float
-        # discretization all give the same trace one target at a time
+        # discretization all give the same trace one target at a time, and
+        # a run stopped by the zero-cost limit the same error
         if kind == "invalid":
             bench = make_synthetic(3, 4, invalid_fraction=0.5, seed=seed % 7)
         elif kind == "ties":
@@ -425,6 +437,10 @@ class TestRunDE:
             bench = FunctionBenchmark("sphere", 2)
         cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
         got, want = RecordingBenchmark(bench), RecordingBenchmark(bench)
-        assert_same_traces([run_de(bench.space, got, cfg, seed)],
-                           [reference_run_de(bench.space, want, cfg, seed)])
+        got_run = outcome(run_de, bench.space, got, cfg, seed)
+        want_run = outcome(reference_run_de, bench.space, want, cfg, seed)
+        if isinstance(want_run, str):
+            assert got_run == want_run
+        else:
+            assert_same_traces([got_run], [want_run])
         assert got.configs == want.configs

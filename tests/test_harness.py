@@ -253,6 +253,15 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="seed 2"):
             run_experiment(failing, bench, n_runs=4, base_seed=0)
 
+    def test_value_error_stays_a_value_error(self):
+        bench = make_synthetic(4, 3, seed=0)
+
+        def failing(b, seed):
+            raise ValueError("bad input")
+
+        with pytest.raises(ValueError, match="^run with seed 5 failed: bad input$"):
+            run_experiment(failing, bench, n_runs=2, base_seed=5)
+
     def test_rejects_zero_runs(self):
         bench = make_synthetic(4, 3, seed=0)
         with pytest.raises(ValueError):

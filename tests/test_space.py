@@ -93,6 +93,11 @@ class TestParameterSpec:
         with pytest.raises(ValueError):
             ParameterSpec(name="x", kind="categorical", choices=("a", "a"))
 
+    @pytest.mark.parametrize("name", ["", 5, None, ["x"]])
+    def test_name_must_be_a_nonempty_string(self, name):
+        with pytest.raises(ValueError, match="non-empty string"):
+            ParameterSpec(name=name, kind="ordinal", values=("a",))
+
     def test_tokens_must_be_nonempty(self):
         with pytest.raises(ValueError):
             ParameterSpec(name="x", kind="ordinal", values=())

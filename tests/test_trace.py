@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffevo import Budget, EvaluationResult, make_synthetic, read_traces, write_traces
-from diffevo.trace import EVENT_FIELDS, RunRecorder
+from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
     ReferenceRecorder,
@@ -107,6 +108,37 @@ class TestBlockRecorder:
             assert_same_traces([trace], [run_rows(bench, Budget(max_evaluations=10),
                                                   genotypes)[1]])
 
+    def test_cost_only_run_stops_at_the_zero_cost_limit(self):
+        # bins: invalid, valid at zero cost, valid at cost 1; both kinds of
+        # free evaluation count, across blocks, and a costly one resets the count
+        bench = RecordingBenchmark(TableBench([
+            EvaluationResult.invalid(),
+            EvaluationResult(valid=True, validation_error=0.5, cost_seconds=0.0),
+            EvaluationResult(valid=True, validation_error=0.4, cost_seconds=1.0),
+            EvaluationResult.invalid(), EvaluationResult.invalid()]))
+        free = np.tile([[0.1], [0.3]], (ZERO_COST_LIMIT // 2, 1))
+        genotypes = np.concatenate([free[:-1], [[0.5]], free])
+        budget = Budget(max_cost=10.0)
+        with pytest.raises(ValueError) as got:
+            run_blocks(bench, budget, genotypes, [3, 50_000, ZERO_COST_LIMIT, 150_001])
+        assert str(got.value) == (f"{ZERO_COST_LIMIT} evaluations in a row left the cumulative "
+                                  "cost at 1.0, so the cost budget may never be spent; add an "
+                                  "evaluation limit (--evals)")
+        assert len(bench.configs) == len(genotypes) == 2 * ZERO_COST_LIMIT
+        want = RecordingBenchmark(bench.base)
+        with pytest.raises(ValueError) as reference:
+            run_rows(want, budget, genotypes)
+        assert str(reference.value) == str(got.value)
+        assert want.configs == bench.configs
+
+    def test_evaluation_limit_lifts_the_zero_cost_limit(self):
+        bench = make_synthetic(3, 3, invalid_fraction=0.5, seed=0)
+        invalid = next(g for g in np.random.default_rng(0).random((50, 3))
+                       if not bench.evaluate(bench.space.discretize(g)).valid)
+        budget = Budget(max_evaluations=ZERO_COST_LIMIT + 1, max_cost=1.0)
+        fitness, trace = run_blocks(bench, budget, np.tile(invalid, (ZERO_COST_LIMIT + 1, 1)), [])
+        assert len(fitness) == len(trace) == ZERO_COST_LIMIT + 1
+
 
 def reference_event_line(index, row):
     """The event line as ``json.dumps`` writes it."""
@@ -186,6 +218,16 @@ def trace_file_lines(draw):
     return lines
 
 
+# per run header field, values of a wrong JSON type
+WRONG_HEADER_VALUES = {
+    "seed": ["zero", "1", [1], {}, True, 1.0, None],
+    "optimizer": [5, None, ["x"], True],
+    "benchmark": [5, {}, False],
+    "best_validation_error": ["0.1", True, None, [0.1]],
+    "best_test_error": ["0.2", False, [], {}],
+    "config": [[1], "np", 3, None],
+}
+
 ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", [1], {}, math.nan, math.inf,
               -math.inf]
 
@@ -193,7 +235,8 @@ ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", [1], {}, math.nan, 
 def mutate(data, lines):
     """One edit of the kinds a damaged or hand-edited trace file shows."""
     kind = data.draw(st.sampled_from(["pad", "blank", "join", "split", "truncate", "drop key",
-                                      "set key", "replace", "move", "delete", "repeat"]))
+                                      "set key", "retype header", "replace", "move", "delete",
+                                      "repeat"]))
     i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
     j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
     line = lines[i]
@@ -224,6 +267,20 @@ def mutate(data, lines):
         else:  # "valid": 1, a wrong eval_index, an integer cost, null, NaN, Infinity, ...
             target[key] = data.draw(st.sampled_from(ODD_VALUES))
         lines[i] = json.dumps(doc)
+    elif kind == "retype header":
+        headers = [k for k, text in enumerate(lines) if text.startswith('{"run": {')]
+        if not headers:
+            return
+        k = data.draw(st.sampled_from(headers))
+        try:
+            doc = json.loads(lines[k])
+        except json.JSONDecodeError:  # an earlier edit broke the line
+            return
+        if not isinstance(doc.get("run"), dict):
+            return
+        name = data.draw(st.sampled_from(sorted(WRONG_HEADER_VALUES)))
+        doc["run"][name] = data.draw(st.sampled_from(WRONG_HEADER_VALUES[name]))
+        lines[k] = json.dumps(doc)
     elif kind == "replace":  # JSON that is neither a header nor an event
         lines[i] = data.draw(st.sampled_from(["3", "null", "[]", '["run"]', '"run"', "{}",
                                               '{"run": 1}', '{"run": [], "valid": true}']))
@@ -236,6 +293,21 @@ def mutate(data, lines):
 
 
 class TestTraceReader:
+    @pytest.mark.parametrize("name, value", [(name, value) for name, values
+                                             in WRONG_HEADER_VALUES.items() for value in values])
+    def test_wrongly_typed_header_field(self, tmp_path, name, value):
+        header = {"seed": 0, "optimizer": "x", "benchmark": "b", "best_validation_error": 0.0,
+                  "best_test_error": None, name: value}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps({"run": header}) + "\n" + json.dumps({
+            "eval_index": 0, "cumulative_cost": 0.0, "objective": 1.0, "incumbent_objective": 1.0,
+            "incumbent_test_error": None, "valid": False}) + "\n")
+        message = f"{path}:1: run header field {name!r} is not .*: {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            read_traces(path)
+        with pytest.raises(ValueError, match=message):
+            reference_read_traces(path)
+
     @settings(max_examples=400, deadline=None)
     @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.data())
     def test_matches_line_by_line_reference(self, lines, edits, data):
