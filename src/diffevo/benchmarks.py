@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -106,7 +105,8 @@ class TabularBenchmark:
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return type(x) is float or (isinstance(x, (int, np.integer, np.floating))
+                                and not isinstance(x, bool))
 
 
 def _check_rows(space, table, where):
