@@ -61,9 +61,9 @@ def main():
     re_cfg = REConfig(population_size=args.re_pop, sample_size=args.re_sample,
                       budget=budget)
     runners = {
-        "de": lambda b, s: run_de(b.space, b, de_cfg, s),
-        "rs": lambda b, s: run_random_search(b.space, b, budget, s),
-        "re": lambda b, s: run_regularized_evolution(b.space, b, re_cfg, s),
+        "de": lambda b, s: run_de(b, de_cfg, s),
+        "rs": lambda b, s: run_random_search(b, budget, s),
+        "re": lambda b, s: run_regularized_evolution(b, re_cfg, s),
     }
 
     print(f"benchmark {bench.benchmark_id}: best validation error "

@@ -35,7 +35,7 @@ def main():
                    scaling_factor=args.scaling_factor,
                    crossover_rate=args.crossover_rate,
                    budget=Budget(max_evaluations=args.evals))
-    traces = run_experiment(lambda b, s: run_de(b.space, b, cfg, s), bench,
+    traces = run_experiment(lambda b, s: run_de(b, cfg, s), bench,
                             n_runs=args.runs, base_seed=args.seed)
     finals = final_regrets(traces)
     hits = int((finals <= args.tolerance).sum())

@@ -11,7 +11,6 @@ from .baselines import REConfig, run_random_search, run_regularized_evolution
 from .benchmarks import (
     Benchmark,
     BenchmarkLoadError,
-    EvaluationResult,
     FunctionBenchmark,
     TabularBenchmark,
     load_tabular,
@@ -38,7 +37,6 @@ __all__ = [
     "Budget",
     "Configuration",
     "DEConfig",
-    "EvaluationResult",
     "FunctionBenchmark",
     "ParameterSpec",
     "REConfig",

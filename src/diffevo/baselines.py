@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import Benchmark
-from .space import SearchSpace
 from .trace import Budget, RunRecorder, RunTrace
 
 RS_BLOCK = 1024  # genotypes drawn and evaluated per recorder call
 
 
-def run_random_search(space: SearchSpace, bench: Benchmark, budget: Budget, seed: int) -> RunTrace:
+def run_random_search(bench: Benchmark, budget: Budget, seed: int) -> RunTrace:
     """Evaluate independent uniform genotypes until the budget is exhausted.
 
     A (k, D) draw is the same stream as k draws of D values, so drawing
@@ -33,8 +32,8 @@ def run_random_search(space: SearchSpace, bench: Benchmark, budget: Budget, seed
     """
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, budget)
-    block = min(RS_BLOCK, budget.max_evaluations or RS_BLOCK)
-    while len(recorder.evaluate(rng.random((block, space.dimension)), space)) == block:
+    shape = (min(RS_BLOCK, budget.max_evaluations or RS_BLOCK), bench.space.dimension)
+    while len(recorder.evaluate(rng.random(shape))) == shape[0]:
         pass
     return recorder.finish(seed=seed, optimizer_id="rs", config={})
 
@@ -71,16 +70,15 @@ def mutate_one_dimension(genotype: np.ndarray, rng: np.random.Generator) -> np.n
     return child
 
 
-def run_regularized_evolution(space: SearchSpace, bench: Benchmark, cfg: REConfig,
-                              seed: int) -> RunTrace:
+def run_regularized_evolution(bench: Benchmark, cfg: REConfig, seed: int) -> RunTrace:
     """One regularized-evolution run; returns the full evaluation trace."""
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, cfg.budget)
-    genotypes = rng.random((cfg.population_size, space.dimension))
-    fitness = recorder.evaluate(genotypes, space)
+    genotypes = rng.random((cfg.population_size, bench.space.dimension))
+    fitness = recorder.evaluate(genotypes)
     while len(fitness) == cfg.population_size:
         child = mutate_one_dimension(genotypes[tournament_select(fitness, cfg.sample_size, rng)], rng)
-        child_fitness = recorder.evaluate(child[None], space)
+        child_fitness = recorder.evaluate(child[None])
         if not len(child_fitness):
             break
         # aging: the oldest member leaves whatever its fitness

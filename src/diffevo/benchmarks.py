@@ -1,8 +1,8 @@
 """Evaluation contract and concrete benchmarks.
 
-A benchmark maps a native-domain configuration to a validation error in
-[0, 1], an optional test error, and a training cost in seconds. Three
-families are provided:
+A benchmark maps a native-domain configuration to one row: a validation
+error in [0, 1], an optional test error, and a training cost in seconds; an
+invalid configuration has no row (None). Three families are provided:
 
 * :class:`TabularBenchmark` -- a lookup table over a finite discrete space,
   loadable from a JSON Lines file; configurations absent from the table are
@@ -28,7 +28,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .space import Configuration, ParameterSpec, SearchSpace
+from .space import Configuration, ParameterSpec, SearchSpace, _is_number
 
 # configurations at most this large may be enumerated exhaustively
 MAX_SYNTHETIC_CONFIGS = 10**6
@@ -36,24 +36,6 @@ MAX_SYNTHETIC_CONFIGS = 10**6
 
 class BenchmarkLoadError(ValueError):
     """A tabular benchmark file failed validation; the message names the row."""
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Outcome of evaluating one configuration.
-
-    For invalid configurations the optimizer substitutes a validation error
-    of 1.0 and zero cost regardless of what the benchmark filled in here.
-    """
-
-    valid: bool
-    validation_error: float
-    test_error: float | None = None
-    cost_seconds: float = 0.0
-
-    @classmethod
-    def invalid(cls) -> "EvaluationResult":
-        return cls(valid=False, validation_error=1.0, test_error=None, cost_seconds=0.0)
 
 
 class Benchmark(Protocol):
@@ -64,7 +46,9 @@ class Benchmark(Protocol):
     best_validation_error: float
     best_test_error: float | None
 
-    def evaluate(self, config: Configuration) -> EvaluationResult: ...
+    def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
+        """The row ``(validation_error, test_error or None, cost_seconds)`` of
+        ``config``, or None when the configuration is invalid."""
 
 
 @dataclass(frozen=True)
@@ -96,17 +80,8 @@ class TabularBenchmark:
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
 
-    def evaluate(self, config: Configuration) -> EvaluationResult:
-        row = self.table.get(tuple(config))
-        if row is None:
-            return EvaluationResult.invalid()
-        val, test, cost = row
-        return EvaluationResult(valid=True, validation_error=val, test_error=test, cost_seconds=cost)
-
-
-def _is_real(x) -> bool:
-    return type(x) is float or (isinstance(x, (int, np.integer, np.floating))
-                                and not isinstance(x, bool))
+    def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
+        return self.table.get(tuple(config))
 
 
 def _check_rows(space, table, where):
@@ -115,15 +90,15 @@ def _check_rows(space, table, where):
     for key, (val, test, cost) in table.items():
         if not space.contains(key):
             problem = f"key {key!r} outside the declared space"
-        elif not _is_real(val):
+        elif not _is_number(val):
             problem = f"validation error {val!r} is not a number"
         elif not 0.0 <= val <= 1.0:
             problem = f"validation error {val} outside [0, 1]"
-        elif test is not None and not _is_real(test):
+        elif test is not None and not _is_number(test):
             problem = f"test error {test!r} is not a number or null"
         elif test is not None and not 0.0 <= test <= 1.0:
             problem = f"test error {test} outside [0, 1]"
-        elif not _is_real(cost):
+        elif not _is_number(cost):
             problem = f"cost {cost!r} is not a number"
         elif not 0.0 <= cost < math.inf:
             problem = f"cost {cost} is negative or not finite"
@@ -364,15 +339,10 @@ class FunctionBenchmark:
             f"{self.name}:{self.dimension}:lo={self.lo:g}:hi={self.hi:g}",
         )
 
-    def evaluate(self, config: Configuration) -> EvaluationResult:
+    def evaluate(self, config: Configuration) -> tuple[float, None, float]:
         x = np.asarray(config, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} coordinates, got {x.shape}")
         f = _FUNCTIONS[self.name](x)
-        return EvaluationResult(
-            valid=True,
-            validation_error=f / (1.0 + f),
-            test_error=None,
-            cost_seconds=1.0,
-        )
+        return f / (1.0 + f), None, 1.0
 

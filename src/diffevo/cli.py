@@ -100,14 +100,14 @@ def build_runner(optimizer: str, cfg: dict, budget: Budget) -> RunFn:
             crossover_rate=cfg["cr"],
             budget=budget,
         )
-        return lambda bench, seed: run_de(bench.space, bench, de_cfg, seed)
+        return lambda bench, seed: run_de(bench, de_cfg, seed)
     if optimizer == "rs":
-        return lambda bench, seed: run_random_search(bench.space, bench, budget, seed)
+        return lambda bench, seed: run_random_search(bench, budget, seed)
     if optimizer == "re":
         re_cfg = REConfig(
             population_size=cfg["pop"], sample_size=cfg["sample"], budget=budget,
         )
-        return lambda bench, seed: run_regularized_evolution(bench.space, bench, re_cfg, seed)
+        return lambda bench, seed: run_regularized_evolution(bench, re_cfg, seed)
     raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
 
 
@@ -171,13 +171,17 @@ def cmd_compare(args, parser) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     bench = parse_benchmark(cfg["benchmark"])
+    # every optimizer runs before anything is written, so a failure leaves no
+    # partial result set; of each, only the curve and final regrets are kept
+    results = []
     for optimizer in optimizers:
         runner = build_runner(optimizer, cfg, budget)
         traces = run_experiment(runner, bench, n_runs=cfg["runs"], base_seed=cfg["seed"],
                                 jobs=cfg["jobs"])
-        curve = aggregate(traces, grid=args.grid, points=args.points)
+        results.append((optimizer, aggregate(traces, grid=args.grid, points=args.points),
+                        final_regrets(traces)))
+    for optimizer, curve, regrets in results:
         write_curve_csv(curve, out_dir / f"{optimizer}.csv")
-        regrets = final_regrets(traces)
         std = regrets.std(ddof=1) if len(regrets) > 1 else 0.0
         print(f"optimizer={optimizer} final_regret_mean={regrets.mean():.6f} "
               f"final_regret_std={std:.6f}")

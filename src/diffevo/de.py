@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import Benchmark
-from .space import SearchSpace
 from .trace import Budget, RunRecorder, RunTrace
 
 MIN_POPULATION = 4  # target plus three distinct mutation parents
@@ -78,7 +77,7 @@ def crossover_binomial(target: np.ndarray, mutant: np.ndarray, crossover_rate: f
     return np.where(take_mutant, mutant, target)
 
 
-def run_de(space: SearchSpace, bench: Benchmark, cfg: DEConfig, seed: int) -> RunTrace:
+def run_de(bench: Benchmark, cfg: DEConfig, seed: int) -> RunTrace:
     """One differential-evolution run; returns the full evaluation trace.
 
     The budget is checked before every evaluation, so the run may stop in
@@ -89,13 +88,13 @@ def run_de(space: SearchSpace, bench: Benchmark, cfg: DEConfig, seed: int) -> Ru
     rng = np.random.default_rng(seed)
     recorder = RunRecorder(bench, cfg.budget)
     size = cfg.population_size
-    genotypes = rng.random((size, space.dimension))
-    fitness = recorder.evaluate(genotypes, space)
+    genotypes = rng.random((size, bench.space.dimension))
+    fitness = recorder.evaluate(genotypes)
     while len(fitness) == size:
         r1, r2, r3 = parent_indices(size, rng).T
         mutants = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3], cfg.scaling_factor)
         trials = crossover_binomial(genotypes, mutants, cfg.crossover_rate, rng)
-        trial_fitness = recorder.evaluate(trials, space)
+        trial_fitness = recorder.evaluate(trials)
         if len(trial_fitness) < size:
             break  # the budget ran out mid-generation, which ends the run
         wins = trial_fitness <= fitness

@@ -122,6 +122,8 @@ def _build_grid(grid, points: int, all_times: list[np.ndarray]) -> np.ndarray:
         if grid == "union":
             return np.unique(np.concatenate(all_times))
         if grid == "log":
+            if points < 1:
+                raise ValueError(f"the log grid needs at least 1 point, got {points}")
             start = min(t[0] for t in all_times)
             stop = max(t[-1] for t in all_times)
             if start <= 0.0:

@@ -120,7 +120,9 @@ class ParameterSpec:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A real number that is not a bool: Python's or numpy's."""
+    return type(value) is float or (isinstance(value, (int, np.integer, np.floating))
+                                    and not isinstance(value, bool))
 
 
 def _check_tokens(name: str, tokens: tuple[Token, ...]):

@@ -24,7 +24,6 @@ from typing import Any
 import numpy as np
 
 from .benchmarks import Benchmark
-from .space import SearchSpace
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,8 @@ class Budget:
             raise ValueError("budget needs max_evaluations and/or max_cost")
         if self.max_evaluations is not None and self.max_evaluations < 1:
             raise ValueError(f"max_evaluations must be positive, got {self.max_evaluations}")
-        if self.max_cost is not None and self.max_cost <= 0:
-            raise ValueError(f"max_cost must be positive, got {self.max_cost}")
+        if self.max_cost is not None and not 0 < self.max_cost < math.inf:
+            raise ValueError(f"max_cost must be positive and finite, got {self.max_cost}")
 
 
 # under a cost-only budget, this many evaluations in a row that leave the
@@ -103,14 +102,15 @@ class RunRecorder:
         self._free = 0  # evaluations since the cumulative cost last changed
         self._incumbent = (math.inf, None, False)  # objective, test error, valid
 
-    def evaluate(self, genotypes: np.ndarray, space: SearchSpace) -> np.ndarray:
+    def evaluate(self, genotypes: np.ndarray) -> np.ndarray:
         """Evaluate and record the rows of an (N, D) genotype block, in order.
 
         Returns the fitness of each evaluated row: the validation error, or
-        1.0 (at zero cost) for an invalid configuration. Fewer values than
-        rows means the budget ran out: the evaluation limit cuts the block
-        up front, the cost limit is checked before each row.
-        :data:`ZERO_COST_LIMIT` stops a cost-only run that spends nothing.
+        1.0 (at zero cost) for an invalid configuration, one the benchmark
+        gives no row. Fewer values than rows means the budget ran out: the
+        evaluation limit cuts the block up front, the cost limit is checked
+        before each row. :data:`ZERO_COST_LIMIT` stops a cost-only run that
+        spends nothing, and a negative or NaN cost raises ValueError.
         """
         budget = self.budget
         if budget.max_evaluations is not None:
@@ -121,24 +121,27 @@ class RunRecorder:
         cumulative, free = self.cumulative_cost, self._free
         inc_objective, inc_test, inc_valid = self._incumbent
         fitness = []
-        for config in space.discretize_rows(genotypes):
+        for config in self.bench.space.discretize_rows(genotypes):
             if cumulative >= max_cost:
                 break
-            result = evaluate(config)
-            valid = result.valid
+            row = evaluate(config)
+            valid = row is not None
             if valid:
-                objective, test = result.validation_error, result.test_error
-                spent = cumulative + result.cost_seconds
+                objective, test, cost = row
+                spent = cumulative + cost
             else:
                 objective, test, spent = 1.0, None, cumulative
-            if spent != cumulative:
+            if spent > cumulative:
                 cumulative, free = spent, 0
-            else:
+            elif spent == cumulative:
                 free += 1
                 if free >= free_limit:
                     raise ValueError(f"{free} evaluations in a row left the cumulative cost at "
                                      f"{cumulative!r}, so the cost budget may never be spent; "
                                      "add an evaluation limit (--evals)")
+            else:  # only a valid row's cost can be negative or NaN
+                raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or "
+                                 "not a number")
             # a valid configuration displaces an invalid incumbent even on ties,
             # so an invalid point never stays incumbent once a valid one is seen
             if objective < inc_objective or (
@@ -167,14 +170,18 @@ class RunRecorder:
 def check_trace_invariants(trace: RunTrace):
     """Raise ValueError when a trace violates the recorded-run contract.
 
-    Checked for every produced and every read trace: objectives in [0, 1],
-    non-decreasing cumulative cost with zero increments on invalid
-    evaluations, a non-increasing incumbent, and non-negative regret
-    against the benchmark's best validation error. The message names the
-    first offending event.
+    Checked for every produced and every read trace: finite best-known
+    errors, objectives in [0, 1], non-decreasing cumulative cost with zero
+    increments on invalid evaluations, a non-increasing incumbent, and
+    non-negative regret against the benchmark's best validation error. The
+    message names the first offending event.
     """
     if not len(trace):
         raise ValueError("trace has no events")
+    if not math.isfinite(trace.best_validation_error):
+        raise ValueError(f"best validation error {trace.best_validation_error} is not finite")
+    if trace.best_test_error is not None and not math.isfinite(trace.best_test_error):
+        raise ValueError(f"best test error {trace.best_test_error} is not finite")
     cost, objective, incumbent = trace.cumulative_cost, trace.objective, trace.incumbent_objective
     prev_cost = np.concatenate(([0.0], cost[:-1]))
     prev_incumbent = np.concatenate(([math.inf], incumbent[:-1]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import diffevo.baselines as baselines
-from diffevo import EvaluationResult, ParameterSpec, RunTrace, SearchSpace
+from diffevo import ParameterSpec, RunTrace, SearchSpace
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
@@ -170,9 +170,9 @@ def reference_discretize(space, genotype):
 class ReferenceRecorder:
     """Scalar reference for ``RunRecorder``: one genotype per call, with the
     budget checked before each evaluation. ``evaluate`` returns None once
-    the budget is spent, and under a cost-only budget raises ValueError
-    after 100,000 evaluations in a row that left the cumulative cost as it
-    was."""
+    the budget is spent, raises ValueError for a negative or NaN cost, and
+    under a cost-only budget raises ValueError after 100,000 evaluations in
+    a row that left the cumulative cost as it was."""
 
     def __init__(self, bench, budget):
         self.bench, self.budget = bench, budget
@@ -186,15 +186,16 @@ class ReferenceRecorder:
             return True
         return self.budget.max_cost is not None and self.cumulative_cost >= self.budget.max_cost
 
-    def evaluate(self, genotype, space):
+    def evaluate(self, genotype):
         if self.exhausted():
             return None
-        result = self.bench.evaluate(reference_discretize(space, genotype))
-        if result.valid:
-            objective, cost, test = result.validation_error, result.cost_seconds, result.test_error
-        else:
-            objective, cost, test = 1.0, 0.0, None
+        config = reference_discretize(self.bench.space, genotype)
+        row = self.bench.evaluate(config)
+        valid = row is not None
+        objective, test, cost = row if valid else (1.0, None, 0.0)
         before = self.cumulative_cost
+        if not before + cost >= before:
+            raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or not a number")
         self.cumulative_cost += cost
         self.free = self.free + 1 if self.cumulative_cost == before else 0
         if self.budget.max_evaluations is None and self.free == 100_000:
@@ -202,10 +203,10 @@ class ReferenceRecorder:
                              f"{before!r}, so the cost budget may never be spent; "
                              f"add an evaluation limit (--evals)")
         if objective < self.inc_objective or (
-                result.valid and not self.inc_valid and objective <= self.inc_objective):
-            self.inc_objective, self.inc_test, self.inc_valid = objective, test, result.valid
+                valid and not self.inc_valid and objective <= self.inc_objective):
+            self.inc_objective, self.inc_test, self.inc_valid = objective, test, valid
         self.rows.append((self.cumulative_cost, objective, self.inc_objective, self.inc_test,
-                          result.valid))
+                          valid))
         return objective
 
     def finish(self, seed, optimizer_id, config=None):
@@ -257,15 +258,11 @@ class TransformedBenchmark:
         self.best_test_error = base.best_test_error
 
     def evaluate(self, config):
-        res = self.base.evaluate(config)
-        if not res.valid:
-            return res
-        return EvaluationResult(
-            valid=True,
-            validation_error=self.transform(res.validation_error),
-            test_error=res.test_error,
-            cost_seconds=res.cost_seconds,
-        )
+        row = self.base.evaluate(config)
+        if row is None:
+            return None
+        val, test, cost = row
+        return self.transform(val), test, cost
 
 
 @pytest.fixture

@@ -70,14 +70,14 @@ def timed_experiment(run_fn, bench, n_runs):
 def de_result(comparison_bench):
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(lambda b, s: run_de(b.space, b, cfg, s),
+    return timed_experiment(lambda b, s: run_de(b, cfg, s),
                             comparison_bench, N_SEEDS)
 
 
 @pytest.fixture(scope="module")
 def rs_result(comparison_bench):
     budget = Budget(max_evaluations=EVALS)
-    return timed_experiment(lambda b, s: run_random_search(b.space, b, budget, s),
+    return timed_experiment(lambda b, s: run_random_search(b, budget, s),
                             comparison_bench, N_SEEDS)
 
 
@@ -85,7 +85,7 @@ def rs_result(comparison_bench):
 def re_result(comparison_bench):
     cfg = REConfig(population_size=100, sample_size=10,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(lambda b, s: run_regularized_evolution(b.space, b, cfg, s),
+    return timed_experiment(lambda b, s: run_regularized_evolution(b, cfg, s),
                             comparison_bench, N_SEEDS)
 
 
@@ -94,7 +94,7 @@ def sphere_traces():
     bench = FunctionBenchmark("sphere", 3)
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=10_000))
-    return run_experiment(lambda b, s: run_de(b.space, b, cfg, s), bench,
+    return run_experiment(lambda b, s: run_de(b, cfg, s), bench,
                           n_runs=100, base_seed=0)
 
 
@@ -140,7 +140,7 @@ def test_criterion_2_de_mechanics():
         bench = RecordingBenchmark(FunctionBenchmark("sphere", 4, lo=0.0, hi=1.0))
         cfg = DEConfig(population_size=population_size, scaling_factor=0.9,
                        crossover_rate=0.7, budget=budget)
-        run_de(bench.space, bench, cfg, seed=seed)
+        run_de(bench, cfg, seed=seed)
         assert len(bench.configs) == population_size * (generations + 1)
         violations = sum(1 for c in bench.configs for v in c if not 0.0 <= v <= 1.0)
         assert violations == 0
@@ -167,7 +167,7 @@ def test_criterion_4_invalid_contract():
     bench = make_synthetic(5, 4, invalid_fraction=0.5, seed=0)
     cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=1000))
     for seed in range(50):
-        trace = run_de(bench.space, bench, cfg, seed=seed)
+        trace = run_de(bench, cfg, seed=seed)
         best_valid_so_far = math.inf
         previous_cost = 0.0
         seen_valid = False
@@ -250,7 +250,7 @@ def test_criterion_9_re_sanity(monkeypatch, comparison_bench, re_result, rs_resu
     seen = watch_tournaments(monkeypatch)
     cfg = REConfig(population_size=50, sample_size=10,
                    budget=Budget(max_evaluations=200))
-    trace = run_regularized_evolution(comparison_bench.space, comparison_bench, cfg, seed=0)
+    trace = run_regularized_evolution(comparison_bench, cfg, seed=0)
     # the k-th tournament sees evaluations k .. k + 49, oldest first, so
     # between consecutive tournaments exactly the oldest member left
     assert len(seen) - 1 == 150

@@ -12,20 +12,20 @@ from conftest import assert_same_traces, watch_tournaments
 class TestRandomSearch:
     def test_single_evaluation_budget(self):
         bench = make_synthetic(5, 4, seed=0)
-        trace = run_random_search(bench.space, bench, Budget(max_evaluations=1), seed=0)
+        trace = run_random_search(bench, Budget(max_evaluations=1), seed=0)
         assert len(trace) == 1
         assert trace.incumbent_objective[0] == trace.objective[0]
 
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         budget = Budget(max_evaluations=100)
-        a = run_random_search(bench.space, bench, budget, seed=5)
-        b = run_random_search(bench.space, bench, budget, seed=5)
+        a = run_random_search(bench, budget, seed=5)
+        b = run_random_search(bench, budget, seed=5)
         assert_same_traces([a], [b])
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)
-        trace = run_random_search(bench.space, bench, Budget(max_evaluations=300), seed=1)
+        trace = run_random_search(bench, Budget(max_evaluations=300), seed=1)
         assert np.all(np.diff(trace.incumbent_objective) <= 0.0)
 
 
@@ -40,7 +40,7 @@ class TestAging:
         seen = watch_tournaments(monkeypatch)
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=3, sample_size=2, budget=Budget(max_evaluations=60))
-        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        trace = run_regularized_evolution(bench, cfg, seed=0)
         assert len(seen) == 60 - 3 + 1
         assert_fifo(seen, trace, 3)
         # the oldest leaves first even when it is the fittest member
@@ -53,7 +53,7 @@ class TestAging:
         seen = watch_tournaments(monkeypatch)
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=1, sample_size=1, budget=Budget(max_evaluations=20))
-        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        trace = run_regularized_evolution(bench, cfg, seed=0)
         assert len(seen) == 20
         assert_fifo(seen, trace, 1)
 
@@ -111,21 +111,21 @@ class TestRegularizedEvolution:
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=20, sample_size=5, budget=Budget(max_evaluations=100))
-        a = run_regularized_evolution(bench.space, bench, cfg, seed=9)
-        b = run_regularized_evolution(bench.space, bench, cfg, seed=9)
+        a = run_regularized_evolution(bench, cfg, seed=9)
+        b = run_regularized_evolution(bench, cfg, seed=9)
         assert_same_traces([a], [b])
 
     def test_budget_smaller_than_warmup(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=50, sample_size=5, budget=Budget(max_evaluations=10))
-        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        trace = run_regularized_evolution(bench, cfg, seed=0)
         assert len(trace) == 10
 
     def test_population_stays_at_capacity(self, monkeypatch):
         seen = watch_tournaments(monkeypatch)
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=15, sample_size=3, budget=Budget(max_evaluations=80))
-        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        trace = run_regularized_evolution(bench, cfg, seed=0)
         # one tournament per child, plus the one cut short by the budget
         assert [len(fitness) for fitness in seen] == [15] * (80 - 15 + 1)
         assert_fifo(seen, trace, 15)
@@ -134,7 +134,7 @@ class TestRegularizedEvolution:
         seen = watch_tournaments(monkeypatch)
         bench = make_synthetic(5, 4, seed=0)
         cfg = REConfig(population_size=10, sample_size=3, budget=Budget(max_evaluations=60))
-        trace = run_regularized_evolution(bench.space, bench, cfg, seed=2)
+        trace = run_regularized_evolution(bench, cfg, seed=2)
         evictions = len(seen) - 1  # a member leaves between consecutive tournaments
         assert evictions == 50
         assert_fifo(seen, trace, 10)
@@ -142,7 +142,7 @@ class TestRegularizedEvolution:
     def test_invalid_configurations_cost_nothing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.6, seed=1)
         cfg = REConfig(population_size=20, sample_size=4, budget=Budget(max_evaluations=200))
-        trace = run_regularized_evolution(bench.space, bench, cfg, seed=0)
+        trace = run_regularized_evolution(bench, cfg, seed=0)
         invalid = ~trace.valid
         assert invalid.any(), "expected some invalid evaluations on this benchmark"
         increments = np.diff(trace.cumulative_cost, prepend=0.0)

@@ -8,7 +8,6 @@ import pytest
 
 from diffevo import (
     BenchmarkLoadError,
-    EvaluationResult,
     FunctionBenchmark,
     ParameterSpec,
     SearchSpace,
@@ -42,11 +41,8 @@ class TestTabularBenchmark:
 
     def test_lookup_and_missing_key(self):
         bench = TabularBenchmark(space=tiny_space(), table=tiny_table(), benchmark_id="t")
-        hit = bench.evaluate(("a", 2))
-        assert hit == EvaluationResult(valid=True, validation_error=0.05,
-                                       test_error=0.06, cost_seconds=3.0)
-        miss = bench.evaluate(("b", 1))
-        assert not miss.valid
+        assert bench.evaluate(("a", 2)) == (0.05, 0.06, 3.0)
+        assert bench.evaluate(("b", 1)) is None
 
     def test_repeated_lookup_is_pure(self):
         bench = TabularBenchmark(space=tiny_space(), table=tiny_table(), benchmark_id="t")
@@ -243,10 +239,10 @@ class TestSynthetic:
         # oracle: query every configuration through the public interface
         bench = make_synthetic(4, 3, invalid_fraction=0.0, seed=3)
         tokens = bench.space.params[0].choices
-        results = [bench.evaluate(key) for key in itertools.product(tokens, repeat=4)]
-        assert all(r.valid for r in results)
-        assert bench.best_validation_error == min(r.validation_error for r in results)
-        assert bench.best_test_error == min(r.test_error for r in results)
+        rows = [bench.evaluate(key) for key in itertools.product(tokens, repeat=4)]
+        assert None not in rows
+        assert bench.best_validation_error == min(val for val, _, _ in rows)
+        assert bench.best_test_error == min(test for _, test, _ in rows)
 
     def test_same_spec_and_seed_identical(self):
         a = make_synthetic(4, 3, invalid_fraction=0.3, seed=11)
@@ -285,29 +281,29 @@ class TestSynthetic:
 class TestContinuous:
     def test_sphere_optimum_hits_best(self):
         bench = FunctionBenchmark("sphere", 3)
-        res = bench.evaluate((0.0, 0.0, 0.0))
-        assert res.validation_error == bench.best_validation_error == 0.0
-        assert res.cost_seconds == 1.0
-        assert res.test_error is None and bench.best_test_error is None
+        val, test, cost = bench.evaluate((0.0, 0.0, 0.0))
+        assert val == bench.best_validation_error == 0.0
+        assert cost == 1.0
+        assert test is None and bench.best_test_error is None
 
     def test_sphere_increases_with_axis_distance(self):
         bench = FunctionBenchmark("sphere", 3)
-        errs = [bench.evaluate((x, 0.0, 0.0)).validation_error for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
+        errs = [bench.evaluate((x, 0.0, 0.0))[0] for x in (0.0, 0.5, 1.0, 2.0, 5.0)]
         assert errs == sorted(errs)
         assert len(set(errs)) == len(errs)
 
     def test_rastrigin_closed_form(self):
         bench = FunctionBenchmark("rastrigin", 2)
-        assert bench.evaluate((0.0, 0.0)).validation_error == 0.0
+        assert bench.evaluate((0.0, 0.0))[0] == 0.0
         x = (0.5, 0.0)
         raw = 10 * 2 + sum(v * v - 10 * math.cos(2 * math.pi * v) for v in x)
         assert raw == pytest.approx(20.25)
-        got = bench.evaluate(x).validation_error
+        got = bench.evaluate(x)[0]
         assert got == pytest.approx(raw / (1 + raw))
 
     def test_squash_stays_below_one(self):
         bench = FunctionBenchmark("sphere", 2)
-        assert bench.evaluate((5.0, 5.0)).validation_error < 1.0
+        assert bench.evaluate((5.0, 5.0))[0] < 1.0
 
     def test_space_matches_bounds(self):
         bench = FunctionBenchmark("sphere", 2, lo=-1.0, hi=2.0)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,16 @@ class TestRun:
         assert err == ("error: run with seed 189 failed: 100000 evaluations in a row left the "
                        "cumulative cost at 0.0, so the cost budget may never be spent; add an "
                        "evaluation limit (--evals)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cost", ["nan", "inf", "-inf", "0"])
+    def test_cost_limit_that_never_ends_a_run_is_refused(self, tmp_path, capsys, cost):
+        # no cumulative cost reaches a NaN or infinite limit
+        code = run_cli("run", "--benchmark", "synthetic:3x4", f"--cost={cost}",
+                       "--out", str(tmp_path / "x.jsonl"))
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: max_cost must be positive and finite, "
+                                           f"got {float(cost)}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_tabular_file_fails_cleanly(self, tmp_path, capsys):
@@ -239,6 +250,31 @@ class TestCompare:
             assert (tmp_path / "fwd" / name).read_bytes() == \
                    (tmp_path / "rev" / name).read_bytes()
 
+    def test_failing_optimizer_leaves_no_partial_results(self, tmp_path, capsys):
+        # rs finishes; de then meets the zero-cost limit (see TestRun)
+        out_dir = tmp_path / "d"
+        code = run_cli("compare", "--optimizers", "rs,de",
+                       "--benchmark", "synthetic:3x4:invalid=0.5:seed=0", "--np", "4",
+                       "--f", "0", "--cr", "0", "--cost", "0.5", "--seed", "189",
+                       "--out-dir", str(out_dir))
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: run with seed 189 failed: 100000 evaluations in a row")
+        assert err.count("\n") == 1
+        assert list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_log_grid_without_points_fails_cleanly(self, tmp_path, capsys, points):
+        code = run_cli("compare", "--optimizers", "de,rs", "--np", "4",
+                       "--benchmark", "synthetic:3x3", "--evals", "20",
+                       "--points", points, "--out-dir", str(tmp_path))
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the log grid needs at least 1 point, got {points}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_optimizer_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("compare", "--optimizers", "de",
@@ -307,6 +343,33 @@ class TestAggregateCommand:
         assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
         assert capsys.readouterr().err == (f"error: {trace_file}:1: run header field {field!r} "
                                            f"is not {kind}: {value!r}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("best_validation_error", math.nan), ("best_validation_error", math.inf),
+        ("best_test_error", math.nan)])
+    def test_non_finite_best_error_fails_cleanly(self, tmp_path, capsys, field, value):
+        # json writes these as NaN and Infinity, which the reader decodes
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        lines = trace_file.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["run"][field] = value
+        lines[0] = json.dumps(header)
+        trace_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: {trace_file}:1: "
+                                           f"{field.replace('_', ' ')} {value} is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_log_grid_without_points_fails_cleanly(self, tmp_path, capsys, points):
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--points", points, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: the log grid needs at least 1 point, "
+                                           f"got {points}\n")
         assert not out.exists()
 
     def test_trace_breaking_invariants_fails_cleanly(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, EvaluationResult, FunctionBenchmark, make_synthetic, run_de
+from diffevo import Budget, DEConfig, FunctionBenchmark, make_synthetic, run_de
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
 from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark,
@@ -20,7 +20,7 @@ def initial_population(population_size, dimension, seed):
     bench = RecordingBenchmark(identity_bench(dimension))
     cfg = DEConfig(population_size=population_size,
                    budget=Budget(max_evaluations=population_size))
-    run_de(bench.space, bench, cfg, seed=seed)
+    run_de(bench, cfg, seed=seed)
     return np.array(bench.configs)
 
 
@@ -53,15 +53,15 @@ def reference_parents(keys, target):
     return sorted(others, key=keys[target].__getitem__)[:3]
 
 
-def reference_run_de(space, bench, cfg, seed):
+def reference_run_de(bench, cfg, seed):
     """DE one target at a time, consuming the generator exactly like
     ``run_de``: per generation an (NP, NP) parent-key draw, an (NP, D)
     crossover draw and NP forced dimensions. Uses the scalar recorder."""
     rng = np.random.default_rng(seed)
     recorder = ReferenceRecorder(bench, cfg.budget)
-    size, dimension = cfg.population_size, space.dimension
+    size, dimension = cfg.population_size, bench.space.dimension
     genotypes = rng.random((size, dimension))
-    fitness = [recorder.evaluate(g, space) for g in genotypes]
+    fitness = [recorder.evaluate(g) for g in genotypes]
     while not recorder.exhausted():
         keys = rng.random((size, size))
         crossover_draws = rng.random((size, dimension))
@@ -74,7 +74,7 @@ def reference_run_de(space, bench, cfg, seed):
             trial = np.array([mutant[j] if crossover_draws[i, j] < cfg.crossover_rate
                               or j == forced[i] else genotypes[i, j]
                               for j in range(dimension)])
-            trial_fitness = recorder.evaluate(trial, space)
+            trial_fitness = recorder.evaluate(trial)
             if trial_fitness is None:
                 break
             if trial_wins(fitness[i], trial_fitness):
@@ -115,7 +115,7 @@ def generation_trials(known_result, other_result, population_size=6, dimension=4
     bench = OnePointBenchmark(dimension, initial, known_result, other_result)
     cfg = DEConfig(population_size=population_size, scaling_factor=0.0, crossover_rate=0.0,
                    budget=Budget(max_evaluations=population_size * 5))
-    run_de(bench.space, bench, cfg, seed=seed)
+    run_de(bench, cfg, seed=seed)
     return np.array(bench.configs).reshape(5, population_size, dimension)
 
 
@@ -135,8 +135,8 @@ class TestInitialize:
             DEConfig(population_size=3)
         # four members are enough: the target plus three distinct parents
         bench = make_synthetic(4, 3, seed=0)
-        trace = run_de(bench.space, bench,
-                       DEConfig(population_size=4, budget=Budget(max_evaluations=40)), seed=0)
+        trace = run_de(bench, DEConfig(population_size=4, budget=Budget(max_evaluations=40)),
+                       seed=0)
         assert len(trace) == 40
 
     def test_same_seed_identical(self):
@@ -305,7 +305,7 @@ class TestSelection:
     # target's row after generation g
 
     def test_tie_goes_to_trial(self):
-        same = EvaluationResult(valid=True, validation_error=0.3, cost_seconds=1.0)
+        same = (0.3, None, 1.0)
         trials = generation_trials(known_result=same, other_result=same)
         # every trial tied its target, so each row moved on to its trial
         assert np.all(differing(trials[2:], trials[1:-1]) <= 1)
@@ -314,15 +314,13 @@ class TestSelection:
 
     def test_worse_trial_loses(self):
         trials = generation_trials(
-            known_result=EvaluationResult(valid=True, validation_error=0.3, cost_seconds=1.0),
-            other_result=EvaluationResult(valid=True, validation_error=0.5, cost_seconds=1.0))
+            known_result=(0.3, None, 1.0), other_result=(0.5, None, 1.0))
         # every row kept its initial genotype
         assert np.all(differing(trials[1:], trials[0]) == 1)
 
     def test_invalid_penalty_loses(self):
         trials = generation_trials(
-            known_result=EvaluationResult(valid=True, validation_error=0.2, cost_seconds=1.0),
-            other_result=EvaluationResult.invalid())
+            known_result=(0.2, None, 1.0), other_result=None)
         assert np.all(differing(trials[1:], trials[0]) == 1)
 
     def test_scalar_reference_selection(self):
@@ -335,38 +333,38 @@ class TestRunDE:
     def test_budget_of_np_evaluates_initial_population_only(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=20))
-        trace = run_de(bench.space, bench, cfg, seed=0)
+        trace = run_de(bench, cfg, seed=0)
         assert len(trace) == 20
 
     def test_run_may_stop_mid_generation(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=27))
-        trace = run_de(bench.space, bench, cfg, seed=0)
+        trace = run_de(bench, cfg, seed=0)
         assert len(trace) == 27
 
     def test_cost_budget_stops_run(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_cost=33.0))
-        trace = run_de(bench.space, bench, cfg, seed=0)
+        trace = run_de(bench, cfg, seed=0)
         assert len(trace) == 33
 
     def test_incumbent_objective_non_increasing(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(budget=Budget(max_evaluations=400))
-        trace = run_de(bench.space, bench, cfg, seed=3)
+        trace = run_de(bench, cfg, seed=3)
         assert np.all(np.diff(trace.incumbent_objective) <= 0.0)
 
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(budget=Budget(max_evaluations=200))
-        assert_same_traces([run_de(bench.space, bench, cfg, seed=7)],
-                           [run_de(bench.space, bench, cfg, seed=7)])
+        assert_same_traces([run_de(bench, cfg, seed=7)],
+                           [run_de(bench, cfg, seed=7)])
 
     def test_genotypes_stay_in_hypercube(self):
         bench = RecordingBenchmark(identity_bench(4))
         cfg = DEConfig(population_size=8, scaling_factor=0.9, crossover_rate=0.8,
                        budget=Budget(max_evaluations=500))
-        run_de(bench.space, bench, cfg, seed=5)
+        run_de(bench, cfg, seed=5)
         assert len(bench.configs) == 500
         for config in bench.configs:
             assert all(0.0 <= v <= 1.0 for v in config)
@@ -377,7 +375,7 @@ class TestRunDE:
         bench = RecordingBenchmark(identity_bench(3))
         cfg = DEConfig(population_size=8, scaling_factor=0.0, crossover_rate=1.0,
                        budget=Budget(max_evaluations=200))
-        run_de(bench.space, bench, cfg, seed=1)
+        run_de(bench, cfg, seed=1)
         initial = set(bench.configs[:8])
         assert set(bench.configs) == initial
 
@@ -386,8 +384,8 @@ class TestRunDE:
         plain = RecordingBenchmark(base)
         squeezed = RecordingBenchmark(TransformedBenchmark(base, lambda x: 0.2 + 0.6 * x))
         cfg = DEConfig(population_size=10, budget=Budget(max_evaluations=300))
-        run_de(base.space, plain, cfg, seed=4)
-        run_de(base.space, squeezed, cfg, seed=4)
+        run_de(plain, cfg, seed=4)
+        run_de(squeezed, cfg, seed=4)
         assert plain.configs == squeezed.configs
 
     def test_config_validation(self):
@@ -410,7 +408,7 @@ class TestRunDE:
         bench = Exploding(make_synthetic(4, 3, seed=0))
         cfg = DEConfig(budget=Budget(max_evaluations=100))
         with pytest.raises(RuntimeError, match="backend gone"):
-            run_de(bench.space, bench, cfg, seed=0)
+            run_de(bench, cfg, seed=0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**16),
@@ -437,8 +435,8 @@ class TestRunDE:
             bench = FunctionBenchmark("sphere", 2)
         cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
         got, want = RecordingBenchmark(bench), RecordingBenchmark(bench)
-        got_run = outcome(run_de, bench.space, got, cfg, seed)
-        want_run = outcome(reference_run_de, bench.space, want, cfg, seed)
+        got_run = outcome(run_de, got, cfg, seed)
+        want_run = outcome(reference_run_de, want, cfg, seed)
         if isinstance(want_run, str):
             assert got_run == want_run
         else:

@@ -46,7 +46,7 @@ class TestRegret:
 
     def test_non_negative_and_non_increasing_on_real_runs(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.2, seed=0)
-        trace = run_de(bench.space, bench, DEConfig(budget=Budget(max_evaluations=300)), seed=1)
+        trace = run_de(bench, DEConfig(budget=Budget(max_evaluations=300)), seed=1)
         assert (trace.best_validation_error, trace.best_test_error) == (
             bench.best_validation_error, bench.best_test_error)
         validation, test = regret_series(trace)
@@ -126,7 +126,7 @@ class TestAggregate:
     def test_mean_curve_monotone_when_runs_share_origin(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         traces = run_experiment(
-            lambda b, s: run_random_search(b.space, b, Budget(max_evaluations=150), s),
+            lambda b, s: run_random_search(b, Budget(max_evaluations=150), s),
             bench, n_runs=8, base_seed=0)
         curve = aggregate(traces, grid="union")
         assert np.all(np.diff(curve.mean_regret) <= 1e-15)
@@ -140,6 +140,15 @@ class TestAggregate:
         b = make_trace([1.0], [0.1], benchmark="two")
         with pytest.raises(ValueError, match="multiple benchmarks"):
             aggregate([a, b])
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_log_grid_needs_a_point(self, points):
+        # even where the times collapse to a single grid point
+        for times in ([1.0], [1.0, 9.0]):
+            trace = make_trace(times, [0.1] * len(times))
+            with pytest.raises(ValueError, match=f"at least 1 point, got {points}"):
+                aggregate([trace], grid="log", points=points)
+        assert len(aggregate([trace], grid="log", points=1).times) == 1
 
     def test_bad_grid_specs_rejected(self):
         trace = make_trace([1.0], [0.1])
@@ -211,8 +220,7 @@ class TestAggregateAgainstReference:
 
 class TestRunExperiment:
     def runner(self, budget=20):
-        return lambda bench, seed: run_random_search(bench.space, bench,
-                                                     Budget(max_evaluations=budget), seed)
+        return lambda bench, seed: run_random_search(bench, Budget(max_evaluations=budget), seed)
 
     def test_seed_order_and_count(self):
         bench = make_synthetic(4, 3, seed=0)
@@ -310,7 +318,7 @@ class TestTraceInvariants:
 
     def test_recorded_runs_always_satisfy_them(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.4, seed=2)
-        trace = run_de(bench.space, bench, DEConfig(budget=Budget(max_evaluations=200)), seed=0)
+        trace = run_de(bench, DEConfig(budget=Budget(max_evaluations=200)), seed=0)
         check_trace_invariants(trace)
 
     def test_detects_increasing_incumbent(self):
@@ -345,7 +353,7 @@ class TestTracePersistence:
     def test_round_trip(self, tmp_path):
         bench = make_synthetic(5, 4, invalid_fraction=0.2, seed=0)
         traces = run_experiment(
-            lambda b, s: run_de(b.space, b, DEConfig(budget=Budget(max_evaluations=60)), s),
+            lambda b, s: run_de(b, DEConfig(budget=Budget(max_evaluations=60)), s),
             bench, n_runs=3, base_seed=0)
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)
@@ -364,7 +372,7 @@ class TestTracePersistence:
     def test_reaggregation_equals_in_process(self, tmp_path):
         bench = make_synthetic(5, 4, seed=0)
         traces = run_experiment(
-            lambda b, s: run_random_search(b.space, b, Budget(max_evaluations=40), s),
+            lambda b, s: run_random_search(b, Budget(max_evaluations=40), s),
             bench, n_runs=4, base_seed=0)
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)

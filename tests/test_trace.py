@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, EvaluationResult, make_synthetic, read_traces, write_traces
+from diffevo import Budget, make_synthetic, read_traces, run_random_search, write_traces
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
@@ -22,17 +22,17 @@ from conftest import (
 
 
 class TableBench:
-    """Scores a 1-D genotype space with 5 bins by a fixed result per bin."""
+    """Scores a 1-D genotype space with 5 bins by a fixed row (or None) per bin."""
 
-    def __init__(self, results):
+    def __init__(self, rows):
         self.space = make_synthetic(1, 5, seed=0).space
         self.benchmark_id = "bins"
-        self.best_validation_error = min(r.validation_error for r in results if r.valid)
+        self.best_validation_error = min(row[0] for row in rows if row is not None)
         self.best_test_error = None
-        self.results = dict(zip(self.space.params[0].choices, results))
+        self.rows = dict(zip(self.space.params[0].choices, rows))
 
     def evaluate(self, config):
-        return self.results[config[0]]
+        return self.rows[config[0]]
 
 
 def run_blocks(bench, budget, genotypes, cuts):
@@ -41,7 +41,7 @@ def run_blocks(bench, budget, genotypes, cuts):
     recorder = RunRecorder(bench, budget)
     fitness = []
     for block in np.split(genotypes, cuts):
-        got = recorder.evaluate(block, bench.space)
+        got = recorder.evaluate(block)
         fitness.extend(got.tolist())
         if len(got) < len(block):
             break
@@ -52,7 +52,7 @@ def run_rows(bench, budget, genotypes):
     recorder = ReferenceRecorder(bench, budget)
     fitness = []
     for genotype in genotypes:
-        got = recorder.evaluate(genotype, bench.space)
+        got = recorder.evaluate(genotype)
         if got is None:
             break
         fitness.append(got)
@@ -84,19 +84,14 @@ class TestBlockRecorder:
     def test_spent_budget_evaluates_nothing(self):
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
         recorder = RunRecorder(bench, Budget(max_cost=2.0))
-        assert recorder.evaluate(np.full((5, 3), 0.5), bench.space).tolist() == [
-            bench.base.evaluate(("c1", "c1", "c1")).validation_error] * 2
-        assert len(recorder.evaluate(np.full((5, 3), 0.5), bench.space)) == 0
+        assert recorder.evaluate(np.full((5, 3), 0.5)).tolist() == [
+            bench.base.evaluate(("c1", "c1", "c1"))[0]] * 2
+        assert len(recorder.evaluate(np.full((5, 3), 0.5))) == 0
         assert len(bench.configs) == 2
 
     def test_valid_point_displaces_invalid_incumbent_on_a_tie(self):
         # bins: invalid, valid at error 1.0 (ties the invalid penalty), valid 0.4
-        bench = TableBench([EvaluationResult.invalid(),
-                            EvaluationResult(valid=True, validation_error=1.0, test_error=0.9,
-                                             cost_seconds=2.0),
-                            EvaluationResult(valid=True, validation_error=0.4, test_error=0.5,
-                                             cost_seconds=1.0),
-                            EvaluationResult.invalid(), EvaluationResult.invalid()])
+        bench = TableBench([None, (1.0, 0.9, 2.0), (0.4, 0.5, 1.0), None, None])
         genotypes = np.array([[0.1], [0.9], [0.3], [0.1], [0.5], [0.7]])
         for cuts in ([], [1], [2, 4], [1, 2, 3, 4, 5]):
             fitness, trace = run_blocks(bench, Budget(max_evaluations=10), genotypes, cuts)
@@ -111,11 +106,8 @@ class TestBlockRecorder:
     def test_cost_only_run_stops_at_the_zero_cost_limit(self):
         # bins: invalid, valid at zero cost, valid at cost 1; both kinds of
         # free evaluation count, across blocks, and a costly one resets the count
-        bench = RecordingBenchmark(TableBench([
-            EvaluationResult.invalid(),
-            EvaluationResult(valid=True, validation_error=0.5, cost_seconds=0.0),
-            EvaluationResult(valid=True, validation_error=0.4, cost_seconds=1.0),
-            EvaluationResult.invalid(), EvaluationResult.invalid()]))
+        bench = RecordingBenchmark(TableBench([None, (0.5, None, 0.0), (0.4, None, 1.0),
+                                               None, None]))
         free = np.tile([[0.1], [0.3]], (ZERO_COST_LIMIT // 2, 1))
         genotypes = np.concatenate([free[:-1], [[0.5]], free])
         budget = Budget(max_cost=10.0)
@@ -131,13 +123,40 @@ class TestBlockRecorder:
         assert str(reference.value) == str(got.value)
         assert want.configs == bench.configs
 
+    @pytest.mark.parametrize("cost", [math.nan, -1.0])
+    def test_negative_or_nan_cost_stops_the_run(self, cost):
+        # bins: valid at cost 0.25, valid at the bad cost; under a cost-only
+        # budget a NaN cost would otherwise never spend the budget
+        bench = TableBench([(0.5, None, 0.25), (0.4, None, cost), None, None, None])
+        genotypes = np.array([[0.1], [0.1], [0.3], [0.1]])
+        budget = Budget(max_cost=1.0)
+        message = f"benchmark cost {cost!r} of ('c1',) is negative or not a number"
+        for cuts in ([], [1], [2, 3]):
+            with pytest.raises(ValueError) as got:
+                run_blocks(bench, budget, genotypes, cuts)
+            assert str(got.value) == message
+        with pytest.raises(ValueError) as reference:
+            run_rows(bench, budget, genotypes)
+        assert str(reference.value) == message
+        with pytest.raises(ValueError, match=re.escape(f"benchmark cost {cost!r} of")):
+            run_random_search(bench, budget, seed=0)
+
     def test_evaluation_limit_lifts_the_zero_cost_limit(self):
         bench = make_synthetic(3, 3, invalid_fraction=0.5, seed=0)
         invalid = next(g for g in np.random.default_rng(0).random((50, 3))
-                       if not bench.evaluate(bench.space.discretize(g)).valid)
+                       if bench.evaluate(bench.space.discretize(g)) is None)
         budget = Budget(max_evaluations=ZERO_COST_LIMIT + 1, max_cost=1.0)
         fitness, trace = run_blocks(bench, budget, np.tile(invalid, (ZERO_COST_LIMIT + 1, 1)), [])
         assert len(fitness) == len(trace) == ZERO_COST_LIMIT + 1
+
+
+class TestBudget:
+    @pytest.mark.parametrize("max_cost", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_cost_limit_must_be_positive_and_finite(self, max_cost):
+        # a NaN or infinite limit is never reached, so the run would never end
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_cost must be positive and finite, got {max_cost}")):
+            Budget(max_cost=max_cost)
 
 
 def reference_event_line(index, row):
@@ -186,7 +205,7 @@ class TestTraceWriter:
     def test_recorded_run_round_trips(self, tmp_path):
         bench = make_synthetic(3, 3, invalid_fraction=0.3, seed=1)
         recorder = RunRecorder(bench, Budget(max_evaluations=40))
-        recorder.evaluate(np.random.default_rng(0).random((40, 3)), bench.space)
+        recorder.evaluate(np.random.default_rng(0).random((40, 3)))
         trace = recorder.finish(seed=4, optimizer_id="x")
         path = tmp_path / "t.jsonl"
         write_traces([trace], path)
@@ -307,6 +326,23 @@ class TestTraceReader:
             read_traces(path)
         with pytest.raises(ValueError, match=message):
             reference_read_traces(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("best_validation_error", math.nan), ("best_validation_error", math.inf),
+        ("best_test_error", math.nan), ("best_test_error", -math.inf)])
+    def test_non_finite_best_error(self, tmp_path, name, value):
+        # NaN and Infinity are valid JSON numbers here, but no regret can be taken from them
+        header = {"seed": 0, "optimizer": "x", "benchmark": "b", "best_validation_error": 0.0,
+                  "best_test_error": None, name: value}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps({"run": header}) + "\n" + json.dumps({
+            "eval_index": 0, "cumulative_cost": 0.0, "objective": 1.0, "incumbent_objective": 1.0,
+            "incumbent_test_error": None, "valid": False}) + "\n")
+        message = f"{path}:1: {name.replace('_', ' ')} {value} is not finite"
+        for read in (read_traces, reference_read_traces):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == message
 
     @settings(max_examples=400, deadline=None)
     @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.data())
