@@ -13,8 +13,9 @@ invalid configuration has no row (None). Three families are provided:
 * :class:`FunctionBenchmark` -- sphere/rastrigin over a box, with the raw
   objective squashed into [0, 1).
 
-All benchmarks are immutable after construction and their ``evaluate`` is a
-pure function, safe for any number of concurrent callers.
+All benchmarks are immutable after construction and their ``evaluate`` and
+``evaluate_batch`` are pure functions, safe for any number of concurrent
+callers.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .space import Configuration, ParameterSpec, SearchSpace, _is_number
 
 # configurations at most this large may be enumerated exhaustively
 MAX_SYNTHETIC_CONFIGS = 10**6
+# tabular integer bounds at most this large decode exactly through float genotypes
+MAX_INTEGER_BOUND = 2**52
 
 
 class BenchmarkLoadError(ValueError):
@@ -49,6 +52,11 @@ class Benchmark(Protocol):
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
         """The row ``(validation_error, test_error or None, cost_seconds)`` of
         ``config``, or None when the configuration is invalid."""
+
+    # A benchmark may also offer ``evaluate_batch(genotypes)``: the list of the
+    # rows ``evaluate`` gives for ``space.discretize_rows(genotypes)``. The
+    # recorder then scores a whole block with one call, which may score rows
+    # past a cost limit, so it suits only pure lookups.
 
 
 @dataclass(frozen=True)
@@ -72,23 +80,58 @@ class TabularBenchmark:
                 raise ValueError(
                     f"tabular benchmarks require discrete parameters; {p.name!r} is float"
                 )
+            if p.kind == "integer" and max(-p.lo, p.hi) > MAX_INTEGER_BOUND:
+                raise ValueError(f"integer parameter {p.name!r} has bounds [{p.lo}, {p.hi}] "
+                                 f"beyond +-2**52, which genotypes cannot decode exactly")
         if not self.table:
             raise ValueError("tabular benchmark needs at least one listed configuration")
-        _check_rows(self.space, self.table, where=repr)
+        sizes = [len(p.tokens) if p.tokens else p.hi - p.lo + 1 for p in self.space.params]
+        if math.prod(sizes) > np.iinfo(np.int64).max:
+            raise ValueError(f"the space's {math.prod(sizes)} configurations are too many "
+                             "for 64-bit configuration codes")
+        index = _check_rows(self.space, self.table, where=repr)
         best_val = min(val for val, _, _ in self.table.values())
         tests = [t for _, t, _ in self.table.values() if t is not None]
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
+        # the lookup by configuration code, sum(index_j * weight_j) with mixed-radix
+        # weights; not fields, so equality sees only the table
+        weights = np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
+        codes = weights @ np.array(index, dtype=np.int64)
+        base = [p.lo if p.kind == "integer" else 0 for p in self.space.params]
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_base", np.array(base, dtype=np.int64) if any(base) else None)
+        object.__setattr__(self, "_rows", dict(zip(codes.tolist(), self.table.values())))
 
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
         return self.table.get(tuple(config))
 
+    def evaluate_batch(self, genotypes: np.ndarray
+                       ) -> list[tuple[float, float | None, float] | None]:
+        """The rows of an (N, D) genotype block, one lookup per row: the same
+        rows as ``evaluate`` gives for :meth:`SearchSpace.discretize_rows`."""
+        index = self.space.decode(genotypes).astype(np.int64)
+        if self._base is not None:
+            index -= self._base
+        return list(map(self._rows.get, (index @ self._weights).tolist()))
 
-def _check_rows(space, table, where):
+
+def _check_rows(space, table, where) -> list[list[int]]:
     """Raise BenchmarkLoadError, naming the row by ``where(key)``, for the first
-    row of ``table`` whose key or values break the contract."""
-    for key, (val, test, cost) in table.items():
-        if not space.contains(key):
+    row of ``table`` whose key or values break the contract.
+
+    Returns the index of every key by parameter: one list per parameter of
+    the position of each key's value in that parameter's domain.
+    """
+    d = space.dimension
+    keys = zip(*(key if len(key) == d else (_OUTSIDE,) * d for key in table))
+    index = [_domain_index(p, values) for p, values in zip(space.params, keys)]
+    if any(-1 in column for column in index):
+        outside = [-1 in key_index for key_index in zip(*index)]
+    else:
+        outside = itertools.repeat(False)
+    for (key, (val, test, cost)), key_outside in zip(table.items(), outside):
+        if key_outside:
             problem = f"key {key!r} outside the declared space"
         elif not _is_number(val):
             problem = f"validation error {val!r} is not a number"
@@ -105,6 +148,21 @@ def _check_rows(space, table, where):
         else:
             continue
         raise BenchmarkLoadError(f"{where(key)}: {problem}")
+    return index
+
+
+_OUTSIDE = object()  # stands in for every value of a key of the wrong length
+
+
+def _domain_index(p: ParameterSpec, values) -> list[int]:
+    """The position of each value in the domain of ``p``, or -1 outside it."""
+    if p.kind == "integer":
+        lo, hi = p.lo, p.hi
+        return [v - lo if (type(v) is int or isinstance(v, int) and not isinstance(v, bool))
+                and lo <= v <= hi else -1 for v in values]
+    # a float parameter has no positions; tabular benchmarks reject it
+    position = {token: i for i, token in enumerate(p.tokens or ())}
+    return list(map(position.get, values, itertools.repeat(-1)))
 
 
 def _canonical_key(space: SearchSpace, raw) -> Configuration:
@@ -180,6 +238,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         table[key] = values
         linenos.append(lineno)
 
+    del lines  # the file's text is not needed for the lookup index built next
     if not table:
         raise BenchmarkLoadError(f"{path}: no configuration records")
     try:
@@ -290,12 +349,13 @@ def make_synthetic(
     return TabularBenchmark(space=space, table=table, benchmark_id=benchmark_id)
 
 
-def _sphere(x: np.ndarray) -> float:
-    return float(np.sum(x * x))
+# f over the last axis: one value per point, for one point or a block of them
+def _sphere(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * x, axis=-1)
 
 
-def _rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+def _rastrigin(x: np.ndarray) -> np.ndarray:
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
 _FUNCTIONS = {"sphere": _sphere, "rastrigin": _rastrigin}
@@ -343,6 +403,13 @@ class FunctionBenchmark:
         x = np.asarray(config, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} coordinates, got {x.shape}")
+        return self._rows(x[None])[0]
+
+    def evaluate_batch(self, genotypes: np.ndarray) -> list[tuple[float, None, float]]:
+        """The rows of an (N, D) genotype block, computed row-wise in one pass."""
+        return self._rows(self.space.decode(genotypes))
+
+    def _rows(self, x: np.ndarray) -> list[tuple[float, None, float]]:
         f = _FUNCTIONS[self.name](x)
-        return f / (1.0 + f), None, 1.0
+        return [(v, None, 1.0) for v in (f / (1.0 + f)).tolist()]
 

@@ -51,6 +51,12 @@ DEFAULTS = {
     "jobs": 1,
     "out": None,
 }
+# the JSON type of each config file field, the type its flag parses to; an
+# integer is a number too, and null leaves a field without a default unset
+_FIELD_TYPES = {"optimizer": str, "np": int, "f": float, "cr": float, "pop": int, "sample": int,
+                "benchmark": str, "evals": int, "cost": float, "runs": int, "seed": int,
+                "jobs": int, "out": str}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
 def parse_benchmark(spec: str) -> Benchmark:
@@ -118,9 +124,18 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             file_cfg = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             parser.error(f"unknown config file fields: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            kind = _FIELD_TYPES[key]
+            # type(), not isinstance(): a bool is not an integer here
+            if not (type(value) is kind or (kind is float and type(value) is int)
+                    or (value is None and DEFAULTS[key] is None)):
+                raise ValueError(f"config file {args.config}: field {key!r} is not "
+                                 f"{_TYPE_NAMES[kind]}: {value!r}")
         cfg.update(file_cfg)
     for key in DEFAULTS:
         value = getattr(args, key, None)
@@ -167,6 +182,9 @@ def cmd_compare(args, parser) -> int:
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
     if len(optimizers) < 2:
         parser.error("--optimizers needs at least two comma-separated names")
+    repeated = [o for i, o in enumerate(optimizers) if o in optimizers[:i]]
+    if repeated:
+        parser.error(f"--optimizers names {repeated[0]!r} more than once")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

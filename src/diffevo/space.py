@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Union
+from typing import Any, Iterator
 
 import numpy as np
 
 Token = str
-Value = Union[float, int, Token]
 Configuration = tuple  # one native value per parameter, in declaration order
 
 KINDS = ("float", "integer", "ordinal", "categorical")
@@ -95,14 +93,6 @@ class ParameterSpec:
             return self.choices
         return None
 
-    def contains(self, value: Value) -> bool:
-        """True when ``value`` lies in this parameter's native domain."""
-        if self.kind == "float":
-            return _is_number(value) and self.lo <= value <= self.hi
-        if self.kind == "integer":
-            return isinstance(value, int) and not isinstance(value, bool) and self.lo <= value <= self.hi
-        return value in self.tokens
-
     def to_json_dict(self) -> dict[str, Any]:
         if self.kind in ("float", "integer"):
             return {"name": self.name, "kind": self.kind, "lo": self.lo, "hi": self.hi}
@@ -132,27 +122,6 @@ def _check_tokens(name: str, tokens: tuple[Token, ...]):
         raise ValueError(f"parameter {name!r}: tokens must be unique")
 
 
-def _float_value(lo: float, span: float, u: float) -> float:
-    return lo + span * u
-
-
-def _integer_value(lo: int, span: int, u: float) -> int:
-    # round() is half-to-even; integer discretization wants half away from zero
-    x = lo + span * u
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
-
-
-def _token_value(tokens: tuple[Token, ...], u: float) -> Token:
-    return tokens[min(int(u * len(tokens)), len(tokens) - 1)]
-
-
-def _decoder(p: ParameterSpec) -> Callable[[float], Value]:
-    """The map of ``p`` for a coordinate already checked to lie in [0, 1]."""
-    if p.kind in ("float", "integer"):
-        return partial(_float_value if p.kind == "float" else _integer_value, p.lo, p.hi - p.lo)
-    return partial(_token_value, p.tokens)
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """An ordered, immutable list of parameters; D is the genotype length."""
@@ -166,8 +135,24 @@ class SearchSpace:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names in {names}")
-        # not a field: equality, hashing and the JSON form see only the params
-        object.__setattr__(self, "_decoders", tuple(_decoder(p) for p in self.params))
+        # the decoding terms; not fields, so equality, hashing and the JSON
+        # form see only the params. A term the space does not need is None.
+        kinds = [p.kind for p in self.params]
+        n_tokens = [len(p.tokens) if p.tokens else 0 for p in self.params]
+        lo = [0.0 if n else float(p.lo) for p, n in zip(self.params, n_tokens)]
+        span = [float(n) if n else float(p.hi - p.lo) for p, n in zip(self.params, n_tokens)]
+        terms = {
+            # a float column keeps lo = 0, which turns u = -0.0 into 0.0
+            "_lo": np.array(lo) if any(lo) or "float" in kinds else None,
+            "_span": np.array(span),
+            "_half": (np.array([0.5 * (k == "integer") for k in kinds])
+                      if "integer" in kinds else None),
+            "_top": (np.array([n - 1.0 if n else math.inf for n in n_tokens])
+                     if any(n_tokens) else None),
+            "_floats": np.array([k == "float" for k in kinds]) if "float" in kinds else None,
+        }
+        for name, value in terms.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
@@ -181,30 +166,51 @@ class SearchSpace:
         """
         return next(self.discretize_rows(np.reshape(genotype, (1, -1))))
 
+    def decode(self, genotypes: np.ndarray) -> np.ndarray:
+        """The native numeric values of the rows of an (N, D) genotype block.
+
+        Returns an (N, D) float array: a float column holds its value, an
+        integer column its integer, and a token column the index of its
+        token. Raises ValueError on a wrong width or any coordinate outside
+        [0, 1].
+        """
+        u = np.asarray(genotypes, dtype=float)
+        if u.ndim != 2 or u.shape[1] != self.dimension:
+            raise ValueError(f"genotypes of shape {u.shape} do not have "
+                             f"{self.dimension} values a row, the space's dimension")
+        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # NaN fails both
+            p, v = next((p, v) for row in u.tolist() for p, v in zip(self.params, row)
+                        if not 0.0 <= v <= 1.0)
+            raise ValueError(f"parameter {p.name!r}: genotype value {v} outside [0, 1]")
+        # x = lo + span * u, where a token column has lo 0 and span n
+        x = self._span * u
+        if self._lo is not None:
+            x += self._lo
+        if self._half is None and self._top is None:
+            return x
+        if self._half is None:
+            values = np.floor(x)
+        else:  # integers round half away from zero: copysign(floor(|x| + 0.5), x)
+            values = np.abs(x)
+            values += self._half
+            np.floor(values, out=values)
+            np.copysign(values, x, out=values)
+        if self._top is not None:  # u = 1 selects the last token
+            np.minimum(values, self._top, out=values)
+        if self._floats is not None:
+            np.copyto(values, x, where=self._floats)
+        return values
+
     def discretize_rows(self, genotypes: np.ndarray) -> Iterator[Configuration]:
         """The configurations of the rows of an (N, D) genotype block, in order.
 
-        A wrong width or any coordinate outside [0, 1] raises ValueError
-        before any row is decoded; rows are decoded as the iterator is read.
+        The block is checked and decoded up front, as :meth:`decode` does;
+        the configuration tuples are built as the iterator is read.
         """
-        genotypes = np.asarray(genotypes, dtype=float)
-        if genotypes.ndim != 2 or genotypes.shape[1] != self.dimension:
-            raise ValueError(f"genotypes of shape {genotypes.shape} do not have "
-                             f"{self.dimension} values a row, the space's dimension")
-        rows = genotypes.tolist()
-        # a Python pass: numpy's fixed cost per call would dominate one-row blocks
-        if not all([0.0 <= u <= 1.0 for row in rows for u in row]):
-            p, u = next((p, u) for row in rows for p, u in zip(self.params, row)
-                        if not 0.0 <= u <= 1.0)
-            raise ValueError(f"parameter {p.name!r}: genotype value {u} outside [0, 1]")
-        decoders = self._decoders
-        return (tuple([decode(u) for decode, u in zip(decoders, row)]) for row in rows)
-
-    def contains(self, config: Iterable[Value]) -> bool:
-        config = tuple(config)
-        if len(config) != self.dimension:
-            return False
-        return all(p.contains(v) for p, v in zip(self.params, config))
+        columns = self.decode(genotypes).T.tolist()
+        return zip(*[column if p.kind == "float" else
+                     [p.tokens[int(v)] for v in column] if p.tokens else list(map(int, column))
+                     for p, column in zip(self.params, columns)])
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"params": [p.to_json_dict() for p in self.params]}

@@ -117,14 +117,18 @@ class RunRecorder:
             genotypes = genotypes[:max(budget.max_evaluations - len(self.rows), 0)]
         free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else math.inf
         max_cost = math.inf if budget.max_cost is None else budget.max_cost
-        evaluate, append = self.bench.evaluate, self.rows.append
         cumulative, free = self.cumulative_cost, self._free
+        if cumulative >= max_cost:
+            return np.array([], dtype=float)
+        bench, append = self.bench, self.rows.append
         inc_objective, inc_test, inc_valid = self._incumbent
         fitness = []
-        for config in self.bench.space.discretize_rows(genotypes):
-            if cumulative >= max_cost:
-                break
-            row = evaluate(config)
+        # a benchmark without evaluate_batch is asked for each row only after
+        # the cost check; a batch may score rows past the cost limit
+        batch = getattr(bench, "evaluate_batch", None)
+        rows = (batch(genotypes) if batch is not None
+                else map(bench.evaluate, bench.space.discretize_rows(genotypes)))
+        for row in rows:
             valid = row is not None
             if valid:
                 objective, test, cost = row
@@ -140,6 +144,7 @@ class RunRecorder:
                                      f"{cumulative!r}, so the cost budget may never be spent; "
                                      "add an evaluation limit (--evals)")
             else:  # only a valid row's cost can be negative or NaN
+                config = bench.space.discretize(genotypes[len(fitness)])
                 raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or "
                                  "not a number")
             # a valid configuration displaces an invalid incumbent even on ties,
@@ -149,6 +154,8 @@ class RunRecorder:
                 inc_objective, inc_test, inc_valid = objective, test, valid
             append((cumulative, objective, inc_objective, inc_test, valid))
             fitness.append(objective)
+            if cumulative >= max_cost:
+                break
         self.cumulative_cost, self._free = cumulative, free
         self._incumbent = (inc_objective, inc_test, inc_valid)
         return np.array(fitness, dtype=float)
@@ -220,12 +227,19 @@ def _header_line(trace: RunTrace) -> str:
 
 
 def _json_floats(column: np.ndarray, nan: str = "NaN") -> list[str]:
-    """Each value spelled as ``json.dumps`` spells a float: ``repr`` when finite."""
-    text = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        x = column[i]
+    """Each value spelled as ``json.dumps`` spells a float: ``repr`` when finite.
+
+    Each distinct value is spelled once. Values are told apart by their bit
+    patterns, since comparing floats would merge -0.0 with 0.0.
+    """
+    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.int64),
+                              return_inverse=True)
+    values = bits.view(np.float64)
+    text = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        x = values[i]
         text[i] = nan if x != x else ("Infinity" if x > 0 else "-Infinity")
-    return text
+    return [text[i] for i in inverse.tolist()]
 
 
 def write_traces(traces: list[RunTrace], path: str | Path):

@@ -73,6 +73,88 @@ class TestTabularBenchmark:
         assert bench.best_validation_error == np.float64(0.3)
 
 
+def mixed_table(seed, sizes=(3, 1, 4), lo=-3, listed=0.6):
+    """A table over integer, ordinal and categorical parameters (a negative
+    integer ``lo``, a single-token parameter) listing a seeded share of keys."""
+    space = SearchSpace(params=(
+        ParameterSpec(name="k", kind="integer", lo=lo, hi=lo + 5),
+        *(ParameterSpec(name=f"t{i}", kind="ordinal" if i % 2 else "categorical",
+                        **{"values" if i % 2 else "choices": tuple(f"v{j}" for j in range(n))})
+          for i, n in enumerate(sizes)),
+        ParameterSpec(name="m", kind="integer", lo=0, hi=2),
+    ))
+    rng = np.random.default_rng(seed)
+    domains = [range(lo, lo + 6), *(p.tokens for p in space.params[1:-1]), range(3)]
+    table = {key: (float(rng.random()), None, float(rng.random()))
+             for key in itertools.product(*domains) if rng.random() < listed}
+    return TabularBenchmark(space=space, table=table, benchmark_id="mixed")
+
+
+def genotype_block(dimension, rows, seed):
+    """Uniform rows plus rows of 0.0, -0.0, 1.0 and .5 ties of the integers."""
+    special = np.array([[0.0] * dimension, [-0.0] * dimension, [1.0] * dimension,
+                        [0.5 / 5] * dimension, [2.5 / 5] * dimension, [0.25] * dimension])
+    return np.concatenate([special, np.random.default_rng(seed).random((rows, dimension))])
+
+
+class TestEvaluateBatch:
+    """``evaluate_batch`` gives the rows ``evaluate`` gives for the block's configurations."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tabular_with_invalid_keys(self, seed):
+        bench = mixed_table(seed)
+        block = genotype_block(bench.space.dimension, 300, seed)
+        want = [bench.evaluate(config) for config in bench.space.discretize_rows(block)]
+        assert bench.evaluate_batch(block) == want
+        assert None in want and any(row is not None for row in want)
+
+    def test_sparse_space_above_a_billion_configurations(self):
+        space = SearchSpace(params=(
+            *(ParameterSpec(name=f"k{i}", kind="integer", lo=-1000, hi=1000) for i in range(3)),
+            ParameterSpec(name="c", kind="categorical", choices=("a", "b", "c")),
+        ))
+        table = {(-1000, 0, 1000, "a"): (0.1, None, 1.0), (999, -999, 0, "c"): (0.2, 0.3, 2.0),
+                 (1000, 1000, 1000, "b"): (0.3, None, 3.0)}
+        bench = TabularBenchmark(space=space, table=table, benchmark_id="sparse")
+        hits = np.array([[0.0, 0.5, 1.0, 0.0], [1999 / 2000, 1 / 2000, 0.5, 1.0],
+                         [1.0, 1.0, 1.0, 0.5]])
+        block = np.concatenate([hits, genotype_block(4, 20, 0)])
+        want = [bench.evaluate(config) for config in space.discretize_rows(block)]
+        assert bench.evaluate_batch(block) == want
+        assert want[:3] == list(table.values())
+
+    def test_empty_block(self):
+        assert mixed_table(0).evaluate_batch(np.empty((0, 5))) == []
+
+    def test_rejects_more_configurations_than_64_bit_codes(self):
+        space = SearchSpace(params=tuple(
+            ParameterSpec(name=f"k{i}", kind="integer", lo=0, hi=2**16) for i in range(4)))
+        with pytest.raises(ValueError, match="too many for 64-bit configuration codes"):
+            TabularBenchmark(space=space, table={(0, 0, 0, 0): (0.1, None, 1.0)},
+                             benchmark_id="t")
+
+    def test_rejects_integer_bounds_beyond_exact_decoding(self):
+        space = SearchSpace(params=(
+            ParameterSpec(name="k", kind="integer", lo=2**53, hi=2**53 + 3),))
+        with pytest.raises(ValueError, match="beyond"):
+            TabularBenchmark(space=space, table={(2**53,): (0.1, None, 1.0)}, benchmark_id="t")
+
+    @pytest.mark.parametrize("name", ["sphere", "rastrigin"])
+    @pytest.mark.parametrize("dimension", [1, 3, 12])
+    def test_functions(self, name, dimension):
+        bench = FunctionBenchmark(name, dimension)
+        block = genotype_block(dimension, 200, dimension)
+        configs = list(bench.space.discretize_rows(block))
+        got = bench.evaluate_batch(block)
+        assert got == [bench.evaluate(config) for config in configs]
+        # the one-point formula, one row at a time
+        for (val, test, cost), config in zip(got, configs):
+            x = np.array(config)
+            f = float(np.sum(x * x) if name == "sphere"
+                      else 10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+            assert (val, test, cost) == (f / (1.0 + f), None, 1.0)
+
+
 class TestTabularFile:
     def test_round_trip_identical_behavior(self, tmp_path):
         bench = make_synthetic(3, 3, invalid_fraction=0.2, seed=5)

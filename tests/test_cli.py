@@ -152,6 +152,26 @@ class TestRun:
                        "--out", str(override)) == 0
         assert len(read_traces(override)) == 3
 
+    @pytest.mark.parametrize("field,value,kind", [
+        ("cost", "5", "a number"), ("evals", 2.5, "an integer"), ("runs", True, "an integer"),
+        ("np", None, "an integer"), ("benchmark", ["synthetic:3x3"], "a string"),
+    ])
+    def test_wrongly_typed_config_field_fails_cleanly(self, tmp_path, capsys, field, value,
+                                                      kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evals": 10, field: value}))
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: config file {cfg}: field {field!r} is not "
+                                           f"{kind}: {value!r}\n")
+        assert not out.exists()
+
+    def test_config_file_that_is_not_an_object_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('["evals"]')
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")) == 1
+        assert capsys.readouterr().err == f"error: config file {cfg} does not hold a JSON object\n"
+
     def test_unknown_config_field_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evlas": 10}))
@@ -274,6 +294,15 @@ class TestCompare:
         assert out == ""
         assert err == f"error: the log grid needs at least 1 point, got {points}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_optimizer_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("compare", "--optimizers", "de,rs,de", "--np", "4",
+                    "--benchmark", "synthetic:3x3", "--evals", "10",
+                    "--out-dir", str(tmp_path / "d"))
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith("error: --optimizers names 'de' more than once\n")
+        assert not (tmp_path / "d").exists()
 
     def test_single_optimizer_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, make_synthetic, read_traces, run_random_search, write_traces
+from diffevo import (Budget, load_tabular, make_synthetic, read_traces, run_random_search,
+                     write_traces)
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
@@ -88,6 +89,14 @@ class TestBlockRecorder:
             bench.base.evaluate(("c1", "c1", "c1"))[0]] * 2
         assert len(recorder.evaluate(np.full((5, 3), 0.5))) == 0
         assert len(bench.configs) == 2
+
+    def test_benchmark_without_batch_is_asked_nothing_past_the_cost_limit(self):
+        # unit costs: the limit of 3 is reached by the third row of the block
+        bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
+        block = np.array([[0.1] * 3, [0.5] * 3, [0.9] * 3, [0.5, 0.1, 0.9], [0.9, 0.5, 0.1]])
+        recorder = RunRecorder(bench, Budget(max_cost=3.0))
+        assert len(recorder.evaluate(block)) == 3
+        assert bench.configs == list(bench.space.discretize_rows(block))[:3]
 
     def test_valid_point_displaces_invalid_incumbent_on_a_tie(self):
         # bins: invalid, valid at error 1.0 (ties the invalid penalty), valid 0.4
@@ -201,6 +210,22 @@ class TestTraceWriter:
     def test_any_floats_match_json_dumps(self, rows):
         trace = trace_from_rows(rows)
         assert written_event_lines(trace) == reference_lines(trace)
+
+    def test_negative_zero_error_is_spelled_as_json_dumps_spells_it(self, tmp_path):
+        # one column holds both -0.0 and 0.0, which compare equal as floats
+        space = make_synthetic(1, 3, seed=0).space
+        path = tmp_path / "zero.jsonl"
+        path.write_text("\n".join([json.dumps(space.to_json_dict()), *(
+            json.dumps({"key": [token], "val_err": val, "test_err": None, "cost": 1.0})
+            for token, val in zip(space.params[0].choices, [-0.0, 0.0, 0.5]))]) + "\n")
+        recorder = RunRecorder(load_tabular(path), Budget(max_evaluations=6))
+        recorder.evaluate(np.array([[0.9], [0.1], [0.5], [0.1], [0.5], [0.9]]))
+        trace = recorder.finish(seed=0, optimizer_id="x")
+        write_traces([trace], tmp_path / "t.jsonl")
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()[1:]
+        assert lines == reference_lines(trace)
+        assert [line.split('"objective":')[1].split(",")[0] for line in lines] == [
+            "0.5", "-0.0", "0.0", "-0.0", "0.0", "0.5"]
 
     def test_recorded_run_round_trips(self, tmp_path):
         bench = make_synthetic(3, 3, invalid_fraction=0.3, seed=1)
