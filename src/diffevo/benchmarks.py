@@ -86,8 +86,9 @@ class TabularBenchmark:
         if not self.table:
             raise ValueError("tabular benchmark needs at least one listed configuration")
         sizes = [len(p.tokens) if p.tokens else p.hi - p.lo + 1 for p in self.space.params]
-        if math.prod(sizes) > np.iinfo(np.int64).max:
-            raise ValueError(f"the space's {math.prod(sizes)} configurations are too many "
+        total = math.prod(sizes)
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(f"the space's {total} configurations are too many "
                              "for 64-bit configuration codes")
         index = _check_rows(self.space, self.table, where=repr)
         best_val = min(val for val, _, _ in self.table.values())
@@ -95,13 +96,22 @@ class TabularBenchmark:
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
         # the lookup by configuration code, sum(index_j * weight_j) with mixed-radix
-        # weights; not fields, so equality sees only the table
+        # weights; not fields, so equality sees only the table. It is a list
+        # where that is smaller (8 bytes a configuration against about 70 a
+        # listed row), else a dict.
         weights = np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
-        codes = weights @ np.array(index, dtype=np.int64)
+        codes = (weights @ np.array(index, dtype=np.int64)).tolist()
+        if total <= 8 * len(codes):
+            rows = [None] * total
+            for code, row in zip(codes, self.table.values()):
+                rows[code] = row
+            lookup = rows.__getitem__
+        else:
+            lookup = dict(zip(codes, self.table.values())).get
         base = [p.lo if p.kind == "integer" else 0 for p in self.space.params]
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_base", np.array(base, dtype=np.int64) if any(base) else None)
-        object.__setattr__(self, "_rows", dict(zip(codes.tolist(), self.table.values())))
+        object.__setattr__(self, "_lookup", lookup)
 
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
         return self.table.get(tuple(config))
@@ -113,7 +123,7 @@ class TabularBenchmark:
         index = self.space.decode(genotypes).astype(np.int64)
         if self._base is not None:
             index -= self._base
-        return list(map(self._rows.get, (index @ self._weights).tolist()))
+        return list(map(self._lookup, (index @ self._weights).tolist()))
 
 
 def _check_rows(space, table, where) -> list[list[int]]:
@@ -187,12 +197,21 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     ``{"key": [...], "val_err": ..., "test_err": ..., "cost": ...}``.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines:
+    with open(path) as fh:
+        return _read_tabular(path, fh)
+
+
+def _read_tabular(path: Path, fh) -> TabularBenchmark:
+    # a line at a time: the file's text is never held whole, and lines end only
+    # at a newline, not at the other breaks str.splitlines() knows, such as
+    # U+2028, which JSON allows inside a string
+    lines = (line.rstrip("\n") for line in fh)
+    first = next(lines, None)
+    if first is None:
         raise BenchmarkLoadError(f"{path}: empty benchmark file")
 
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
         space = SearchSpace.from_json_dict(header)
         benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
         if not isinstance(benchmark_id, str):
@@ -214,7 +233,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         check_rows()
         raise BenchmarkLoadError(f"{path}:{lineno}: {msg}")
 
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
@@ -238,7 +257,6 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         table[key] = values
         linenos.append(lineno)
 
-    del lines  # the file's text is not needed for the lookup index built next
     if not table:
         raise BenchmarkLoadError(f"{path}: no configuration records")
     try:

@@ -52,7 +52,8 @@ DEFAULTS = {
     "out": None,
 }
 # the JSON type of each config file field, the type its flag parses to; an
-# integer is a number too, and null leaves a field without a default unset
+# integer is read as a float where a number is due, and null leaves a field
+# without a default unset
 _FIELD_TYPES = {"optimizer": str, "np": int, "f": float, "cr": float, "pop": int, "sample": int,
                 "benchmark": str, "evals": int, "cost": float, "runs": int, "seed": int,
                 "jobs": int, "out": str}
@@ -131,9 +132,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             parser.error(f"unknown config file fields: {sorted(unknown)}")
         for key, value in file_cfg.items():
             kind = _FIELD_TYPES[key]
+            if kind is float and type(value) is int:
+                value = file_cfg[key] = float(value)  # as the flag parses it
             # type(), not isinstance(): a bool is not an integer here
-            if not (type(value) is kind or (kind is float and type(value) is int)
-                    or (value is None and DEFAULTS[key] is None)):
+            if not (type(value) is kind or (value is None and DEFAULTS[key] is None)):
                 raise ValueError(f"config file {args.config}: field {key!r} is not "
                                  f"{_TYPE_NAMES[kind]}: {value!r}")
         cfg.update(file_cfg)

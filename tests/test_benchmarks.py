@@ -100,9 +100,11 @@ def genotype_block(dimension, rows, seed):
 class TestEvaluateBatch:
     """``evaluate_batch`` gives the rows ``evaluate`` gives for the block's configurations."""
 
+    # 60% of keys listed gives a list index by code, 5% a dict
+    @pytest.mark.parametrize("listed", [0.6, 0.05])
     @pytest.mark.parametrize("seed", range(4))
-    def test_tabular_with_invalid_keys(self, seed):
-        bench = mixed_table(seed)
+    def test_tabular_with_invalid_keys(self, seed, listed):
+        bench = mixed_table(seed, listed=listed)
         block = genotype_block(bench.space.dimension, 300, seed)
         want = [bench.evaluate(config) for config in bench.space.discretize_rows(block)]
         assert bench.evaluate_batch(block) == want
@@ -296,6 +298,19 @@ class TestTabularFile:
         ])
         with pytest.raises(BenchmarkLoadError):
             load_tabular(path)
+
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # U+2028 is a line break to str.splitlines() but may stand raw in JSON
+        space = SearchSpace(params=(
+            ParameterSpec(name="op", kind="categorical", choices=("a\u2028b", "c")),))
+        path = tmp_path / "bench.jsonl"
+        path.write_text("\r\n".join([
+            json.dumps(space.to_json_dict(), ensure_ascii=False),
+            json.dumps({"key": ["a\u2028b"], "val_err": 0.25, "cost": 1.0}, ensure_ascii=False),
+            json.dumps({"key": ["c"], "val_err": 0.5, "cost": 2.0}),
+        ]) + "\r\n", encoding="utf-8")
+        bench = load_tabular(path)
+        assert bench.table == {("a\u2028b",): (0.25, None, 1.0), ("c",): (0.5, None, 2.0)}
 
     def test_bad_json_fails(self, tmp_path):
         path = self.write_file(tmp_path, ["{not json"])

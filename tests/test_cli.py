@@ -166,6 +166,15 @@ class TestRun:
                                            f"{kind}: {value!r}\n")
         assert not out.exists()
 
+    def test_config_file_integer_for_a_number_is_read_as_the_flag_reads_it(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evals": 10, "f": 1, "cr": 0}))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
+        assert run_cli("run", "--benchmark", "synthetic:3x3", "--evals", "10", "--f", "1",
+                       "--cr", "0", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_config_file_that_is_not_an_object_fails_cleanly(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('["evals"]')
