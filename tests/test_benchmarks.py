@@ -73,18 +73,18 @@ class TestTabularBenchmark:
         assert bench.best_validation_error == np.float64(0.3)
 
 
-def mixed_table(seed, sizes=(3, 1, 4), lo=-3, listed=0.6):
+def mixed_table(seed, listed=0.6):
     """A table over integer, ordinal and categorical parameters (a negative
     integer ``lo``, a single-token parameter) listing a seeded share of keys."""
     space = SearchSpace(params=(
-        ParameterSpec(name="k", kind="integer", lo=lo, hi=lo + 5),
-        *(ParameterSpec(name=f"t{i}", kind="ordinal" if i % 2 else "categorical",
-                        **{"values" if i % 2 else "choices": tuple(f"v{j}" for j in range(n))})
-          for i, n in enumerate(sizes)),
+        ParameterSpec(name="k", kind="integer", lo=-3, hi=2),
+        ParameterSpec(name="a", kind="categorical", choices=("x", "y", "z")),
+        ParameterSpec(name="b", kind="ordinal", values=("only",)),
+        ParameterSpec(name="c", kind="categorical", choices=("p", "q", "r", "s")),
         ParameterSpec(name="m", kind="integer", lo=0, hi=2),
     ))
     rng = np.random.default_rng(seed)
-    domains = [range(lo, lo + 6), *(p.tokens for p in space.params[1:-1]), range(3)]
+    domains = [range(-3, 3), *(p.tokens for p in space.params[1:-1]), range(3)]
     table = {key: (float(rng.random()), None, float(rng.random()))
              for key in itertools.product(*domains) if rng.random() < listed}
     return TabularBenchmark(space=space, table=table, benchmark_id="mixed")
