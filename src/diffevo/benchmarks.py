@@ -96,18 +96,10 @@ class TabularBenchmark:
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
         # the lookup by configuration code, sum(index_j * weight_j) with mixed-radix
-        # weights; not fields, so equality sees only the table. It is a list
-        # where that is smaller (8 bytes a configuration against about 70 a
-        # listed row), else a dict.
+        # weights; not fields, so equality sees only the table
         weights = np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
         codes = (weights @ np.array(index, dtype=np.int64)).tolist()
-        if total <= 8 * len(codes):
-            rows = [None] * total
-            for code, row in zip(codes, self.table.values()):
-                rows[code] = row
-            lookup = rows.__getitem__
-        else:
-            lookup = dict(zip(codes, self.table.values())).get
+        lookup = dict(zip(codes, self.table.values())).get
         base = [p.lo if p.kind == "integer" else 0 for p in self.space.params]
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_base", np.array(base, dtype=np.int64) if any(base) else None)

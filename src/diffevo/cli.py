@@ -133,7 +133,11 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         for key, value in file_cfg.items():
             kind = _FIELD_TYPES[key]
             if kind is float and type(value) is int:
-                value = file_cfg[key] = float(value)  # as the flag parses it
+                try:
+                    value = file_cfg[key] = float(value)  # as the flag parses it
+                except OverflowError:
+                    raise ValueError(f"config file {args.config}: field {key!r} is too "
+                                     "large for a number") from None
             # type(), not isinstance(): a bool is not an integer here
             if not (type(value) is kind or (value is None and DEFAULTS[key] is None)):
                 raise ValueError(f"config file {args.config}: field {key!r} is not "

@@ -174,7 +174,8 @@ class SearchSpace:
         token. Raises ValueError on a wrong width or any coordinate outside
         [0, 1].
         """
-        u = np.asarray(genotypes, dtype=float)
+        # C order, so that a row sum adds pairwise as the sum of one configuration does
+        u = np.asarray(genotypes, dtype=float, order="C")
         if u.ndim != 2 or u.shape[1] != self.dimension:
             raise ValueError(f"genotypes of shape {u.shape} do not have "
                              f"{self.dimension} values a row, the space's dimension")

@@ -166,6 +166,15 @@ class TestRun:
                                            f"{kind}: {value!r}\n")
         assert not out.exists()
 
+    def test_config_file_integer_too_large_for_a_number_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"benchmark": "synthetic:3x3", "evals": 10, "cost": 1' + "0" * 400 + "}")
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: config file {cfg}: field 'cost' is too "
+                                           "large for a number\n")
+        assert not out.exists()
+
     def test_config_file_integer_for_a_number_is_read_as_the_flag_reads_it(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evals": 10, "f": 1, "cr": 0}))
