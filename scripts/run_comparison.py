@@ -19,6 +19,7 @@ from diffevo import (
     DEConfig,
     REConfig,
     aggregate,
+    each_seed,
     final_regrets,
     paired_sign_test,
     run_de,
@@ -61,9 +62,9 @@ def main():
     re_cfg = REConfig(population_size=args.re_pop, sample_size=args.re_sample,
                       budget=budget)
     runners = {
-        "de": lambda b, s: run_de(b, de_cfg, s),
-        "rs": lambda b, s: run_random_search(b, budget, s),
-        "re": lambda b, s: run_regularized_evolution(b, re_cfg, s),
+        "de": each_seed(lambda b, s: run_de(b, de_cfg, s)),
+        "rs": each_seed(lambda b, s: run_random_search(b, budget, s)),
+        "re": lambda b, seeds: run_regularized_evolution(b, re_cfg, seeds),
     }
 
     print(f"benchmark {bench.benchmark_id}: best validation error "

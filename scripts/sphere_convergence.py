@@ -14,7 +14,8 @@ import argparse
 
 import numpy as np
 
-from diffevo import Budget, DEConfig, FunctionBenchmark, final_regrets, run_de, run_experiment
+from diffevo import (Budget, DEConfig, FunctionBenchmark, each_seed, final_regrets, run_de,
+                     run_experiment)
 
 
 def main():
@@ -35,7 +36,7 @@ def main():
                    scaling_factor=args.scaling_factor,
                    crossover_rate=args.crossover_rate,
                    budget=Budget(max_evaluations=args.evals))
-    traces = run_experiment(lambda b, s: run_de(b, cfg, s), bench,
+    traces = run_experiment(each_seed(lambda b, s: run_de(b, cfg, s)), bench,
                             n_runs=args.runs, base_seed=args.seed)
     finals = final_regrets(traces)
     hits = int((finals <= args.tolerance).sum())

@@ -21,6 +21,7 @@ from .de import DEConfig, run_de
 from .harness import (
     AggregateCurve,
     aggregate,
+    each_seed,
     final_regrets,
     paired_sign_test,
     regret_series,
@@ -45,6 +46,7 @@ __all__ = [
     "TabularBenchmark",
     "aggregate",
     "check_trace_invariants",
+    "each_seed",
     "final_regrets",
     "load_tabular",
     "make_synthetic",

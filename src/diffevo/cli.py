@@ -30,7 +30,8 @@ import numpy as np
 from .baselines import REConfig, run_random_search, run_regularized_evolution
 from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
 from .de import DEConfig, run_de
-from .harness import RunFn, aggregate, final_regrets, run_experiment, write_curve_csv
+from .harness import (RunFn, aggregate, each_seed, final_regrets, run_experiment,
+                      write_curve_csv)
 from .trace import Budget, read_traces, write_traces
 
 OPTIMIZERS = ("de", "rs", "re")
@@ -107,14 +108,14 @@ def build_runner(optimizer: str, cfg: dict, budget: Budget) -> RunFn:
             crossover_rate=cfg["cr"],
             budget=budget,
         )
-        return lambda bench, seed: run_de(bench, de_cfg, seed)
+        return each_seed(lambda bench, seed: run_de(bench, de_cfg, seed))
     if optimizer == "rs":
-        return lambda bench, seed: run_random_search(bench, budget, seed)
+        return each_seed(lambda bench, seed: run_random_search(bench, budget, seed))
     if optimizer == "re":
         re_cfg = REConfig(
             population_size=cfg["pop"], sample_size=cfg["sample"], budget=budget,
         )
-        return lambda bench, seed: run_regularized_evolution(bench, re_cfg, seed)
+        return lambda bench, seeds: run_regularized_evolution(bench, re_cfg, seeds)
     raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
 
 
@@ -238,7 +239,8 @@ def _add_shared_flags(sub):
     sub.add_argument("--cost", type=float, help="max cumulative cost (seconds) per run")
     sub.add_argument("--runs", type=int, help="number of independent runs (default 1)")
     sub.add_argument("--seed", type=int, help="base seed; run k uses seed+k (default 0)")
-    sub.add_argument("--jobs", type=int, help="max concurrent runs (default 1)")
+    sub.add_argument("--jobs", type=int,
+                     help="split the seeds into this many concurrent chunks (default 1)")
     sub.add_argument("--config", help="JSON config file; flags override its fields")
     sub.add_argument("--np", type=int, help="DE population size (default 20)")
     sub.add_argument("--f", type=float, help="DE scaling factor (default 0.5)")

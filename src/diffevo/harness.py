@@ -25,7 +25,10 @@ import numpy as np
 from .benchmarks import Benchmark
 from .trace import RunTrace
 
-RunFn = Callable[[Benchmark, int], RunTrace]
+# a runner makes the runs of an experiment's seeds and returns their traces in
+# seed order; a run that raises ends the runner with run_failure() of the
+# lowest failing seed, as running the seeds one after another would
+RunFn = Callable[[Benchmark, Sequence[int]], list[RunTrace]]
 
 # rows per write of a curve CSV: bounds the text held in memory at once
 _CSV_CHUNK_ROWS = 4096
@@ -49,29 +52,52 @@ def final_regrets(traces: Sequence[RunTrace]) -> np.ndarray:
     return np.array([t.incumbent_objective[-1] - t.best_validation_error for t in traces])
 
 
+def run_failure(seed: int, exc: Exception) -> Exception:
+    """The error that reports a run raising ``exc``, with its seed attached:
+    a ValueError stays one, anything else becomes RuntimeError."""
+    kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+    return kind(f"run with seed {seed} failed: {exc}")
+
+
+def each_seed(run: Callable[[Benchmark, int], RunTrace]) -> RunFn:
+    """A runner that makes its runs one seed after another with ``run``."""
+    def runner(bench: Benchmark, seeds: Sequence[int]) -> list[RunTrace]:
+        traces = []
+        for seed in seeds:
+            try:
+                traces.append(run(bench, seed))
+            except Exception as exc:
+                raise run_failure(seed, exc) from exc
+        return traces
+    return runner
+
+
 def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int = 0,
                    jobs: int = 1) -> list[RunTrace]:
-    """Independent runs with seeds ``base_seed .. base_seed + n_runs - 1``.
+    """Independent runs with seeds ``base_seed .. base_seed + n_runs - 1``,
+    made by the runner ``run_fn`` (see :data:`RunFn`).
 
-    Runs may execute concurrently (``jobs``); results come back in seed
-    order regardless of completion order. A failing run propagates with its
-    seed attached: a ValueError stays one, anything else becomes RuntimeError.
+    With ``jobs`` above 1 the seeds are split into that many contiguous
+    chunks, each handed to ``run_fn`` in its own thread; the traces come
+    back in seed order, and a failure names the lowest failing seed.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     seeds = range(base_seed, base_seed + n_runs)
-
-    def one(seed: int) -> RunTrace:
-        try:
-            return run_fn(bench, seed)
-        except Exception as exc:
-            kind = ValueError if isinstance(exc, ValueError) else RuntimeError
-            raise kind(f"run with seed {seed} failed: {exc}") from exc
-
     if jobs <= 1:
-        return [one(seed) for seed in seeds]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, seeds))
+        traces = run_fn(bench, seeds)
+    else:
+        jobs = min(jobs, n_runs)
+        chunks = [seeds[k * n_runs // jobs:(k + 1) * n_runs // jobs] for k in range(jobs)]
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            traces = [trace for part in pool.map(lambda chunk: run_fn(bench, chunk), chunks)
+                      for trace in part]
+    # a one-seed function passed as a runner would seed one run with all the
+    # seeds, since a generator accepts a sequence of seeds as its entropy
+    if not isinstance(traces, list) or [t.seed for t in traces] != list(seeds):
+        raise TypeError("a runner must return one trace per seed, in seed order; "
+                        "wrap a one-seed function in each_seed()")
+    return traces
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -97,37 +98,59 @@ class RunRecorder:
     def __init__(self, bench: Benchmark, budget: Budget):
         self.bench = bench
         self.budget = budget
-        self.rows: list[tuple] = []  # one tuple per event, ordered like COLUMNS
+        # one list per event field, ordered like COLUMNS
+        self.columns: tuple[list, ...] = tuple([] for _ in COLUMNS)
+        self._appends = tuple(column.append for column in self.columns)
         self.cumulative_cost = 0.0
+        self._max_evaluations = (sys.maxsize if budget.max_evaluations is None
+                                 else budget.max_evaluations)
+        self._max_cost = math.inf if budget.max_cost is None else budget.max_cost
+        self._free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else math.inf
         self._free = 0  # evaluations since the cumulative cost last changed
         self._incumbent = (math.inf, None, False)  # objective, test error, valid
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether the budget is spent, so the run may evaluate nothing more."""
+        return (len(self.columns[1]) >= self._max_evaluations
+                or self.cumulative_cost >= self._max_cost)
 
     def evaluate(self, genotypes: np.ndarray) -> np.ndarray:
         """Evaluate and record the rows of an (N, D) genotype block, in order.
 
-        Returns the fitness of each evaluated row: the validation error, or
-        1.0 (at zero cost) for an invalid configuration, one the benchmark
-        gives no row. Fewer values than rows means the budget ran out: the
-        evaluation limit cuts the block up front, the cost limit is checked
-        before each row. :data:`ZERO_COST_LIMIT` stops a cost-only run that
-        spends nothing, and a negative or NaN cost raises ValueError.
+        Returns the fitness of each evaluated row, as :meth:`record` does.
+        Fewer values than rows means the budget ran out: the evaluation
+        limit cuts the block up front, the cost limit is checked before
+        each row. A benchmark without ``evaluate_batch`` is asked for each
+        row only after that check; a batch may score rows past the cost
+        limit, which are dropped.
         """
-        budget = self.budget
-        if budget.max_evaluations is not None:
-            genotypes = genotypes[:max(budget.max_evaluations - len(self.rows), 0)]
-        free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else math.inf
-        max_cost = math.inf if budget.max_cost is None else budget.max_cost
-        cumulative, free = self.cumulative_cost, self._free
-        if cumulative >= max_cost:
+        if self.exhausted:
             return np.array([], dtype=float)
-        bench, append = self.bench, self.rows.append
-        inc_objective, inc_test, inc_valid = self._incumbent
-        fitness = []
-        # a benchmark without evaluate_batch is asked for each row only after
-        # the cost check; a batch may score rows past the cost limit
+        genotypes = genotypes[:self._max_evaluations - len(self.columns[1])]
+        bench = self.bench
         batch = getattr(bench, "evaluate_batch", None)
         rows = (batch(genotypes) if batch is not None
                 else map(bench.evaluate, bench.space.discretize_rows(genotypes)))
+        return np.array(self.record(genotypes, rows), dtype=float)
+
+    def record(self, genotypes: np.ndarray, rows) -> list[float]:
+        """Record the benchmark rows of ``genotypes``, in order, until the cost
+        limit is reached; the budget must not be spent yet.
+
+        Returns the fitness of each recorded row: the validation error, or
+        1.0 (at zero cost) for an invalid configuration, one the benchmark
+        gives no row. ``rows`` is consumed lazily, so no row is asked for
+        after the one that reaches the cost limit. :data:`ZERO_COST_LIMIT`
+        stops a cost-only run that spends nothing, and a negative or NaN
+        cost raises ValueError.
+        """
+        free_limit, max_cost = self._free_limit, self._max_cost
+        cumulative, free = self.cumulative_cost, self._free
+        inc_objective, inc_test, inc_valid = self._incumbent
+        costs, objectives, incumbents, tests, valids = self._appends
+        recorded = self.columns[1]
+        start = len(recorded)
         for row in rows:
             valid = row is not None
             if valid:
@@ -144,7 +167,7 @@ class RunRecorder:
                                      f"{cumulative!r}, so the cost budget may never be spent; "
                                      "add an evaluation limit (--evals)")
             else:  # only a valid row's cost can be negative or NaN
-                config = bench.space.discretize(genotypes[len(fitness)])
+                config = self.bench.space.discretize(genotypes[len(recorded) - start])
                 raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or "
                                  "not a number")
             # a valid configuration displaces an invalid incumbent even on ties,
@@ -152,13 +175,16 @@ class RunRecorder:
             if objective < inc_objective or (
                     valid and not inc_valid and objective <= inc_objective):
                 inc_objective, inc_test, inc_valid = objective, test, valid
-            append((cumulative, objective, inc_objective, inc_test, valid))
-            fitness.append(objective)
+            costs(cumulative)
+            objectives(objective)
+            incumbents(inc_objective)
+            tests(inc_test)
+            valids(valid)
             if cumulative >= max_cost:
                 break
         self.cumulative_cost, self._free = cumulative, free
         self._incumbent = (inc_objective, inc_test, inc_valid)
-        return np.array(fitness, dtype=float)
+        return recorded[start:]
 
     def finish(self, seed: int, optimizer_id: str, config: dict | None = None) -> RunTrace:
         trace = RunTrace(
@@ -168,7 +194,7 @@ class RunRecorder:
             best_validation_error=self.bench.best_validation_error,
             best_test_error=self.bench.best_test_error,
             config=dict(config or {}),
-            **_columns(zip(*self.rows)),
+            **_columns(self.columns),
         )
         check_trace_invariants(trace)
         return trace
@@ -305,32 +331,37 @@ def read_traces(path: str | Path) -> list[RunTrace]:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
         traces.append(trace)
 
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        text = line.strip(" \t")  # JSON whitespace; splitlines() leaves no \r or \n
-        try:
-            doc, end = _decode(text)
-        except json.JSONDecodeError:
-            end = -1
-        if end != len(text):
-            if not line.strip():
-                continue
-            _event_columns(path, header, events, linenos)  # an earlier bad line comes first
+    # a line at a time: the file's text is never held whole, and lines end only
+    # at a newline, not at the other breaks str.splitlines() knows, such as
+    # U+2028, which JSON allows inside a string
+    with open(path) as fh:
+        lines = (line.rstrip("\n") for line in fh)
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip(" \t")  # JSON whitespace; the reader leaves no \r or \n
             try:
-                doc = json.loads(line)  # for the decoder's own message
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        run = doc.get("run") if type(doc) is dict else None
-        if type(run) is not dict:
-            events.append(doc)
-            linenos.append(lineno)
-            continue
-        flush()
-        header, header_line, events, linenos = run, lineno, [], []
-        _require(path, lineno, header, _HEADER_KEYS, "run header")
-        for name, (kind, *types) in _HEADER_TYPES.items():
-            if type(header.get(name, {})) not in types:  # bool is not int here
-                raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
-                                 f"{header[name]!r}")
+                doc, end = _decode(text)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(text):
+                if not line.strip():
+                    continue
+                _event_columns(path, header, events, linenos)  # an earlier bad line comes first
+                try:
+                    doc = json.loads(line)  # for the decoder's own message
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            run = doc.get("run") if type(doc) is dict else None
+            if type(run) is not dict:
+                events.append(doc)
+                linenos.append(lineno)
+                continue
+            flush()
+            header, header_line, events, linenos = run, lineno, [], []
+            _require(path, lineno, header, _HEADER_KEYS, "run header")
+            for name, (kind, *types) in _HEADER_TYPES.items():
+                if type(header.get(name, {})) not in types:  # bool is not int here
+                    raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
+                                     f"{header[name]!r}")
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")

@@ -99,7 +99,7 @@ def reference_read_traces(path):
                 raise ValueError(f"{path}:{lineno}: run header field {name!r} is not "
                                  f"{kinds[name]}: {header[name]!r}")
 
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -217,14 +217,57 @@ class ReferenceRecorder:
         return trace
 
 
+def tournament_select(fitness, sample_size, rng):
+    """Scalar reference: the index of the fittest of ``sample_size`` entrants
+    drawn with replacement; ties go to the lowest population index."""
+    entrants = sorted(rng.integers(0, len(fitness), size=sample_size).tolist())
+    return min(entrants, key=fitness.__getitem__)  # min keeps the first of equals
+
+
+def mutate_one_dimension(genotype, rng):
+    """Scalar reference: resample one uniformly chosen coordinate on [0, 1)."""
+    child = genotype.copy()
+    child[int(rng.integers(len(genotype)))] = rng.random()
+    return child
+
+
+def reference_run_re(bench, cfg, seed):
+    """Scalar reference for one regularized-evolution run: one child at a
+    time through ``ReferenceRecorder``, the population shifted by one row per
+    child. Like the sequential loop it replaces, it draws one more
+    tournament and mutation once the budget is spent; those draws reach no
+    trace."""
+    rng = np.random.default_rng(seed)
+    recorder = ReferenceRecorder(bench, cfg.budget)
+    genotypes = rng.random((cfg.population_size, bench.space.dimension))
+    fitness = []
+    for genotype in genotypes:
+        value = recorder.evaluate(genotype)
+        if value is None:
+            break
+        fitness.append(value)
+    fitness = np.array(fitness)
+    while len(fitness) == cfg.population_size:
+        child = mutate_one_dimension(genotypes[tournament_select(fitness, cfg.sample_size, rng)],
+                                     rng)
+        child_fitness = recorder.evaluate(child)
+        if child_fitness is None:
+            break
+        genotypes[:-1], fitness[:-1] = genotypes[1:], fitness[1:]
+        genotypes[-1], fitness[-1] = child, child_fitness
+    return recorder.finish(seed, "re", {"population_size": cfg.population_size,
+                                        "sample_size": cfg.sample_size})
+
+
 def watch_tournaments(monkeypatch):
-    """Record a copy of the age-ordered fitness array of every RE tournament."""
+    """Record a copy of the age-ordered fitness row of every run in every RE
+    tournament; the rows of one step come in seed order."""
     seen = []
     select = baselines.tournament_select
 
-    def watching(fitness, sample_size, rng):
-        seen.append(fitness.copy())
-        return select(fitness, sample_size, rng)
+    def watching(fitness, entrants):
+        seen.extend(row.copy() for row in fitness)
+        return select(fitness, entrants)
 
     monkeypatch.setattr(baselines, "tournament_select", watching)
     return seen

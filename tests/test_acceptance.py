@@ -19,6 +19,7 @@ from diffevo import (
     REConfig,
     aggregate,
     check_trace_invariants,
+    each_seed,
     final_regrets,
     make_synthetic,
     paired_sign_test,
@@ -70,14 +71,14 @@ def timed_experiment(run_fn, bench, n_runs):
 def de_result(comparison_bench):
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(lambda b, s: run_de(b, cfg, s),
+    return timed_experiment(each_seed(lambda b, s: run_de(b, cfg, s)),
                             comparison_bench, N_SEEDS)
 
 
 @pytest.fixture(scope="module")
 def rs_result(comparison_bench):
     budget = Budget(max_evaluations=EVALS)
-    return timed_experiment(lambda b, s: run_random_search(b, budget, s),
+    return timed_experiment(each_seed(lambda b, s: run_random_search(b, budget, s)),
                             comparison_bench, N_SEEDS)
 
 
@@ -85,7 +86,7 @@ def rs_result(comparison_bench):
 def re_result(comparison_bench):
     cfg = REConfig(population_size=100, sample_size=10,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(lambda b, s: run_regularized_evolution(b, cfg, s),
+    return timed_experiment(lambda b, seeds: run_regularized_evolution(b, cfg, seeds),
                             comparison_bench, N_SEEDS)
 
 
@@ -94,7 +95,7 @@ def sphere_traces():
     bench = FunctionBenchmark("sphere", 3)
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=10_000))
-    return run_experiment(lambda b, s: run_de(b, cfg, s), bench,
+    return run_experiment(each_seed(lambda b, s: run_de(b, cfg, s)), bench,
                           n_runs=100, base_seed=0)
 
 
@@ -250,10 +251,10 @@ def test_criterion_9_re_sanity(monkeypatch, comparison_bench, re_result, rs_resu
     seen = watch_tournaments(monkeypatch)
     cfg = REConfig(population_size=50, sample_size=10,
                    budget=Budget(max_evaluations=200))
-    trace = run_regularized_evolution(comparison_bench, cfg, seed=0)
+    trace, = run_regularized_evolution(comparison_bench, cfg, [0])
     # the k-th tournament sees evaluations k .. k + 49, oldest first, so
     # between consecutive tournaments exactly the oldest member left
-    assert len(seen) - 1 == 150
+    assert len(seen) == 150  # one tournament per child
     for k, fitness in enumerate(seen):
         assert np.array_equal(fitness, trace.objective[k:k + 50])
     # removal ignores fitness: plenty of evictions took a non-worst member

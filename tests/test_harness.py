@@ -13,6 +13,7 @@ from diffevo import (
     DEConfig,
     aggregate,
     check_trace_invariants,
+    each_seed,
     final_regrets,
     make_synthetic,
     paired_sign_test,
@@ -126,7 +127,7 @@ class TestAggregate:
     def test_mean_curve_monotone_when_runs_share_origin(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         traces = run_experiment(
-            lambda b, s: run_random_search(b, Budget(max_evaluations=150), s),
+            each_seed(lambda b, s: run_random_search(b, Budget(max_evaluations=150), s)),
             bench, n_runs=8, base_seed=0)
         curve = aggregate(traces, grid="union")
         assert np.all(np.diff(curve.mean_regret) <= 1e-15)
@@ -220,7 +221,8 @@ class TestAggregateAgainstReference:
 
 class TestRunExperiment:
     def runner(self, budget=20):
-        return lambda bench, seed: run_random_search(bench, Budget(max_evaluations=budget), seed)
+        return each_seed(
+            lambda bench, seed: run_random_search(bench, Budget(max_evaluations=budget), seed))
 
     def test_seed_order_and_count(self):
         bench = make_synthetic(4, 3, seed=0)
@@ -256,10 +258,10 @@ class TestRunExperiment:
         def failing(b, seed):
             if seed == 2:
                 raise RuntimeError("boom")
-            return self.runner()(b, seed)
+            return run_random_search(b, Budget(max_evaluations=20), seed)
 
         with pytest.raises(RuntimeError, match="seed 2"):
-            run_experiment(failing, bench, n_runs=4, base_seed=0)
+            run_experiment(each_seed(failing), bench, n_runs=4, base_seed=0)
 
     def test_value_error_stays_a_value_error(self):
         bench = make_synthetic(4, 3, seed=0)
@@ -268,7 +270,17 @@ class TestRunExperiment:
             raise ValueError("bad input")
 
         with pytest.raises(ValueError, match="^run with seed 5 failed: bad input$"):
-            run_experiment(failing, bench, n_runs=2, base_seed=5)
+            run_experiment(each_seed(failing), bench, n_runs=2, base_seed=5)
+
+    def test_one_seed_function_is_not_a_runner(self):
+        bench = make_synthetic(4, 3, seed=0)
+
+        def one_seed(b, seed):
+            return run_random_search(b, Budget(max_evaluations=5), seed)
+
+        with pytest.raises(TypeError, match="one trace per seed"):
+            run_experiment(one_seed, bench, n_runs=2)
+        assert len(run_experiment(each_seed(one_seed), bench, n_runs=2)) == 2
 
     def test_rejects_zero_runs(self):
         bench = make_synthetic(4, 3, seed=0)
@@ -353,7 +365,7 @@ class TestTracePersistence:
     def test_round_trip(self, tmp_path):
         bench = make_synthetic(5, 4, invalid_fraction=0.2, seed=0)
         traces = run_experiment(
-            lambda b, s: run_de(b, DEConfig(budget=Budget(max_evaluations=60)), s),
+            each_seed(lambda b, s: run_de(b, DEConfig(budget=Budget(max_evaluations=60)), s)),
             bench, n_runs=3, base_seed=0)
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)
@@ -372,7 +384,7 @@ class TestTracePersistence:
     def test_reaggregation_equals_in_process(self, tmp_path):
         bench = make_synthetic(5, 4, seed=0)
         traces = run_experiment(
-            lambda b, s: run_random_search(b, Budget(max_evaluations=40), s),
+            each_seed(lambda b, s: run_random_search(b, Budget(max_evaluations=40), s)),
             bench, n_runs=4, base_seed=0)
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)

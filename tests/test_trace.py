@@ -369,6 +369,19 @@ class TestTraceReader:
                 read(path)
             assert str(err.value) == message
 
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        # U+2028 is a line break to str.splitlines() but may stand raw in JSON
+        trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, None, True)],
+                                benchmark_id="tab\u2028le")
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        text = path.read_text()
+        assert "\\u2028" in text
+        path.write_text(text.replace("\\u2028", "\u2028").replace("\n", "\r\n"),
+                        encoding="utf-8")
+        assert_same_traces(read_traces(path), [trace])
+        assert_same_traces(reference_read_traces(path), [trace])
+
     @settings(max_examples=400, deadline=None)
     @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.data())
     def test_matches_line_by_line_reference(self, lines, edits, data):
