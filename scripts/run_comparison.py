@@ -62,7 +62,7 @@ def main():
     re_cfg = REConfig(population_size=args.re_pop, sample_size=args.re_sample,
                       budget=budget)
     runners = {
-        "de": each_seed(lambda b, s: run_de(b, de_cfg, s)),
+        "de": lambda b, seeds: run_de(b, de_cfg, seeds),
         "rs": each_seed(lambda b, s: run_random_search(b, budget, s)),
         "re": lambda b, seeds: run_regularized_evolution(b, re_cfg, seeds),
     }

@@ -12,7 +12,7 @@ exactly one genotype coordinate, evaluates the child, shifts out the oldest
 member and appends the child last. Its runs are independent but each is
 sequential, so all runs of an experiment advance together as an (R, P, D)
 genotype array and an (R, P) fitness array: a step is a few numpy calls and
-one benchmark call for every live run.
+one benchmark call for every live run (see :func:`harness.run_lockstep`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .benchmarks import Benchmark
-from .harness import run_failure
+from .harness import run_lockstep
 from .trace import Budget, RunRecorder, RunTrace
 
 RS_BLOCK = 1024  # genotypes drawn and evaluated per recorder call
@@ -71,38 +71,16 @@ def tournament_select(fitness: np.ndarray, entrants: np.ndarray) -> np.ndarray:
 
 def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
                               seeds: Sequence[int]) -> list[RunTrace]:
-    """One regularized-evolution run per seed; returns their traces in seed order.
+    """One regularized-evolution run per seed, advanced in lockstep by
+    :func:`run_lockstep`; returns their traces in seed order.
 
-    The runs advance in lockstep: every step takes one child from each live
-    run, and asks the benchmark once for all of them. Each run draws from
-    its own generator exactly what it would draw alone, so its trace does
-    not depend on the other runs, and it leaves as soon as its budget is
-    spent. A run that raises is dropped with every run of a higher seed;
-    the lower seeds finish, then the lowest failure is raised.
+    Every step takes one child from each live run: its own generator draws
+    the entrants, then the new value, then the coordinate it replaces.
     """
-    seeds = list(seeds)
-    size, sample, dimension = cfg.population_size, cfg.sample_size, bench.space.dimension
-    recorders = [RunRecorder(bench, cfg.budget) for _ in seeds]
-    failure = None  # (run, error) of the lowest failing run so far
-    runs, rngs, genotypes, fitness = [], [], [], []  # of the live runs, in seed order
-    for run, (seed, recorder) in enumerate(zip(seeds, recorders)):
-        rng = np.random.default_rng(seed)
-        population = rng.random((size, dimension))
-        try:
-            population_fitness = recorder.evaluate(population)
-        except Exception as exc:
-            failure = run, exc
-            break
-        if not recorder.exhausted:
-            runs.append(run)
-            rngs.append(rng)
-            genotypes.append(population)
-            fitness.append(population_fitness)
-    genotypes = np.reshape(genotypes, (len(runs), size, dimension))
-    fitness = np.reshape(fitness, (len(runs), size))
-    batch = getattr(bench, "evaluate_batch", None)
-    while runs:
-        live = len(runs)
+    size, sample = cfg.population_size, cfg.sample_size
+
+    def propose(rngs, genotypes, fitness):
+        live, _, dimension = genotypes.shape
         entrants = np.empty((live, sample), dtype=np.intp)
         values, coordinates = np.empty(live), np.empty(live, dtype=np.intp)
         for i, rng in enumerate(rngs):
@@ -112,35 +90,12 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
         steps = np.arange(live)
         children = genotypes[steps, tournament_select(fitness, entrants)]
         children[steps, coordinates] = values
-        try:
-            rows = None if batch is None else batch(children)
-        except Exception:
-            rows = None  # ask for each child alone, so that a failure names its run
-        child_fitness = np.empty(live)
-        keep = []
-        for i, run in enumerate(runs):
-            recorder, child = recorders[run], children[i:i + 1]
-            try:
-                child_fitness[i] = (recorder.evaluate(child) if rows is None
-                                    else recorder.record(child, rows[i:i + 1]))[0]
-            except Exception as exc:
-                failure = run, exc
-                break
-            if not recorder.exhausted:
-                keep.append(i)
-        # aging: the oldest member leaves whatever its fitness
+        return children[:, None]
+
+    def age(genotypes, fitness, children, child_fitness):
+        # the oldest member leaves whatever its fitness
         genotypes[:, :-1], fitness[:, :-1] = genotypes[:, 1:], fitness[:, 1:]
-        genotypes[:, -1], fitness[:, -1] = children, child_fitness
-        if len(keep) < live:
-            runs, rngs = [runs[i] for i in keep], [rngs[i] for i in keep]
-            genotypes, fitness = genotypes[keep], fitness[keep]
-    config = {"population_size": size, "sample_size": sample}
-    traces = []
-    for run, (seed, recorder) in enumerate(zip(seeds, recorders)):
-        try:
-            if failure is not None and failure[0] == run:
-                raise failure[1]
-            traces.append(recorder.finish(seed=seed, optimizer_id="re", config=config))
-        except Exception as exc:
-            raise run_failure(seed, exc) from exc
-    return traces
+        genotypes[:, -1], fitness[:, -1] = children[:, 0], child_fitness[:, 0]
+
+    return run_lockstep(bench, cfg.budget, seeds, size, propose, age, "re",
+                        {"population_size": size, "sample_size": sample})

@@ -108,7 +108,7 @@ def build_runner(optimizer: str, cfg: dict, budget: Budget) -> RunFn:
             crossover_rate=cfg["cr"],
             budget=budget,
         )
-        return each_seed(lambda bench, seed: run_de(bench, de_cfg, seed))
+        return lambda bench, seeds: run_de(bench, de_cfg, seeds)
     if optimizer == "rs":
         return each_seed(lambda bench, seed: run_random_search(bench, budget, seed))
     if optimizer == "re":

@@ -6,8 +6,11 @@ are discretized only when a candidate is evaluated. Replacement is
 synchronous: every trial of a generation reads the same population, so a
 generation is one step over whole arrays. Each target row gets a mutant
 built from three distinct other rows (rand/1), crossed binomially with the
-target; the (NP, D) trial block is evaluated in one recorder call, and each
-trial replaces its target when at least as good (ties to the trial).
+target; the (NP, D) trial block is evaluated at once, and each trial
+replaces its target when at least as good (ties to the trial). The runs of
+an experiment are independent, so they advance together as (R, NP, D)
+genotypes and (R, NP) fitness, and one benchmark call scores every live
+run's trials.
 
 Out-of-bounds mutant coordinates are clipped back into [0, 1], the simplest
 rule that keeps every genotype inside the hypercube.
@@ -16,11 +19,13 @@ rule that keeps every genotype inside the hypercube.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .benchmarks import Benchmark
-from .trace import Budget, RunRecorder, RunTrace
+from .harness import run_lockstep
+from .trace import Budget, RunTrace
 
 MIN_POPULATION = 4  # target plus three distinct mutation parents
 
@@ -43,16 +48,17 @@ class DEConfig:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
 
 
-def parent_indices(population_size: int, rng: np.random.Generator) -> np.ndarray:
-    """(NP, 3) parent rows: row ``i`` is an ordered triple of distinct rows other than ``i``.
+def parent_indices(keys: np.ndarray) -> np.ndarray:
+    """(..., NP, 3) parent rows from (..., NP, NP) uniform keys: row ``i`` is
+    an ordered triple of distinct rows other than ``i``.
 
-    Each row ranks the other members by one uniform key apiece (the target's
-    own key is +inf) and takes the three lowest, so every ordered triple of
-    other members is equally likely in each row.
+    Each row ranks the other members by its keys (the target's own key is
+    set to +inf, in place) and takes the three lowest, so every ordered
+    triple of other members is equally likely in each row.
     """
-    keys = rng.random((population_size, population_size))
-    np.fill_diagonal(keys, np.inf)
-    return np.argsort(keys, axis=1)[:, :3]
+    diagonal = np.arange(keys.shape[-1])
+    keys[..., diagonal, diagonal] = np.inf
+    return np.argsort(keys, axis=-1)[..., :3]
 
 
 def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor: float) -> np.ndarray:
@@ -61,45 +67,52 @@ def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor
 
 
 def crossover_binomial(target: np.ndarray, mutant: np.ndarray, crossover_rate: float,
-                       rng: np.random.Generator) -> np.ndarray:
+                       draws: np.ndarray, forced: np.ndarray) -> np.ndarray:
     """Binomial crossover along the last axis, with one forced mutant dimension.
 
-    In every vector a uniformly drawn index always inherits from the mutant
-    (otherwise a crossover rate of 0 would reproduce the target exactly and
-    the trial could make no progress); every other dimension takes the
-    mutant's value with probability ``crossover_rate``.
+    In every vector the index ``forced`` holds always inherits from the
+    mutant (otherwise a crossover rate of 0 would reproduce the target
+    exactly and the trial could make no progress); every other dimension
+    takes the mutant's value where its uniform ``draws`` value is below
+    ``crossover_rate``.
     """
     if target.shape != mutant.shape:
         raise ValueError(f"target and mutant shapes differ: {target.shape} vs {mutant.shape}")
-    take_mutant = rng.random(target.shape) < crossover_rate
-    forced = rng.integers(target.shape[-1], size=target.shape[:-1])
+    take_mutant = draws < crossover_rate
     np.put_along_axis(take_mutant, forced[..., None], True, axis=-1)
     return np.where(take_mutant, mutant, target)
 
 
-def run_de(bench: Benchmark, cfg: DEConfig, seed: int) -> RunTrace:
-    """One differential-evolution run; returns the full evaluation trace.
+def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTrace]:
+    """One differential-evolution run per seed, advanced in lockstep by
+    :func:`run_lockstep`; returns their traces in seed order.
 
-    The budget is checked before every evaluation, so the run may stop in
-    the middle of initialization or mid-generation. Invalid configurations
-    cost nothing and score 1.0, guaranteed to lose every selection against
-    a valid member.
+    Every step is one generation of each live run: its own generator draws
+    the (NP, NP) parent keys, then the (NP, D) crossover values, then the NP
+    forced dimensions. The budget is checked before every evaluation, so a
+    run may stop in the middle of initialization or mid-generation. Invalid
+    configurations cost nothing and score 1.0, guaranteed to lose every
+    selection against a valid member.
     """
-    rng = np.random.default_rng(seed)
-    recorder = RunRecorder(bench, cfg.budget)
-    size = cfg.population_size
-    genotypes = rng.random((size, bench.space.dimension))
-    fitness = recorder.evaluate(genotypes)
-    while len(fitness) == size:
-        r1, r2, r3 = parent_indices(size, rng).T
-        mutants = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3], cfg.scaling_factor)
-        trials = crossover_binomial(genotypes, mutants, cfg.crossover_rate, rng)
-        trial_fitness = recorder.evaluate(trials)
-        if len(trial_fitness) < size:
-            break  # the budget ran out mid-generation, which ends the run
-        wins = trial_fitness <= fitness
+    def generation(rngs, genotypes, fitness):
+        live, size, dimension = genotypes.shape
+        keys, draws = np.empty((live, size, size)), np.empty((live, size, dimension))
+        forced = np.empty((live, size), dtype=np.intp)
+        for i, rng in enumerate(rngs):
+            rng.random(out=keys[i])
+            rng.random(out=draws[i])
+            forced[i] = rng.integers(dimension, size=size)
+        r1, r2, r3 = np.moveaxis(parent_indices(keys), -1, 0)
+        runs = np.arange(live)[:, None]
+        mutants = mutant_vector(genotypes[runs, r1], genotypes[runs, r2], genotypes[runs, r3],
+                                cfg.scaling_factor)
+        return crossover_binomial(genotypes, mutants, cfg.crossover_rate, draws, forced)
+
+    def select(genotypes, fitness, trials, trial_fitness):
+        wins = trial_fitness <= fitness  # ties go to the trial
         genotypes[wins], fitness[wins] = trials[wins], trial_fitness[wins]
-    return recorder.finish(seed=seed, optimizer_id="de", config={
+
+    return run_lockstep(bench, cfg.budget, seeds, cfg.population_size, generation, select, "de", {
         "population_size": cfg.population_size,
         "scaling_factor": cfg.scaling_factor,
         "crossover_rate": cfg.crossover_rate,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .benchmarks import Benchmark
-from .trace import RunTrace
+from .trace import Budget, RunRecorder, RunTrace
 
 # a runner makes the runs of an experiment's seeds and returns their traces in
 # seed order; a run that raises ends the runner with run_failure() of the
@@ -57,6 +57,81 @@ def run_failure(seed: int, exc: Exception) -> Exception:
     a ValueError stays one, anything else becomes RuntimeError."""
     kind = ValueError if isinstance(exc, ValueError) else RuntimeError
     return kind(f"run with seed {seed} failed: {exc}")
+
+
+def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], population_size: int,
+                 propose: Callable, replace: Callable, optimizer_id: str,
+                 config: dict) -> list[RunTrace]:
+    """One run of a population-based optimizer per seed, all advanced
+    together; returns their traces in seed order.
+
+    Each run draws its initial (P, D) population from its own generator and
+    evaluates it through its own recorder, in seed order. Each step then
+    calls ``propose(rngs, genotypes, fitness)`` with the live runs'
+    generators, (R, P, D) genotypes and (R, P) fitness, which returns their
+    (R, k, D) children, each run drawing from its own generator only; asks
+    the benchmark once for all children; records each run's k rows with its
+    own recorder; and calls ``replace(genotypes, fitness, children,
+    child_fitness)`` to update the population in place. So a run draws and
+    records exactly what it would alone. It leaves as soon as its budget is
+    spent, which is also what cuts its children short. A run that raises is
+    dropped with every run of a higher seed; the lower seeds finish, then
+    the lowest failure is raised.
+    """
+    seeds = list(seeds)
+    dimension = bench.space.dimension
+    recorders = [RunRecorder(bench, budget) for _ in seeds]
+    failure = None  # (run, error) of the lowest failing run so far
+    runs, rngs, genotypes, fitness = [], [], [], []  # of the live runs, in seed order
+    for run, (seed, recorder) in enumerate(zip(seeds, recorders)):
+        rng = np.random.default_rng(seed)
+        population = rng.random((population_size, dimension))
+        try:
+            population_fitness = recorder.evaluate(population)
+        except Exception as exc:
+            failure = run, exc
+            break
+        if not recorder.exhausted:
+            runs.append(run)
+            rngs.append(rng)
+            genotypes.append(population)
+            fitness.append(population_fitness)
+    genotypes = np.reshape(genotypes, (len(runs), population_size, dimension))
+    fitness = np.reshape(fitness, (len(runs), population_size))
+    batch = getattr(bench, "evaluate_batch", None)
+    while runs:
+        children = propose(rngs, genotypes, fitness)
+        live, size = children.shape[:2]
+        try:
+            rows = None if batch is None else batch(children.reshape(-1, dimension))
+        except Exception:
+            rows = None  # ask for each run's children alone, so that a failure names its run
+        child_fitness = np.empty((live, size))  # a cut run's missing values reach no trace
+        keep = []
+        for i, run in enumerate(runs):
+            recorder = recorders[run]
+            try:
+                values = (recorder.evaluate(children[i]) if rows is None
+                          else recorder.record(children[i], rows[i * size:(i + 1) * size]))
+            except Exception as exc:
+                failure = run, exc
+                break
+            child_fitness[i, :len(values)] = values
+            if not recorder.exhausted:  # a block is cut short only when the budget is spent
+                keep.append(i)
+        replace(genotypes, fitness, children, child_fitness)
+        if len(keep) < live:
+            runs, rngs = [runs[i] for i in keep], [rngs[i] for i in keep]
+            genotypes, fitness = genotypes[keep], fitness[keep]
+    traces = []
+    for run, (seed, recorder) in enumerate(zip(seeds, recorders)):
+        try:
+            if failure is not None and failure[0] == run:
+                raise failure[1]
+            traces.append(recorder.finish(seed=seed, optimizer_id=optimizer_id, config=config))
+        except Exception as exc:
+            raise run_failure(seed, exc) from exc
+    return traces
 
 
 def each_seed(run: Callable[[Benchmark, int], RunTrace]) -> RunFn:

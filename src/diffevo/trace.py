@@ -14,6 +14,7 @@ files can be re-aggregated without reloading the benchmark.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -56,6 +57,13 @@ _HEADER_TYPES = {"seed": ("an integer", int), "optimizer": ("a string", str),
                  "best_test_error": ("a number or null", int, float, type(None)),
                  "config": ("an object", dict)}
 _HEADER_KEYS = frozenset(_HEADER_TYPES) - {"config"}
+# the JSON types of the event fields, in the order of EVENT_FIELDS; a null
+# number reads as NaN, which check_trace_invariants rejects
+_NUMBER = ("a number", int, float, type(None))
+_EVENT_TYPES = {"eval_index": ("an integer", int), "cumulative_cost": _NUMBER,
+                "objective": _NUMBER, "incumbent_objective": _NUMBER,
+                "incumbent_test_error": ("a number or null", int, float, type(None)),
+                "valid": ("true or false", bool)}
 _EVENT_KEYS = frozenset(EVENT_FIELDS)
 
 
@@ -118,15 +126,16 @@ class RunRecorder:
     def evaluate(self, genotypes: np.ndarray) -> np.ndarray:
         """Evaluate and record the rows of an (N, D) genotype block, in order.
 
-        Returns the fitness of each evaluated row, as :meth:`record` does.
-        Fewer values than rows means the budget ran out: the evaluation
-        limit cuts the block up front, the cost limit is checked before
-        each row. A benchmark without ``evaluate_batch`` is asked for each
-        row only after that check; a batch may score rows past the cost
-        limit, which are dropped.
+        Returns the fitness of each evaluated row, as :meth:`record` does;
+        fewer values than rows means the budget ran out. A benchmark without
+        ``evaluate_batch`` is asked for each row only after the budget check
+        before it; a batch may score rows past the cost limit, which are
+        dropped.
         """
         if self.exhausted:
             return np.array([], dtype=float)
+        # record() stops at the evaluation limit; cutting here as well keeps
+        # a batch from scoring rows that could not be recorded
         genotypes = genotypes[:self._max_evaluations - len(self.columns[1])]
         bench = self.bench
         batch = getattr(bench, "evaluate_batch", None)
@@ -135,15 +144,16 @@ class RunRecorder:
         return np.array(self.record(genotypes, rows), dtype=float)
 
     def record(self, genotypes: np.ndarray, rows) -> list[float]:
-        """Record the benchmark rows of ``genotypes``, in order, until the cost
-        limit is reached; the budget must not be spent yet.
+        """Record the benchmark rows of ``genotypes``, in order, until the
+        evaluation or the cost limit is reached; the budget must not be
+        spent yet.
 
         Returns the fitness of each recorded row: the validation error, or
         1.0 (at zero cost) for an invalid configuration, one the benchmark
         gives no row. ``rows`` is consumed lazily, so no row is asked for
-        after the one that reaches the cost limit. :data:`ZERO_COST_LIMIT`
-        stops a cost-only run that spends nothing, and a negative or NaN
-        cost raises ValueError.
+        past the evaluation limit or after the one that reaches the cost
+        limit. :data:`ZERO_COST_LIMIT` stops a cost-only run that spends
+        nothing, and a negative or NaN cost raises ValueError.
         """
         free_limit, max_cost = self._free_limit, self._max_cost
         cumulative, free = self.cumulative_cost, self._free
@@ -151,7 +161,7 @@ class RunRecorder:
         costs, objectives, incumbents, tests, valids = self._appends
         recorded = self.columns[1]
         start = len(recorded)
-        for row in rows:
+        for row in itertools.islice(rows, self._max_evaluations - start):
             valid = row is not None
             if valid:
                 objective, test, cost = row
@@ -292,15 +302,16 @@ def write_traces(traces: list[RunTrace], path: str | Path):
 
 _decode = json.JSONDecoder().raw_decode
 _field_getters = [operator.itemgetter(name) for name in EVENT_FIELDS]
+_EVENT_TYPE_SETS = [frozenset(types) for _, *types in _EVENT_TYPES.values()]
 
 
 def read_traces(path: str | Path) -> list[RunTrace]:
     """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
 
     Raises ValueError naming ``path:line`` for a line that is not JSON, is
-    neither a run header nor an event, lacks a field, has a run header field
-    of the wrong JSON type, or carries an ``eval_index`` other than its
-    position in the run. Lines are checked a run at a time, but the error is
+    neither a run header nor an event, lacks a field, has a field of the
+    wrong JSON type, or carries an ``eval_index`` other than its position in
+    the run. Lines are checked a run at a time, but the error is
     always the one for the first bad line.
     """
     path = Path(path)
@@ -388,7 +399,9 @@ def _event_columns(path: Path, header: dict | None, events: list,
         except (KeyError, TypeError):
             pass
         else:
-            if index == list(range(len(events))) and set(map(type, columns[-1])) == {bool}:
+            if index == list(range(len(events))) and all(
+                    set(map(type, column)) <= types
+                    for column, types in zip((index, *columns), _EVENT_TYPE_SETS)):
                 return columns
     for position, (lineno, doc) in enumerate(zip(linenos, events)):
         if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_KEYS):
@@ -398,6 +411,10 @@ def _event_columns(path: Path, header: dict | None, events: list,
         _require(path, lineno, doc, _EVENT_KEYS, "event")
         if type(doc["valid"]) is not bool:
             raise ValueError(f"{path}:{lineno}: valid must be true or false")
+        for name, (kind, *types) in _EVENT_TYPES.items():
+            if type(doc[name]) not in types:  # bool is not int here
+                raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
+                                 f"{doc[name]!r}")
         if doc["eval_index"] != position:
             raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
                              f"!= position {position} in its run")

@@ -80,10 +80,10 @@ def reference_read_traces(path):
         if not keys <= doc.keys():
             raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
 
-    def check_header_types(header, lineno):
-        def is_number(x):
-            return isinstance(x, (int, float)) and not isinstance(x, bool)
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
 
+    def check_header_types(header, lineno):
         kinds = {"seed": "an integer", "optimizer": "a string", "benchmark": "a string",
                  "best_validation_error": "a number", "best_test_error": "a number or null",
                  "config": "an object"}
@@ -98,6 +98,19 @@ def reference_read_traces(path):
             if not ok[name]:
                 raise ValueError(f"{path}:{lineno}: run header field {name!r} is not "
                                  f"{kinds[name]}: {header[name]!r}")
+
+    def check_event_types(doc, lineno):
+        index = doc["eval_index"]
+        checks = [("eval_index", "an integer", isinstance(index, int) and not isinstance(index, bool))]
+        # null reads as NaN, which breaks the trace invariants instead
+        checks += [(name, "a number", doc[name] is None or is_number(doc[name]))
+                   for name in ("cumulative_cost", "objective", "incumbent_objective")]
+        test = doc["incumbent_test_error"]
+        checks.append(("incumbent_test_error", "a number or null", test is None or is_number(test)))
+        for name, kind, ok in checks:
+            if not ok:
+                raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
+                                 f"{doc[name]!r}")
 
     for lineno, line in enumerate(path.read_text().split("\n"), start=1):
         if not line.strip():
@@ -117,6 +130,7 @@ def reference_read_traces(path):
             require(doc, event_keys, "event", lineno)
             if type(doc["valid"]) is not bool:
                 raise ValueError(f"{path}:{lineno}: valid must be true or false")
+            check_event_types(doc, lineno)
             if doc["eval_index"] != len(rows):
                 raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
                                  f"!= position {len(rows)} in its run")
@@ -287,6 +301,17 @@ class RecordingBenchmark:
     def evaluate(self, config):
         self.configs.append(config)
         return self.base.evaluate(config)
+
+
+class WithoutBatch(RecordingBenchmark):
+    """A recording benchmark asked one configuration at a time."""
+
+
+class WithBatch(RecordingBenchmark):
+    """A recording benchmark that scores whole blocks through ``evaluate_batch``."""
+
+    def evaluate_batch(self, genotypes):
+        return [self.evaluate(config) for config in self.space.discretize_rows(genotypes)]
 
 
 class TransformedBenchmark:

@@ -71,7 +71,7 @@ def timed_experiment(run_fn, bench, n_runs):
 def de_result(comparison_bench):
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(each_seed(lambda b, s: run_de(b, cfg, s)),
+    return timed_experiment(lambda b, seeds: run_de(b, cfg, seeds),
                             comparison_bench, N_SEEDS)
 
 
@@ -95,7 +95,7 @@ def sphere_traces():
     bench = FunctionBenchmark("sphere", 3)
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=10_000))
-    return run_experiment(each_seed(lambda b, s: run_de(b, cfg, s)), bench,
+    return run_experiment(lambda b, seeds: run_de(b, cfg, seeds), bench,
                           n_runs=100, base_seed=0)
 
 
@@ -127,7 +127,8 @@ def test_criterion_2_de_mechanics():
     # Cr=1: the trial is the mutant in every dimension, exactly
     for _ in range(1000):
         target, mutant = rng.random((2, 6))
-        assert np.array_equal(crossover_binomial(target, mutant, 1.0, rng), mutant)
+        trial = crossover_binomial(target, mutant, 1.0, rng.random(6), rng.integers(6, size=()))
+        assert np.array_equal(trial, mutant)
     # zero difference vector: the mutant is the first parent, exactly
     for _ in range(1000):
         x1, x23 = rng.random((2, 6))
@@ -141,7 +142,7 @@ def test_criterion_2_de_mechanics():
         bench = RecordingBenchmark(FunctionBenchmark("sphere", 4, lo=0.0, hi=1.0))
         cfg = DEConfig(population_size=population_size, scaling_factor=0.9,
                        crossover_rate=0.7, budget=budget)
-        run_de(bench, cfg, seed=seed)
+        run_de(bench, cfg, [seed])
         assert len(bench.configs) == population_size * (generations + 1)
         violations = sum(1 for c in bench.configs for v in c if not 0.0 <= v <= 1.0)
         assert violations == 0
@@ -168,7 +169,7 @@ def test_criterion_4_invalid_contract():
     bench = make_synthetic(5, 4, invalid_fraction=0.5, seed=0)
     cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=1000))
     for seed in range(50):
-        trace = run_de(bench, cfg, seed=seed)
+        trace, = run_de(bench, cfg, [seed])
         best_valid_so_far = math.inf
         previous_cost = 0.0
         seen_valid = False

@@ -9,8 +9,9 @@ from diffevo import (Budget, REConfig, each_seed, make_synthetic, run_experiment
                      run_random_search, run_regularized_evolution)
 from diffevo.baselines import tournament_select
 
-from conftest import (RecordingBenchmark, TransformedBenchmark, assert_same_traces,
-                      mutate_one_dimension, reference_run_re, watch_tournaments)
+from conftest import (RecordingBenchmark, TransformedBenchmark, WithBatch, WithoutBatch,
+                      assert_same_traces, mutate_one_dimension, reference_run_re,
+                      watch_tournaments)
 
 
 class TestRandomSearch:
@@ -176,17 +177,6 @@ def lockstep_experiment(bench, cfg, seeds):
                               n_runs=len(seeds), base_seed=seeds[0])
     except ValueError as exc:
         return str(exc)
-
-
-class WithoutBatch(RecordingBenchmark):
-    """A recording benchmark asked one configuration at a time."""
-
-
-class WithBatch(RecordingBenchmark):
-    """A recording benchmark that scores whole blocks through ``evaluate_batch``."""
-
-    def evaluate_batch(self, genotypes):
-        return [self.evaluate(config) for config in self.space.discretize_rows(genotypes)]
 
 
 class TestLockstep:

@@ -384,6 +384,24 @@ class TestAggregateCommand:
                                            f"is not {kind}: {value!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"cumulative_cost": "1.5", "objective": "0.5", "incumbent_test_error": "0.25"},
+         "'cumulative_cost' is not a number: '1.5'"),
+        ({"eval_index": True}, "'eval_index' is not an integer: True"),
+        ({"incumbent_objective": False}, "'incumbent_objective' is not a number: False"),
+    ])
+    def test_wrongly_typed_event_fails_cleanly(self, tmp_path, capsys, fields, message):
+        # line 3 is the event at position 1, which an eval_index of true would match
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        lines = trace_file.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), **fields})
+        trace_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {trace_file}:3: event field {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("best_validation_error", math.nan), ("best_validation_error", math.inf),
         ("best_test_error", math.nan)])

@@ -1,13 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, FunctionBenchmark, make_synthetic, run_de
+from diffevo import Budget, DEConfig, FunctionBenchmark, each_seed, make_synthetic, run_de
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
-from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark,
-                      assert_same_traces)
+from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark, WithBatch,
+                      WithoutBatch, assert_same_traces)
 
 
 def identity_bench(dimension):
@@ -20,7 +22,7 @@ def initial_population(population_size, dimension, seed):
     bench = RecordingBenchmark(identity_bench(dimension))
     cfg = DEConfig(population_size=population_size,
                    budget=Budget(max_evaluations=population_size))
-    run_de(bench, cfg, seed=seed)
+    run_de(bench, cfg, [seed])
     return np.array(bench.configs)
 
 
@@ -33,6 +35,13 @@ def outcome(run, *args):
         return run(*args)
     except ValueError as exc:
         return str(exc)
+
+
+def crossover(target, mutant, crossover_rate, rng):
+    """Binomial crossover with the draws a run makes for it: a uniform value
+    per coordinate, then one forced index per vector."""
+    return crossover_binomial(target, mutant, crossover_rate, rng.random(target.shape),
+                              rng.integers(target.shape[-1], size=target.shape[:-1]))
 
 
 def draw_parent_indices(population_size, target, rng):
@@ -87,6 +96,22 @@ def reference_run_de(bench, cfg, seed):
     })
 
 
+def reference_de(bench, cfg, seeds):
+    """``reference_run_de`` for each seed, one run after another."""
+    return each_seed(lambda b, s: reference_run_de(b, cfg, s))(bench, seeds)
+
+
+def de_benchmark(kind, seed):
+    """Invalid keys, a constant objective (every selection a tie) or float
+    discretization."""
+    if kind == "invalid":
+        return make_synthetic(3, 4, invalid_fraction=0.5, seed=seed % 7)
+    if kind == "ties":
+        return TransformedBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0),
+                                    lambda x: 0.5)
+    return FunctionBenchmark("sphere", 2)
+
+
 class OnePointBenchmark:
     """Scores genotypes by membership: ``known`` configurations get
     ``known_result``, every other one ``other_result``. Float bounds [0, 1]."""
@@ -115,7 +140,7 @@ def generation_trials(known_result, other_result, population_size=6, dimension=4
     bench = OnePointBenchmark(dimension, initial, known_result, other_result)
     cfg = DEConfig(population_size=population_size, scaling_factor=0.0, crossover_rate=0.0,
                    budget=Budget(max_evaluations=population_size * 5))
-    run_de(bench, cfg, seed=seed)
+    run_de(bench, cfg, [seed])
     return np.array(bench.configs).reshape(5, population_size, dimension)
 
 
@@ -135,8 +160,8 @@ class TestInitialize:
             DEConfig(population_size=3)
         # four members are enough: the target plus three distinct parents
         bench = make_synthetic(4, 3, seed=0)
-        trace = run_de(bench, DEConfig(population_size=4, budget=Budget(max_evaluations=40)),
-                       seed=0)
+        trace, = run_de(bench, DEConfig(population_size=4, budget=Budget(max_evaluations=40)),
+                        [0])
         assert len(trace) == 40
 
     def test_same_seed_identical(self):
@@ -153,7 +178,7 @@ class TestParentIndices:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(2_000):
-            parents = parent_indices(population_size, rng)
+            parents = parent_indices(rng.random((population_size, population_size)))
             assert parents.shape == (population_size, 3)
             for target, triple in enumerate(parents.tolist()):
                 assert len(set(triple)) == 3
@@ -163,14 +188,14 @@ class TestParentIndices:
 
     @pytest.mark.parametrize("population_size", [4, 5, 20, 100])
     def test_matches_sampling_from_the_other_members(self, population_size):
-        # reference: per target, the three other members with the lowest keys
+        # reference: per target, the three other members with the lowest keys;
+        # a stack of key blocks, one per run, ranks each block alone
         for seed in range(20):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            keys = reference.random((population_size, population_size))
-            want = [reference_parents(keys, target) for target in range(population_size)]
-            assert parent_indices(population_size, rng).tolist() == want
-            # same draws consumed: the generators stay in step
-            assert rng.random() == reference.random()
+            keys = np.random.default_rng(seed).random((3, population_size, population_size))
+            want = [[reference_parents(block, target) for target in range(population_size)]
+                    for block in keys]
+            assert parent_indices(keys.copy()).tolist() == want
+            assert parent_indices(keys[1].copy()).tolist() == want[1]
 
     def test_each_role_and_triple_is_uniform(self):
         # NP=5 at a fixed seed: per target, each role takes each of the 4
@@ -178,7 +203,7 @@ class TestParentIndices:
         # as the per-target reference sampler does
         size, draws = 5, 12_000
         rng = np.random.default_rng(11)
-        block = np.array([parent_indices(size, rng) for _ in range(draws)])
+        block = parent_indices(rng.random((draws, size, size)))
         reference_rng = np.random.default_rng(12)
         reference = np.array([[draw_parent_indices(size, t, reference_rng) for t in range(size)]
                               for _ in range(draws)])
@@ -227,7 +252,7 @@ class TestMutantVector:
         # NP=4 leaves exactly one choice of parents, in some order, and the
         # mutants built from them must stay inside the cube
         for _ in range(50):
-            parents = parent_indices(4, rng)
+            parents = parent_indices(rng.random((4, 4)))
             for target, triple in enumerate(parents.tolist()):
                 assert sorted(triple) == sorted(set(range(4)) - {target})
             r1, r2, r3 = parents.T
@@ -248,26 +273,26 @@ class TestCrossover:
     def test_full_rate_copies_mutant(self, rng):
         for _ in range(200):
             target, mutant = rng.random((2, 5))
-            trial = crossover_binomial(target, mutant, 1.0, rng)
+            trial = crossover(target, mutant, 1.0, rng)
             assert np.array_equal(trial, mutant)
 
     def test_zero_rate_keeps_exactly_one_mutant_dimension(self, rng):
         target = np.zeros(4)
         mutant = np.ones(4)
         for _ in range(200):
-            trial = crossover_binomial(target, mutant, 0.0, rng)
+            trial = crossover(target, mutant, 0.0, rng)
             assert trial.sum() == 1.0  # exactly the forced index
 
     def test_single_dimension_always_mutant(self, rng):
         for cr in (0.0, 0.5, 1.0):
-            trial = crossover_binomial(np.array([0.3]), np.array([0.9]), cr, rng)
+            trial = crossover(np.array([0.3]), np.array([0.9]), cr, rng)
             assert trial[0] == 0.9
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
-            crossover_binomial(np.zeros(3), np.zeros(4), 0.5, rng)
+            crossover(np.zeros(3), np.zeros(4), 0.5, rng)
         with pytest.raises(ValueError):
-            crossover_binomial(np.zeros((5, 3)), np.zeros((4, 3)), 0.5, rng)
+            crossover(np.zeros((5, 3)), np.zeros((4, 3)), 0.5, rng)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=0.0, max_value=1.0),
@@ -275,17 +300,15 @@ class TestCrossover:
            st.integers(min_value=1, max_value=12))
     def test_block_equals_row_by_row_reference(self, seed, cr, rows, dimension):
         # reference: each row takes the mutant where its draw is below Cr or
-        # at its forced index; the block consumes an (N, D) draw, then N indices
+        # at its forced index
         targets, mutants = np.random.default_rng(seed + 1).random((2, rows, dimension))
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        trials = crossover_binomial(targets, mutants, cr, rng)
-        draws = reference.random((rows, dimension))
-        forced = reference.integers(dimension, size=rows)
+        rng = np.random.default_rng(seed)
+        draws, forced = rng.random((rows, dimension)), rng.integers(dimension, size=rows)
+        trials = crossover_binomial(targets, mutants, cr, draws, forced)
         for i in range(rows):
             want = [mutants[i, j] if draws[i, j] < cr or j == forced[i] else targets[i, j]
                     for j in range(dimension)]
             assert trials[i].tolist() == want
-        assert rng.random() == reference.random()
 
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.floats(min_value=0.0, max_value=1.0),
@@ -294,7 +317,7 @@ class TestCrossover:
         rng = np.random.default_rng(seed)
         target = np.zeros(dimension)
         mutant = np.ones(dimension)
-        trial = crossover_binomial(target, mutant, cr, rng)
+        trial = crossover(target, mutant, cr, rng)
         assert set(trial.tolist()) <= {0.0, 1.0}
         assert trial.sum() >= 1.0  # at least the forced mutant dimension
 
@@ -333,38 +356,37 @@ class TestRunDE:
     def test_budget_of_np_evaluates_initial_population_only(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=20))
-        trace = run_de(bench, cfg, seed=0)
+        trace, = run_de(bench, cfg, [0])
         assert len(trace) == 20
 
     def test_run_may_stop_mid_generation(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=27))
-        trace = run_de(bench, cfg, seed=0)
+        trace, = run_de(bench, cfg, [0])
         assert len(trace) == 27
 
     def test_cost_budget_stops_run(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         cfg = DEConfig(population_size=20, budget=Budget(max_cost=33.0))
-        trace = run_de(bench, cfg, seed=0)
+        trace, = run_de(bench, cfg, [0])
         assert len(trace) == 33
 
     def test_incumbent_objective_non_increasing(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(budget=Budget(max_evaluations=400))
-        trace = run_de(bench, cfg, seed=3)
+        trace, = run_de(bench, cfg, [3])
         assert np.all(np.diff(trace.incumbent_objective) <= 0.0)
 
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         cfg = DEConfig(budget=Budget(max_evaluations=200))
-        assert_same_traces([run_de(bench, cfg, seed=7)],
-                           [run_de(bench, cfg, seed=7)])
+        assert_same_traces(run_de(bench, cfg, [7]), run_de(bench, cfg, [7]))
 
     def test_genotypes_stay_in_hypercube(self):
         bench = RecordingBenchmark(identity_bench(4))
         cfg = DEConfig(population_size=8, scaling_factor=0.9, crossover_rate=0.8,
                        budget=Budget(max_evaluations=500))
-        run_de(bench, cfg, seed=5)
+        run_de(bench, cfg, [5])
         assert len(bench.configs) == 500
         for config in bench.configs:
             assert all(0.0 <= v <= 1.0 for v in config)
@@ -375,7 +397,7 @@ class TestRunDE:
         bench = RecordingBenchmark(identity_bench(3))
         cfg = DEConfig(population_size=8, scaling_factor=0.0, crossover_rate=1.0,
                        budget=Budget(max_evaluations=200))
-        run_de(bench, cfg, seed=1)
+        run_de(bench, cfg, [1])
         initial = set(bench.configs[:8])
         assert set(bench.configs) == initial
 
@@ -384,8 +406,8 @@ class TestRunDE:
         plain = RecordingBenchmark(base)
         squeezed = RecordingBenchmark(TransformedBenchmark(base, lambda x: 0.2 + 0.6 * x))
         cfg = DEConfig(population_size=10, budget=Budget(max_evaluations=300))
-        run_de(plain, cfg, seed=4)
-        run_de(squeezed, cfg, seed=4)
+        run_de(plain, cfg, [4])
+        run_de(squeezed, cfg, [4])
         assert plain.configs == squeezed.configs
 
     def test_config_validation(self):
@@ -408,7 +430,7 @@ class TestRunDE:
         bench = Exploding(make_synthetic(4, 3, seed=0))
         cfg = DEConfig(budget=Budget(max_evaluations=100))
         with pytest.raises(RuntimeError, match="backend gone"):
-            run_de(bench, cfg, seed=0)
+            run_de(bench, cfg, [0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**16),
@@ -426,19 +448,90 @@ class TestRunDE:
         # keys, a constant objective (every selection a tie) and float
         # discretization all give the same trace one target at a time, and
         # a run stopped by the zero-cost limit the same error
-        if kind == "invalid":
-            bench = make_synthetic(3, 4, invalid_fraction=0.5, seed=seed % 7)
-        elif kind == "ties":
-            bench = make_synthetic(3, 3, cost_model="unit", seed=0)
-            bench = TransformedBenchmark(bench, lambda x: 0.5)
-        else:
-            bench = FunctionBenchmark("sphere", 2)
+        bench = de_benchmark(kind, seed)
         cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
         got, want = RecordingBenchmark(bench), RecordingBenchmark(bench)
-        got_run = outcome(run_de, got, cfg, seed)
-        want_run = outcome(reference_run_de, want, cfg, seed)
+        got_run = outcome(run_de, got, cfg, [seed])
+        want_run = outcome(reference_de, want, cfg, [seed])
         if isinstance(want_run, str):
             assert got_run == want_run
         else:
-            assert_same_traces([got_run], [want_run])
+            assert_same_traces(got_run, want_run)
         assert got.configs == want.configs
+
+
+class TestLockstep:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=1, max_value=6),
+           st.sampled_from([4, 5, 9]),
+           st.sampled_from([0.0, 0.5, 0.9]),
+           st.sampled_from([0.0, 0.3, 1.0]),
+           st.one_of(st.builds(Budget, max_evaluations=st.integers(1, 120)),
+                     st.builds(Budget, max_cost=st.floats(0.5, 90.0)),
+                     st.builds(Budget, max_evaluations=st.integers(1, 120),
+                               max_cost=st.floats(0.5, 90.0))),
+           st.sampled_from(["invalid", "ties", "sphere"]),
+           st.sampled_from([WithoutBatch, WithBatch, None]))
+    def test_matches_scalar_reference(self, seed, runs, size, f, cr, budget, kind, wrap):
+        # budgets cut runs during initialization and mid-generation and end
+        # them at different steps; the trials of a step are scored one at a
+        # time (WithoutBatch), through a looped evaluate_batch (WithBatch) or
+        # through the benchmark's own evaluate_batch (None)
+        bench = de_benchmark(kind, seed)
+        cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
+        seeds = range(seed, seed + runs)
+        got = bench if wrap is None else wrap(bench)
+        want = RecordingBenchmark(bench)
+        got_runs = outcome(run_de, got, cfg, seeds)
+        want_runs = outcome(reference_de, want, cfg, seeds)
+        if isinstance(want_runs, str):
+            assert got_runs == want_runs
+        else:
+            assert_same_traces(got_runs, want_runs)
+            if wrap is WithoutBatch:  # a batch may score rows past the cost limit
+                # every configuration the reference asked for, and nothing past a cap
+                assert Counter(got.configs) == Counter(want.configs)
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("higher_first", [True, False])
+    def test_failure_names_the_lowest_failing_seed(self, batch, higher_first):
+        # a configuration that two seeds reach after initialization, and no
+        # seed below the lower one at all: lockstep meets the higher seed's
+        # failure first, or the lower seed's while the higher one still runs
+        base = make_synthetic(5, 4, cost_model="unit", seed=0)
+        cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=40))
+        first = []  # per seed: configuration -> generation of its first evaluation
+        for seed in range(4):
+            log = RecordingBenchmark(base)
+            reference_run_de(log, cfg, seed)
+            first.append({})
+            for i, config in enumerate(log.configs):
+                first[-1].setdefault(config, i // cfg.population_size)
+        low, bad = next(
+            (a, config) for a in range(4) for b in range(a + 1, 4)
+            for config, generation in first[a].items()
+            if 1 <= min(generation, first[b].get(config, 0))
+            and (first[b][config] < generation) == higher_first
+            and not any(config in first[c] for c in range(a)))
+
+        class Failing(WithBatch if batch else WithoutBatch):
+            def evaluate(self, config):
+                if config == bad:
+                    raise ValueError(f"no score for {config}")
+                return super().evaluate(config)
+
+        want = outcome(reference_de, Failing(base), cfg, range(4))
+        assert want.startswith(f"run with seed {low} failed: no score for ")
+        assert outcome(run_de, Failing(base), cfg, range(4)) == want
+
+    def test_failure_during_initialization_names_the_lowest_seed(self):
+        class Broken(WithoutBatch):
+            def evaluate(self, config):
+                self.configs.append(config)
+                raise ValueError("backend gone")
+
+        bench = Broken(make_synthetic(3, 3, seed=0))
+        cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=40))
+        assert outcome(run_de, bench, cfg, range(3, 6)) == "run with seed 3 failed: backend gone"
+        assert len(bench.configs) == 1  # no seed after the failing one was started

@@ -47,7 +47,7 @@ class TestRegret:
 
     def test_non_negative_and_non_increasing_on_real_runs(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.2, seed=0)
-        trace = run_de(bench, DEConfig(budget=Budget(max_evaluations=300)), seed=1)
+        trace, = run_de(bench, DEConfig(budget=Budget(max_evaluations=300)), [1])
         assert (trace.best_validation_error, trace.best_test_error) == (
             bench.best_validation_error, bench.best_test_error)
         validation, test = regret_series(trace)
@@ -330,7 +330,7 @@ class TestTraceInvariants:
 
     def test_recorded_runs_always_satisfy_them(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.4, seed=2)
-        trace = run_de(bench, DEConfig(budget=Budget(max_evaluations=200)), seed=0)
+        trace, = run_de(bench, DEConfig(budget=Budget(max_evaluations=200)), [0])
         check_trace_invariants(trace)
 
     def test_detects_increasing_incumbent(self):
@@ -365,7 +365,7 @@ class TestTracePersistence:
     def test_round_trip(self, tmp_path):
         bench = make_synthetic(5, 4, invalid_fraction=0.2, seed=0)
         traces = run_experiment(
-            each_seed(lambda b, s: run_de(b, DEConfig(budget=Budget(max_evaluations=60)), s)),
+            lambda b, seeds: run_de(b, DEConfig(budget=Budget(max_evaluations=60)), seeds),
             bench, n_runs=3, base_seed=0)
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)

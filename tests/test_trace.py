@@ -90,6 +90,25 @@ class TestBlockRecorder:
         assert len(recorder.evaluate(np.full((5, 3), 0.5))) == 0
         assert len(bench.configs) == 2
 
+    def test_record_stops_at_the_evaluation_limit(self):
+        # two of five evaluations made; a four-row block has room for three,
+        # and its lazy rows are read no further than the third
+        bench = make_synthetic(3, 3, cost_model="unit", seed=0)
+        recorder = RunRecorder(bench, Budget(max_evaluations=5))
+        genotypes = np.random.default_rng(0).random((4, 3))
+        assert len(recorder.evaluate(genotypes[:2])) == 2
+        asked = []
+
+        def rows():
+            for config in bench.space.discretize_rows(genotypes):
+                asked.append(config)
+                yield bench.evaluate(config)
+
+        fitness = recorder.record(genotypes, rows())
+        assert fitness == [bench.evaluate(c)[0] for c in bench.space.discretize_rows(genotypes)][:3]
+        assert len(asked) == 3
+        assert recorder.exhausted
+
     def test_benchmark_without_batch_is_asked_nothing_past_the_cost_limit(self):
         # unit costs: the limit of 3 is reached by the third row of the block
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
@@ -272,15 +291,24 @@ WRONG_HEADER_VALUES = {
     "config": [[1], "np", 3, None],
 }
 
-ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", [1], {}, math.nan, math.inf,
+# per event field, values of a wrong JSON type
+WRONG_EVENT_VALUES = {
+    "eval_index": [True, False, 0.0, 1.0, "0", "1", None, [0]],
+    "cumulative_cost": ["1.5", "0", True, False, [0.0]],
+    "objective": ["0.5", "1", True, False, {}],
+    "incumbent_objective": ["0.5", True, [1.0]],
+    "incumbent_test_error": ["0.25", True, False, [0.25]],
+}
+
+ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", "1.5", [1], {}, math.nan, math.inf,
               -math.inf]
 
 
 def mutate(data, lines):
     """One edit of the kinds a damaged or hand-edited trace file shows."""
     kind = data.draw(st.sampled_from(["pad", "blank", "join", "split", "truncate", "drop key",
-                                      "set key", "retype header", "replace", "move", "delete",
-                                      "repeat"]))
+                                      "set key", "retype header", "retype event", "replace",
+                                      "move", "delete", "repeat"]))
     i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
     j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
     line = lines[i]
@@ -325,6 +353,16 @@ def mutate(data, lines):
         name = data.draw(st.sampled_from(sorted(WRONG_HEADER_VALUES)))
         doc["run"][name] = data.draw(st.sampled_from(WRONG_HEADER_VALUES[name]))
         lines[k] = json.dumps(doc)
+    elif kind == "retype event":  # a string of digits, a bool, null, ...
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError:  # an earlier edit broke the line
+            return
+        if not isinstance(doc, dict) or "run" in doc:
+            return
+        name = data.draw(st.sampled_from(sorted(WRONG_EVENT_VALUES)))
+        doc[name] = data.draw(st.sampled_from(WRONG_EVENT_VALUES[name]))
+        lines[i] = json.dumps(doc)
     elif kind == "replace":  # JSON that is neither a header nor an event
         lines[i] = data.draw(st.sampled_from(["3", "null", "[]", '["run"]', '"run"', "{}",
                                               '{"run": 1}', '{"run": [], "valid": true}']))
@@ -351,6 +389,26 @@ class TestTraceReader:
             read_traces(path)
         with pytest.raises(ValueError, match=message):
             reference_read_traces(path)
+
+    @pytest.mark.parametrize("name, value", [(name, value) for name, values
+                                             in WRONG_EVENT_VALUES.items() for value in values])
+    def test_wrongly_typed_event_field(self, tmp_path, name, value):
+        # the second event, so that an eval_index of true would match its position
+        header = {"seed": 0, "optimizer": "x", "benchmark": "b", "best_validation_error": 0.0,
+                  "best_test_error": None}
+        events = [{"eval_index": index, "cumulative_cost": 0.0, "objective": 1.0,
+                   "incumbent_objective": 1.0, "incumbent_test_error": None, "valid": False}
+                  for index in range(3)]
+        events[1][name] = value
+        path = tmp_path / "runs.jsonl"
+        path.write_text("\n".join(map(json.dumps, [{"run": header}, *events])) + "\n")
+        kind = {"eval_index": "an integer", "incumbent_test_error": "a number or null"}.get(
+            name, "a number")
+        message = f"{path}:3: event field {name!r} is not {kind}: {value!r}"
+        for read in (read_traces, reference_read_traces):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("name, value", [
         ("best_validation_error", math.nan), ("best_validation_error", math.inf),
