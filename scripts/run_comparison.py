@@ -19,7 +19,6 @@ from diffevo import (
     DEConfig,
     REConfig,
     aggregate,
-    each_seed,
     final_regrets,
     paired_sign_test,
     run_de,
@@ -63,7 +62,7 @@ def main():
                       budget=budget)
     runners = {
         "de": lambda b, seeds: run_de(b, de_cfg, seeds),
-        "rs": each_seed(lambda b, s: run_random_search(b, budget, s)),
+        "rs": lambda b, seeds: run_random_search(b, budget, seeds),
         "re": lambda b, seeds: run_regularized_evolution(b, re_cfg, seeds),
     }
 

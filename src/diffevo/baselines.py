@@ -24,23 +24,28 @@ import numpy as np
 
 from .benchmarks import Benchmark
 from .harness import run_lockstep
-from .trace import Budget, RunRecorder, RunTrace
+from .trace import Budget, RunTrace
 
-RS_BLOCK = 1024  # genotypes drawn and evaluated per recorder call
+RS_BLOCK = 1024  # genotypes drawn per step, shared among the live runs
 
 
-def run_random_search(bench: Benchmark, budget: Budget, seed: int) -> RunTrace:
-    """Evaluate independent uniform genotypes until the budget is exhausted.
+def run_random_search(bench: Benchmark, budget: Budget, seeds: Sequence[int]) -> list[RunTrace]:
+    """One random-search run per seed, advanced in lockstep by
+    :func:`run_lockstep`; returns their traces in seed order.
 
-    A (k, D) draw is the same stream as k draws of D values, so drawing
-    blocks leaves the trace as one genotype at a time would make it.
+    Each step draws a block of uniform genotypes for every live run, about
+    ``RS_BLOCK`` rows in all. A (k, D) draw is the same stream as k draws of
+    D values, so the block size leaves the trace as one genotype at a time
+    would make it.
     """
-    rng = np.random.default_rng(seed)
-    recorder = RunRecorder(bench, budget)
-    shape = (min(RS_BLOCK, budget.max_evaluations or RS_BLOCK), bench.space.dimension)
-    while len(recorder.evaluate(rng.random(shape))) == shape[0]:
+    def draw(rngs, genotypes, fitness):
+        shape = (max(1, RS_BLOCK // len(rngs)), bench.space.dimension)
+        return np.reshape([rng.random(shape) for rng in rngs], (len(rngs), *shape))
+
+    def keep_nothing(genotypes, fitness, children, child_fitness):
         pass
-    return recorder.finish(seed=seed, optimizer_id="rs", config={})
+
+    return run_lockstep(bench, budget, seeds, 0, draw, keep_nothing, "rs", {})
 
 
 @dataclass(frozen=True)

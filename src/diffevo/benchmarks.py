@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -53,10 +54,12 @@ class Benchmark(Protocol):
         """The row ``(validation_error, test_error or None, cost_seconds)`` of
         ``config``, or None when the configuration is invalid."""
 
-    # A benchmark may also offer ``evaluate_batch(genotypes)``: the list of the
-    # rows ``evaluate`` gives for ``space.discretize_rows(genotypes)``. The
-    # recorder then scores a whole block with one call, which may score rows
-    # past a cost limit, so it suits only pure lookups.
+    # A benchmark may also offer ``evaluate_batch(genotypes)``: for an (N, D)
+    # block, the rows ``evaluate`` gives for ``space.discretize_rows(genotypes)``
+    # as four length-N columns (validation error, test error, cost: float64;
+    # valid: bool), an invalid row holding 1.0, NaN and 0.0 and a missing test
+    # error NaN. The recorder then scores the rows of every live run with one
+    # call, which may score rows past a cost limit, so it suits only pure lookups.
 
 
 @dataclass(frozen=True)
@@ -96,26 +99,33 @@ class TabularBenchmark:
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
         # the lookup by configuration code, sum(index_j * weight_j) with mixed-radix
-        # weights; not fields, so equality sees only the table
+        # weights: the sorted codes, then a -1 that no code equals; and the rows
+        # in code order as (val, test, cost) columns, then the invalid row. Not
+        # fields, so equality sees only the table.
         weights = np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
-        codes = (weights @ np.array(index, dtype=np.int64)).tolist()
-        lookup = dict(zip(codes, self.table.values())).get
+        codes = weights @ np.array(index, dtype=np.int64)
+        order = np.argsort(codes)
+        rows = np.array(list(zip(*self.table.values())), dtype=float)[:, order]  # None -> NaN
         base = [p.lo if p.kind == "integer" else 0 for p in self.space.params]
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_base", np.array(base, dtype=np.int64) if any(base) else None)
-        object.__setattr__(self, "_lookup", lookup)
+        object.__setattr__(self, "_codes", np.append(codes[order], -1))
+        object.__setattr__(self, "_rows", np.append(rows, [[1.0], [math.nan], [0.0]], axis=1))
 
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
         return self.table.get(tuple(config))
 
-    def evaluate_batch(self, genotypes: np.ndarray
-                       ) -> list[tuple[float, float | None, float] | None]:
-        """The rows of an (N, D) genotype block, one lookup per row: the same
-        rows as ``evaluate`` gives for :meth:`SearchSpace.discretize_rows`."""
+    def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (val, test, cost, valid) columns of an (N, D) genotype block:
+        the rows ``evaluate`` gives for :meth:`SearchSpace.discretize_rows`."""
         index = self.space.decode(genotypes).astype(np.int64)
         if self._base is not None:
             index -= self._base
-        return list(map(self._lookup, (index @ self._weights).tolist()))
+        codes = index @ self._weights
+        position = np.searchsorted(self._codes[:-1], codes)
+        valid = self._codes[position] == codes
+        position[~valid] = len(self._codes) - 1
+        return (*self._rows[:, position], valid)
 
 
 def _check_rows(space, table, where) -> list[list[int]]:
@@ -145,14 +155,17 @@ def _check_rows(space, table, where) -> list[list[int]]:
             problem = f"test error {test} outside [0, 1]"
         elif not _is_number(cost):
             problem = f"cost {cost!r} is not a number"
-        elif not 0.0 <= cost < math.inf:
-            problem = f"cost {cost} is negative or not finite"
+        elif not 0.0 <= cost <= _FLOAT_MAX:  # an integer compares exactly
+            too_large = isinstance(cost, int) and cost > 0
+            problem = ("cost is an integer too large for a float" if too_large
+                       else f"cost {cost} is negative or not finite")
         else:
             continue
         raise BenchmarkLoadError(f"{where(key)}: {problem}")
     return index
 
 
+_FLOAT_MAX = sys.float_info.max
 _OUTSIDE = object()  # stands in for every value of a key of the wrong length
 
 
@@ -413,13 +426,16 @@ class FunctionBenchmark:
         x = np.asarray(config, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"expected {self.dimension} coordinates, got {x.shape}")
-        return self._rows(x[None])[0]
+        return float(self._squashed(x[None])[0]), None, 1.0
 
-    def evaluate_batch(self, genotypes: np.ndarray) -> list[tuple[float, None, float]]:
-        """The rows of an (N, D) genotype block, computed row-wise in one pass."""
-        return self._rows(self.space.decode(genotypes))
+    def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (val, test, cost, valid) columns of an (N, D) genotype block,
+        computed row-wise in one pass: no test error, unit cost, all valid."""
+        n = len(genotypes)
+        return (self._squashed(self.space.decode(genotypes)), np.full(n, math.nan), np.ones(n),
+                np.ones(n, dtype=bool))
 
-    def _rows(self, x: np.ndarray) -> list[tuple[float, None, float]]:
+    def _squashed(self, x: np.ndarray) -> np.ndarray:
         f = _FUNCTIONS[self.name](x)
-        return [(v, None, 1.0) for v in (f / (1.0 + f)).tolist()]
+        return f / (1.0 + f)
 

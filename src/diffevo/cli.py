@@ -30,8 +30,7 @@ import numpy as np
 from .baselines import REConfig, run_random_search, run_regularized_evolution
 from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
 from .de import DEConfig, run_de
-from .harness import (RunFn, aggregate, each_seed, final_regrets, run_experiment,
-                      write_curve_csv)
+from .harness import RunFn, aggregate, final_regrets, run_experiment, write_curve_csv
 from .trace import Budget, read_traces, write_traces
 
 OPTIMIZERS = ("de", "rs", "re")
@@ -110,7 +109,7 @@ def build_runner(optimizer: str, cfg: dict, budget: Budget) -> RunFn:
         )
         return lambda bench, seeds: run_de(bench, de_cfg, seeds)
     if optimizer == "rs":
-        return each_seed(lambda bench, seed: run_random_search(bench, budget, seed))
+        return lambda bench, seeds: run_random_search(bench, budget, seeds)
     if optimizer == "re":
         re_cfg = REConfig(
             population_size=cfg["pop"], sample_size=cfg["sample"], budget=budget,

@@ -21,7 +21,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -96,118 +96,253 @@ def _columns(columns) -> dict[str, np.ndarray]:
             for name, column in zip(COLUMNS, columns)}
 
 
-class RunRecorder:
-    """Evaluates genotype blocks for one run and accumulates its event rows.
+def run_failure(seed: int, exc: Exception) -> Exception:
+    """The error that reports a run raising ``exc``, with its seed attached:
+    a ValueError stays one, anything else becomes RuntimeError."""
+    kind = ValueError if isinstance(exc, ValueError) else RuntimeError
+    return kind(f"run with seed {seed} failed: {exc}")
 
-    Optimizers need no budget bookkeeping: a block may stop part-way, and
-    every call after the budget is spent evaluates nothing.
+
+# the incumbent key of an invalid row: above every valid objective in [0, 1],
+# so that a valid row displaces an invalid incumbent even on a tie at 1.0
+_INVALID_KEY = np.nextafter(1.0, 2.0)
+
+
+class RunRecorder:
+    """Evaluates genotype blocks for the runs of one experiment and records
+    their events: one block of rows for every live run per call.
+
+    The runs start together and each call gives every run still going the
+    same number of rows, so those runs share one event count. A run leaves
+    once its budget is spent, which may cut its last block short, or when it
+    fails; a failing run takes every later run along, and :meth:`finish`
+    raises the failure of the lowest run.
     """
 
-    def __init__(self, bench: Benchmark, budget: Budget):
+    def __init__(self, bench: Benchmark, budget: Budget, runs: int = 1):
         self.bench = bench
         self.budget = budget
-        # one list per event field, ordered like COLUMNS
-        self.columns: tuple[list, ...] = tuple([] for _ in COLUMNS)
-        self._appends = tuple(column.append for column in self.columns)
-        self.cumulative_cost = 0.0
-        self._max_evaluations = (sys.maxsize if budget.max_evaluations is None
-                                 else budget.max_evaluations)
-        self._max_cost = math.inf if budget.max_cost is None else budget.max_cost
-        self._free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else math.inf
-        self._free = 0  # evaluations since the cumulative cost last changed
-        self._incumbent = (math.inf, None, False)  # objective, test error, valid
+        self.live = np.arange(runs)  # the runs still going, in order
+        self.lengths = np.zeros(runs, dtype=np.intp)  # the events of each run that left
+        self.failure: tuple[int, Exception] | None = None  # (run, error) of the lowest failure
+        self._events = 0  # the events of each live run
+        self._max_evaluations = budget.max_evaluations or sys.maxsize
+        self._free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else None
+        # per live run: the cumulative cost and, once a run may reach the
+        # zero-cost limit, the event count when that cost last grew
+        self._cost = np.zeros(runs)
+        self._paid: np.ndarray | None = None
+        # (live runs, blocks): each block holds the (objective, test error,
+        # cumulative cost, valid) rows of those runs from one call
+        self._stretches: list[tuple[np.ndarray, list]] = []
 
-    @property
-    def exhausted(self) -> bool:
-        """Whether the budget is spent, so the run may evaluate nothing more."""
-        return (len(self.columns[1]) >= self._max_evaluations
-                or self.cumulative_cost >= self._max_cost)
+    def evaluate(self, genotypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate and record an (L, k, D) block: k genotype rows for each of
+        the L live runs, in the order of :attr:`live`.
 
-    def evaluate(self, genotypes: np.ndarray) -> np.ndarray:
-        """Evaluate and record the rows of an (N, D) genotype block, in order.
-
-        Returns the fitness of each evaluated row, as :meth:`record` does;
-        fewer values than rows means the budget ran out. A benchmark without
-        ``evaluate_batch`` is asked for each row only after the budget check
-        before it; a batch may score rows past the cost limit, which are
-        dropped.
+        Returns the fitness of the rows, at most (L, k), and the positions of
+        the runs still going, which become :attr:`live`. The evaluation limit
+        cuts the block before the benchmark sees it. A run records its rows
+        in order up to the first that reaches the cost limit; its rows after
+        that reach no trace and their fitness means nothing. Fitness is the
+        validation error, or 1.0 (at zero cost) for an invalid
+        configuration. :data:`ZERO_COST_LIMIT` stops a cost-only run that
+        spends nothing, and a negative or NaN cost raises ValueError.
         """
-        if self.exhausted:
-            return np.array([], dtype=float)
-        # record() stops at the evaluation limit; cutting here as well keeps
-        # a batch from scoring rows that could not be recorded
-        genotypes = genotypes[:self._max_evaluations - len(self.columns[1])]
-        bench = self.bench
-        batch = getattr(bench, "evaluate_batch", None)
-        rows = (batch(genotypes) if batch is not None
-                else map(bench.evaluate, bench.space.discretize_rows(genotypes)))
-        return np.array(self.record(genotypes, rows), dtype=float)
+        genotypes = genotypes[:, :self._max_evaluations - self._events]
+        if not genotypes.size:
+            return np.empty(genotypes.shape[:2]), np.arange(len(genotypes))
+        k = genotypes.shape[1]
+        (objective, test, cost, valid), failure = self._ask(genotypes)
+        n, max_cost = self._events, self.budget.max_cost
+        # a run may reach the zero-cost limit in this block only past this count
+        watch_free = self._free_limit is not None and n + k >= self._free_limit
+        # sequential adds, so that each cumulative cost is the running sum
+        spent = np.add.accumulate(np.concatenate((self._cost[:len(cost), None], cost), axis=1),
+                                  axis=1)
+        out = cut = None  # which runs spent their cost budget, and their rows
+        if cost.min(initial=math.inf) >= 0.0 and not watch_free:  # nothing can fail
+            if max_cost is not None:
+                out = spent[:, -1] >= max_cost
+                if out.any():
+                    cut = np.where(out, (spent[:, 1:] >= max_cost).argmax(axis=1) + 1, k)
+                else:
+                    out = None
+        else:
+            out, cut, failure = self._check_costs(genotypes, cost, spent, failure, watch_free)
+            objective, test, valid, spent = (a[:len(out)] for a in (objective, test, valid, spent))
+            if not out.any():
+                out = cut = None
 
-    def record(self, genotypes: np.ndarray, rows) -> list[float]:
-        """Record the benchmark rows of ``genotypes``, in order, until the
-        evaluation or the cost limit is reached; the budget must not be
-        spent yet.
+        runs = self.live if len(spent) == len(self.live) else self.live[:len(spent)]
+        if not self._stretches or self._stretches[-1][0] is not runs:
+            self._stretches.append((runs, []))
+        self._stretches[-1][1].append((objective, test, spent[:, 1:], valid))
+        self._events = n + k
+        if failure is not None:
+            self.failure = int(self.live[failure[0]]), failure[1]
+        if n + k >= self._max_evaluations:
+            out = np.ones(len(runs), dtype=bool)
+        if out is None and runs is self.live:
+            self._cost = spent[:, -1]
+            return objective, np.arange(len(runs))
+        if out is None:
+            keep = np.arange(len(runs))
+        else:
+            self.lengths[runs[out]] = n + (k if cut is None else cut[out])
+            keep = np.flatnonzero(~out)
+        self.live, self._cost = runs[keep], spent[keep, -1]
+        if self._paid is not None:
+            self._paid = self._paid[keep]
+        return objective, keep
 
-        Returns the fitness of each recorded row: the validation error, or
-        1.0 (at zero cost) for an invalid configuration, one the benchmark
-        gives no row. ``rows`` is consumed lazily, so no row is asked for
-        past the evaluation limit or after the one that reaches the cost
-        limit. :data:`ZERO_COST_LIMIT` stops a cost-only run that spends
-        nothing, and a negative or NaN cost raises ValueError.
+    def _check_costs(self, genotypes, cost, spent, failure, watch_free):
+        """The cost-budget cut of each run's rows, as (spent out, row count),
+        and the failure of the lowest run whose rows before its cut hold a
+        negative or NaN cost or reach the zero-cost limit, if any comes
+        before ``failure``."""
+        count, k = cost.shape
+        before, after = spent[:, :-1], spent[:, 1:]
+        fails = ~(after >= before)
+        out, cut = np.zeros(count, dtype=bool), np.full(count, k)
+        if self.budget.max_cost is not None:
+            reached = after >= self.budget.max_cost
+            out = reached.any(axis=1)
+            cut = np.where(out, reached.argmax(axis=1) + 1, k)
+        if watch_free:
+            n = self._events
+            if self._paid is None:  # the event count that first saw each live run's total
+                history = self._history()[0][2, self.live, :n]
+                totals = np.concatenate((np.zeros((len(history), 1)), history), axis=1)
+                self._paid = (totals == totals[:, -1:]).argmax(axis=1)
+            events = np.arange(n + 1, n + k + 1)  # after each row
+            paid = np.maximum.accumulate(
+                np.where(after > before, events, self._paid[:count, None]), axis=1)
+            fails |= events - paid >= self._free_limit
+            self._paid = paid[:, -1]
+        fails &= np.arange(k) < cut[:, None]
+        if not fails.any():
+            return out, cut, failure
+        run = int(fails.any(axis=1).argmax())
+        row = int(fails[run].argmax())
+        if after[run, row] >= before[run, row]:
+            error = ValueError(f"{self._free_limit} evaluations in a row left the cumulative cost "
+                               f"at {float(after[run, row])!r}, so the cost budget may never be "
+                               "spent; add an evaluation limit (--evals)")
+        else:
+            config = self.bench.space.discretize(genotypes[run, row])
+            error = ValueError(f"benchmark cost {float(cost[run, row])!r} of {config!r} is "
+                               "negative or not a number")
+        return out[:run], cut[:run], (run, error)
+
+    def _ask(self, genotypes: np.ndarray):
+        """The (objective, test error, cost, valid) columns of an (L, k, D)
+        block, each (q, k) for its first q runs, and None or the (q, error)
+        of the run that raised.
+
+        One ``evaluate_batch`` call scores the whole block; when it raises,
+        each run's rows are asked alone, so that a failure names its run.
         """
-        free_limit, max_cost = self._free_limit, self._max_cost
-        cumulative, free = self.cumulative_cost, self._free
-        inc_objective, inc_test, inc_valid = self._incumbent
-        costs, objectives, incumbents, tests, valids = self._appends
-        recorded = self.columns[1]
-        start = len(recorded)
-        for row in itertools.islice(rows, self._max_evaluations - start):
-            valid = row is not None
-            if valid:
-                objective, test, cost = row
-                spent = cumulative + cost
+        count, k, dimension = genotypes.shape
+        batch = getattr(self.bench, "evaluate_batch", None)
+        if batch is not None:
+            try:
+                columns = batch(genotypes.reshape(-1, dimension))
+            except Exception:
+                pass
             else:
-                objective, test, spent = 1.0, None, cumulative
-            if spent > cumulative:
-                cumulative, free = spent, 0
-            elif spent == cumulative:
-                free += 1
-                if free >= free_limit:
-                    raise ValueError(f"{free} evaluations in a row left the cumulative cost at "
-                                     f"{cumulative!r}, so the cost budget may never be spent; "
-                                     "add an evaluation limit (--evals)")
-            else:  # only a valid row's cost can be negative or NaN
-                config = self.bench.space.discretize(genotypes[len(recorded) - start])
-                raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or "
-                                 "not a number")
-            # a valid configuration displaces an invalid incumbent even on ties,
-            # so an invalid point never stays incumbent once a valid one is seen
-            if objective < inc_objective or (
-                    valid and not inc_valid and objective <= inc_objective):
-                inc_objective, inc_test, inc_valid = objective, test, valid
-            costs(cumulative)
-            objectives(objective)
-            incumbents(inc_objective)
-            tests(inc_test)
-            valids(valid)
-            if cumulative >= max_cost:
+                return [np.reshape(column, (count, k)) for column in columns], None
+        parts, failure = [], None
+        for block, spent in zip(genotypes, self._cost.tolist()):
+            try:
+                parts.append(batch(block) if batch is not None else self._ask_rows(block, spent))
+            except Exception as exc:
+                failure = len(parts), exc
                 break
-        self.cumulative_cost, self._free = cumulative, free
-        self._incumbent = (inc_objective, inc_test, inc_valid)
-        return recorded[start:]
+        objective, test, cost, valid = np.reshape(np.array(parts, dtype=float),
+                                                  (-1, 4, k)).transpose(1, 0, 2)
+        return (objective, test, cost, valid != 0), failure
 
-    def finish(self, seed: int, optimizer_id: str, config: dict | None = None) -> RunTrace:
-        trace = RunTrace(
-            seed=seed,
-            optimizer_id=optimizer_id,
-            benchmark_id=self.bench.benchmark_id,
-            best_validation_error=self.bench.best_validation_error,
-            best_test_error=self.bench.best_test_error,
-            config=dict(config or {}),
-            **_columns(self.columns),
-        )
-        check_trace_invariants(trace)
-        return trace
+    def _ask_rows(self, genotypes: np.ndarray, spent: float):
+        """The columns of one run's (k, D) block from ``evaluate``, asked for
+        a row only after the budget check before it: the rows after one that
+        reaches the cost limit, or spends a negative or NaN cost, are not
+        asked for and stay invalid."""
+        k = len(genotypes)
+        objective, test, cost = np.ones(k), np.full(k, math.nan), np.zeros(k)
+        valid = np.zeros(k, dtype=bool)
+        evaluate = self.bench.evaluate
+        max_cost = math.inf if self.budget.max_cost is None else self.budget.max_cost
+        for j, config in enumerate(self.bench.space.discretize_rows(genotypes)):
+            row = evaluate(config)
+            if row is None:
+                continue
+            objective[j], error, cost[j] = row
+            valid[j] = True
+            if error is not None:
+                test[j] = error
+            after = spent + row[2]
+            if not spent <= after < max_cost:
+                break
+            spent = after
+        return objective, test, cost, valid
+
+    def _history(self) -> tuple[np.ndarray, np.ndarray]:
+        """The recorded (objective, test error, cumulative cost) columns as
+        one (3, R, N) array and valid as (R, N), N the events of the longest
+        run; a run's entries past its own events mean nothing."""
+        runs = len(self.lengths)
+        columns = np.empty((3, runs, self._events))
+        valid = np.empty((runs, self._events), dtype=bool)
+        start = 0
+        for live, blocks in self._stretches:
+            width = sum(block[0].shape[1] for block in blocks)
+            span = slice(start, start + width)
+            for c in range(3):
+                columns[c, live, span] = np.concatenate([block[c] for block in blocks], axis=1)
+            valid[live, span] = np.concatenate([block[3] for block in blocks], axis=1)
+            start += width
+        return columns, valid
+
+    def finish(self, seeds: Sequence[int], optimizer_id: str,
+               config: dict | None = None) -> list[RunTrace]:
+        """The trace of each run, in run order, named by ``seeds``.
+
+        The incumbent after each event is the first row of the lowest key so
+        far, where a row's key is its objective, or just above 1.0 when it is
+        invalid, and a NaN objective never leads. A run that failed, or whose
+        trace breaks :func:`check_trace_invariants`, raises
+        :func:`run_failure` with its seed; the runs before it are checked
+        first.
+        """
+        self.lengths[self.live] = self._events
+        (objective, test, cost), valid = self._history()
+        key = np.where(valid, objective, _INVALID_KEY)
+        best = np.fmin.accumulate(key, axis=1)
+        leads = key < np.concatenate((np.full((len(key), 1), math.inf), best[:, :-1]), axis=1)
+        leader = (np.arange(len(key))[:, None],
+                  np.maximum.accumulate(np.where(leads, np.arange(self._events), 0), axis=1))
+        columns = (cost, objective, objective[leader], test[leader], valid)
+        traces = []
+        for run, seed in enumerate(seeds):
+            try:
+                if self.failure is not None and self.failure[0] == run:
+                    raise self.failure[1]
+                n = self.lengths[run]
+                trace = RunTrace(
+                    seed=seed,
+                    optimizer_id=optimizer_id,
+                    benchmark_id=self.bench.benchmark_id,
+                    best_validation_error=self.bench.best_validation_error,
+                    best_test_error=self.bench.best_test_error,
+                    config=dict(config or {}),
+                    **{name: column[run, :n].copy() for name, column in zip(COLUMNS, columns)},
+                )
+                check_trace_invariants(trace)
+            except Exception as exc:
+                raise run_failure(seed, exc) from exc
+            traces.append(trace)
+        return traces
 
 
 def check_trace_invariants(trace: RunTrace):

@@ -307,11 +307,21 @@ class WithoutBatch(RecordingBenchmark):
     """A recording benchmark asked one configuration at a time."""
 
 
+def row_columns(rows):
+    """The (val, test, cost, valid) columns ``evaluate_batch`` gives for a
+    list of ``evaluate`` rows: an invalid row holds 1.0, NaN and 0.0."""
+    valid = np.array([row is not None for row in rows], dtype=bool)
+    filled = [(1.0, None, 0.0) if row is None else row for row in rows]
+    val, test, cost = np.array(filled, dtype=float).reshape(len(rows), 3).T  # None -> NaN
+    return val, test, cost, valid
+
+
 class WithBatch(RecordingBenchmark):
     """A recording benchmark that scores whole blocks through ``evaluate_batch``."""
 
     def evaluate_batch(self, genotypes):
-        return [self.evaluate(config) for config in self.space.discretize_rows(genotypes)]
+        return row_columns([self.evaluate(config)
+                            for config in self.space.discretize_rows(genotypes)])
 
 
 class TransformedBenchmark:

@@ -19,7 +19,6 @@ from diffevo import (
     REConfig,
     aggregate,
     check_trace_invariants,
-    each_seed,
     final_regrets,
     make_synthetic,
     paired_sign_test,
@@ -78,7 +77,7 @@ def de_result(comparison_bench):
 @pytest.fixture(scope="module")
 def rs_result(comparison_bench):
     budget = Budget(max_evaluations=EVALS)
-    return timed_experiment(each_seed(lambda b, s: run_random_search(b, budget, s)),
+    return timed_experiment(lambda b, seeds: run_random_search(b, budget, seeds),
                             comparison_bench, N_SEEDS)
 
 

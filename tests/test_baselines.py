@@ -17,20 +17,19 @@ from conftest import (RecordingBenchmark, TransformedBenchmark, WithBatch, Witho
 class TestRandomSearch:
     def test_single_evaluation_budget(self):
         bench = make_synthetic(5, 4, seed=0)
-        trace = run_random_search(bench, Budget(max_evaluations=1), seed=0)
+        trace, = run_random_search(bench, Budget(max_evaluations=1), [0])
         assert len(trace) == 1
         assert trace.incumbent_objective[0] == trace.objective[0]
 
     def test_same_seed_identical_trace(self):
         bench = make_synthetic(5, 4, seed=0)
         budget = Budget(max_evaluations=100)
-        a = run_random_search(bench, budget, seed=5)
-        b = run_random_search(bench, budget, seed=5)
-        assert_same_traces([a], [b])
+        assert_same_traces(run_random_search(bench, budget, [5]),
+                           run_random_search(bench, budget, [5]))
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)
-        trace = run_random_search(bench, Budget(max_evaluations=300), seed=1)
+        trace, = run_random_search(bench, Budget(max_evaluations=300), [1])
         assert np.all(np.diff(trace.incumbent_objective) <= 0.0)
 
 

@@ -127,7 +127,7 @@ class TestAggregate:
     def test_mean_curve_monotone_when_runs_share_origin(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         traces = run_experiment(
-            each_seed(lambda b, s: run_random_search(b, Budget(max_evaluations=150), s)),
+            lambda b, seeds: run_random_search(b, Budget(max_evaluations=150), seeds),
             bench, n_runs=8, base_seed=0)
         curve = aggregate(traces, grid="union")
         assert np.all(np.diff(curve.mean_regret) <= 1e-15)
@@ -221,8 +221,7 @@ class TestAggregateAgainstReference:
 
 class TestRunExperiment:
     def runner(self, budget=20):
-        return each_seed(
-            lambda bench, seed: run_random_search(bench, Budget(max_evaluations=budget), seed))
+        return lambda bench, seeds: run_random_search(bench, Budget(max_evaluations=budget), seeds)
 
     def test_seed_order_and_count(self):
         bench = make_synthetic(4, 3, seed=0)
@@ -258,7 +257,7 @@ class TestRunExperiment:
         def failing(b, seed):
             if seed == 2:
                 raise RuntimeError("boom")
-            return run_random_search(b, Budget(max_evaluations=20), seed)
+            return run_random_search(b, Budget(max_evaluations=20), [seed])[0]
 
         with pytest.raises(RuntimeError, match="seed 2"):
             run_experiment(each_seed(failing), bench, n_runs=4, base_seed=0)
@@ -276,7 +275,7 @@ class TestRunExperiment:
         bench = make_synthetic(4, 3, seed=0)
 
         def one_seed(b, seed):
-            return run_random_search(b, Budget(max_evaluations=5), seed)
+            return run_random_search(b, Budget(max_evaluations=5), [seed])[0]
 
         with pytest.raises(TypeError, match="one trace per seed"):
             run_experiment(one_seed, bench, n_runs=2)
@@ -384,7 +383,7 @@ class TestTracePersistence:
     def test_reaggregation_equals_in_process(self, tmp_path):
         bench = make_synthetic(5, 4, seed=0)
         traces = run_experiment(
-            each_seed(lambda b, s: run_random_search(b, Budget(max_evaluations=40), s)),
+            lambda b, seeds: run_random_search(b, Budget(max_evaluations=40), seeds),
             bench, n_runs=4, base_seed=0)
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)

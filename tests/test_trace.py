@@ -16,6 +16,7 @@ from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 from conftest import (
     ReferenceRecorder,
     RecordingBenchmark,
+    WithBatch,
     assert_same_traces,
     reference_read_traces,
     trace_from_rows,
@@ -37,16 +38,17 @@ class TableBench:
 
 
 def run_blocks(bench, budget, genotypes, cuts):
-    """Feed ``genotypes`` to a RunRecorder in blocks split at ``cuts`` until
-    one comes back short; returns the fitness values and the trace."""
+    """Feed ``genotypes`` to a one-run RunRecorder in blocks split at ``cuts``
+    until the run leaves; returns the fitness values and the trace."""
     recorder = RunRecorder(bench, budget)
     fitness = []
     for block in np.split(genotypes, cuts):
-        got = recorder.evaluate(block)
-        fitness.extend(got.tolist())
-        if len(got) < len(block):
+        got, _ = recorder.evaluate(block[None])
+        fitness.extend(got.ravel().tolist())
+        if not len(recorder.live):
             break
-    return fitness, recorder.finish(seed=0, optimizer_id="x")
+    trace, = recorder.finish([0], "x")
+    return fitness[:len(trace)], trace
 
 
 def run_rows(bench, budget, genotypes):
@@ -85,36 +87,35 @@ class TestBlockRecorder:
     def test_spent_budget_evaluates_nothing(self):
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
         recorder = RunRecorder(bench, Budget(max_cost=2.0))
-        assert recorder.evaluate(np.full((5, 3), 0.5)).tolist() == [
-            bench.base.evaluate(("c1", "c1", "c1"))[0]] * 2
-        assert len(recorder.evaluate(np.full((5, 3), 0.5))) == 0
+        fitness, keep = recorder.evaluate(np.full((1, 5, 3), 0.5))
+        assert fitness[0, :2].tolist() == [bench.base.evaluate(("c1", "c1", "c1"))[0]] * 2
+        assert len(keep) == len(recorder.live) == 0
+        fitness, keep = recorder.evaluate(np.full((0, 5, 3), 0.5))
+        assert fitness.size == len(keep) == 0
         assert len(bench.configs) == 2
+        assert len(recorder.finish([0], "x")[0]) == 2
 
     def test_record_stops_at_the_evaluation_limit(self):
         # two of five evaluations made; a four-row block has room for three,
-        # and its lazy rows are read no further than the third
-        bench = make_synthetic(3, 3, cost_model="unit", seed=0)
+        # and the benchmark's batch is asked for no more than those
+        bench = WithBatch(make_synthetic(3, 3, cost_model="unit", seed=0))
         recorder = RunRecorder(bench, Budget(max_evaluations=5))
         genotypes = np.random.default_rng(0).random((4, 3))
-        assert len(recorder.evaluate(genotypes[:2])) == 2
-        asked = []
-
-        def rows():
-            for config in bench.space.discretize_rows(genotypes):
-                asked.append(config)
-                yield bench.evaluate(config)
-
-        fitness = recorder.record(genotypes, rows())
-        assert fitness == [bench.evaluate(c)[0] for c in bench.space.discretize_rows(genotypes)][:3]
-        assert len(asked) == 3
-        assert recorder.exhausted
+        assert recorder.evaluate(genotypes[None, :2])[0].shape == (1, 2)
+        fitness, keep = recorder.evaluate(genotypes[None])
+        want = [bench.base.evaluate(c)[0] for c in bench.space.discretize_rows(genotypes)]
+        assert fitness[0].tolist() == want[:3]
+        assert len(bench.configs) == 2 + 3
+        assert len(keep) == 0
+        assert len(recorder.finish([0], "x")[0]) == 5
 
     def test_benchmark_without_batch_is_asked_nothing_past_the_cost_limit(self):
         # unit costs: the limit of 3 is reached by the third row of the block
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
         block = np.array([[0.1] * 3, [0.5] * 3, [0.9] * 3, [0.5, 0.1, 0.9], [0.9, 0.5, 0.1]])
         recorder = RunRecorder(bench, Budget(max_cost=3.0))
-        assert len(recorder.evaluate(block)) == 3
+        recorder.evaluate(block[None])
+        assert len(recorder.finish([0], "x")[0]) == 3
         assert bench.configs == list(bench.space.discretize_rows(block))[:3]
 
     def test_valid_point_displaces_invalid_incumbent_on_a_tie(self):
@@ -141,14 +142,14 @@ class TestBlockRecorder:
         budget = Budget(max_cost=10.0)
         with pytest.raises(ValueError) as got:
             run_blocks(bench, budget, genotypes, [3, 50_000, ZERO_COST_LIMIT, 150_001])
-        assert str(got.value) == (f"{ZERO_COST_LIMIT} evaluations in a row left the cumulative "
-                                  "cost at 1.0, so the cost budget may never be spent; add an "
-                                  "evaluation limit (--evals)")
+        message = (f"{ZERO_COST_LIMIT} evaluations in a row left the cumulative cost at 1.0, "
+                   "so the cost budget may never be spent; add an evaluation limit (--evals)")
+        assert str(got.value) == f"run with seed 0 failed: {message}"
         assert len(bench.configs) == len(genotypes) == 2 * ZERO_COST_LIMIT
         want = RecordingBenchmark(bench.base)
         with pytest.raises(ValueError) as reference:
             run_rows(want, budget, genotypes)
-        assert str(reference.value) == str(got.value)
+        assert str(reference.value) == message
         assert want.configs == bench.configs
 
     @pytest.mark.parametrize("cost", [math.nan, -1.0])
@@ -162,12 +163,12 @@ class TestBlockRecorder:
         for cuts in ([], [1], [2, 3]):
             with pytest.raises(ValueError) as got:
                 run_blocks(bench, budget, genotypes, cuts)
-            assert str(got.value) == message
+            assert str(got.value) == f"run with seed 0 failed: {message}"
         with pytest.raises(ValueError) as reference:
             run_rows(bench, budget, genotypes)
         assert str(reference.value) == message
         with pytest.raises(ValueError, match=re.escape(f"benchmark cost {cost!r} of")):
-            run_random_search(bench, budget, seed=0)
+            run_random_search(bench, budget, [0])
 
     def test_evaluation_limit_lifts_the_zero_cost_limit(self):
         bench = make_synthetic(3, 3, invalid_fraction=0.5, seed=0)
@@ -238,8 +239,8 @@ class TestTraceWriter:
             json.dumps({"key": [token], "val_err": val, "test_err": None, "cost": 1.0})
             for token, val in zip(space.params[0].choices, [-0.0, 0.0, 0.5]))]) + "\n")
         recorder = RunRecorder(load_tabular(path), Budget(max_evaluations=6))
-        recorder.evaluate(np.array([[0.9], [0.1], [0.5], [0.1], [0.5], [0.9]]))
-        trace = recorder.finish(seed=0, optimizer_id="x")
+        recorder.evaluate(np.array([[[0.9], [0.1], [0.5], [0.1], [0.5], [0.9]]]))
+        trace, = recorder.finish([0], "x")
         write_traces([trace], tmp_path / "t.jsonl")
         lines = (tmp_path / "t.jsonl").read_text().splitlines()[1:]
         assert lines == reference_lines(trace)
@@ -249,8 +250,8 @@ class TestTraceWriter:
     def test_recorded_run_round_trips(self, tmp_path):
         bench = make_synthetic(3, 3, invalid_fraction=0.3, seed=1)
         recorder = RunRecorder(bench, Budget(max_evaluations=40))
-        recorder.evaluate(np.random.default_rng(0).random((40, 3)))
-        trace = recorder.finish(seed=4, optimizer_id="x")
+        recorder.evaluate(np.random.default_rng(0).random((1, 40, 3)))
+        trace, = recorder.finish([4], "x")
         path = tmp_path / "t.jsonl"
         write_traces([trace], path)
         assert path.read_text().splitlines()[1:] == reference_lines(trace)
