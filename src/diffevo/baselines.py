@@ -79,22 +79,22 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
     """One regularized-evolution run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Every step takes one child from each live run: its own generator draws
-    the entrants, then the new value, then the coordinate it replaces.
+    Every step takes one child from each live run, whose own generator
+    makes one draw ``u`` of S + 2 uniforms: the entrants are
+    ``floor(u[:S] * P)``, the new value is ``u[S]``, and the coordinate it
+    replaces is ``floor(u[S + 1] * D)``.
     """
     size, sample = cfg.population_size, cfg.sample_size
 
     def propose(rngs, genotypes, fitness):
         live, _, dimension = genotypes.shape
-        entrants = np.empty((live, sample), dtype=np.intp)
-        values, coordinates = np.empty(live), np.empty(live, dtype=np.intp)
-        for i, rng in enumerate(rngs):
-            entrants[i] = rng.integers(0, size, size=sample)
-            values[i] = rng.random()
-            coordinates[i] = rng.integers(dimension)
+        draws = np.empty((live, sample + 2))
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
         steps = np.arange(live)
-        children = genotypes[steps, tournament_select(fitness, entrants)]
-        children[steps, coordinates] = values
+        children = genotypes[steps, tournament_select(fitness, (draws[:, :sample] * size)
+                                                      .astype(np.intp))]
+        children[steps, (draws[:, sample + 1] * dimension).astype(np.intp)] = draws[:, sample]
         return children[:, None]
 
     def age(genotypes, fitness, children, child_fitness):

@@ -231,24 +231,27 @@ class ReferenceRecorder:
         return trace
 
 
-def tournament_select(fitness, sample_size, rng):
-    """Scalar reference: the index of the fittest of ``sample_size`` entrants
-    drawn with replacement; ties go to the lowest population index."""
-    entrants = sorted(rng.integers(0, len(fitness), size=sample_size).tolist())
+def tournament_select(fitness, draws):
+    """Scalar reference: the index of the fittest of the entrants
+    ``floor(u * P)``, one per uniform draw ``u``; ties go to the lowest
+    population index."""
+    entrants = sorted(int(u * len(fitness)) for u in draws)
     return min(entrants, key=fitness.__getitem__)  # min keeps the first of equals
 
 
-def mutate_one_dimension(genotype, rng):
-    """Scalar reference: resample one uniformly chosen coordinate on [0, 1)."""
+def mutate_one_dimension(genotype, draws):
+    """Scalar reference: coordinate ``floor(draws[1] * D)`` takes the value
+    ``draws[0]``, both uniform on [0, 1)."""
     child = genotype.copy()
-    child[int(rng.integers(len(genotype)))] = rng.random()
+    child[int(draws[1] * len(genotype))] = draws[0]
     return child
 
 
 def reference_run_re(bench, cfg, seed):
     """Scalar reference for one regularized-evolution run: one child at a
     time through ``ReferenceRecorder``, the population shifted by one row per
-    child. Like the sequential loop it replaces, it draws one more
+    child, each child from one draw of S + 2 uniforms (entrants, value,
+    coordinate). Like the sequential loop it replaces, it draws one more
     tournament and mutation once the budget is spent; those draws reach no
     trace."""
     rng = np.random.default_rng(seed)
@@ -261,9 +264,11 @@ def reference_run_re(bench, cfg, seed):
             break
         fitness.append(value)
     fitness = np.array(fitness)
+    sample = cfg.sample_size
     while len(fitness) == cfg.population_size:
-        child = mutate_one_dimension(genotypes[tournament_select(fitness, cfg.sample_size, rng)],
-                                     rng)
+        draws = rng.random(sample + 2)
+        child = mutate_one_dimension(genotypes[tournament_select(fitness, draws[:sample])],
+                                     draws[sample:])
         child_fitness = recorder.evaluate(child)
         if child_fitness is None:
             break

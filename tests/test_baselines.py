@@ -87,7 +87,7 @@ class TestMutateOneDimension:
     def test_changes_at_most_one_coordinate(self, seed, dimension):
         rng = np.random.default_rng(seed)
         parent = rng.random(dimension)
-        child = mutate_one_dimension(parent, rng)
+        child = mutate_one_dimension(parent, rng.random(2))
         assert child.shape == parent.shape
         assert np.sum(child != parent) <= 1
         assert np.all((child >= 0.0) & (child < 1.0))
@@ -95,7 +95,7 @@ class TestMutateOneDimension:
     def test_parent_not_modified(self, rng):
         parent = rng.random(5)
         before = parent.copy()
-        mutate_one_dimension(parent, rng)
+        mutate_one_dimension(parent, rng.random(2))
         assert np.array_equal(parent, before)
 
 

@@ -193,19 +193,21 @@ class TestRun:
 class TestGoldenBytes:
     """Output bytes pinned by sha256; a change to any trace or curve byte
     must update these constants deliberately. The de constants changed when
-    DE began drawing a whole generation at once (a new draw order); rs and
-    re are unchanged since they were first recorded. AGGREGATES pins
+    DE began drawing a whole generation at once (a new draw order). The re
+    constants changed when each RE child began coming from one draw of
+    S + 2 uniforms instead of three generator calls (a new draw order). rs
+    is unchanged since it was first recorded. AGGREGATES pins
     ``diffevo aggregate`` over the TRACES files on both grids."""
 
     TRACES = {
         "de": "c65f8aac0f5d6fc72831868384ce4f38ac4692a2b88630a7ea8dc4b43105fbff",
         "rs": "98b71d1bb476e33313d41ad27724a18e48cd4d04d163522da21806260afc0cca",
-        "re": "7ad235494e1436c9ad9e55b109ff8c287695074e0a4989bba2e80bdbd7f143f4",
+        "re": "620eb6c1c7a28d4435124b91230413d503500114cc7fcec9dfe4f898bf7dba2a",
     }
     CURVES = {
         "de": "adc4c88423da535c6f6dc4df693ebd0746439cb557e5dd4525eae3526b02af3b",
         "rs": "4302c9d191c46044379f553ae966ae48b1a5d55b1625ab771166c0663b379339",
-        "re": "3c023bc7aa5d2d9df9e5d036dd28dbf35a702ca9c6345189c0c438e991b1d493",
+        "re": "d8d357c450d82d659a128ffc811cc4bd2b434aceca4113cdf6b695eef7a41dfd",
     }
 
     AGGREGATES = {
@@ -213,8 +215,8 @@ class TestGoldenBytes:
         ("de", "log"): "ab0582918819942c9c8c8d8fefe78bb0317a0d1056e4ab10a7d9ef6022dc17ab",
         ("rs", "union"): "bbebd4fb57bfb26533281ec1214724b6cbcad5c7d1b011e616b6e24f06395dff",
         ("rs", "log"): "b597846ec17e4744f215fe5b04dafb7c9819b0cd1f4bbcf67fd7c0155185fa10",
-        ("re", "union"): "ca5ff3a25ebec6989ec67c2e2aa2f555236212a66ead6d50872656e1979b6e61",
-        ("re", "log"): "c0d0a1f6c0d4e96abfd3f7b7e2d4d7632037275365c6cddd8da54b98616e8d76",
+        ("re", "union"): "5ab3bbbe6aa8355ce0891f5e9457a71db4566510c87bd631b0e6740aa41c0469",
+        ("re", "log"): "76053008b2213662ae7e060787359b480d688148c399f7ed9ca8a044b0bdb7f5",
     }
 
     @staticmethod
