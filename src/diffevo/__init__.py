@@ -21,7 +21,6 @@ from .de import DEConfig, run_de
 from .harness import (
     AggregateCurve,
     aggregate,
-    each_seed,
     final_regrets,
     paired_sign_test,
     regret_series,
@@ -46,7 +45,6 @@ __all__ = [
     "TabularBenchmark",
     "aggregate",
     "check_trace_invariants",
-    "each_seed",
     "final_regrets",
     "load_tabular",
     "make_synthetic",

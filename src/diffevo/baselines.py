@@ -70,8 +70,9 @@ def tournament_select(fitness: np.ndarray, entrants: np.ndarray) -> np.ndarray:
     Fitness ties go to the entrant with the lowest population index.
     """
     entrants = np.sort(entrants, axis=1)
-    best = np.take_along_axis(fitness, entrants, axis=1).argmin(axis=1)  # the first of equals
-    return entrants[np.arange(len(entrants)), best]
+    runs = np.arange(len(entrants))
+    best = fitness[runs[:, None], entrants].argmin(axis=1)  # the first of equals
+    return entrants[runs, best]
 
 
 def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
@@ -85,6 +86,9 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
     replaces is ``floor(u[S + 1] * D)``.
     """
     size, sample = cfg.population_size, cfg.sample_size
+    # fitness is kept oldest first; the genotypes are a ring whose oldest
+    # member, the same in every run, sits at row `oldest`
+    oldest = 0
 
     def propose(rngs, genotypes, fitness):
         live, _, dimension = genotypes.shape
@@ -92,15 +96,17 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
         for rng, row in zip(rngs, draws):
             rng.random(out=row)
         steps = np.arange(live)
-        children = genotypes[steps, tournament_select(fitness, (draws[:, :sample] * size)
-                                                      .astype(np.intp))]
+        parents = tournament_select(fitness, (draws[:, :sample] * size).astype(np.intp))
+        children = genotypes[steps, (parents + oldest) % size]
         children[steps, (draws[:, sample + 1] * dimension).astype(np.intp)] = draws[:, sample]
         return children[:, None]
 
     def age(genotypes, fitness, children, child_fitness):
         # the oldest member leaves whatever its fitness
-        genotypes[:, :-1], fitness[:, :-1] = genotypes[:, 1:], fitness[:, 1:]
-        genotypes[:, -1], fitness[:, -1] = children[:, 0], child_fitness[:, 0]
+        nonlocal oldest
+        fitness[:, :-1], fitness[:, -1] = fitness[:, 1:], child_fitness[:, 0]
+        genotypes[:, oldest] = children[:, 0]
+        oldest = (oldest + 1) % size
 
     return run_lockstep(bench, cfg.budget, seeds, size, propose, age, "re",
                         {"population_size": size, "sample_size": sample})

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .benchmarks import Benchmark
-from .trace import Budget, RunRecorder, RunTrace, run_failure
+from .trace import Budget, RunRecorder, RunTrace
 
 # a runner makes the runs of an experiment's seeds and returns their traces in
 # seed order; a run that raises ends the runner with run_failure() of the
@@ -91,19 +91,6 @@ def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], populat
     return recorder.finish(seeds, optimizer_id, config)
 
 
-def each_seed(run: Callable[[Benchmark, int], RunTrace]) -> RunFn:
-    """A runner that makes its runs one seed after another with ``run``."""
-    def runner(bench: Benchmark, seeds: Sequence[int]) -> list[RunTrace]:
-        traces = []
-        for seed in seeds:
-            try:
-                traces.append(run(bench, seed))
-            except Exception as exc:
-                raise run_failure(seed, exc) from exc
-        return traces
-    return runner
-
-
 def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int = 0,
                    jobs: int = 1) -> list[RunTrace]:
     """Independent runs with seeds ``base_seed .. base_seed + n_runs - 1``,
@@ -127,8 +114,7 @@ def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int 
     # a one-seed function passed as a runner would seed one run with all the
     # seeds, since a generator accepts a sequence of seeds as its entropy
     if not isinstance(traces, list) or [t.seed for t in traces] != list(seeds):
-        raise TypeError("a runner must return one trace per seed, in seed order; "
-                        "wrap a one-seed function in each_seed()")
+        raise TypeError("a runner must return one trace per seed, in seed order")
     return traces
 
 

@@ -110,13 +110,12 @@ _INVALID_KEY = np.nextafter(1.0, 2.0)
 
 class RunRecorder:
     """Evaluates genotype blocks for the runs of one experiment and records
-    their events: one block of rows for every live run per call.
+    their events, one block of rows for every live run per call.
 
-    The runs start together and each call gives every run still going the
-    same number of rows, so those runs share one event count. A run leaves
-    once its budget is spent, which may cut its last block short, or when it
-    fails; a failing run takes every later run along, and :meth:`finish`
-    raises the failure of the lowest run.
+    Every call gives each run still going the same number of rows, so those
+    runs share one event count. A run leaves once its budget is spent, which
+    may cut its last block short, or when it fails; a failing run takes
+    every later run along, and :meth:`finish` raises the lowest failure.
     """
 
     def __init__(self, bench: Benchmark, budget: Budget, runs: int = 1):
@@ -128,12 +127,10 @@ class RunRecorder:
         self._events = 0  # the events of each live run
         self._max_evaluations = budget.max_evaluations or sys.maxsize
         self._free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else None
-        # per live run: the cumulative cost and, once a run may reach the
-        # zero-cost limit, the event count when that cost last grew
-        self._cost = np.zeros(runs)
-        self._paid: np.ndarray | None = None
-        # (live runs, blocks): each block holds the (objective, test error,
-        # cumulative cost, valid) rows of those runs from one call
+        self._cost = np.zeros(runs)  # the cumulative cost of each live run
+        self._paid = None  # once a run may reach the zero-cost limit: its last costly event
+        # (runs, blocks): the (objective, test error, cumulative cost, valid)
+        # rows those runs recorded, one block per call
         self._stretches: list[tuple[np.ndarray, list]] = []
 
     def evaluate(self, genotypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,36 +140,37 @@ class RunRecorder:
         Returns the fitness of the rows, at most (L, k), and the positions of
         the runs still going, which become :attr:`live`. The evaluation limit
         cuts the block before the benchmark sees it. A run records its rows
-        in order up to the first that reaches the cost limit; its rows after
-        that reach no trace and their fitness means nothing. Fitness is the
-        validation error, or 1.0 (at zero cost) for an invalid
-        configuration. :data:`ZERO_COST_LIMIT` stops a cost-only run that
-        spends nothing, and a negative or NaN cost raises ValueError.
+        up to the first that reaches the cost limit; the fitness of its later
+        rows means nothing. Fitness is the validation error, or 1.0 (at zero
+        cost) for an invalid configuration. :data:`ZERO_COST_LIMIT` stops a
+        cost-only run that spends nothing, and a negative or NaN cost raises
+        ValueError.
         """
         genotypes = genotypes[:, :self._max_evaluations - self._events]
         if not genotypes.size:
             return np.empty(genotypes.shape[:2]), np.arange(len(genotypes))
-        k = genotypes.shape[1]
+        n, k = self._events, genotypes.shape[1]
         (objective, test, cost, valid), failure = self._ask(genotypes)
-        n, max_cost = self._events, self.budget.max_cost
-        # a run may reach the zero-cost limit in this block only past this count
-        watch_free = self._free_limit is not None and n + k >= self._free_limit
         # sequential adds, so that each cumulative cost is the running sum
         spent = np.add.accumulate(np.concatenate((self._cost[:len(cost), None], cost), axis=1),
                                   axis=1)
-        out = cut = None  # which runs spent their cost budget, and their rows
-        if cost.min(initial=math.inf) >= 0.0 and not watch_free:  # nothing can fail
-            if max_cost is not None:
-                out = spent[:, -1] >= max_cost
-                if out.any():
-                    cut = np.where(out, (spent[:, 1:] >= max_cost).argmax(axis=1) + 1, k)
-                else:
-                    out = None
-        else:
-            out, cut, failure = self._check_costs(genotypes, cost, spent, failure, watch_free)
-            objective, test, valid, spent = (a[:len(out)] for a in (objective, test, valid, spent))
-            if not out.any():
-                out = cut = None
+        gone = cut = None  # once a run reaches the cost limit: who did, and the rows each records
+        if self.budget.max_cost is not None:
+            reached = spent[:, 1:] >= self.budget.max_cost
+            if reached.any():
+                gone = reached.any(axis=1)
+                cut = np.where(gone, reached.argmax(axis=1) + 1, k)
+        # a run can reach the zero-cost limit in this block only past this count
+        watch_free = self._free_limit is not None and n + k >= self._free_limit
+        if watch_free or not cost.min(initial=math.inf) >= 0.0:
+            failure = self._check_costs(genotypes, cost, spent, cut, watch_free) or failure
+            if failure is not None:
+                objective, test, valid, spent = (a[:failure[0]]
+                                                 for a in (objective, test, valid, spent))
+                if cut is not None:
+                    gone, cut = gone[:failure[0]], cut[:failure[0]]
+            if failure is not None and self._paid is not None:
+                self._paid = self._paid[:failure[0]]
 
         runs = self.live if len(spent) == len(self.live) else self.live[:len(spent)]
         if not self._stretches or self._stretches[-1][0] is not runs:
@@ -182,58 +180,48 @@ class RunRecorder:
         if failure is not None:
             self.failure = int(self.live[failure[0]]), failure[1]
         if n + k >= self._max_evaluations:
-            out = np.ones(len(runs), dtype=bool)
-        if out is None and runs is self.live:
+            gone = np.ones(len(runs), dtype=bool)
+        if gone is None and runs is self.live:
             self._cost = spent[:, -1]
             return objective, np.arange(len(runs))
-        if out is None:
-            keep = np.arange(len(runs))
-        else:
-            self.lengths[runs[out]] = n + (k if cut is None else cut[out])
-            keep = np.flatnonzero(~out)
+        keep = np.arange(len(runs)) if gone is None else np.flatnonzero(~gone)
+        if gone is not None:
+            self.lengths[runs[gone]] = n + (k if cut is None else cut[gone])
         self.live, self._cost = runs[keep], spent[keep, -1]
         if self._paid is not None:
             self._paid = self._paid[keep]
         return objective, keep
 
-    def _check_costs(self, genotypes, cost, spent, failure, watch_free):
-        """The cost-budget cut of each run's rows, as (spent out, row count),
-        and the failure of the lowest run whose rows before its cut hold a
-        negative or NaN cost or reach the zero-cost limit, if any comes
-        before ``failure``."""
+    def _check_costs(self, genotypes, cost, spent, cut, watch_free):
+        """The (position, error) of the first run whose rows up to its cut
+        hold a negative or NaN cost or reach the zero-cost limit, or None."""
         count, k = cost.shape
-        before, after = spent[:, :-1], spent[:, 1:]
+        n, before, after = self._events, spent[:, :-1], spent[:, 1:]
         fails = ~(after >= before)
-        out, cut = np.zeros(count, dtype=bool), np.full(count, k)
-        if self.budget.max_cost is not None:
-            reached = after >= self.budget.max_cost
-            out = reached.any(axis=1)
-            cut = np.where(out, reached.argmax(axis=1) + 1, k)
         if watch_free:
-            n = self._events
-            if self._paid is None:  # the event count that first saw each live run's total
-                history = self._history()[0][2, self.live, :n]
-                totals = np.concatenate((np.zeros((len(history), 1)), history), axis=1)
+            if self._paid is None:  # the first event count to see each run's total
+                totals = np.zeros((len(self.live), n + 1))
+                totals[:, 1:] = self._history()[0][2, self.live, :n]
                 self._paid = (totals == totals[:, -1:]).argmax(axis=1)
             events = np.arange(n + 1, n + k + 1)  # after each row
             paid = np.maximum.accumulate(
                 np.where(after > before, events, self._paid[:count, None]), axis=1)
             fails |= events - paid >= self._free_limit
             self._paid = paid[:, -1]
-        fails &= np.arange(k) < cut[:, None]
+        if cut is not None:
+            fails &= np.arange(k) < cut[:, None]
         if not fails.any():
-            return out, cut, failure
+            return None
         run = int(fails.any(axis=1).argmax())
         row = int(fails[run].argmax())
         if after[run, row] >= before[run, row]:
-            error = ValueError(f"{self._free_limit} evaluations in a row left the cumulative cost "
-                               f"at {float(after[run, row])!r}, so the cost budget may never be "
-                               "spent; add an evaluation limit (--evals)")
-        else:
-            config = self.bench.space.discretize(genotypes[run, row])
-            error = ValueError(f"benchmark cost {float(cost[run, row])!r} of {config!r} is "
+            return run, ValueError(
+                f"{self._free_limit} evaluations in a row left the cumulative cost at "
+                f"{float(after[run, row])!r}, so the cost budget may never be spent; add an "
+                "evaluation limit (--evals)")
+        config = self.bench.space.discretize(genotypes[run, row])
+        return run, ValueError(f"benchmark cost {float(cost[run, row])!r} of {config!r} is "
                                "negative or not a number")
-        return out[:run], cut[:run], (run, error)
 
     def _ask(self, genotypes: np.ndarray):
         """The (objective, test error, cost, valid) columns of an (L, k, D)
@@ -271,38 +259,32 @@ class RunRecorder:
         k = len(genotypes)
         objective, test, cost = np.ones(k), np.full(k, math.nan), np.zeros(k)
         valid = np.zeros(k, dtype=bool)
-        evaluate = self.bench.evaluate
         max_cost = math.inf if self.budget.max_cost is None else self.budget.max_cost
         for j, config in enumerate(self.bench.space.discretize_rows(genotypes)):
-            row = evaluate(config)
+            row = self.bench.evaluate(config)
             if row is None:
                 continue
             objective[j], error, cost[j] = row
             valid[j] = True
             if error is not None:
                 test[j] = error
-            after = spent + row[2]
-            if not spent <= after < max_cost:
+            if not spent <= spent + row[2] < max_cost:
                 break
-            spent = after
+            spent += row[2]
         return objective, test, cost, valid
 
     def _history(self) -> tuple[np.ndarray, np.ndarray]:
         """The recorded (objective, test error, cumulative cost) columns as
         one (3, R, N) array and valid as (R, N), N the events of the longest
         run; a run's entries past its own events mean nothing."""
-        runs = len(self.lengths)
-        columns = np.empty((3, runs, self._events))
-        valid = np.empty((runs, self._events), dtype=bool)
+        columns = np.empty((4, len(self.lengths), self._events))
         start = 0
-        for live, blocks in self._stretches:
+        for runs, blocks in self._stretches:
             width = sum(block[0].shape[1] for block in blocks)
-            span = slice(start, start + width)
-            for c in range(3):
-                columns[c, live, span] = np.concatenate([block[c] for block in blocks], axis=1)
-            valid[live, span] = np.concatenate([block[3] for block in blocks], axis=1)
+            for c, column in enumerate(zip(*blocks)):
+                columns[c, runs, start:start + width] = np.concatenate(column, axis=1)
             start += width
-        return columns, valid
+        return columns[:3], columns[3] != 0
 
     def finish(self, seeds: Sequence[int], optimizer_id: str,
                config: dict | None = None) -> list[RunTrace]:
@@ -445,8 +427,8 @@ def read_traces(path: str | Path) -> list[RunTrace]:
 
     Raises ValueError naming ``path:line`` for a line that is not JSON, is
     neither a run header nor an event, lacks a field, has a field of the
-    wrong JSON type, or carries an ``eval_index`` other than its position in
-    the run. Lines are checked a run at a time, but the error is
+    wrong JSON type or a number too large for a float, or carries an
+    ``eval_index`` other than its position in the run. Lines are checked a run at a time, but the error is
     always the one for the first bad line.
     """
     path = Path(path)
@@ -470,7 +452,7 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 best_validation_error=header["best_validation_error"],
                 best_test_error=header["best_test_error"],
                 config=header.get("config", {}),
-                **_columns(columns),
+                **columns,
             )
             check_trace_invariants(trace)
         except (TypeError, ValueError) as exc:
@@ -508,6 +490,9 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 if type(header.get(name, {})) not in types:  # bool is not int here
                     raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
                                      f"{header[name]!r}")
+                if name.startswith("best_") and _too_large(header[name]):
+                    raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large "
+                                     "for a float")
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")
@@ -519,15 +504,20 @@ def _require(path: Path, lineno: int, doc: dict, keys: frozenset[str], what: str
         raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
 
 
+def _too_large(value) -> bool:
+    """Whether ``value`` is an integer too large for a float."""
+    return type(value) is int and abs(value) >= 2**1024 - 2**970
+
+
 def _event_columns(path: Path, header: dict | None, events: list,
-                   linenos: list[int]) -> list[list]:
-    """The event lines of one run as columns ordered like :data:`COLUMNS`.
+                   linenos: list[int]) -> dict[str, np.ndarray]:
+    """The event lines of one run as arrays named like :data:`COLUMNS`.
 
     All lines are checked at once; when a check fails, the lines are walked
     in order to raise the error for the first bad one.
     """
     if not events:
-        return []
+        return {}
     if header is not None:
         try:
             index, *columns = [list(map(get, events)) for get in _field_getters]
@@ -537,7 +527,10 @@ def _event_columns(path: Path, header: dict | None, events: list,
             if index == list(range(len(events))) and all(
                     set(map(type, column)) <= types
                     for column, types in zip((index, *columns), _EVENT_TYPE_SETS)):
-                return columns
+                try:
+                    return _columns(columns)
+                except OverflowError:  # an integer too large for a float
+                    pass
     for position, (lineno, doc) in enumerate(zip(linenos, events)):
         if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_KEYS):
             raise ValueError(f"{path}:{lineno}: unrecognized line")
@@ -550,6 +543,8 @@ def _event_columns(path: Path, header: dict | None, events: list,
             if type(doc[name]) not in types:  # bool is not int here
                 raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
                                  f"{doc[name]!r}")
+            if name != "eval_index" and _too_large(doc[name]):
+                raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
         if doc["eval_index"] != position:
             raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
                              f"!= position {position} in its run")

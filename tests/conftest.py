@@ -8,7 +8,7 @@ import pytest
 
 import diffevo.baselines as baselines
 from diffevo import ParameterSpec, RunTrace, SearchSpace
-from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants
+from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants, run_failure
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
           "config")
@@ -44,6 +44,20 @@ def assert_same_traces(got, want):
             x, y = getattr(a, name), getattr(b, name)
             assert x.dtype == y.dtype, name
             assert np.array_equal(x, y, equal_nan=name == "incumbent_test_error"), name
+
+
+def each_seed(run):
+    """A runner that makes its runs one seed after another with the
+    one-seed function ``run``: the way the scalar references run."""
+    def runner(bench, seeds):
+        traces = []
+        for seed in seeds:
+            try:
+                traces.append(run(bench, seed))
+            except Exception as exc:
+                raise run_failure(seed, exc) from exc
+        return traces
+    return runner
 
 
 def reference_read_traces(path):
@@ -83,6 +97,15 @@ def reference_read_traces(path):
     def is_number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
+    def too_large(x):
+        if not isinstance(x, int) or isinstance(x, bool):
+            return False
+        try:
+            float(x)
+        except OverflowError:
+            return True
+        return False
+
     def check_header_types(header, lineno):
         kinds = {"seed": "an integer", "optimizer": "a string", "benchmark": "a string",
                  "best_validation_error": "a number", "best_test_error": "a number or null",
@@ -98,6 +121,9 @@ def reference_read_traces(path):
             if not ok[name]:
                 raise ValueError(f"{path}:{lineno}: run header field {name!r} is not "
                                  f"{kinds[name]}: {header[name]!r}")
+            if name in ("best_validation_error", "best_test_error") and too_large(header[name]):
+                raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large "
+                                 "for a float")
 
     def check_event_types(doc, lineno):
         index = doc["eval_index"]
@@ -111,6 +137,8 @@ def reference_read_traces(path):
             if not ok:
                 raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
                                  f"{doc[name]!r}")
+            if name != "eval_index" and too_large(doc[name]):
+                raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
 
     for lineno, line in enumerate(path.read_text().split("\n"), start=1):
         if not line.strip():
@@ -185,11 +213,11 @@ class ReferenceRecorder:
     """Scalar reference for ``RunRecorder``: one genotype per call, with the
     budget checked before each evaluation. ``evaluate`` returns None once
     the budget is spent, raises ValueError for a negative or NaN cost, and
-    under a cost-only budget raises ValueError after 100,000 evaluations in
-    a row that left the cumulative cost as it was."""
+    under a cost-only budget raises ValueError after ``free_limit``
+    (100,000) evaluations in a row that left the cumulative cost as it was."""
 
-    def __init__(self, bench, budget):
-        self.bench, self.budget = bench, budget
+    def __init__(self, bench, budget, free_limit=100_000):
+        self.bench, self.budget, self.free_limit = bench, budget, free_limit
         self.rows = []
         self.cumulative_cost = 0.0
         self.free = 0
@@ -212,8 +240,8 @@ class ReferenceRecorder:
             raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or not a number")
         self.cumulative_cost += cost
         self.free = self.free + 1 if self.cumulative_cost == before else 0
-        if self.budget.max_evaluations is None and self.free == 100_000:
-            raise ValueError(f"100000 evaluations in a row left the cumulative cost at "
+        if self.budget.max_evaluations is None and self.free == self.free_limit:
+            raise ValueError(f"{self.free_limit} evaluations in a row left the cumulative cost at "
                              f"{before!r}, so the cost budget may never be spent; "
                              f"add an evaluation limit (--evals)")
         if objective < self.inc_objective or (
@@ -276,6 +304,16 @@ def reference_run_re(bench, cfg, seed):
         genotypes[-1], fitness[-1] = child, child_fitness
     return recorder.finish(seed, "re", {"population_size": cfg.population_size,
                                         "sample_size": cfg.sample_size})
+
+
+def reference_run_rs(bench, budget, seed):
+    """Scalar reference for one random-search run: one uniform genotype at
+    a time through ``ReferenceRecorder``."""
+    rng = np.random.default_rng(seed)
+    recorder = ReferenceRecorder(bench, budget)
+    while recorder.evaluate(rng.random(bench.space.dimension)) is not None:
+        pass
+    return recorder.finish(seed, "rs", {})
 
 
 def watch_tournaments(monkeypatch):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import (Budget, REConfig, each_seed, make_synthetic, run_experiment,
-                     run_random_search, run_regularized_evolution)
+from diffevo import (Budget, REConfig, make_synthetic, run_experiment, run_random_search,
+                     run_regularized_evolution)
 from diffevo.baselines import tournament_select
 
 from conftest import (RecordingBenchmark, TransformedBenchmark, WithBatch, WithoutBatch,
-                      assert_same_traces, mutate_one_dimension, reference_run_re,
-                      watch_tournaments)
+                      assert_same_traces, each_seed, mutate_one_dimension, reference_run_re,
+                      reference_run_rs, watch_tournaments)
 
 
 class TestRandomSearch:
@@ -26,6 +26,26 @@ class TestRandomSearch:
         budget = Budget(max_evaluations=100)
         assert_same_traces(run_random_search(bench, budget, [5]),
                            run_random_search(bench, budget, [5]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.integers(min_value=1, max_value=6),
+           st.one_of(st.builds(Budget, max_evaluations=st.integers(1, 120)),
+                     st.builds(Budget, max_cost=st.floats(0.5, 90.0)),
+                     st.builds(Budget, max_evaluations=st.integers(1, 120),
+                               max_cost=st.floats(0.5, 90.0))),
+           st.sampled_from(["unit", "lognormal"]),
+           st.sampled_from([WithoutBatch, WithBatch, None]))
+    def test_lockstep_matches_scalar_reference(self, seed, runs, budget, cost_model, wrap):
+        bench = make_synthetic(3, 4, invalid_fraction=0.5, cost_model=cost_model, seed=seed % 7)
+        got = bench if wrap is None else wrap(bench)
+        want = RecordingBenchmark(bench)
+        assert_same_traces(
+            run_experiment(lambda b, seeds: run_random_search(b, budget, seeds), got, runs, seed),
+            run_experiment(each_seed(lambda b, s: reference_run_rs(b, budget, s)), want, runs,
+                           seed))
+        if wrap is WithoutBatch:  # a batch may score rows past the cost limit
+            assert Counter(got.configs) == Counter(want.configs)
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)

@@ -231,6 +231,18 @@ class TestTabularFile:
         with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: .*not finite"):
             load_tabular(path)
 
+    @pytest.mark.parametrize("field, name", [("val_err", "validation error"),
+                                             ("test_err", "test error"), ("cost", "cost")])
+    def test_integer_too_large_for_a_float_fails_naming_the_line(self, tmp_path, field, name):
+        # 1 followed by 400 zeros is a JSON number, but no float holds it
+        record = {"key": ["b", 1], "val_err": 0.3, "test_err": 0.4, "cost": 1.0, field: 10**400}
+        path = self.write_file(tmp_path, [
+            json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
+            json.dumps(record),
+        ])
+        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: line 3: {name}"):
+            load_tabular(path)
+
     @pytest.mark.parametrize("later", [
         "{not json",
         json.dumps({"key": ["b", 2], "cost": 1.0}),

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -366,6 +367,21 @@ class TestAggregateCommand:
         assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace_file}:3:") and "'cumulative_cost'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, field", [(0, "best_validation_error"),
+                                             (2, "cumulative_cost")])
+    def test_integer_too_large_for_a_float_fails_cleanly(self, tmp_path, capsys, line, field):
+        # 1 followed by 400 zeros is a JSON number, but no float holds it
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        lines = trace_file.read_text().splitlines()
+        lines[line] = re.sub(f'"{field}":[^,}}]*', f'"{field}":1{"0" * 400}', lines[line])
+        trace_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: {trace_file}:{line + 1}: "
+                                           f"{'run header' if line == 0 else 'event'} field "
+                                           f"{field!r} is too large for a float\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value, kind", [

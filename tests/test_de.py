@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, FunctionBenchmark, each_seed, make_synthetic, run_de
+from diffevo import Budget, DEConfig, FunctionBenchmark, make_synthetic, run_de
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
 from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark, WithBatch,
-                      WithoutBatch, assert_same_traces)
+                      WithoutBatch, assert_same_traces, each_seed)
 
 
 def identity_bench(dimension):

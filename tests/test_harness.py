@@ -13,7 +13,6 @@ from diffevo import (
     DEConfig,
     aggregate,
     check_trace_invariants,
-    each_seed,
     final_regrets,
     make_synthetic,
     paired_sign_test,
@@ -28,7 +27,7 @@ from diffevo import (
 
 from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, _build_grid
 
-from conftest import assert_same_traces, trace_from_rows
+from conftest import assert_same_traces, each_seed, trace_from_rows
 
 
 def make_trace(times, regrets, best=0.0, seed=0, optimizer="x", benchmark="hand"):

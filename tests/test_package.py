@@ -1,5 +1,6 @@
 """The package's public names and the scripts built on them."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -31,3 +32,18 @@ def test_script_runs(tmp_path, script, args):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_every_benchmark_span_target_resolves():
+    # the benchmark's tracer drops the metrics of a target it cannot find, so
+    # a renamed function would silently lose its per-layer figures
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracer import TARGETS
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for _, module_name, attr in TARGETS:
+        owner = importlib.import_module(module_name)
+        for name in attr.split("."):
+            owner = getattr(owner, name, None)
+        assert callable(owner), f"{module_name}.{attr}"

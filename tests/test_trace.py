@@ -2,7 +2,9 @@ import json
 import math
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from diffevo import (Budget, load_tabular, make_synthetic, read_traces, run_random_search,
                      write_traces)
+import diffevo.trace as trace_module
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
@@ -18,6 +21,7 @@ from conftest import (
     RecordingBenchmark,
     WithBatch,
     assert_same_traces,
+    each_seed,
     reference_read_traces,
     trace_from_rows,
 )
@@ -170,6 +174,14 @@ class TestBlockRecorder:
         with pytest.raises(ValueError, match=re.escape(f"benchmark cost {cost!r} of")):
             run_random_search(bench, budget, [0])
 
+    @pytest.mark.parametrize("cost", [math.nan, -1.0])
+    def test_bad_cost_past_the_cost_limit_is_not_an_error(self, cost):
+        # a batch scores the row after the one that spends the budget, which
+        # no reference run would ask for
+        bench = WithBatch(TableBench([(0.5, None, 2.0), (0.4, None, cost), None, None, None]))
+        fitness, trace = run_blocks(bench, Budget(max_cost=2.0), np.array([[0.1], [0.3]]), [])
+        assert trace.cumulative_cost.tolist() == [2.0]
+
     def test_evaluation_limit_lifts_the_zero_cost_limit(self):
         bench = make_synthetic(3, 3, invalid_fraction=0.5, seed=0)
         invalid = next(g for g in np.random.default_rng(0).random((50, 3))
@@ -177,6 +189,70 @@ class TestBlockRecorder:
         budget = Budget(max_evaluations=ZERO_COST_LIMIT + 1, max_cost=1.0)
         fitness, trace = run_blocks(bench, budget, np.tile(invalid, (ZERO_COST_LIMIT + 1, 1)), [])
         assert len(fitness) == len(trace) == ZERO_COST_LIMIT + 1
+
+
+BUDGETS = st.one_of(st.builds(Budget, max_evaluations=st.integers(1, 60)),
+                    st.builds(Budget, max_cost=st.floats(0.5, 20.0)),
+                    st.builds(Budget, max_evaluations=st.integers(1, 60),
+                              max_cost=st.floats(0.5, 20.0)),
+                    st.builds(Budget, max_cost=st.floats(2.0, 20.0)))
+# the row of a bin: invalid, or (objective, test error, cost) with objectives
+# that tie the invalid penalty at 1.0 and costs of zero
+BIN_ROWS = st.one_of(st.none(), st.tuples(st.sampled_from([0.0, 0.3, 1.0]),
+                                          st.sampled_from([None, 0.2]),
+                                          st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])))
+
+
+def outcome(run):
+    """The traces ``run()`` returns, or the message of the ValueError it raises."""
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestExperimentRecorder:
+    """One recorder for R runs against one scalar reference per run."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(BIN_ROWS, min_size=5, max_size=5).filter(lambda rows: any(rows)),
+           st.sampled_from(range(15)), st.sampled_from([-1.0, math.nan]),
+           st.integers(1, 6), BUDGETS, st.lists(st.integers(1, 9), min_size=4, max_size=12),
+           st.integers(0, 2**16), st.booleans())
+    def test_runs_match_the_scalar_reference(self, rows, bad, cost, runs, budget, steps, seed,
+                                             batch):
+        # runs end at different steps under a cost limit, a small zero-cost
+        # limit is reached, and one bin in three costs a negative or NaN amount
+        if bad < len(rows):
+            rows[bad] = (0.4, None, cost)
+        limit = 5
+        base = TableBench(rows)
+        genotypes = np.random.default_rng(seed).random((runs, sum(steps), 1))
+        got_bench = (WithBatch if batch else RecordingBenchmark)(base)
+        with mock.patch.object(trace_module, "ZERO_COST_LIMIT", limit):
+            recorder = RunRecorder(got_bench, budget, runs)
+        start = 0
+        for k in steps:
+            if len(recorder.live):
+                recorder.evaluate(genotypes[recorder.live, start:start + k])
+                start += k
+        got = outcome(lambda: recorder.finish(range(runs), "x"))
+
+        def reference(bench, run):
+            recorder = ReferenceRecorder(bench, budget, free_limit=limit)
+            for genotype in genotypes[run, :start]:
+                if recorder.evaluate(genotype) is None:
+                    break
+            return recorder.finish(run, "x")
+
+        want_bench = RecordingBenchmark(base)
+        want = outcome(lambda: each_seed(reference)(want_bench, range(runs)))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert_same_traces(got, want)
+        if not batch:  # a batch may score rows past the cost limit
+            assert Counter(got_bench.configs) == Counter(want_bench.configs)
 
 
 class TestBudget:
@@ -302,7 +378,7 @@ WRONG_EVENT_VALUES = {
 }
 
 ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", "1.5", [1], {}, math.nan, math.inf,
-              -math.inf]
+              -math.inf, 10**400, -10**400]
 
 
 def mutate(data, lines):
@@ -423,6 +499,25 @@ class TestTraceReader:
             "eval_index": 0, "cumulative_cost": 0.0, "objective": 1.0, "incumbent_objective": 1.0,
             "incumbent_test_error": None, "valid": False}) + "\n")
         message = f"{path}:1: {name.replace('_', ' ')} {value} is not finite"
+        for read in (read_traces, reference_read_traces):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_integer_too_large_for_a_float(self, tmp_path, line):
+        # 1 followed by 400 zeros is a JSON number, but no float holds it
+        huge = int("1" + "0" * 400)
+        header = {"seed": 0, "optimizer": "x", "benchmark": "b",
+                  "best_validation_error": huge if line == 1 else 0.0, "best_test_error": None}
+        event = {"eval_index": 0, "cumulative_cost": huge if line == 2 else 0.0,
+                 "objective": 1.0, "incumbent_objective": 1.0, "incumbent_test_error": None,
+                 "valid": False}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps({"run": header}) + "\n" + json.dumps(event) + "\n")
+        message = (f"{path}:1: run header field 'best_validation_error' is too large for a float"
+                   if line == 1 else f"{path}:2: event field 'cumulative_cost' is too large "
+                   "for a float")
         for read in (read_traces, reference_read_traces):
             with pytest.raises(ValueError) as err:
                 read(path)
