@@ -3,16 +3,14 @@
 Both run over the same search-space/benchmark/trace contract as the DE
 optimizer, so their traces are directly comparable: same genotype encoding,
 same invalid-configuration penalty, same budget semantics (checked before
-every evaluation).
+every evaluation). All runs of an experiment advance together through
+:func:`harness.run_lockstep`, with one benchmark call for every live run
+per step.
 
-Regularized evolution keeps a fixed-size population per run, oldest
-member first: each step draws a tournament of ``sample_size`` members
-uniformly with replacement, mutates the fittest entrant by resampling
-exactly one genotype coordinate, evaluates the child, shifts out the oldest
-member and appends the child last. Its runs are independent but each is
-sequential, so all runs of an experiment advance together as an (R, P, D)
-genotype array and an (R, P) fitness array: a step is a few numpy calls and
-one benchmark call for every live run (see :func:`harness.run_lockstep`).
+Regularized evolution keeps a fixed-size population per run: each step
+draws a tournament of ``sample_size`` members uniformly with replacement,
+mutates the fittest entrant by resampling exactly one genotype coordinate,
+evaluates the child, and replaces the oldest member with it.
 """
 
 from __future__ import annotations
@@ -33,19 +31,15 @@ def run_random_search(bench: Benchmark, budget: Budget, seeds: Sequence[int]) ->
     """One random-search run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Each step draws a block of uniform genotypes for every live run, about
-    ``RS_BLOCK`` rows in all. A (k, D) draw is the same stream as k draws of
-    D values, so the block size leaves the trace as one genotype at a time
-    would make it.
+    Each step draws uniform genotypes for every live run, about ``RS_BLOCK``
+    rows in all. A (k, D) draw is the same stream as k draws of D values, so
+    the block size leaves the trace as one genotype at a time would make it.
     """
     def draw(rngs, genotypes, fitness):
         shape = (max(1, RS_BLOCK // len(rngs)), bench.space.dimension)
         return np.reshape([rng.random(shape) for rng in rngs], (len(rngs), *shape))
 
-    def keep_nothing(genotypes, fitness, children, child_fitness):
-        pass
-
-    return run_lockstep(bench, budget, seeds, 0, draw, keep_nothing, "rs", {})
+    return run_lockstep(bench, budget, seeds, 0, draw, lambda *_: None, "rs", {})
 
 
 @dataclass(frozen=True)

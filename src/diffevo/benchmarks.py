@@ -99,8 +99,8 @@ class TabularBenchmark:
         object.__setattr__(self, "best_validation_error", best_val)
         object.__setattr__(self, "best_test_error", min(tests) if tests else None)
         # the lookup by configuration code, sum(index_j * weight_j) with mixed-radix
-        # weights: the sorted codes, then a -1 that no code equals; and the rows
-        # in code order as (val, test, cost) columns, then the invalid row. Not
+        # weights: the sorted codes, then one above every code; and the rows in
+        # code order as (val, test, cost) columns, then the invalid row. Not
         # fields, so equality sees only the table.
         weights = np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
         codes = weights @ np.array(index, dtype=np.int64)
@@ -109,7 +109,7 @@ class TabularBenchmark:
         base = [p.lo if p.kind == "integer" else 0 for p in self.space.params]
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_base", np.array(base, dtype=np.int64) if any(base) else None)
-        object.__setattr__(self, "_codes", np.append(codes[order], -1))
+        object.__setattr__(self, "_codes", np.append(codes[order], total))
         object.__setattr__(self, "_rows", np.append(rows, [[1.0], [math.nan], [0.0]], axis=1))
 
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
@@ -122,10 +122,9 @@ class TabularBenchmark:
         if self._base is not None:
             index -= self._base
         codes = index @ self._weights
-        position = np.searchsorted(self._codes[:-1], codes)
+        position = self._codes.searchsorted(codes)
         valid = self._codes[position] == codes
-        position[~valid] = len(self._codes) - 1
-        return (*self._rows[:, position], valid)
+        return (*self._rows[:, np.where(valid, position, len(self._codes) - 1)], valid)
 
 
 def _check_rows(space, table, where) -> list[list[int]]:

@@ -55,20 +55,15 @@ def final_regrets(traces: Sequence[RunTrace]) -> np.ndarray:
 def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], population_size: int,
                  propose: Callable, replace: Callable, optimizer_id: str,
                  config: dict) -> list[RunTrace]:
-    """One run of an optimizer per seed, all advanced together; returns
-    their traces in seed order.
+    """One run of an optimizer per seed, all advanced together through one
+    :class:`RunRecorder`; returns their traces in seed order.
 
-    Each run draws its initial (P, D) population from its own generator;
-    one :class:`RunRecorder` evaluates and records the (R, P, D) block. Each
-    step then calls ``propose(rngs, genotypes, fitness)`` with the live
-    runs' generators, (R, P, D) genotypes and (R, P) fitness, which returns
-    their (R, k, D) children, each run drawing from its own generator only;
-    the recorder evaluates and records them; and ``replace(genotypes,
-    fitness, children, child_fitness)`` updates the populations of the runs
-    still going in place. So a run draws and records exactly what it would
-    alone. It leaves as soon as its budget is spent, which is also what cuts
-    its children short. A run that raises is dropped with every run of a
-    higher seed; the lower seeds finish, then the lowest failure is raised.
+    Each run draws its initial (P, D) population from its own generator.
+    Each step, ``propose(rngs, genotypes, fitness)`` returns the (R, k, D)
+    children of the R live runs, each drawn from its run's own generator,
+    and ``replace(genotypes, fitness, children, child_fitness)`` updates the
+    populations of the runs still going in place. So a run draws and
+    records exactly what it would alone.
     """
     seeds = list(seeds)
     dimension = bench.space.dimension

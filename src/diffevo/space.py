@@ -179,7 +179,9 @@ class SearchSpace:
         if u.ndim != 2 or u.shape[1] != self.dimension:
             raise ValueError(f"genotypes of shape {u.shape} do not have "
                              f"{self.dimension} values a row, the space's dimension")
-        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # NaN fails both
+        # NaN fails both; the ufunc reductions skip the wrappers of u.min() and u.max()
+        if u.size and not (np.minimum.reduce(u, axis=None) >= 0.0
+                           and np.maximum.reduce(u, axis=None) <= 1.0):
             p, v = next((p, v) for row in u.tolist() for p, v in zip(self.params, row)
                         if not 0.0 <= v <= 1.0)
             raise ValueError(f"parameter {p.name!r}: genotype value {v} outside [0, 1]")

@@ -2,9 +2,9 @@
 
 Every optimizer run produces a :class:`RunTrace`: one numpy array per event
 field, among them the cumulative cost and the best-so-far (incumbent)
-objective. The :class:`RunRecorder` centralizes the shared run mechanics:
-the budget check before each evaluation, discretizing genotype blocks, the
-invalid-configuration penalty (error 1.0 at zero cost), and incumbent
+objective. One :class:`RunRecorder` per experiment centralizes the shared
+run mechanics for all its runs: the budget check before each evaluation,
+the invalid-configuration penalty (error 1.0 at zero cost), and incumbent
 tracking.
 
 Traces persist as JSON Lines: one header line per run followed by one line
@@ -90,12 +90,6 @@ class RunTrace:
         return len(self.objective)
 
 
-def _columns(columns) -> dict[str, np.ndarray]:
-    """Arrays from non-empty columns ordered like :data:`COLUMNS`; None becomes NaN."""
-    return {name: np.array(column, dtype=bool if name == "valid" else float)
-            for name, column in zip(COLUMNS, columns)}
-
-
 def run_failure(seed: int, exc: Exception) -> Exception:
     """The error that reports a run raising ``exc``, with its seed attached:
     a ValueError stays one, anything else becomes RuntimeError."""
@@ -127,70 +121,80 @@ class RunRecorder:
         self._events = 0  # the events of each live run
         self._max_evaluations = budget.max_evaluations or sys.maxsize
         self._free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else None
-        self._cost = np.zeros(runs)  # the cumulative cost of each live run
+        self._cost = np.zeros(runs)  # under a cost limit, the cumulative cost of each live run
         self._paid = None  # once a run may reach the zero-cost limit: its last costly event
-        # (runs, blocks): the (objective, test error, cumulative cost, valid)
-        # rows those runs recorded, one block per call
+        # (runs, blocks): the (objective, test error, cost, valid) rows those
+        # runs recorded, one block per call
         self._stretches: list[tuple[np.ndarray, list]] = []
 
     def evaluate(self, genotypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate and record an (L, k, D) block: k genotype rows for each of
         the L live runs, in the order of :attr:`live`.
 
-        Returns the fitness of the rows, at most (L, k), and the positions of
-        the runs still going, which become :attr:`live`. The evaluation limit
-        cuts the block before the benchmark sees it. A run records its rows
-        up to the first that reaches the cost limit; the fitness of its later
-        rows means nothing. Fitness is the validation error, or 1.0 (at zero
-        cost) for an invalid configuration. :data:`ZERO_COST_LIMIT` stops a
-        cost-only run that spends nothing, and a negative or NaN cost raises
-        ValueError.
+        Returns the fitness of the rows (the validation error, or 1.0 at zero
+        cost when invalid) and the positions of the runs still going, which
+        become :attr:`live`. The evaluation limit cuts the block before the
+        benchmark sees it; a run records its rows up to the first that
+        reaches the cost limit. :data:`ZERO_COST_LIMIT` stops a cost-only run
+        that spends nothing, and a negative or NaN cost fails a run.
         """
         genotypes = genotypes[:, :self._max_evaluations - self._events]
         if not genotypes.size:
             return np.empty(genotypes.shape[:2]), np.arange(len(genotypes))
         n, k = self._events, genotypes.shape[1]
         (objective, test, cost, valid), failure = self._ask(genotypes)
-        # sequential adds, so that each cumulative cost is the running sum
-        spent = np.add.accumulate(np.concatenate((self._cost[:len(cost), None], cost), axis=1),
-                                  axis=1)
-        gone = cut = None  # once a run reaches the cost limit: who did, and the rows each records
-        if self.budget.max_cost is not None:
+        spent = gone = cut = None  # under a cost limit: the running sums, who
+        if self.budget.max_cost is not None:  # reached the limit, the rows each records
+            spent = self._running(self._cost[:len(cost)], cost)
             reached = spent[:, 1:] >= self.budget.max_cost
             if reached.any():
                 gone = reached.any(axis=1)
                 cut = np.where(gone, reached.argmax(axis=1) + 1, k)
         # a run can reach the zero-cost limit in this block only past this count
         watch_free = self._free_limit is not None and n + k >= self._free_limit
-        if watch_free or not cost.min(initial=math.inf) >= 0.0:
+        if watch_free or not np.minimum.reduce(cost, axis=None, initial=math.inf) >= 0.0:
+            if spent is None:
+                spent = self._running(self._spent(self.live[:len(cost)])[:, -1], cost)
             failure = self._check_costs(genotypes, cost, spent, cut, watch_free) or failure
-            if failure is not None:
-                objective, test, valid, spent = (a[:failure[0]]
-                                                 for a in (objective, test, valid, spent))
-                if cut is not None:
-                    gone, cut = gone[:failure[0]], cut[:failure[0]]
-            if failure is not None and self._paid is not None:
-                self._paid = self._paid[:failure[0]]
+        if failure is not None:  # the runs from the failing one on record nothing
+            q = failure[0]
+            objective, test, cost, valid = objective[:q], test[:q], cost[:q], valid[:q]
+            spent = None if spent is None else spent[:q]
+            if cut is not None:
+                gone, cut = gone[:q], cut[:q]
+            if self._paid is not None:
+                self._paid = self._paid[:q]
 
-        runs = self.live if len(spent) == len(self.live) else self.live[:len(spent)]
+        runs = self.live if len(cost) == len(self.live) else self.live[:len(cost)]
         if not self._stretches or self._stretches[-1][0] is not runs:
             self._stretches.append((runs, []))
-        self._stretches[-1][1].append((objective, test, spent[:, 1:], valid))
+        self._stretches[-1][1].append((objective, test, cost, valid))
         self._events = n + k
         if failure is not None:
             self.failure = int(self.live[failure[0]]), failure[1]
         if n + k >= self._max_evaluations:
             gone = np.ones(len(runs), dtype=bool)
+        totals = self._cost[:len(runs)] if spent is None else spent[:, -1]
         if gone is None and runs is self.live:
-            self._cost = spent[:, -1]
+            self._cost = totals
             return objective, np.arange(len(runs))
         keep = np.arange(len(runs)) if gone is None else np.flatnonzero(~gone)
         if gone is not None:
             self.lengths[runs[gone]] = n + (k if cut is None else cut[gone])
-        self.live, self._cost = runs[keep], spent[keep, -1]
+        self.live, self._cost = runs[keep], totals[keep]
         if self._paid is not None:
             self._paid = self._paid[keep]
         return objective, keep
+
+    @staticmethod
+    def _running(totals: np.ndarray, cost: np.ndarray) -> np.ndarray:
+        """Each run's total, then its running sum over its row costs: the
+        sequential adds that make a cumulative cost."""
+        return np.add.accumulate(np.concatenate((totals[:, None], cost), axis=1), axis=1)
+
+    def _spent(self, runs: np.ndarray) -> np.ndarray:
+        """The cumulative cost of ``runs`` after each recorded event, from 0."""
+        return self._running(np.zeros(len(runs)), self._history()[0][2, runs])
 
     def _check_costs(self, genotypes, cost, spent, cut, watch_free):
         """The (position, error) of the first run whose rows up to its cut
@@ -200,9 +204,8 @@ class RunRecorder:
         fails = ~(after >= before)
         if watch_free:
             if self._paid is None:  # the first event count to see each run's total
-                totals = np.zeros((len(self.live), n + 1))
-                totals[:, 1:] = self._history()[0][2, self.live, :n]
-                self._paid = (totals == totals[:, -1:]).argmax(axis=1)
+                history = self._spent(self.live)
+                self._paid = (history == history[:, -1:]).argmax(axis=1)
             events = np.arange(n + 1, n + k + 1)  # after each row
             paid = np.maximum.accumulate(
                 np.where(after > before, events, self._paid[:count, None]), axis=1)
@@ -230,53 +233,40 @@ class RunRecorder:
 
         One ``evaluate_batch`` call scores the whole block; when it raises,
         each run's rows are asked alone, so that a failure names its run.
+        Without it, ``evaluate`` is asked for a row only after the budget
+        check before it: the rows after one that reaches the cost limit are
+        not asked for and stay invalid.
         """
         count, k, dimension = genotypes.shape
         batch = getattr(self.bench, "evaluate_batch", None)
         if batch is not None:
             try:
-                columns = batch(genotypes.reshape(-1, dimension))
+                return [c.reshape(count, k) for c in batch(genotypes.reshape(-1, dimension))], None
             except Exception:
                 pass
-            else:
-                return [np.reshape(column, (count, k)) for column in columns], None
-        parts, failure = [], None
-        for block, spent in zip(genotypes, self._cost.tolist()):
-            try:
-                parts.append(batch(block) if batch is not None else self._ask_rows(block, spent))
-            except Exception as exc:
-                failure = len(parts), exc
-                break
-        objective, test, cost, valid = np.reshape(np.array(parts, dtype=float),
-                                                  (-1, 4, k)).transpose(1, 0, 2)
-        return (objective, test, cost, valid != 0), failure
-
-    def _ask_rows(self, genotypes: np.ndarray, spent: float):
-        """The columns of one run's (k, D) block from ``evaluate``, asked for
-        a row only after the budget check before it: the rows after one that
-        reaches the cost limit, or spends a negative or NaN cost, are not
-        asked for and stay invalid."""
-        k = len(genotypes)
-        objective, test, cost = np.ones(k), np.full(k, math.nan), np.zeros(k)
-        valid = np.zeros(k, dtype=bool)
+        columns = np.zeros((4, count, k))  # an invalid row: 1.0, NaN, 0.0, not valid
+        columns[0], columns[1] = 1.0, math.nan
         max_cost = math.inf if self.budget.max_cost is None else self.budget.max_cost
-        for j, config in enumerate(self.bench.space.discretize_rows(genotypes)):
-            row = self.bench.evaluate(config)
-            if row is None:
-                continue
-            objective[j], error, cost[j] = row
-            valid[j] = True
-            if error is not None:
-                test[j] = error
-            if not spent <= spent + row[2] < max_cost:
-                break
-            spent += row[2]
-        return objective, test, cost, valid
+        for i, (block, spent) in enumerate(zip(genotypes, self._cost.tolist())):
+            try:
+                if batch is not None:
+                    columns[:, i] = batch(block)
+                    continue
+                for j, config in enumerate(self.bench.space.discretize_rows(block)):
+                    row = self.bench.evaluate(config)
+                    if row is not None:
+                        columns[:, i, j] = row[0], math.nan if row[1] is None else row[1], row[2], 1
+                        spent += row[2]
+                        if spent >= max_cost:
+                            break
+            except Exception as exc:
+                return (*columns[:3, :i], columns[3, :i] != 0), (i, exc)
+        return (*columns[:3], columns[3] != 0), None
 
     def _history(self) -> tuple[np.ndarray, np.ndarray]:
-        """The recorded (objective, test error, cumulative cost) columns as
-        one (3, R, N) array and valid as (R, N), N the events of the longest
-        run; a run's entries past its own events mean nothing."""
+        """The recorded (objective, test error, cost) columns as one (3, R, N)
+        array and valid as (R, N), N the events of the longest run; a run's
+        entries past its own events mean nothing."""
         columns = np.empty((4, len(self.lengths), self._events))
         start = 0
         for runs, blocks in self._stretches:
@@ -299,6 +289,7 @@ class RunRecorder:
         """
         self.lengths[self.live] = self._events
         (objective, test, cost), valid = self._history()
+        cost = self._running(np.zeros(len(cost)), cost)[:, 1:]
         key = np.where(valid, objective, _INVALID_KEY)
         best = np.fmin.accumulate(key, axis=1)
         leads = key < np.concatenate((np.full((len(key), 1), math.inf), best[:, :-1]), axis=1)
@@ -311,15 +302,10 @@ class RunRecorder:
                 if self.failure is not None and self.failure[0] == run:
                     raise self.failure[1]
                 n = self.lengths[run]
-                trace = RunTrace(
-                    seed=seed,
-                    optimizer_id=optimizer_id,
-                    benchmark_id=self.bench.benchmark_id,
-                    best_validation_error=self.bench.best_validation_error,
-                    best_test_error=self.bench.best_test_error,
-                    config=dict(config or {}),
-                    **{name: column[run, :n].copy() for name, column in zip(COLUMNS, columns)},
-                )
+                trace = RunTrace(seed, optimizer_id, self.bench.benchmark_id,
+                                 self.bench.best_validation_error, self.bench.best_test_error,
+                                 *(column[run, :n].copy() for column in columns),
+                                 config=dict(config or {}))
                 check_trace_invariants(trace)
             except Exception as exc:
                 raise run_failure(seed, exc) from exc
@@ -527,8 +513,9 @@ def _event_columns(path: Path, header: dict | None, events: list,
             if index == list(range(len(events))) and all(
                     set(map(type, column)) <= types
                     for column, types in zip((index, *columns), _EVENT_TYPE_SETS)):
-                try:
-                    return _columns(columns)
+                try:  # None becomes NaN
+                    return {name: np.array(column, dtype=bool if name == "valid" else float)
+                            for name, column in zip(COLUMNS, columns)}
                 except OverflowError:  # an integer too large for a float
                     pass
     for position, (lineno, doc) in enumerate(zip(linenos, events)):
