@@ -143,8 +143,10 @@ class RunRecorder:
             return np.empty(genotypes.shape[:2]), np.arange(len(genotypes))
         n, k = self._events, genotypes.shape[1]
         (objective, test, cost, valid), failure = self._ask(genotypes)
-        spent = gone = cut = None  # under a cost limit: the running sums, who
-        if self.budget.max_cost is not None:  # reached the limit, the rows each records
+        # under a cost limit: the running sums, which runs reach the limit, and
+        # the rows each run records
+        spent = gone = cut = None
+        if self.budget.max_cost is not None:
             spent = self._running(self._cost[:len(cost)], cost)
             reached = spent[:, 1:] >= self.budget.max_cost
             if reached.any():
