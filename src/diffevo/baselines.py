@@ -24,7 +24,9 @@ from .benchmarks import Benchmark
 from .harness import run_lockstep
 from .trace import Budget, RunTrace
 
-RS_BLOCK = 1024  # genotypes drawn per step, shared among the live runs
+# genotypes drawn per step, shared among the live runs, but at least 32 a
+# run, so that many runs do not make many tiny draws
+RS_BLOCK = 1024
 
 
 def run_random_search(bench: Benchmark, budget: Budget, seeds: Sequence[int]) -> list[RunTrace]:
@@ -32,11 +34,12 @@ def run_random_search(bench: Benchmark, budget: Budget, seeds: Sequence[int]) ->
     :func:`run_lockstep`; returns their traces in seed order.
 
     Each step draws uniform genotypes for every live run, about ``RS_BLOCK``
-    rows in all. A (k, D) draw is the same stream as k draws of D values, so
-    the block size leaves the trace as one genotype at a time would make it.
+    rows in all and at least 32 a run. A (k, D) draw is the same stream as k
+    draws of D values, so k leaves the trace as one genotype at a time would
+    make it.
     """
     def draw(rngs, genotypes, fitness):
-        shape = (max(1, RS_BLOCK // len(rngs)), bench.space.dimension)
+        shape = (max(32, RS_BLOCK // len(rngs)), bench.space.dimension)
         return np.reshape([rng.random(shape) for rng in rngs], (len(rngs), *shape))
 
     return run_lockstep(bench, budget, seeds, 0, draw, lambda *_: None, "rs", {})
