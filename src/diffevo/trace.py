@@ -132,8 +132,9 @@ class RunRecorder:
         the L live runs, in the order of :attr:`live`.
 
         Returns the fitness of the rows (the validation error, or 1.0 at zero
-        cost when invalid) and the positions of the runs still going, which
-        become :attr:`live`. The evaluation limit cuts the block before the
+        cost when invalid; the recorder keeps that array, so callers must not
+        write to it) and the positions of the runs still going, which become
+        :attr:`live`. The evaluation limit cuts the block before the
         benchmark sees it; a run records its rows up to the first that
         reaches the cost limit. :data:`ZERO_COST_LIMIT` stops a cost-only run
         that spends nothing, and a negative or NaN cost fails a run.
