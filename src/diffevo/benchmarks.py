@@ -23,10 +23,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import NoReturn, Protocol
 
 import numpy as np
 
@@ -62,58 +63,81 @@ class Benchmark(Protocol):
     # call, which may score rows past a cost limit, so it suits only pure lookups.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TabularBenchmark:
     """Finite lookup benchmark; keys are native-value configuration tuples.
 
     Only categorical/ordinal/integer parameters are allowed (float-keyed
-    lookup is ill-defined). Best-known errors are recomputed from the table
-    at construction, never trusted from a file. Missing keys are invalid.
+    lookup is ill-defined). The table is kept as two read-only arrays and
+    nothing else: the sorted int64 configuration codes, ``sum(index_j *
+    weight_j)`` over the position of each value in its domain with
+    mixed-radix weights, and the (3, N) float64 ``(val, test, cost)`` rows in
+    code order, a missing test error NaN. Best-known errors are recomputed
+    from the rows, never trusted from a file. Missing keys are invalid.
+
+    Built here from a mapping ``{configuration: row}``, every row checked;
+    :func:`load_tabular` and :func:`make_synthetic` build the arrays directly.
     """
 
     space: SearchSpace
-    table: dict[Configuration, tuple[float, float | None, float]]
     benchmark_id: str
-    best_validation_error: float = field(init=False)
-    best_test_error: float | None = field(init=False)
+    best_validation_error: float
+    best_test_error: float | None
 
-    def __post_init__(self):
-        for p in self.space.params:
-            if p.kind == "float":
-                raise ValueError(
-                    f"tabular benchmarks require discrete parameters; {p.name!r} is float"
-                )
-            if p.kind == "integer" and max(-p.lo, p.hi) > MAX_INTEGER_BOUND:
-                raise ValueError(f"integer parameter {p.name!r} has bounds [{p.lo}, {p.hi}] "
-                                 f"beyond +-2**52, which genotypes cannot decode exactly")
-        if not self.table:
+    def __init__(self, space: SearchSpace,
+                 table: dict[Configuration, tuple[float, float | None, float]], benchmark_id: str):
+        weights = _code_weights(space)
+        if not table:
             raise ValueError("tabular benchmark needs at least one listed configuration")
-        sizes = [len(p.tokens) if p.tokens else p.hi - p.lo + 1 for p in self.space.params]
-        total = math.prod(sizes)
-        if total > np.iinfo(np.int64).max:
-            raise ValueError(f"the space's {total} configurations are too many "
-                             "for 64-bit configuration codes")
-        index = _check_rows(self.space, self.table, where=repr)
-        best_val = min(val for val, _, _ in self.table.values())
-        tests = [t for _, t, _ in self.table.values() if t is not None]
-        object.__setattr__(self, "best_validation_error", best_val)
-        object.__setattr__(self, "best_test_error", min(tests) if tests else None)
-        # the lookup by configuration code, sum(index_j * weight_j) with mixed-radix
-        # weights: the sorted codes, then one above every code; and the rows in
-        # code order as (val, test, cost) columns, then the invalid row. Not
-        # fields, so equality sees only the table.
-        weights = np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
+        for key, row in table.items():
+            if problem := _row_problem(space, key, *row):
+                raise BenchmarkLoadError(f"{key!r}: {problem}")
+        index = [_domain_index(p, column) for p, column in zip(space.params, zip(*table))]
         codes = weights @ np.array(index, dtype=np.int64)
         order = np.argsort(codes)
-        rows = np.array(list(zip(*self.table.values())), dtype=float)[:, order]  # None -> NaN
-        base = [p.lo if p.kind == "integer" else 0 for p in self.space.params]
-        object.__setattr__(self, "_weights", weights)
-        object.__setattr__(self, "_base", np.array(base, dtype=np.int64) if any(base) else None)
-        object.__setattr__(self, "_codes", np.append(codes[order], total))
-        object.__setattr__(self, "_rows", np.append(rows, [[1.0], [math.nan], [0.0]], axis=1))
+        rows = np.array(list(zip(*table.values())), dtype=float)  # None -> NaN
+        self._hold(space, benchmark_id, codes[order], rows[:, order])
+
+    def _hold(self, space, benchmark_id, codes, rows) -> TabularBenchmark:
+        """Set every field from sorted, distinct ``codes`` and their checked
+        (3, N) ``rows``, and return the benchmark; :func:`load_tabular` and
+        :func:`make_synthetic` call it on ``object.__new__(TabularBenchmark)``."""
+        tests = rows[1][rows[1] == rows[1]]  # NaN is a missing test error
+        base = [p.lo if p.kind == "integer" else 0 for p in space.params]
+        # after the rows, the invalid row, under one code above every code
+        fields = {"space": space, "benchmark_id": benchmark_id,
+                  "best_validation_error": float(rows[0].min()),
+                  "best_test_error": float(tests.min()) if tests.size else None,
+                  "_weights": _code_weights(space),
+                  "_base": np.array(base, dtype=np.int64) if any(base) else None,
+                  "_codes": np.append(codes, math.prod(_domain_sizes(space))),
+                  "_rows": np.append(rows, [[1.0], [math.nan], [0.0]], axis=1)}
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def table(self) -> dict[Configuration, tuple[float, float | None, float]]:
+        """The rows by configuration, in code order: a new dict rebuilt from
+        the arrays at every access."""
+        index = np.unravel_index(self._codes[:-1], _domain_sizes(self.space))
+        keys = zip(*((i + p.lo).tolist() if p.kind == "integer" else
+                     [p.tokens[k] for k in i.tolist()] for p, i in zip(self.space.params, index)))
+        val, test, cost = self._rows[:, :-1].tolist()
+        return dict(zip(keys, zip(val, [None if t != t else t for t in test], cost)))
 
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
-        return self.table.get(tuple(config))
+        index = list(map(_position, self.space.params, config))
+        if len(config) != self.space.dimension or -1 in index:
+            return None
+        code = sum(map(operator.mul, index, self._weights.tolist()))
+        position = int(self._codes.searchsorted(code))
+        if self._codes.item(position) != code:
+            return None
+        val, test, cost = self._rows[:, position].tolist()
+        return val, None if test != test else test, cost
 
     def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, ...]:
         """The (val, test, cost, valid) columns of an (N, D) genotype block:
@@ -127,45 +151,57 @@ class TabularBenchmark:
         return (*self._rows[:, np.where(valid, position, len(self._codes) - 1)], valid)
 
 
-def _check_rows(space, table, where) -> list[list[int]]:
-    """Raise BenchmarkLoadError, naming the row by ``where(key)``, for the first
-    row of ``table`` whose key or values break the contract.
+def _domain_sizes(space: SearchSpace) -> list[int]:
+    return [len(p.tokens) if p.tokens else p.hi - p.lo + 1 for p in space.params]
 
-    Returns the index of every key by parameter: one list per parameter of
-    the position of each key's value in that parameter's domain.
-    """
-    d = space.dimension
-    keys = zip(*(key if len(key) == d else (_OUTSIDE,) * d for key in table))
-    index = [_domain_index(p, values) for p, values in zip(space.params, keys)]
-    if any(-1 in column for column in index):
-        outside = [-1 in key_index for key_index in zip(*index)]
-    else:
-        outside = itertools.repeat(False)
-    for (key, (val, test, cost)), key_outside in zip(table.items(), outside):
-        if key_outside:
-            problem = f"key {key!r} outside the declared space"
-        elif not _is_number(val):
-            problem = f"validation error {val!r} is not a number"
-        elif not 0.0 <= val <= 1.0:
-            problem = f"validation error {val} outside [0, 1]"
-        elif test is not None and not _is_number(test):
-            problem = f"test error {test!r} is not a number or null"
-        elif test is not None and not 0.0 <= test <= 1.0:
-            problem = f"test error {test} outside [0, 1]"
-        elif not _is_number(cost):
-            problem = f"cost {cost!r} is not a number"
-        elif not 0.0 <= cost <= _FLOAT_MAX:  # an integer compares exactly
-            too_large = isinstance(cost, int) and cost > 0
-            problem = ("cost is an integer too large for a float" if too_large
-                       else f"cost {cost} is negative or not finite")
-        else:
-            continue
-        raise BenchmarkLoadError(f"{where(key)}: {problem}")
-    return index
+
+def _code_weights(space: SearchSpace) -> np.ndarray:
+    """The mixed-radix weights of the configuration codes of ``space``; raises
+    ValueError for a space that a tabular benchmark cannot hold."""
+    for p in space.params:
+        if p.kind == "float":
+            raise ValueError(f"tabular benchmarks require discrete parameters; {p.name!r} is float")
+        if p.kind == "integer" and max(-p.lo, p.hi) > MAX_INTEGER_BOUND:
+            raise ValueError(f"integer parameter {p.name!r} has bounds [{p.lo}, {p.hi}] "
+                             f"beyond +-2**52, which genotypes cannot decode exactly")
+    sizes = _domain_sizes(space)
+    total = math.prod(sizes)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"the space's {total} configurations are too many "
+                         "for 64-bit configuration codes")
+    return np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
+
+
+def _row_problem(space: SearchSpace, key, val, test, cost) -> str | None:
+    """What makes one row of a table break the contract, or None."""
+    if len(key) != space.dimension or -1 in map(_position, space.params, key):
+        return f"key {key!r} outside the declared space"
+    if not _is_number(val):
+        return f"validation error {val!r} is not a number"
+    if not 0.0 <= val <= 1.0:
+        return f"validation error {val} outside [0, 1]"
+    if test is not None and not _is_number(test):
+        return f"test error {test!r} is not a number or null"
+    if test is not None and not 0.0 <= test <= 1.0:
+        return f"test error {test} outside [0, 1]"
+    if not _is_number(cost):
+        return f"cost {cost!r} is not a number"
+    if not 0.0 <= cost <= _FLOAT_MAX:  # an integer compares exactly
+        if isinstance(cost, int) and cost > 0:
+            return "cost is an integer too large for a float"
+        return f"cost {cost} is negative or not finite"
+    return None
 
 
 _FLOAT_MAX = sys.float_info.max
-_OUTSIDE = object()  # stands in for every value of a key of the wrong length
+
+
+def _position(p: ParameterSpec, value) -> int:
+    """The position of one value in the domain of ``p``, or -1 outside it."""
+    if p.kind == "integer":
+        return _domain_index(p, (value,))[0]
+    tokens = p.tokens or ()  # a float parameter has no positions
+    return tokens.index(value) if value in tokens else -1
 
 
 def _domain_index(p: ParameterSpec, values) -> list[int]:
@@ -179,18 +215,20 @@ def _domain_index(p: ParameterSpec, values) -> list[int]:
     return list(map(position.get, values, itertools.repeat(-1)))
 
 
-def _canonical_key(space: SearchSpace, raw) -> Configuration:
-    if not isinstance(raw, list) or len(raw) != space.dimension:
-        raise BenchmarkLoadError(f"key {raw!r} is not a {space.dimension}-element list")
-    key = []
-    for p, v in zip(space.params, raw):
-        if p.kind == "integer":
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise BenchmarkLoadError(f"key component {v!r} for {p.name!r} is not an integer")
-        elif not isinstance(v, str):
-            raise BenchmarkLoadError(f"key component {v!r} for {p.name!r} is not a token")
-        key.append(v)
-    return tuple(key)
+def _undecodable(line: str) -> str | None:
+    """For text read with ``errors="surrogateescape"``: the UTF-8 decoder's
+    message for the first undecodable byte of ``line``, or None."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return str(exc)
+    return None
+
+
+# a tabular file is read, decoded and checked this many lines at a time
+BLOCK_LINES = 1024
+_NUMBER = {int, float}
 
 
 def load_tabular(path: str | Path) -> TabularBenchmark:
@@ -199,75 +237,140 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     Line 1 is a header holding the search-space document (and optionally a
     ``benchmark_id``); every further line is one configuration record
     ``{"key": [...], "val_err": ..., "test_err": ..., "cost": ...}``.
+    Records are decoded and checked :data:`BLOCK_LINES` lines at a time, as
+    columns; when a check fails, the file is checked again a line at a time,
+    so that the error names the first bad line.
     """
     path = Path(path)
-    with open(path) as fh:
-        return _read_tabular(path, fh)
+    # lines end only at a newline, not at the other breaks str.splitlines()
+    # knows, such as U+2028, which JSON allows inside a string; an undecodable
+    # byte reads as a lone surrogate, which the checks reject
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        first = fh.readline()
+        if not first:
+            raise BenchmarkLoadError(f"{path}: empty benchmark file")
+        if _undecodable(first):
+            raise BenchmarkLoadError(f"{path}:1: {_undecodable(first)}")
+        try:
+            header = json.loads(first.rstrip("\n"))
+            space = SearchSpace.from_json_dict(header)
+            benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
+            if not isinstance(benchmark_id, str):
+                raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
+        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
+        try:
+            weights = _code_weights(space)
+        except ValueError as exc:  # the rows are checked before the space
+            _raise_first_bad_line(path, space, otherwise=exc)
+        blocks = []
+        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+            blocks.append(_block_columns(space, weights, lines) or _raise_first_bad_line(path, space))
+    codes = np.concatenate([c for c, _ in blocks] or [np.empty(0, np.int64)])
+    order = codes.argsort(kind="stable")
+    codes = codes[order]
+    if not codes.size or (codes[1:] == codes[:-1]).any():  # no records, or a repeated key
+        _raise_first_bad_line(path, space)
+    rows = np.concatenate([r for _, r in blocks], axis=1)[:, order]
+    return object.__new__(TabularBenchmark)._hold(space, benchmark_id, codes, rows)
 
 
-def _read_tabular(path: Path, fh) -> TabularBenchmark:
-    # a line at a time: the file's text is never held whole, and lines end only
-    # at a newline, not at the other breaks str.splitlines() knows, such as
-    # U+2028, which JSON allows inside a string
-    lines = (line.rstrip("\n") for line in fh)
-    first = next(lines, None)
-    if first is None:
-        raise BenchmarkLoadError(f"{path}: empty benchmark file")
+def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
+    """The configuration codes and (3, n) rows of the records on a block of
+    lines, or None when one of them breaks the contract.
 
+    The block is decoded in one call when every line holds exactly one ``{``
+    and one ``}`` and that gives one object a line: then every brace is
+    structural, no object nests, and item i is line i. Any other block, say
+    one with a brace inside a token, is decoded a line at a time, skipping
+    blank lines. The checks run on the raw JSON values, a column at a time.
+    """
+    text = ",".join(lines)
+    if _undecodable(text):
+        return None
+    try:  # when the block does not decode, some line does not either
+        docs = None
+        if [1] * len(lines) == list(map(str.count, lines, itertools.repeat("{"))) == list(
+                map(str.count, lines, itertools.repeat("}"))):
+            docs = json.loads(f"[{text}]")
+        if docs is None or len(docs) != len(lines) or set(map(type, docs)) != {dict}:
+            docs = [json.loads(line) for line in lines if line.strip()]
+        keys = [doc["key"] for doc in docs]
+        values = ([doc["val_err"] for doc in docs], [doc.get("test_err") for doc in docs],
+                  [doc["cost"] for doc in docs])
+    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+        return None
+    if not (set(map(type, keys)) <= {list} and set(map(len, keys)) <= {space.dimension}):
+        return None
+    index = []
+    for p, column in zip(space.params, zip(*keys)):
+        if not set(map(type, column)) <= {int if p.kind == "integer" else str}:
+            return None
+        index.append(_domain_index(p, column))
+        if -1 in index[-1]:
+            return None
+    types = [set(map(type, column)) for column in values]
+    if not (types[0] <= _NUMBER and types[1] <= _NUMBER | {type(None)} and types[2] <= _NUMBER
+            and (int not in types[2] or max(values[2]) <= _FLOAT_MAX)):  # exact for integers
+        return None
     try:
-        header = json.loads(first)
-        space = SearchSpace.from_json_dict(header)
-        benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
-        if not isinstance(benchmark_id, str):
-            raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
+        rows = np.array(values, dtype=float)  # null -> NaN
+    except OverflowError:  # an integer too large for a float
+        return None
+    val, test, cost = rows
+    tests = test[test == test]  # a JSON NaN test error is not null, and fails
+    if not (len(tests) + values[1].count(None) == len(test)
+            and np.all((0.0 <= val) & (val <= 1.0)) and np.all((0.0 <= tests) & (tests <= 1.0))
+            and np.all((0.0 <= cost) & (cost <= _FLOAT_MAX))):
+        return None
+    return weights @ np.array(index, dtype=np.int64).reshape(len(weights), -1), rows
 
-    table: dict[Configuration, tuple[float, float | None, float]] = {}
-    linenos: list[int] = []  # the line of each table row, in insertion order
 
-    # rows are range-checked once, by the TabularBenchmark constructor; on any
-    # error, the rows read so far are checked here first, so that the error
-    # names the first bad line as a line-by-line check would
-    def check_rows():
-        line_of = dict(zip(table, linenos))
-        _check_rows(space, table, where=lambda key: f"{path}:{line_of[key]}: line {line_of[key]}")
+def _raise_first_bad_line(path: Path, space: SearchSpace,
+                          otherwise: Exception | None = None) -> NoReturn:
+    """Raise BenchmarkLoadError for the first record line of a tabular file
+    that breaks the contract, checking one line at a time: undecodable bytes,
+    bad JSON, a record that is not an object or lacks a field, a wrongly
+    typed key, the key and values (:func:`_row_problem`), a repeated key.
+    When every line passes, raise that the file has no records, or
+    ``otherwise``, or AssertionError.
+    """
+    def fail(problem):
+        raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
 
-    def fail(lineno: int, msg: str):
-        check_rows()
-        raise BenchmarkLoadError(f"{path}:{lineno}: {msg}")
-
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            fail(lineno, f"bad JSON: {exc}")
-        if not isinstance(row, dict):
-            fail(lineno, "record is not a JSON object")
-        missing = {"key", "val_err", "cost"} - set(row)
-        if missing:
-            fail(lineno, f"record lacks fields {sorted(missing)}")
-        try:
-            key = _canonical_key(space, row["key"])
-        except BenchmarkLoadError as exc:
-            fail(lineno, str(exc))
-        values = (row["val_err"], row.get("test_err"), row["cost"])
-        if key in table:
-            check_rows()  # then this row's own values, then the repeat
-            _check_rows(space, {key: values}, where=lambda _: f"{path}:{lineno}: line {lineno}")
-            fail(lineno, f"duplicate configuration key {list(key)!r}")
-        table[key] = values
-        linenos.append(lineno)
-
-    if not table:
+    keys = set()
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if lineno == 1 or not line.strip():
+                continue
+            if _undecodable(line):
+                fail(_undecodable(line))
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                fail(f"bad JSON: {exc}")
+            if not isinstance(row, dict):
+                fail("record is not a JSON object")
+            if missing := {"key", "val_err", "cost"} - set(row):
+                fail(f"record lacks fields {sorted(missing)}")
+            key = row["key"]
+            if not isinstance(key, list) or len(key) != space.dimension:
+                fail(f"key {key!r} is not a {space.dimension}-element list")
+            for p, v in zip(space.params, key):
+                if p.kind == "integer" and (isinstance(v, bool) or not isinstance(v, int)):
+                    fail(f"key component {v!r} for {p.name!r} is not an integer")
+                if p.kind != "integer" and not isinstance(v, str):
+                    fail(f"key component {v!r} for {p.name!r} is not a token")
+            key = tuple(key)
+            if problem := _row_problem(space, key, row["val_err"], row.get("test_err"), row["cost"]):
+                fail(f"line {lineno}: {problem}")
+            if key in keys:
+                fail(f"duplicate configuration key {list(key)!r}")
+            keys.add(key)
+    if not keys:
         raise BenchmarkLoadError(f"{path}: no configuration records")
-    try:
-        return TabularBenchmark(space=space, table=table, benchmark_id=benchmark_id)
-    except ValueError:
-        check_rows()  # the constructor names a key; name its line instead
-        raise
+    raise otherwise or AssertionError("the column checks and the line walk disagree")
 
 
 def write_tabular(bench: TabularBenchmark, path: str | Path):
@@ -280,14 +383,15 @@ def write_tabular(bench: TabularBenchmark, path: str | Path):
     header = bench.space.to_json_dict()
     header["benchmark_id"] = bench.benchmark_id
     out = [json.dumps(header, separators=(",", ":"))]
-    for key in sorted(bench.table):
-        val, test, cost = bench.table[key]
+    table = bench.table
+    for key in sorted(table):
+        val, test, cost = table[key]
         out.append(json.dumps(
             {"key": list(key), "val_err": val, "test_err": test, "cost": cost},
             separators=(",", ":"),
         ))
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(out) + "\n")
+    tmp.write_text("\n".join(out) + "\n", encoding="utf-8")
     tmp.replace(path)
 
 
@@ -355,20 +459,16 @@ def make_synthetic(
         cost = rng.lognormal(mean=0.0, sigma=0.5, size=total)
 
     n_invalid = int(math.floor(total * invalid_fraction))
-    invalid = set(rng.choice(total, size=n_invalid, replace=False).tolist())
-
-    table = {}
-    for row, combo in enumerate(idx):
-        if row in invalid:
-            continue
-        key = tuple(tokens[c] for c in combo)
-        table[key] = (float(val_err[row]), float(test_err[row]), float(cost[row]))
+    listed = np.ones(total, dtype=bool)
+    listed[rng.choice(total, size=n_invalid, replace=False)] = False
 
     benchmark_id = (
         f"synthetic:{num_params}x{choices_per_param}"
         f":invalid={invalid_fraction:g}:cost={cost_model}:seed={seed}"
     )
-    return TabularBenchmark(space=space, table=table, benchmark_id=benchmark_id)
+    # configurations are enumerated in code order: the code of row r is r
+    return object.__new__(TabularBenchmark)._hold(space, benchmark_id, np.flatnonzero(listed),
+                                                  np.array([val_err, test_err, cost])[:, listed])
 
 
 # f over the last axis: one value per point, for one point or a block of them

@@ -122,7 +122,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):

@@ -189,7 +189,7 @@ def write_curve_csv(curve: AggregateCurve, path: str | Path):
     by ``repr``, rows ended by ``\\r\\n``, written a chunk of rows at a time."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with open(tmp, "w", newline="", encoding="utf-8") as fh:
         fh.write("time,mean_regret,n_runs\r\n")
         for start in range(0, len(curve.times), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)

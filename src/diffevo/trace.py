@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import Benchmark
+from .benchmarks import Benchmark, _undecodable
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ def write_traces(traces: list[RunTrace], path: str | Path):
     ``json.dumps`` spells them."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="utf-8") as fh:
         for trace in traces:
             fh.write(_header_line(trace) + "\n")
             columns = zip(_json_floats(trace.cumulative_cost),
@@ -450,8 +450,9 @@ def read_traces(path: str | Path) -> list[RunTrace]:
 
     # a line at a time: the file's text is never held whole, and lines end only
     # at a newline, not at the other breaks str.splitlines() knows, such as
-    # U+2028, which JSON allows inside a string
-    with open(path) as fh:
+    # U+2028, which JSON allows inside a string; an undecodable byte reads as
+    # a lone surrogate, and its line fails
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         lines = (line.rstrip("\n") for line in fh)
         for lineno, line in enumerate(lines, start=1):
             text = line.strip(" \t")  # JSON whitespace; the reader leaves no \r or \n
@@ -459,10 +460,12 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 doc, end = _decode(text)
             except json.JSONDecodeError:
                 end = -1
-            if end != len(text):
+            if end != len(text) or not line.isascii() and _undecodable(line):
                 if not line.strip():
                     continue
                 _event_columns(path, header, events, linenos)  # an earlier bad line comes first
+                if _undecodable(line):
+                    raise ValueError(f"{path}:{lineno}: {_undecodable(line)}")
                 try:
                     doc = json.loads(line)  # for the decoder's own message
                 except json.JSONDecodeError as exc:

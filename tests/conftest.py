@@ -1,13 +1,15 @@
 import functools
+import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffevo.baselines as baselines
-from diffevo import ParameterSpec, RunTrace, SearchSpace
+from diffevo import BenchmarkLoadError, ParameterSpec, RunTrace, SearchSpace
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants, run_failure
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
@@ -169,6 +171,114 @@ def reference_read_traces(path):
     if not traces:
         raise ValueError(f"{path}: no runs found")
     return traces
+
+
+def reference_load_tabular(path):
+    """Reference tabular loader: one ``json.loads`` a line, keys checked as
+    each line is read, and the values of every row read so far checked, in
+    line order, before any error is raised, so that the error names the
+    first bad line. Returns ``(table, best validation error, best test
+    error)``, the table holding the file's raw JSON values in file order.
+    ``load_tabular`` must give an equal table and best errors, or raise the
+    same BenchmarkLoadError."""
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = (line.rstrip("\n") for line in fh)
+        first = next(lines, None)
+        if first is None:
+            raise BenchmarkLoadError(f"{path}: empty benchmark file")
+        try:
+            header = json.loads(first)
+            space = SearchSpace.from_json_dict(header)
+            if not isinstance(header.get("benchmark_id", ""), str):
+                raise ValueError(f"benchmark_id {header['benchmark_id']!r} is not a string")
+        except (ValueError, TypeError) as exc:
+            raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
+        table, linenos = {}, []
+
+        def check_rows():
+            line_of = dict(zip(table, linenos))
+            _reference_check_rows(space, table,
+                                  where=lambda key: f"{path}:{line_of[key]}: line {line_of[key]}")
+
+        def fail(lineno, msg):
+            check_rows()
+            raise BenchmarkLoadError(f"{path}:{lineno}: {msg}")
+
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                fail(lineno, f"bad JSON: {exc}")
+            if not isinstance(row, dict):
+                fail(lineno, "record is not a JSON object")
+            missing = {"key", "val_err", "cost"} - set(row)
+            if missing:
+                fail(lineno, f"record lacks fields {sorted(missing)}")
+            try:
+                key = _reference_key(space, row["key"])
+            except BenchmarkLoadError as exc:
+                fail(lineno, str(exc))
+            values = (row["val_err"], row.get("test_err"), row["cost"])
+            if key in table:
+                check_rows()
+                _reference_check_rows(space, {key: values},
+                                      where=lambda _: f"{path}:{lineno}: line {lineno}")
+                fail(lineno, f"duplicate configuration key {list(key)!r}")
+            table[key] = values
+            linenos.append(lineno)
+    if not table:
+        raise BenchmarkLoadError(f"{path}: no configuration records")
+    check_rows()
+    tests = [test for _, test, _ in table.values() if test is not None]
+    return table, min(val for val, _, _ in table.values()), min(tests) if tests else None
+
+
+def _reference_key(space, raw):
+    if not isinstance(raw, list) or len(raw) != space.dimension:
+        raise BenchmarkLoadError(f"key {raw!r} is not a {space.dimension}-element list")
+    for p, v in zip(space.params, raw):
+        if p.kind == "integer":
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise BenchmarkLoadError(f"key component {v!r} for {p.name!r} is not an integer")
+        elif not isinstance(v, str):
+            raise BenchmarkLoadError(f"key component {v!r} for {p.name!r} is not a token")
+    return tuple(raw)
+
+
+def _reference_check_rows(space, table, where):
+    """Raise BenchmarkLoadError, naming the row by ``where(key)``, for the
+    first row of ``table`` whose key or values break the contract."""
+    def inside(p, v):
+        if p.kind == "integer":
+            return isinstance(v, int) and not isinstance(v, bool) and p.lo <= v <= p.hi
+        return v in p.tokens
+
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    for key, (val, test, cost) in table.items():
+        if not all(itertools.starmap(inside, zip(space.params, key))):
+            problem = f"key {key!r} outside the declared space"
+        elif not is_number(val):
+            problem = f"validation error {val!r} is not a number"
+        elif not 0.0 <= val <= 1.0:
+            problem = f"validation error {val} outside [0, 1]"
+        elif test is not None and not is_number(test):
+            problem = f"test error {test!r} is not a number or null"
+        elif test is not None and not 0.0 <= test <= 1.0:
+            problem = f"test error {test} outside [0, 1]"
+        elif not is_number(cost):
+            problem = f"cost {cost!r} is not a number"
+        elif not 0.0 <= cost <= sys.float_info.max:
+            too_large = isinstance(cost, int) and cost > 0
+            problem = ("cost is an integer too large for a float" if too_large
+                       else f"cost {cost} is negative or not finite")
+        else:
+            continue
+        raise BenchmarkLoadError(f"{where(key)}: {problem}")
 
 
 def bin_index(u, n):

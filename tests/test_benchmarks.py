@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffevo import (
     BenchmarkLoadError,
@@ -14,10 +18,15 @@ from diffevo import (
     TabularBenchmark,
     load_tabular,
     make_synthetic,
+    read_traces,
     write_tabular,
+    write_traces,
 )
+from diffevo.benchmarks import BLOCK_LINES
+from diffevo.baselines import run_random_search
+from diffevo.trace import Budget
 
-from conftest import row_columns
+from conftest import reference_load_tabular, row_columns
 
 
 def tiny_space():
@@ -304,6 +313,25 @@ class TestTabularFile:
         with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:1: bad header: "):
             load_tabular(path)
 
+    @pytest.mark.parametrize("params, records, error, message", [
+        ([{"name": "x", "kind": "float", "lo": 0.0, "hi": 1.0}], [{"key": ["a"]}],
+         BenchmarkLoadError, "{path}:2: line 2: key ('a',) outside the declared space"),
+        ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)],
+         [{"key": [1, 2, 3, 4]}], ValueError,
+         "the space's 18447869999386460161 configurations are too many for 64-bit "
+         "configuration codes"),
+        ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)], [],
+         BenchmarkLoadError, "{path}: no configuration records"),
+    ])
+    def test_space_a_table_cannot_hold_fails_after_its_lines(self, tmp_path, params, records,
+                                                             error, message):
+        path = tmp_path / "bench.jsonl"
+        path.write_text("\n".join(json.dumps(doc) for doc in [
+            {"params": params}, *({**r, "val_err": 0.2, "cost": 1.0} for r in records)]) + "\n")
+        with pytest.raises(error) as err:
+            load_tabular(path)
+        assert str(err.value) == message.format(path=path)
+
     def test_repeated_key_with_bad_values_names_the_values(self, tmp_path):
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0}),
@@ -341,6 +369,222 @@ class TestTabularFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_tabular(tmp_path / "nope.jsonl")
+
+
+# a record's fields and what each mutation puts into one of them
+MUTATIONS = {
+    "none": None, "null test": ("test_err", None),
+    "NaN val": ("val_err", math.nan), "NaN test": ("test_err", math.nan),
+    "NaN cost": ("cost", math.nan), "null val": ("val_err", None), "null cost": ("cost", None),
+    "bool val": ("val_err", True), "bool test": ("test_err", False), "bool cost": ("cost", True),
+    "str val": ("val_err", "0.3"), "str test": ("test_err", "0"), "str cost": ("cost", "1"),
+    "huge val": ("val_err", 10**400), "huge test": ("test_err", 10**400),
+    "huge cost": ("cost", 10**400), "cost at float max": ("cost", 2**1024 - 2**971),
+    "cost above float max": ("cost", 2**1024 - 2**970 - 1), "int val": ("val_err", 1),
+    "val above 1": ("val_err", 1.5), "negative cost": ("cost", -1.0),
+    "infinite cost": ("cost", math.inf), "list cost": ("cost", [1.0]),
+    "nested field": ("extra", {"x": {"y": [1]}}), "brace field": ("extra", "}{"),
+    "short key": "short key", "key outside": "key outside", "key type": "key type",
+    "key not a list": ("key", "abc"), "duplicate": "duplicate", "missing field": "missing field",
+    "bad JSON": "bad JSON", "not an object": "not an object", "split record": "split record",
+    "two records": "two records", "blank": "blank",
+}
+
+
+def mixed_file(tmp_path, seed, n, mutation, position, tabs, crlf, odd_tokens):
+    """A tabular file over a seeded mixed integer/ordinal/categorical space
+    listing ``n`` (or every) keys in a seeded order, with one ``mutation`` of
+    the record at ``position`` (an index, or "last" in the file)."""
+    rng = np.random.default_rng(seed)
+    odd = ["a{b", "c}", "{}", "d\u2028e", 'q"', "\t"] if odd_tokens else []
+    params = []
+    for i in range(int(rng.integers(2, 5))):
+        kind = ("integer", "ordinal", "categorical")[int(rng.integers(3))]
+        size = int(rng.integers(1 if kind != "integer" else 2, 13))
+        if kind == "integer":
+            lo = int(rng.integers(-5, 6))
+            params.append(ParameterSpec(name=f"p{i}", kind=kind, lo=lo, hi=lo + size - 1))
+        else:
+            tokens = tuple(dict.fromkeys([*odd[:int(rng.integers(len(odd) + 1))],
+                                          *(f"t{j}" for j in range(size))]))
+            field_name = "values" if kind == "ordinal" else "choices"
+            params.append(ParameterSpec(name=f"p{i}", kind=kind, **{field_name: tokens}))
+    space = SearchSpace(params=tuple(params))
+    domains = [list(range(p.lo, p.hi + 1)) if p.kind == "integer" else list(p.tokens)
+               for p in space.params]
+    keys = list(itertools.product(*domains))
+    chosen = rng.choice(len(keys), size=min(n, len(keys)), replace=False)
+    records = []
+    for k in chosen.tolist():
+        test = None if rng.random() < 0.2 else float(rng.random())
+        cost = int(rng.integers(0, 5)) if rng.random() < 0.2 else float(rng.lognormal())
+        records.append({"key": list(keys[k]), "val_err": float(rng.random()), "test_err": test,
+                        "cost": cost})
+    lines = [json.dumps(r, ensure_ascii=False) for r in records]
+    i = len(records) - 1 if position == "last" else min(position, len(records) - 1)
+    change = MUTATIONS[mutation]
+    record = dict(records[i])
+    if isinstance(change, tuple):
+        record[change[0]] = change[1]
+    elif change == "short key":
+        record["key"] = record["key"][:-1]
+    elif change == "key outside":
+        p = space.params[-1]
+        record["key"] = [*record["key"][:-1], p.hi + 1 if p.kind == "integer" else "zz"]
+    elif change == "key type":
+        p = space.params[0]
+        record["key"] = [str(record["key"][0]) if p.kind == "integer" else 1,
+                         *record["key"][1:]]
+    elif change == "duplicate":  # the twin is as far back as the file allows
+        record = dict(records[max(0, i - BLOCK_LINES - 1)], val_err=0.5)
+    elif change == "missing field":
+        del record["cost"]
+    if change not in (None, "bad JSON", "not an object", "split record", "two records",
+                      "blank"):
+        lines[i] = json.dumps(record, ensure_ascii=False)
+    elif change == "bad JSON":
+        lines[i] = "{not json"
+    elif change == "not an object":
+        lines[i] = "[1]"
+    elif change == "split record":  # two lines that decode to one object when joined
+        lines[i:i + 1] = ['{"x":[1', "2]}"]
+    elif change == "two records":  # one line that decodes to two objects when joined
+        lines[i] = "{},{}"
+    elif change == "blank":
+        lines[i:i] = ["", " \t "]
+    if tabs:
+        lines = ["\t" + line for line in lines]
+    header = json.dumps({**space.to_json_dict(), "benchmark_id": "mixed"}, ensure_ascii=False)
+    path = tmp_path / f"mixed-{seed}.jsonl"
+    with open(path, "w", encoding="utf-8", newline="\r\n" if crlf else "\n") as fh:
+        fh.write("\n".join([header, *lines]) + "\n")
+    return path
+
+
+class TestBlockLoader:
+    """``load_tabular`` reads, decodes and checks blocks of lines as columns;
+    it must load what the line-by-line reference loads, or fail with its
+    message."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.sampled_from([1, 7, BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, 2500]),
+           st.sampled_from(sorted(MUTATIONS)),
+           st.sampled_from([0, 1, BLOCK_LINES - 1, BLOCK_LINES, 2 * BLOCK_LINES - 1, "last"]),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_same_table_or_same_error_as_the_reference(self, tmp_path_factory, seed, n,
+                                                       mutation, position, tabs, crlf, odd):
+        path = mixed_file(tmp_path_factory.mktemp("block"), seed, n, mutation, position,
+                          tabs, crlf, odd)
+        try:
+            table, best_val, best_test = reference_load_tabular(path)
+        except BenchmarkLoadError as exc:
+            with pytest.raises(BenchmarkLoadError) as err:
+                load_tabular(path)
+            assert str(err.value) == str(exc)
+            return
+        bench = load_tabular(path)
+        assert bench.table == table
+        assert (bench.best_validation_error, bench.best_test_error) == (best_val, best_test)
+        assert all(type(x) is float for row in bench.table.values() for x in row if x is not None)
+
+    def test_keeps_under_64_bytes_a_row(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_tabular(make_synthetic(6, 5, invalid_fraction=0.5, seed=1), path)
+        for _ in range(2):  # the second load sees only the table's own memory
+            tracemalloc.start()
+            try:
+                bench = load_tabular(path)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        rows = len(bench.table)
+        assert rows >= 5000 and kept / rows < 64
+
+    def test_arrays_are_read_only(self):
+        bench = mixed_table(0)
+        for array in (bench._codes, bench._rows, bench._weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_evaluate_outside_the_space_or_of_the_wrong_length(self):
+        bench = mixed_table(0)
+        assert bench.evaluate((-4, "x", "only", "p", 0)) is None  # below the integer range
+        assert bench.evaluate((0, "w", "only", "p", 0)) is None  # an unknown token
+        assert bench.evaluate((0, "x", "only", "p")) is None
+        assert bench.evaluate((0, "x", "only", "p", 0, 0)) is None
+        assert bench.evaluate((True, "x", "only", "p", 0)) is None
+        # a key prefix whose code is listed
+        space = SearchSpace(params=(ParameterSpec(name="a", kind="integer", lo=0, hi=3),
+                                    ParameterSpec(name="b", kind="integer", lo=0, hi=3)))
+        bench = TabularBenchmark(space=space, table={(0, 0): (0.1, None, 1.0)}, benchmark_id="t")
+        assert bench.evaluate((0,)) is None and bench.evaluate((0, 0)) == (0.1, None, 1.0)
+
+    def test_table_is_a_copy(self):
+        bench = mixed_table(1)
+        table = bench.table
+        key = next(iter(table))
+        table[key] = (0.0, None, 0.0)
+        assert bench.table[key] != (0.0, None, 0.0)
+        assert all(bench.evaluate(key) == row for key, row in bench.table.items())
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 fails the load naming ``path:line``."""
+
+    def write(self, tmp_path, lines, bad_line):
+        header = json.dumps(tiny_space().to_json_dict()).encode()
+        data = [header, *(line.encode() for line in lines)]
+        data[bad_line - 1] = data[bad_line - 1].replace(b'"a"', b'"a\xff"')
+        path = tmp_path / "bench.jsonl"
+        path.write_bytes(b"\n".join(data) + b"\n")
+        return path
+
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_names_the_line(self, tmp_path, bad_line):
+        path = self.write(tmp_path, [json.dumps({"key": ["b", 1], "val_err": 0.2, "cost": 1.0}),
+                                     json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0}),
+                                     json.dumps({"key": ["b", 2], "val_err": 0.3, "cost": 1.0})],
+                          bad_line)
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert re.fullmatch(f"{re.escape(str(path))}:{bad_line}: 'utf-8' codec can't decode "
+                            r"byte 0xff in position \d+: invalid start byte", str(err.value))
+
+    def test_an_earlier_bad_line_wins(self, tmp_path):
+        path = self.write(tmp_path, [json.dumps({"key": ["b", 1], "val_err": 2.0, "cost": 1.0}),
+                                     json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0})],
+                          3)
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:2: line 2: validation error 2.0 outside [0, 1]"
+
+
+class TestWrittenBytes:
+    """``write_tabular`` bytes, pinned by sha256: records sorted by key."""
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: make_synthetic(3, 3, invalid_fraction=0.2, seed=4),
+         "bc522cb63fadf8d66e09d3132fdf722602e3aa242892dac181439d5bdbf4d585"),
+        (lambda: mixed_table(0), "6373c9087e06657a05126f12b624741e50994a22b50275886c0e421f49710c38"),
+    ])
+    def test_digest(self, tmp_path, make, digest):
+        write_tabular(make(), tmp_path / "t.jsonl")
+        assert hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest() == digest
+
+    def test_best_errors_are_floats_in_trace_headers(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        path.write_text("\n".join(map(json.dumps, [
+            tiny_space().to_json_dict(), {"key": ["a", 1], "val_err": 0, "test_err": 0, "cost": 1},
+            {"key": ["b", 2], "val_err": 1, "test_err": 1, "cost": 2}])) + "\n")
+        bench = load_tabular(path)
+        assert type(bench.best_validation_error) is type(bench.best_test_error) is float
+        assert bench.table == {("a", 1): (0.0, 0.0, 1.0), ("b", 2): (1.0, 1.0, 2.0)}
+        write_traces(run_random_search(bench, Budget(max_evaluations=3), [0]),
+                     tmp_path / "t.jsonl")
+        header = (tmp_path / "t.jsonl").read_text().split("\n")[0]
+        assert '"best_test_error":0.0,"best_validation_error":0.0' in header
+        assert read_traces(tmp_path / "t.jsonl")[0].best_validation_error == 0.0
 
 
 class TestSynthetic:

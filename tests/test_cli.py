@@ -72,6 +72,18 @@ class TestRun:
         assert all(t.config == {"population_size": 20, "scaling_factor": 0.5,
                                 "crossover_rate": 0.5} for t in traces)
 
+    def test_undecodable_byte_names_path_and_line(self, tmp_path, capsys):
+        bench = tmp_path / "bench.jsonl"
+        write_tabular(make_synthetic(2, 2), bench)
+        lines = bench.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"c1"', b'"c\xff"')
+        bench.write_bytes(b"\n".join(lines))
+        assert run_cli("run", "--benchmark", str(bench), "--evals", "5",
+                       "--out", str(tmp_path / "t.jsonl")) == 1
+        position = lines[2].index(b"\xff")
+        assert capsys.readouterr().err == (f"error: {bench}:3: 'utf-8' codec can't decode byte "
+                                           f"0xff in position {position}: invalid start byte\n")
+
     def test_missing_benchmark_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--out", str(tmp_path / "t.jsonl"), "--evals", "10")

@@ -536,6 +536,35 @@ class TestTraceReader:
         assert_same_traces(read_traces(path), [trace])
         assert_same_traces(reference_read_traces(path), [trace])
 
+    @pytest.mark.parametrize("bad_line", [1, 3])
+    def test_undecodable_byte_names_the_line(self, tmp_path, bad_line):
+        trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, None, True)],
+                                optimizer_id="ab")
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        lines = path.read_bytes().split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b'"ab"', b'"a\xffb"').replace(
+            b"true}", b'true,"note":"\xff"}')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_traces(path)
+        position = lines[bad_line - 1].index(b"\xff")
+        assert str(err.value) == (f"{path}:{bad_line}: 'utf-8' codec can't decode byte 0xff in "
+                                  f"position {position}: invalid start byte")
+
+    def test_a_bad_line_before_an_undecodable_byte_wins(self, tmp_path):
+        trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, None, True),
+                                 (2.5, 0.4, 0.4, None, True)])
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"eval_index":1', b'"eval_index":7')
+        lines[3] = lines[3].replace(b"true}", b'true,"note":"\xff"}')
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as err:
+            read_traces(path)
+        assert str(err.value) == f"{path}:3: eval_index 7 != position 1 in its run"
+
     @settings(max_examples=400, deadline=None)
     @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.data())
     def test_matches_line_by_line_reference(self, lines, edits, data):
