@@ -125,6 +125,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)

@@ -121,34 +121,37 @@ class RunRecorder:
         self._events = 0  # the events of each live run
         self._max_evaluations = budget.max_evaluations or sys.maxsize
         self._free_limit = ZERO_COST_LIMIT if budget.max_evaluations is None else None
-        self._cost = np.zeros(runs)  # under a cost limit, the cumulative cost of each live run
         self._paid = None  # once a run may reach the zero-cost limit: its last costly event
-        # (runs, blocks): the (objective, test error, cost, valid) rows those
-        # runs recorded, one block per call
-        self._stretches: list[tuple[np.ndarray, list]] = []
+        # (objective, test error, cumulative cost, valid as 1.0 or 0.0) of each run
+        # after each event; a run's columns past its own events mean nothing
+        self.history = np.empty((4, runs, 0))
 
     def evaluate(self, genotypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Evaluate and record an (L, k, D) block: k genotype rows for each of
         the L live runs, in the order of :attr:`live`.
 
         Returns the fitness of the rows (the validation error, or 1.0 at zero
-        cost when invalid; the recorder keeps that array, so callers must not
-        write to it) and the positions of the runs still going, which become
+        cost when invalid), which the caller owns since :attr:`history` keeps
+        a copy, and the positions of the runs still going, which become
         :attr:`live`. The evaluation limit cuts the block before the
         benchmark sees it; a run records its rows up to the first that
-        reaches the cost limit. :data:`ZERO_COST_LIMIT` stops a cost-only run
-        that spends nothing, and a negative or NaN cost fails a run.
+        reaches the cost limit. Each run's cumulative cost adds its row costs
+        in turn to its last recorded total. :data:`ZERO_COST_LIMIT` stops a
+        cost-only run that spends nothing, and a negative or NaN cost fails
+        a run.
         """
         genotypes = genotypes[:, :self._max_evaluations - self._events]
         if not genotypes.size:
             return np.empty(genotypes.shape[:2]), np.arange(len(genotypes))
         n, k = self._events, genotypes.shape[1]
-        (objective, test, cost, valid), failure = self._ask(genotypes)
-        # under a cost limit: the running sums, which runs reach the limit, and
-        # the rows each run records
-        spent = gone = cut = None
+        runs = self.live
+        totals = self.history[2, :, n - 1][runs] if n else np.zeros(len(runs))
+        block, failure = self._ask(genotypes, totals)
+        cost = block[2]
+        spent = np.add.accumulate(np.concatenate((totals[:len(cost), None], cost), axis=1), axis=1)
+        # under a cost limit: which runs reach it, and the rows each run records
+        gone = cut = None
         if self.budget.max_cost is not None:
-            spent = self._running(self._cost[:len(cost)], cost)
             reached = spent[:, 1:] >= self.budget.max_cost
             if reached.any():
                 gone = reached.any(axis=1)
@@ -156,48 +159,28 @@ class RunRecorder:
         # a run can reach the zero-cost limit in this block only past this count
         watch_free = self._free_limit is not None and n + k >= self._free_limit
         if watch_free or not np.minimum.reduce(cost, axis=None, initial=math.inf) >= 0.0:
-            if spent is None:
-                spent = self._running(self._spent(self.live[:len(cost)])[:, -1], cost)
             failure = self._check_costs(genotypes, cost, spent, cut, watch_free) or failure
         if failure is not None:  # the runs from the failing one on record nothing
             q = failure[0]
-            objective, test, cost, valid = objective[:q], test[:q], cost[:q], valid[:q]
-            spent = None if spent is None else spent[:q]
+            self.failure = int(runs[q]), failure[1]
+            block, spent, runs = block[:, :q], spent[:q], runs[:q]
             if cut is not None:
                 gone, cut = gone[:q], cut[:q]
-            if self._paid is not None:
-                self._paid = self._paid[:q]
 
-        runs = self.live if len(cost) == len(self.live) else self.live[:len(cost)]
-        if not self._stretches or self._stretches[-1][0] is not runs:
-            self._stretches.append((runs, []))
-        self._stretches[-1][1].append((objective, test, cost, valid))
+        if n + k > self.history.shape[2]:
+            grown = np.empty((4, len(self.lengths), min(2 * (n + k), self._max_evaluations)))
+            grown[:, :, :n] = self.history[:, :, :n]
+            self.history = grown
+        block[2] = spent[:, 1:]
+        self.history[:, runs, n:n + k] = block
         self._events = n + k
-        if failure is not None:
-            self.failure = int(self.live[failure[0]]), failure[1]
         if n + k >= self._max_evaluations:
             gone = np.ones(len(runs), dtype=bool)
-        totals = self._cost[:len(runs)] if spent is None else spent[:, -1]
-        if gone is None and runs is self.live:
-            self._cost = totals
-            return objective, np.arange(len(runs))
         keep = np.arange(len(runs)) if gone is None else np.flatnonzero(~gone)
         if gone is not None:
             self.lengths[runs[gone]] = n + (k if cut is None else cut[gone])
-        self.live, self._cost = runs[keep], totals[keep]
-        if self._paid is not None:
-            self._paid = self._paid[keep]
-        return objective, keep
-
-    @staticmethod
-    def _running(totals: np.ndarray, cost: np.ndarray) -> np.ndarray:
-        """Each run's total, then its running sum over its row costs: the
-        sequential adds that make a cumulative cost."""
-        return np.add.accumulate(np.concatenate((totals[:, None], cost), axis=1), axis=1)
-
-    def _spent(self, runs: np.ndarray) -> np.ndarray:
-        """The cumulative cost of ``runs`` after each recorded event, from 0."""
-        return self._running(np.zeros(len(runs)), self._history()[0][2, runs])
+        self.live = runs if gone is None else runs[keep]
+        return block[0], keep
 
     def _check_costs(self, genotypes, cost, spent, cut, watch_free):
         """The (position, error) of the first run whose rows up to its cut
@@ -206,14 +189,15 @@ class RunRecorder:
         n, before, after = self._events, spent[:, :-1], spent[:, 1:]
         fails = ~(after >= before)
         if watch_free:
+            runs = self.live[:count]
             if self._paid is None:  # the first event count to see each run's total
-                history = self._spent(self.live)
+                history = np.pad(self.history[2, :, :n], ((0, 0), (1, 0)))  # from 0
                 self._paid = (history == history[:, -1:]).argmax(axis=1)
             events = np.arange(n + 1, n + k + 1)  # after each row
             paid = np.maximum.accumulate(
-                np.where(after > before, events, self._paid[:count, None]), axis=1)
+                np.where(after > before, events, self._paid[runs, None]), axis=1)
             fails |= events - paid >= self._free_limit
-            self._paid = paid[:, -1]
+            self._paid[runs] = paid[:, -1]
         if cut is not None:
             fails &= np.arange(k) < cut[:, None]
         if not fails.any():
@@ -229,10 +213,11 @@ class RunRecorder:
         return run, ValueError(f"benchmark cost {float(cost[run, row])!r} of {config!r} is "
                                "negative or not a number")
 
-    def _ask(self, genotypes: np.ndarray):
-        """The (objective, test error, cost, valid) columns of an (L, k, D)
-        block, each (q, k) for its first q runs, and None or the (q, error)
-        of the run that raised.
+    def _ask(self, genotypes: np.ndarray, totals: np.ndarray):
+        """The (objective, test error, cost, valid) rows of an (L, k, D)
+        block as one (4, q, k) float array for its first q runs, valid 1.0 or
+        0.0, and None or the (q, error) of the run that raised; ``totals``
+        holds each run's cumulative cost.
 
         One ``evaluate_batch`` call scores the whole block; when it raises,
         each run's rows are asked alone, so that a failure names its run.
@@ -244,13 +229,14 @@ class RunRecorder:
         batch = getattr(self.bench, "evaluate_batch", None)
         if batch is not None:
             try:
-                return [c.reshape(count, k) for c in batch(genotypes.reshape(-1, dimension))], None
+                rows = np.array(batch(genotypes.reshape(-1, dimension)), dtype=float)
+                return rows.reshape(4, count, k), None
             except Exception:
                 pass
         columns = np.zeros((4, count, k))  # an invalid row: 1.0, NaN, 0.0, not valid
         columns[0], columns[1] = 1.0, math.nan
         max_cost = math.inf if self.budget.max_cost is None else self.budget.max_cost
-        for i, (block, spent) in enumerate(zip(genotypes, self._cost.tolist())):
+        for i, (block, spent) in enumerate(zip(genotypes, totals.tolist())):
             try:
                 if batch is not None:
                     columns[:, i] = batch(block)
@@ -263,21 +249,8 @@ class RunRecorder:
                         if spent >= max_cost:
                             break
             except Exception as exc:
-                return (*columns[:3, :i], columns[3, :i] != 0), (i, exc)
-        return (*columns[:3], columns[3] != 0), None
-
-    def _history(self) -> tuple[np.ndarray, np.ndarray]:
-        """The recorded (objective, test error, cost) columns as one (3, R, N)
-        array and valid as (R, N), N the events of the longest run; a run's
-        entries past its own events mean nothing."""
-        columns = np.empty((4, len(self.lengths), self._events))
-        start = 0
-        for runs, blocks in self._stretches:
-            width = sum(block[0].shape[1] for block in blocks)
-            for c, column in enumerate(zip(*blocks)):
-                columns[c, runs, start:start + width] = np.concatenate(column, axis=1)
-            start += width
-        return columns[:3], columns[3] != 0
+                return columns[:, :i], (i, exc)
+        return columns, None
 
     def finish(self, seeds: Sequence[int], optimizer_id: str,
                config: dict | None = None) -> list[RunTrace]:
@@ -291,8 +264,8 @@ class RunRecorder:
         first.
         """
         self.lengths[self.live] = self._events
-        (objective, test, cost), valid = self._history()
-        cost = self._running(np.zeros(len(cost)), cost)[:, 1:]
+        objective, test, cost, valid = self.history[:, :, :self._events]
+        valid = valid != 0
         key = np.where(valid, objective, _INVALID_KEY)
         best = np.fmin.accumulate(key, axis=1)
         leads = key < np.concatenate((np.full((len(key), 1), math.inf), best[:, :-1]), axis=1)

@@ -195,6 +195,15 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "t.jsonl")) == 1
         assert capsys.readouterr().err == f"error: config file {cfg} does not hold a JSON object\n"
 
+    def test_config_file_with_an_undecodable_byte_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"benchmark": "synt\xffhetic:3x3", "evals": 10}')
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: config file {cfg}: 'utf-8' codec can't decode "
+                                           "byte 0xff in position 19: invalid start byte\n")
+        assert not out.exists()
+
     def test_unknown_config_field_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evlas": 10}))

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import (Budget, load_tabular, make_synthetic, read_traces, run_random_search,
-                     write_traces)
+from diffevo import (Budget, REConfig, load_tabular, make_synthetic, read_traces,
+                     run_random_search, run_regularized_evolution, write_traces)
 import diffevo.trace as trace_module
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
@@ -211,6 +212,34 @@ def outcome(run):
         return str(exc)
 
 
+def record_in_steps(bench, budget, genotypes, steps, limit=ZERO_COST_LIMIT):
+    """Feed the (R, N, D) ``genotypes`` to one RunRecorder for R runs, ``k``
+    rows for every live run per call for each ``k`` in ``steps``, under a
+    zero-cost limit of ``limit``; returns the outcome of ``finish`` and the
+    history's capacity after each call."""
+    with mock.patch.object(trace_module, "ZERO_COST_LIMIT", limit):
+        recorder = RunRecorder(bench, budget, len(genotypes))
+    capacities, start = [], 0
+    for k in steps:
+        if len(recorder.live):
+            recorder.evaluate(genotypes[recorder.live, start:start + k])
+            capacities.append(recorder.history.shape[2])
+            start += k
+    return outcome(lambda: recorder.finish(range(len(genotypes)), "x")), capacities
+
+
+def reference_outcome(bench, budget, genotypes, limit=ZERO_COST_LIMIT):
+    """The outcome of one ReferenceRecorder per run fed that run's rows."""
+    def reference(bench, run):
+        recorder = ReferenceRecorder(bench, budget, free_limit=limit)
+        for genotype in genotypes[run]:
+            if recorder.evaluate(genotype) is None:
+                break
+        return recorder.finish(run, "x")
+
+    return outcome(lambda: each_seed(reference)(bench, range(len(genotypes))))
+
+
 class TestExperimentRecorder:
     """One recorder for R runs against one scalar reference per run."""
 
@@ -229,30 +258,97 @@ class TestExperimentRecorder:
         base = TableBench(rows)
         genotypes = np.random.default_rng(seed).random((runs, sum(steps), 1))
         got_bench = (WithBatch if batch else RecordingBenchmark)(base)
-        with mock.patch.object(trace_module, "ZERO_COST_LIMIT", limit):
-            recorder = RunRecorder(got_bench, budget, runs)
-        start = 0
-        for k in steps:
-            if len(recorder.live):
-                recorder.evaluate(genotypes[recorder.live, start:start + k])
-                start += k
-        got = outcome(lambda: recorder.finish(range(runs), "x"))
-
-        def reference(bench, run):
-            recorder = ReferenceRecorder(bench, budget, free_limit=limit)
-            for genotype in genotypes[run, :start]:
-                if recorder.evaluate(genotype) is None:
-                    break
-            return recorder.finish(run, "x")
-
+        got, _ = record_in_steps(got_bench, budget, genotypes, steps, limit)
         want_bench = RecordingBenchmark(base)
-        want = outcome(lambda: each_seed(reference)(want_bench, range(runs)))
+        want = reference_outcome(want_bench, budget, genotypes, limit)
         if isinstance(want, str):
             assert got == want
             return
         assert_same_traces(got, want)
         if not batch:  # a batch may score rows past the cost limit
             assert Counter(got_bench.configs) == Counter(want_bench.configs)
+
+
+# bins: cost 10, cost 1, invalid, free, cost 2
+GROWTH_BINS = [(0.5, None, 10.0), (0.4, 0.3, 1.0), None, (0.3, None, 0.0), (0.2, 0.1, 2.0)]
+
+
+def bin_rows(*columns):
+    """(R, N, 1) genotypes, run r taking the bins of ``columns[r]``."""
+    return (np.array(columns, dtype=float)[..., None] + 0.5) / 5
+
+
+class TestHistory:
+    """The recorder's one (4, R, N) history array: grown by copying into
+    min(2 * (n + k), evaluation limit) columns, checked against one scalar
+    reference per run."""
+
+    def grown(self, budget, genotypes, steps, limit=ZERO_COST_LIMIT):
+        bench = TableBench(GROWTH_BINS)
+        got, capacities = record_in_steps(bench, budget, genotypes, steps, limit)
+        want = reference_outcome(bench, budget, genotypes, limit)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_traces(got, want)
+        return got, capacities
+
+    def test_block_larger_than_twice_the_capacity(self):
+        # a 9-row block after a 2-column history, then a 40-row one
+        genotypes = np.random.default_rng(0).random((3, 50, 1))
+        traces, capacities = self.grown(Budget(max_evaluations=100), genotypes, [1, 9, 40])
+        assert capacities == [2, 20, 100]
+        assert [len(t) for t in traces] == [50] * 3
+
+    def test_growth_after_runs_have_left(self):
+        # run 0 spends the cost limit at event 1, runs 1 and 2 at event 10, and
+        # the last growth copies the history of all three
+        genotypes = bin_rows([0] * 33, [1] * 33, [2, 4] * 16 + [2], [3] * 33)
+        traces, capacities = self.grown(Budget(max_cost=10.0), genotypes, [2, 3, 8, 20])
+        assert capacities == [4, 10, 26, 66]
+        assert [len(t) for t in traces] == [1, 10, 10, 33]
+
+    def test_growth_stops_at_the_evaluation_limit(self):
+        genotypes = np.random.default_rng(1).random((2, 10, 1))
+        traces, capacities = self.grown(Budget(max_evaluations=7), genotypes, [1, 2, 3, 4])
+        assert capacities == [2, 6, 6, 7]
+        assert [len(t) for t in traces] == [7, 7]
+
+    def test_zero_cost_limit_reached_after_a_growth(self):
+        # run 1 spends nothing and fails at event 5; run 0 pays at events 1,
+        # 3 and 8, so it lasts only if its count starts from event 3, read
+        # from totals recorded before a growth
+        genotypes = bin_rows([1, 2, 1, 3, 3, 3, 3, 1, 3, 3, 3], [3] * 11)
+        message, capacities = self.grown(Budget(max_cost=100.0), genotypes, [1, 2, 4, 4],
+                                         limit=5)
+        assert capacities == [2, 6, 14, 14]
+        assert message == ("run with seed 1 failed: 5 evaluations in a row left the cumulative "
+                           "cost at 0.0, so the cost budget may never be spent; add an "
+                           "evaluation limit (--evals)")
+
+    def test_returned_fitness_is_the_callers(self):
+        bench = make_synthetic(3, 3, invalid_fraction=0.3, seed=0)
+        genotypes = np.random.default_rng(0).random((2, 12, 3))
+        budget = Budget(max_evaluations=12)
+        recorder = RunRecorder(bench, budget, 2)
+        for block in np.split(genotypes, [4], axis=1):
+            fitness, _ = recorder.evaluate(block)
+            fitness[...] = 0.5
+        assert_same_traces(recorder.finish(range(2), "x"),
+                           reference_outcome(bench, budget, genotypes))
+
+    def test_regularized_evolution_records_in_at_most_150_bytes_an_event(self):
+        bench = make_synthetic(5, 4, seed=0)
+        cfg = REConfig(budget=Budget(max_evaluations=2000))
+        tracemalloc.start()
+        try:
+            traces = run_regularized_evolution(bench, cfg, range(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        events = sum(map(len, traces))
+        assert events == 20 * 2000
+        assert peak <= 150 * events
 
 
 class TestBudget:
