@@ -42,8 +42,8 @@ class DEConfig:
             raise ValueError(
                 f"population size must be >= {MIN_POPULATION}, got {self.population_size}"
             )
-        if self.scaling_factor < 0:
-            raise ValueError(f"scaling factor must be >= 0, got {self.scaling_factor}")
+        if not 0 <= self.scaling_factor < np.inf:
+            raise ValueError(f"scaling factor must be finite and >= 0, got {self.scaling_factor}")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
 

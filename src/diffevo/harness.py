@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .benchmarks import Benchmark
-from .trace import Budget, RunRecorder, RunTrace
+from .trace import Budget, RunRecorder, RunTrace, _spell_floats
 
 # a runner makes the runs of an experiment's seeds and returns their traces in
 # seed order; a run that raises ends the runner with run_failure() of the
@@ -193,10 +193,9 @@ def write_curve_csv(curve: AggregateCurve, path: str | Path):
         fh.write("time,mean_regret,n_runs\r\n")
         for start in range(0, len(curve.times), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            fh.write("".join(
-                f"{t!r},{r!r},{n}\r\n" for t, r, n in zip(curve.times[rows].tolist(),
-                                                      curve.mean_regret[rows].tolist(),
-                                                      curve.n_runs[rows].tolist())))
+            regrets = _spell_floats(curve.mean_regret[rows], nan="nan", inf="inf")
+            fh.write("".join(f"{t!r},{r},{n}\r\n" for t, r, n in zip(
+                curve.times[rows].tolist(), regrets, curve.n_runs[rows].tolist())))
     tmp.replace(path)
 
 

@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import Benchmark, _undecodable
+from .benchmarks import BLOCK_LINES, Benchmark, _undecodable
 
 
 @dataclass(frozen=True)
@@ -341,8 +341,9 @@ def _header_line(trace: RunTrace) -> str:
     }}, separators=(",", ":"), sort_keys=True)
 
 
-def _json_floats(column: np.ndarray, nan: str = "NaN") -> list[str]:
-    """Each value spelled as ``json.dumps`` spells a float: ``repr`` when finite.
+def _spell_floats(column: np.ndarray, nan: str = "NaN", inf: str = "Infinity") -> list[str]:
+    """Each value spelled by ``repr`` when finite, else as ``nan``, ``inf``
+    or ``"-" + inf``: by default, as ``json.dumps`` spells a float.
 
     Each distinct value is spelled once. Values are told apart by their bit
     patterns, since comparing floats would merge -0.0 with 0.0.
@@ -351,10 +352,9 @@ def _json_floats(column: np.ndarray, nan: str = "NaN") -> list[str]:
                               return_inverse=True)
     values = bits.view(np.float64)
     text = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        x = values[i]
-        text[i] = nan if x != x else ("Infinity" if x > 0 else "-Infinity")
-    return [text[i] for i in inverse.tolist()]
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():  # repr gives nan, inf, -inf
+        text[i] = {"nan": nan, "inf": inf, "-inf": "-" + inf}[text[i]]
+    return list(map(text.__getitem__, inverse.tolist()))
 
 
 def write_traces(traces: list[RunTrace], path: str | Path):
@@ -366,10 +366,10 @@ def write_traces(traces: list[RunTrace], path: str | Path):
     with open(tmp, "w", encoding="utf-8") as fh:
         for trace in traces:
             fh.write(_header_line(trace) + "\n")
-            columns = zip(_json_floats(trace.cumulative_cost),
-                          _json_floats(trace.incumbent_objective),
-                          _json_floats(trace.incumbent_test_error, nan="null"),
-                          _json_floats(trace.objective),
+            columns = zip(_spell_floats(trace.cumulative_cost),
+                          _spell_floats(trace.incumbent_objective),
+                          _spell_floats(trace.incumbent_test_error, nan="null"),
+                          _spell_floats(trace.objective),
                           ["true" if v else "false" for v in trace.valid.tolist()])
             fh.write("".join(
                 f'{{"cumulative_cost":{cost},"eval_index":{i},"incumbent_objective":{incumbent},'
@@ -387,13 +387,18 @@ _EVENT_TYPE_SETS = [frozenset(types) for _, *types in _EVENT_TYPES.values()]
 def read_traces(path: str | Path) -> list[RunTrace]:
     """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
 
-    Raises ValueError naming ``path:line`` for a line that is not JSON, is
-    neither a run header nor an event, lacks a field, has a field of the
-    wrong JSON type or a number too large for a float, or carries an
-    ``eval_index`` other than its position in the run. Lines are checked a run at a time, but the error is
-    always the one for the first bad line.
+    A file spelled as :func:`write_traces` spells it is read as columns; any
+    other is read a line at a time, raising ValueError naming ``path:line``
+    for the first line that is not JSON, is neither a run header nor an
+    event, lacks a field, has a field of the wrong JSON type or a number too
+    large for a float, or carries an ``eval_index`` other than its position.
     """
     path = Path(path)
+    return _read_columns(path) or _read_lines(path)
+
+
+def _read_lines(path: Path) -> list[RunTrace]:
+    """:func:`read_traces` a line at a time, for a file in any spelling."""
     traces: list[RunTrace] = []
     header: dict | None = None
     header_line = 0
@@ -407,19 +412,9 @@ def read_traces(path: str | Path) -> list[RunTrace]:
         if not columns:
             raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
         try:
-            trace = RunTrace(
-                seed=header["seed"],
-                optimizer_id=header["optimizer"],
-                benchmark_id=header["benchmark"],
-                best_validation_error=header["best_validation_error"],
-                best_test_error=header["best_test_error"],
-                config=header.get("config", {}),
-                **columns,
-            )
-            check_trace_invariants(trace)
+            traces.append(_checked_trace(header, columns))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
-        traces.append(trace)
 
     # a line at a time: the file's text is never held whole, and lines end only
     # at a newline, not at the other breaks str.splitlines() knows, such as
@@ -450,18 +445,98 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 continue
             flush()
             header, header_line, events, linenos = run, lineno, [], []
-            _require(path, lineno, header, _HEADER_KEYS, "run header")
-            for name, (kind, *types) in _HEADER_TYPES.items():
-                if type(header.get(name, {})) not in types:  # bool is not int here
-                    raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
-                                     f"{header[name]!r}")
-                if name.startswith("best_") and _too_large(header[name]):
-                    raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large "
-                                     "for a float")
+            _check_header(path, lineno, header)
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")
     return traces
+
+
+def _check_header(path: Path, lineno: int, header: dict):
+    _require(path, lineno, header, _HEADER_KEYS, "run header")
+    for name, (kind, *types) in _HEADER_TYPES.items():
+        if type(header.get(name, {})) not in types:  # bool is not int here
+            raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
+                             f"{header[name]!r}")
+        if name.startswith("best_") and _too_large(header[name]):
+            raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large for a float")
+
+
+def _checked_trace(header: dict, columns: dict[str, np.ndarray]) -> RunTrace:
+    trace = RunTrace(header["seed"], header["optimizer"], header["benchmark"],
+                     header["best_validation_error"], header["best_test_error"],
+                     config=header.get("config", {}), **columns)
+    check_trace_invariants(trace)
+    return trace
+
+
+_KEY_PIECES = sorted(EVENT_FIELDS)
+_PIECE = {name: 2 + 2 * _KEY_PIECES.index(name) for name in EVENT_FIELDS}
+_VALID_PIECES = {":true}\n{": True, ":false}\n{": False}
+_is_header = operator.methodcaller("startswith", '{"run":')
+
+
+def _read_columns(path: Path) -> list[RunTrace] | None:
+    """:func:`read_traces` a block of :data:`BLOCK_LINES` lines at a time, as
+    columns, or None when a line is not spelled as :func:`write_traces`
+    spells it or fails one of the line reader's checks."""
+    runs: list[tuple[str, list[dict[str, np.ndarray]]]] = []  # header lines and event blocks
+    index: list[str] = []  # the eval_index pieces ":0,", ":1,", ...
+    offset = 0  # the events of the last run so far
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+            for is_header, group in itertools.groupby(lines, _is_header):
+                text = "".join(group)
+                if is_header:  # two headers in a row are not one JSON value
+                    runs.append((text, []))
+                    offset = 0
+                    continue
+                index += map(":{},".format, range(len(index), offset + BLOCK_LINES))
+                block = runs and _event_block(text, index, offset)
+                if not block:
+                    return None
+                runs[-1][1].append(block)
+                offset += len(block["valid"])
+    traces = []
+    try:
+        for text, blocks in runs:
+            header = json.loads(text)["run"]
+            if type(header) is not dict or _undecodable(text):  # a non-ASCII event fails anyway
+                return None
+            _check_header(path, 0, header)
+            traces.append(_checked_trace(header, {name: np.concatenate([b[name] for b in blocks])
+                                                  for name in COLUMNS}))
+    except (TypeError, ValueError):  # as the line reader catches
+        return None
+    return traces or None
+
+
+def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarray] | None:
+    """The columns of the event lines ``text`` (split at '"': "{", then each
+    sorted field name and its value, ":<number>," or ":true}\\n{" with the next
+    line's "{"), the first event ``offset`` of its run, or None."""
+    pieces = text.split('"')
+    pieces[-1] += "{"  # as if the next line followed
+    k = len(pieces) // 12
+    valid = list(map(_VALID_PIECES.get, pieces[_PIECE["valid"]::12]))
+    if (pieces[0] != "{" or pieces[1::2] != _KEY_PIECES * k or None in valid  # keys fix len(pieces)
+            or pieces[_PIECE["eval_index"]::12] != index[offset:offset + k]):
+        return None
+    columns = {"valid": np.array(valid)}
+    for name, types in zip(COLUMNS[:-1], _EVENT_TYPE_SETS[1:-1]):
+        values = pieces[_PIECE[name]::12]
+        distinct = list(set(values))
+        joined = '"'.join(distinct)  # a '"' not in ',":' starts a string, which types reject
+        try:  # a comma in a piece adds a value, and brackets that join pieces make a list
+            numbers = json.loads("[" + joined[1:-1].replace(',":', ",") + "]")
+            if not (joined.startswith(":") and joined.endswith(",") and "\n" not in joined
+                    and len(numbers) == len(distinct) and set(map(type, numbers)) <= types):
+                return None
+            lookup = dict(zip(distinct, numbers))
+            columns[name] = np.array(list(map(lookup.__getitem__, values)), dtype=float)
+        except (ValueError, OverflowError):  # not JSON, or an integer too large for a float
+            return None
+    return columns
 
 
 def _require(path: Path, lineno: int, doc: dict, keys: frozenset[str], what: str):

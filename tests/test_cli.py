@@ -204,6 +204,23 @@ class TestRun:
                                            "byte 0xff in position 19: invalid start byte\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, value", [("sphere:2", "nan"), ("synthetic:3x3", "inf")])
+    def test_non_finite_scaling_factor_fails_cleanly(self, tmp_path, capsys, spec, value):
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--benchmark", spec, "--evals", "100", "--f", value,
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: scaling factor must be finite and >= 0, "
+                                           f"got {value}\n")
+        assert not out.exists()
+
+    def test_non_finite_scaling_factor_in_a_config_file_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"benchmark": "synthetic:3x3", "evals": 100, "f": NaN}')
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: scaling factor must be finite and >= 0, got nan\n"
+        assert not out.exists()
+
     def test_unknown_config_field_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evlas": 10}))

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -413,8 +414,9 @@ class TestRunDE:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DEConfig(population_size=3)
-        with pytest.raises(ValueError):
-            DEConfig(scaling_factor=-0.1)
+        for f in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="scaling factor must be finite and >= 0"):
+                DEConfig(scaling_factor=f)
         with pytest.raises(ValueError):
             DEConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):

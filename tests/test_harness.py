@@ -501,6 +501,17 @@ class TestCurveCsv:
                                n_runs=rng.integers(0, 50, n))
         assert_csv_matches_reference(curve, tmp_path)
 
+    def test_repeated_regrets_across_a_write_chunk(self, tmp_path):
+        # runs of three equal regrets, one of them across each chunk boundary;
+        # -0.0 and 0.0 keep their own spellings
+        n = 2 * _CSV_CHUNK_ROWS + 7
+        regrets = np.array([-0.0, 0.0, math.nan, 0.25, -0.0, math.inf])
+        curve = AggregateCurve(times=np.arange(n) * 0.5,
+                               mean_regret=regrets[np.arange(n) // 3 % len(regrets)],
+                               n_runs=np.full(n, 4))
+        assert _CSV_CHUNK_ROWS % 3
+        assert_csv_matches_reference(curve, tmp_path)
+
     def test_empty_curve_is_a_header(self, tmp_path):
         curve = AggregateCurve(times=np.array([]), mean_regret=np.array([]),
                                n_runs=np.array([], dtype=int))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from diffevo import (Budget, REConfig, load_tabular, make_synthetic, read_traces,
                      run_random_search, run_regularized_evolution, write_traces)
 import diffevo.trace as trace_module
+from diffevo.benchmarks import BLOCK_LINES
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
@@ -431,13 +432,20 @@ class TestTraceWriter:
 
 
 
+def canonical_dumps(doc) -> str:
+    """The spelling ``write_traces`` gives: compact separators, sorted keys."""
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
 @st.composite
 def trace_file_lines(draw):
-    """The lines of a valid trace file: 1-3 runs of 1-4 events each."""
+    """The lines of a valid trace file: 1-3 runs of 1-4 events each, in the
+    spelling ``write_traces`` gives or in ``json.dumps``' default one."""
+    dumps = draw(st.sampled_from([canonical_dumps, json.dumps]))
     lines = []
     for seed in range(draw(st.integers(min_value=1, max_value=3))):
         best = draw(st.sampled_from([0.0, 0.1]))
-        lines.append(json.dumps({"run": {
+        lines.append(dumps({"run": {
             "seed": seed, "optimizer": "x", "benchmark": "b", "best_validation_error": best,
             "best_test_error": draw(st.sampled_from([None, 0.2])), "config": {"np": 4}}}))
         cost, incumbent = 0.0, math.inf
@@ -447,7 +455,7 @@ def trace_file_lines(draw):
             if valid:
                 cost += draw(st.sampled_from([0.0, 0.5, 2.25]))
             incumbent = min(incumbent, objective)
-            lines.append(json.dumps({
+            lines.append(dumps({
                 "eval_index": index, "cumulative_cost": cost, "objective": objective,
                 "incumbent_objective": incumbent,
                 "incumbent_test_error": draw(st.sampled_from([None, 0.25])), "valid": valid}))
@@ -476,12 +484,38 @@ WRONG_EVENT_VALUES = {
 ODD_VALUES = [0, 1, 2, 0.0, 1.5, -1, True, False, None, "x", "1.5", [1], {}, math.nan, math.inf,
               -math.inf, 10**400, -10**400]
 
+# the raw text of a value that is not JSON, reads as an odd number, or holds
+# the characters that delimit values in an event line
+ODD_SPELLINGS = ["1_0", "+1", ".5", "01", "1.", "-0", "1E2", "NaN", "-Infinity", "Infinity",
+                 "1e400", "1" + "0" * 400, "true", "null", "1:2", "1,2", "0.5,", ":0.5", "[1,2]",
+                 "{}", " 0.5 ", "0.5\n", "0.5\t", "", '"0.5"']
+
+
+def respell_value(line, name, spelling):
+    """``line`` with the text of field ``name``'s value replaced, or None."""
+    value = re.search(f'"{name}": ?([^,}}]*)', line)
+    return value and line[:value.start(1)] + spelling + line[value.end(1):]
+
+
+def assert_reads_as_reference(path):
+    """``read_traces`` returns the reference reader's traces or raises its error."""
+    try:
+        want = reference_read_traces(path)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        with pytest.raises(type(exc)) as err:
+            read_traces(path)
+        assert str(err.value) == str(exc)
+    else:
+        assert_same_traces(read_traces(path), want)
+
 
 def mutate(data, lines):
     """One edit of the kinds a damaged or hand-edited trace file shows."""
     kind = data.draw(st.sampled_from(["pad", "blank", "join", "split", "truncate", "drop key",
                                       "set key", "retype header", "retype event", "replace",
-                                      "move", "delete", "repeat"]))
+                                      "move", "delete", "repeat", "respell value",
+                                      "swap keys"]))
+    dumps = data.draw(st.sampled_from([canonical_dumps, json.dumps]))
     i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
     j = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
     line = lines[i]
@@ -511,9 +545,9 @@ def mutate(data, lines):
             del target[key]
         else:  # "valid": 1, a wrong eval_index, an integer cost, null, NaN, Infinity, ...
             target[key] = data.draw(st.sampled_from(ODD_VALUES))
-        lines[i] = json.dumps(doc)
+        lines[i] = dumps(doc)
     elif kind == "retype header":
-        headers = [k for k, text in enumerate(lines) if text.startswith('{"run": {')]
+        headers = [k for k, text in enumerate(lines) if text.startswith(('{"run": {', '{"run":{'))]
         if not headers:
             return
         k = data.draw(st.sampled_from(headers))
@@ -525,7 +559,7 @@ def mutate(data, lines):
             return
         name = data.draw(st.sampled_from(sorted(WRONG_HEADER_VALUES)))
         doc["run"][name] = data.draw(st.sampled_from(WRONG_HEADER_VALUES[name]))
-        lines[k] = json.dumps(doc)
+        lines[k] = dumps(doc)
     elif kind == "retype event":  # a string of digits, a bool, null, ...
         try:
             doc = json.loads(line)
@@ -535,10 +569,16 @@ def mutate(data, lines):
             return
         name = data.draw(st.sampled_from(sorted(WRONG_EVENT_VALUES)))
         doc[name] = data.draw(st.sampled_from(WRONG_EVENT_VALUES[name]))
-        lines[i] = json.dumps(doc)
+        lines[i] = dumps(doc)
     elif kind == "replace":  # JSON that is neither a header nor an event
         lines[i] = data.draw(st.sampled_from(["3", "null", "[]", '["run"]', '"run"', "{}",
                                               '{"run": 1}', '{"run": [], "valid": true}']))
+    elif kind == "respell value":  # the text of one event value, left in place
+        lines[i] = respell_value(line, data.draw(st.sampled_from(EVENT_FIELDS)),
+                                 data.draw(st.sampled_from(ODD_SPELLINGS))) or line
+    elif kind == "swap keys":  # two field names trade places, values staying put
+        a, b = data.draw(st.permutations(EVENT_FIELDS))[:2]
+        lines[i] = line.replace(f'"{a}"', "\0").replace(f'"{b}"', f'"{a}"').replace("\0", f'"{b}"')
     elif kind == "move":  # events before any header, headers with no events
         lines.insert(j, lines.pop(i))
     elif kind == "delete":
@@ -661,20 +701,65 @@ class TestTraceReader:
             read_traces(path)
         assert str(err.value) == f"{path}:3: eval_index 7 != position 1 in its run"
 
+    def test_a_written_file_is_read_as_columns(self, tmp_path, monkeypatch):
+        # runs that cross block boundaries, NaN test errors (written as null),
+        # and -0.0 beside 0.0
+        rng = np.random.default_rng(5)
+        traces = []
+        for seed, n in enumerate([1, BLOCK_LINES + 5, 700]):
+            valid = rng.random(n) < 0.8
+            objective = np.where(valid, rng.choice([-0.0, 0.0, 0.5, 0.75], n), 1.0)
+            cost = np.cumsum(np.where(valid, rng.choice([0.0, 0.5, 1.25], n), 0.0))
+            test = np.where(rng.random(n) < 0.5, np.nan, rng.random(n))
+            rows = zip(cost, objective, np.minimum.accumulate(objective), test, valid)
+            traces.append(trace_from_rows(list(rows), seed=seed, config={"np": seed}))
+        path = tmp_path / "runs.jsonl"
+        write_traces(traces, path)
+        monkeypatch.setattr(trace_module, "_read_lines", mock.Mock(side_effect=AssertionError))
+        got = read_traces(path)
+        assert_same_traces(got, traces)
+        assert [t.objective.tobytes() for t in got] == [t.objective.tobytes() for t in traces]
+
+    @pytest.mark.parametrize("name", EVENT_FIELDS)
+    def test_respelled_value_in_a_written_file(self, tmp_path, name):
+        # a file write_traces wrote, with field name of the one event of its
+        # second run spelled oddly, or without its ':' or ','; a one-event run
+        # leaves one piece a column, where a piece's first or last character
+        # could pass unchecked (10.25 without a ':' or ',' still ends in JSON)
+        traces = [trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, 0.5, True)]),
+                  trace_from_rows([(10.25, 0.4, 0.4, 0.5, True)])]
+        path = tmp_path / "runs.jsonl"
+        write_traces(traces, path)
+        *lines, event, end = path.read_text().split("\n")
+        edits = [respell_value(event, name, spelling) for spelling in ODD_SPELLINGS]
+        edits += [event.replace(f'"{name}":', f'"{name}"'),
+                  re.sub(f'("{name}":[^,]*),', r"\1", event)]
+        for edit in edits:
+            path.write_text("\n".join([*lines, edit, end]))
+            assert_reads_as_reference(path)
+
+    def test_odd_lines_in_a_written_file(self, tmp_path):
+        traces = [trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, 0.5, True)])] * 2
+        path = tmp_path / "runs.jsonl"
+        write_traces(traces, path)
+        lines = path.read_text().split("\n")
+        header, event = lines[3], lines[4]
+        for i, edit in [(4, "," + event), (4, event + " "), (4, event.replace(":", ": ")),
+                        (4, event.replace("{", "{ ")), (4, event + event), (3, '{"run":1}'),
+                        (3, '{"run":[]}'), (3, header + "{}"), (3, header.replace(",", ", ")),
+                        (3, header + " "), (2, header), (2, "")]:
+            path.write_text("\n".join([*lines[:i], edit, *lines[i + 1:]]))
+            assert_reads_as_reference(path)
+
     @settings(max_examples=400, deadline=None)
-    @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.data())
-    def test_matches_line_by_line_reference(self, lines, edits, data):
+    @given(trace_file_lines(), st.integers(min_value=0, max_value=3), st.sampled_from(["\n", ""]),
+           st.data())
+    def test_matches_line_by_line_reference(self, lines, edits, end, data):
+        # end: with or without a final newline
         for _ in range(edits):
             if lines:
                 mutate(data, lines)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "runs.jsonl"
-            path.write_text("\n".join(lines) + "\n")
-            try:
-                want = reference_read_traces(path)
-            except Exception as exc:  # noqa: BLE001 - the error itself is compared
-                with pytest.raises(type(exc)) as err:
-                    read_traces(path)
-                assert str(err.value) == str(exc)
-            else:
-                assert_same_traces(read_traces(path), want)
+            path.write_text("\n".join(lines) + end)
+            assert_reads_as_reference(path)
