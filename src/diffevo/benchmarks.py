@@ -27,7 +27,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -51,16 +51,16 @@ class Benchmark(Protocol):
     best_validation_error: float
     best_test_error: float | None
 
-    def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
-        """The row ``(validation_error, test_error or None, cost_seconds)`` of
-        ``config``, or None when the configuration is invalid."""
+    def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows of the configurations that ``space`` discretizes an (N, D)
+        genotype block to, as four length-N columns: validation error, test
+        error and cost as float64, valid as bool. An invalid row holds 1.0,
+        NaN and 0.0, and a missing test error is NaN.
 
-    # A benchmark may also offer ``evaluate_batch(genotypes)``: for an (N, D)
-    # block, the rows ``evaluate`` gives for ``space.discretize_rows(genotypes)``
-    # as four length-N columns (validation error, test error, cost: float64;
-    # valid: bool), an invalid row holding 1.0, NaN and 0.0 and a missing test
-    # error NaN. The recorder then scores the rows of every live run with one
-    # call, which may score rows past a cost limit, so it suits only pure lookups.
+        The recorder scores the rows of every live run with one call, cut to
+        the evaluation limit but not to a cost limit, so a benchmark may be
+        asked for rows past a cost limit, which are then not recorded.
+        """
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -129,7 +129,10 @@ class TabularBenchmark:
         return dict(zip(keys, zip(val, [None if t != t else t for t in test], cost)))
 
     def evaluate(self, config: Configuration) -> tuple[float, float | None, float] | None:
-        index = list(map(_position, self.space.params, config))
+        """The row ``(validation_error, test_error or None, cost_seconds)`` of
+        ``config``, or None when it is not listed: the scalar reference for
+        :meth:`evaluate_batch`."""
+        index = [_domain_index(p, (value,))[0] for p, value in zip(self.space.params, config)]
         if len(config) != self.space.dimension or -1 in index:
             return None
         code = sum(map(operator.mul, index, self._weights.tolist()))
@@ -141,7 +144,7 @@ class TabularBenchmark:
 
     def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, ...]:
         """The (val, test, cost, valid) columns of an (N, D) genotype block:
-        the rows ``evaluate`` gives for :meth:`SearchSpace.discretize_rows`."""
+        the rows ``evaluate`` gives for the discretized configurations."""
         index = self.space.decode(genotypes).astype(np.int64)
         if self._base is not None:
             index -= self._base
@@ -174,7 +177,7 @@ def _code_weights(space: SearchSpace) -> np.ndarray:
 
 def _row_problem(space: SearchSpace, key, val, test, cost) -> str | None:
     """What makes one row of a table break the contract, or None."""
-    if len(key) != space.dimension or -1 in map(_position, space.params, key):
+    if len(key) != space.dimension or [-1] in map(_domain_index, space.params, zip(key)):
         return f"key {key!r} outside the declared space"
     if not _is_number(val):
         return f"validation error {val!r} is not a number"
@@ -194,14 +197,6 @@ def _row_problem(space: SearchSpace, key, val, test, cost) -> str | None:
 
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _position(p: ParameterSpec, value) -> int:
-    """The position of one value in the domain of ``p``, or -1 outside it."""
-    if p.kind == "integer":
-        return _domain_index(p, (value,))[0]
-    tokens = p.tokens or ()  # a float parameter has no positions
-    return tokens.index(value) if value in tokens else -1
 
 
 def _domain_index(p: ParameterSpec, values) -> list[int]:
@@ -238,8 +233,8 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     ``benchmark_id``); every further line is one configuration record
     ``{"key": [...], "val_err": ..., "test_err": ..., "cost": ...}``.
     Records are decoded and checked :data:`BLOCK_LINES` lines at a time, as
-    columns; when a check fails, the file is checked again a line at a time,
-    so that the error names the first bad line.
+    columns; when a block cannot be, the file is read again a line at a
+    time, so that an error names the first bad line.
     """
     path = Path(path)
     # lines end only at a newline, not at the other breaks str.splitlines()
@@ -261,40 +256,41 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
             raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
         try:
             weights = _code_weights(space)
-        except ValueError as exc:  # the rows are checked before the space
-            _raise_first_bad_line(path, space, otherwise=exc)
+        except ValueError:  # the rows are checked before the space
+            return _load_lines(path, space, benchmark_id)
         blocks = []
         while lines := list(itertools.islice(fh, BLOCK_LINES)):
-            blocks.append(_block_columns(space, weights, lines) or _raise_first_bad_line(path, space))
+            if (block := _block_columns(space, weights, lines)) is None:
+                return _load_lines(path, space, benchmark_id)
+            blocks.append(block)
     codes = np.concatenate([c for c, _ in blocks] or [np.empty(0, np.int64)])
     order = codes.argsort(kind="stable")
     codes = codes[order]
     if not codes.size or (codes[1:] == codes[:-1]).any():  # no records, or a repeated key
-        _raise_first_bad_line(path, space)
+        return _load_lines(path, space, benchmark_id)
     rows = np.concatenate([r for _, r in blocks], axis=1)[:, order]
     return object.__new__(TabularBenchmark)._hold(space, benchmark_id, codes, rows)
 
 
 def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
     """The configuration codes and (3, n) rows of the records on a block of
-    lines, or None when one of them breaks the contract.
+    lines, or None when the block does not decode in one call or one of them
+    breaks the contract.
 
-    The block is decoded in one call when every line holds exactly one ``{``
-    and one ``}`` and that gives one object a line: then every brace is
-    structural, no object nests, and item i is line i. Any other block, say
-    one with a brace inside a token, is decoded a line at a time, skipping
-    blank lines. The checks run on the raw JSON values, a column at a time.
+    The block is decoded in one call, and only when every line holds
+    exactly one ``{`` and one ``}`` and that gives one object a line: then
+    every brace is structural, no object nests, and item i is line i. Any
+    other block, say one with a brace inside a token or a blank line, gives
+    None. The checks run on the raw JSON values, a column at a time.
     """
-    text = ",".join(lines)
-    if _undecodable(text):
+    text, ones = ",".join(lines), [1] * len(lines)
+    if (_undecodable(text) or list(map(str.count, lines, itertools.repeat("{"))) != ones
+            or list(map(str.count, lines, itertools.repeat("}"))) != ones):
         return None
-    try:  # when the block does not decode, some line does not either
-        docs = None
-        if [1] * len(lines) == list(map(str.count, lines, itertools.repeat("{"))) == list(
-                map(str.count, lines, itertools.repeat("}"))):
-            docs = json.loads(f"[{text}]")
-        if docs is None or len(docs) != len(lines) or set(map(type, docs)) != {dict}:
-            docs = [json.loads(line) for line in lines if line.strip()]
+    try:
+        docs = json.loads(f"[{text}]")
+        if len(docs) != len(lines) or set(map(type, docs)) != {dict}:
+            return None
         keys = [doc["key"] for doc in docs]
         values = ([doc["val_err"] for doc in docs], [doc.get("test_err") for doc in docs],
                   [doc["cost"] for doc in docs])
@@ -326,19 +322,19 @@ def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
     return weights @ np.array(index, dtype=np.int64).reshape(len(weights), -1), rows
 
 
-def _raise_first_bad_line(path: Path, space: SearchSpace,
-                          otherwise: Exception | None = None) -> NoReturn:
-    """Raise BenchmarkLoadError for the first record line of a tabular file
-    that breaks the contract, checking one line at a time: undecodable bytes,
-    bad JSON, a record that is not an object or lacks a field, a wrongly
-    typed key, the key and values (:func:`_row_problem`), a repeated key.
-    When every line passes, raise that the file has no records, or
-    ``otherwise``, or AssertionError.
+def _load_lines(path: Path, space: SearchSpace, benchmark_id: str) -> TabularBenchmark:
+    """:func:`load_tabular` a line at a time, for a file in any spelling.
+
+    Raises BenchmarkLoadError for the first record line that breaks the
+    contract: undecodable bytes, bad JSON, a record that is not an object or
+    lacks a field, a wrongly typed key, the key and values
+    (:func:`_row_problem`), a repeated key; or for a file with no records.
+    Otherwise the mapping constructor builds the benchmark.
     """
     def fail(problem):
         raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
 
-    keys = set()
+    table = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -365,12 +361,12 @@ def _raise_first_bad_line(path: Path, space: SearchSpace,
             key = tuple(key)
             if problem := _row_problem(space, key, row["val_err"], row.get("test_err"), row["cost"]):
                 fail(f"line {lineno}: {problem}")
-            if key in keys:
+            if key in table:
                 fail(f"duplicate configuration key {list(key)!r}")
-            keys.add(key)
-    if not keys:
+            table[key] = row["val_err"], row.get("test_err"), row["cost"]
+    if not table:
         raise BenchmarkLoadError(f"{path}: no configuration records")
-    raise otherwise or AssertionError("the column checks and the line walk disagree")
+    return TabularBenchmark(space, table, benchmark_id)
 
 
 def write_tabular(bench: TabularBenchmark, path: str | Path):
@@ -512,6 +508,10 @@ class FunctionBenchmark:
         if not self.lo <= 0.0 <= self.hi:
             # the advertised optimum is the origin, so it must be feasible
             raise ValueError(f"bounds [{self.lo}, {self.hi}] must contain 0")
+        m = max(abs(self.lo), abs(self.hi))  # f peaks at D * m**2 (sphere), D * (m**2 + 20)
+        if not math.isfinite(self.dimension * (m * m + 20.0 * (self.name == "rastrigin"))):
+            raise ValueError(f"bounds [{self.lo}, {self.hi}] are too wide: {self.name} "
+                             "exceeds the largest float on them")
         object.__setattr__(self, "space", SearchSpace(params=tuple(
             ParameterSpec(name=f"x{i}", kind="float", lo=self.lo, hi=self.hi)
             for i in range(self.dimension)

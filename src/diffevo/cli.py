@@ -62,29 +62,31 @@ _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 def parse_benchmark(spec: str) -> Benchmark:
     head, _, rest = spec.partition(":")
-    if head == "synthetic":
-        parts = rest.split(":")
-        shape = parts[0].lower().split("x")
-        if len(shape) != 2:
-            raise ValueError(f"synthetic spec needs PxC, got {parts[0]!r}")
-        options = _parse_options(parts[1:], {"invalid": float, "seed": int, "cost": str})
-        return make_synthetic(
-            num_params=int(shape[0]),
-            choices_per_param=int(shape[1]),
-            invalid_fraction=options.get("invalid", 0.0),
-            cost_model=options.get("cost", "lognormal"),
-            seed=options.get("seed", 0),
-        )
-    if head in ("sphere", "rastrigin"):
-        parts = rest.split(":")
+    if head == "tabular":
+        return load_tabular(rest)
+    if head not in ("synthetic", "sphere", "rastrigin"):
+        return load_tabular(spec)
+    parts = rest.split(":")
+    try:  # a tabular file's errors name its path instead
+        if head == "synthetic":
+            shape = parts[0].lower().split("x")
+            if len(shape) != 2:
+                raise ValueError(f"synthetic spec needs PxC, got {parts[0]!r}")
+            options = _parse_options(parts[1:], {"invalid": float, "seed": int, "cost": str})
+            return make_synthetic(
+                num_params=int(shape[0]),
+                choices_per_param=int(shape[1]),
+                invalid_fraction=options.get("invalid", 0.0),
+                cost_model=options.get("cost", "lognormal"),
+                seed=options.get("seed", 0),
+            )
         options = _parse_options(parts[1:], {"lo": float, "hi": float})
         return FunctionBenchmark(
             head, int(parts[0]),
             lo=options.get("lo", -5.0), hi=options.get("hi", 5.0),
         )
-    if head == "tabular":
-        return load_tabular(rest)
-    return load_tabular(spec)
+    except ValueError as exc:
+        raise ValueError(f"benchmark {spec!r}: {exc}") from None
 
 
 def _parse_options(parts: list[str], schema: dict) -> dict:
@@ -149,6 +151,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    if cfg["seed"] < 0:
+        raise ValueError(f"--seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 

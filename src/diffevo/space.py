@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -164,7 +164,9 @@ class SearchSpace:
         Deterministic and total on valid inputs; raises ValueError on a
         dimension mismatch or any coordinate outside [0, 1].
         """
-        return next(self.discretize_rows(np.reshape(genotype, (1, -1))))
+        values = self.decode(np.reshape(genotype, (1, -1)))[0].tolist()
+        return tuple(v if p.kind == "float" else p.tokens[int(v)] if p.tokens else int(v)
+                     for p, v in zip(self.params, values))
 
     def decode(self, genotypes: np.ndarray) -> np.ndarray:
         """The native numeric values of the rows of an (N, D) genotype block.
@@ -203,17 +205,6 @@ class SearchSpace:
         if self._floats is not None:
             np.copyto(values, x, where=self._floats)
         return values
-
-    def discretize_rows(self, genotypes: np.ndarray) -> Iterator[Configuration]:
-        """The configurations of the rows of an (N, D) genotype block, in order.
-
-        The block is checked and decoded up front, as :meth:`decode` does;
-        the configuration tuples are built as the iterator is read.
-        """
-        columns = self.decode(genotypes).T.tolist()
-        return zip(*[column if p.kind == "float" else
-                     [p.tokens[int(v)] for v in column] if p.tokens else list(map(int, column))
-                     for p, column in zip(self.params, columns)])
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"params": [p.to_json_dict() for p in self.params]}

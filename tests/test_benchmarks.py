@@ -4,6 +4,8 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from diffevo import (
     write_tabular,
     write_traces,
 )
+import diffevo.benchmarks as benchmarks
 from diffevo.benchmarks import BLOCK_LINES
 from diffevo.baselines import run_random_search
 from diffevo.trace import Budget
@@ -123,7 +126,7 @@ class TestEvaluateBatch:
     def test_tabular_with_invalid_keys(self, seed):
         bench = mixed_table(seed)
         block = genotype_block(bench.space.dimension, 300, seed)
-        want = [bench.evaluate(config) for config in bench.space.discretize_rows(block)]
+        want = [bench.evaluate(bench.space.discretize(row)) for row in block]
         assert_rows(bench.evaluate_batch(block), want)
         assert None in want and any(row is not None for row in want)
 
@@ -138,7 +141,7 @@ class TestEvaluateBatch:
         hits = np.array([[0.0, 0.5, 1.0, 0.0], [1999 / 2000, 1 / 2000, 0.5, 1.0],
                          [1.0, 1.0, 1.0, 0.5]])
         block = np.concatenate([hits, genotype_block(4, 20, 0)])
-        want = [bench.evaluate(config) for config in space.discretize_rows(block)]
+        want = [bench.evaluate(space.discretize(row)) for row in block]
         assert_rows(bench.evaluate_batch(block), want)
         assert want[:3] == list(table.values())
 
@@ -163,7 +166,7 @@ class TestEvaluateBatch:
     def test_functions(self, name, dimension):
         bench = FunctionBenchmark(name, dimension)
         block = genotype_block(dimension, 200, dimension)
-        configs = list(bench.space.discretize_rows(block))
+        configs = [bench.space.discretize(row) for row in block]
         rows = [bench.evaluate(config) for config in configs]
         assert_rows(bench.evaluate_batch(block), rows)
         assert_rows(bench.evaluate_batch(np.asfortranarray(block)), rows)
@@ -488,6 +491,26 @@ class TestBlockLoader:
         assert (bench.best_validation_error, bench.best_test_error) == (best_val, best_test)
         assert all(type(x) is float for row in bench.table.values() for x in row if x is not None)
 
+    @pytest.mark.parametrize("token, blank", [("a{b", ""), ("a", "\n"), ("a", " \t\n")])
+    def test_block_the_one_call_decode_misses_loads_a_line_at_a_time(self, tmp_path,
+                                                                      monkeypatch, token, blank):
+        # a brace inside a token, or a blank line, takes the line reader
+        space = SearchSpace(params=(
+            ParameterSpec(name="op", kind="categorical", choices=(token, "b")),
+            ParameterSpec(name="depth", kind="integer", lo=1, hi=3)))
+        path = tmp_path / "bench.jsonl"
+        path.write_text("\n".join([
+            json.dumps(space.to_json_dict()),
+            json.dumps({"key": [token, 1], "val_err": 0.3, "test_err": None, "cost": 1}),
+            blank + json.dumps({"key": ["b", 3], "val_err": 0.2, "cost": 2.0})]) + "\n")
+        load_lines = mock.Mock(wraps=benchmarks._load_lines)
+        monkeypatch.setattr(benchmarks, "_load_lines", load_lines)
+        bench = load_tabular(path)
+        assert load_lines.call_count == 1
+        table, best_val, best_test = reference_load_tabular(path)
+        assert bench.table == table
+        assert (bench.best_validation_error, bench.best_test_error) == (best_val, best_test)
+
     def test_keeps_under_64_bytes_a_row(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_tabular(make_synthetic(6, 5, invalid_fraction=0.5, seed=1), path)
@@ -675,6 +698,17 @@ class TestContinuous:
     def test_unknown_function(self):
         with pytest.raises(ValueError, match="unknown function"):
             FunctionBenchmark("ackley", 2)
+
+    def test_bounds_whose_values_overflow_a_float_are_rejected(self):
+        # f peaks at D * m**2 (sphere) or D * (m**2 + 20) (rastrigin), m = max(|lo|, |hi|)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name in ("sphere", "rastrigin"):
+                edge = FunctionBenchmark(name, 1, lo=-1e154, hi=1e154)
+                assert edge.evaluate_batch(np.array([[0.0], [1.0]]))[0].tolist() == [1.0, 1.0]
+        for name, dimension, m in [("sphere", 2, 1e154), ("rastrigin", 2, 1e300)]:
+            with pytest.raises(ValueError, match=re.escape(f"bounds [{-m}, {m}] are too wide")):
+                FunctionBenchmark(name, dimension, lo=-m, hi=m)
 
     def test_bounds_must_contain_origin(self):
         with pytest.raises(ValueError, match="contain 0"):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -113,6 +114,27 @@ class TestRun:
                        "cumulative cost at 0.0, so the cost budget may never be spent; add an "
                        "evaluation limit (--evals)\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", "-1", "--benchmark", "synthetic:3x3"), "--seed must be non-negative, got -1"),
+        (("--benchmark", "synthetic:3x3:seed=-2"),
+         "benchmark 'synthetic:3x3:seed=-2': expected non-negative integer"),
+        (("--benchmark", "synthetic:axb"),
+         "benchmark 'synthetic:axb': invalid literal for int() with base 10: 'a'"),
+        (("--benchmark", "sphere:x"),
+         "benchmark 'sphere:x': invalid literal for int() with base 10: 'x'"),
+        (("--benchmark", "sphere:2:lo=-1e200:hi=1e200"),
+         "benchmark 'sphere:2:lo=-1e200:hi=1e200': bounds [-1e+200, 1e+200] are too wide: "
+         "sphere exceeds the largest float on them"),
+    ])
+    def test_error_line_names_the_flag_or_the_spec(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "t.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", *flags, "--evals", "50", "--out", str(out)) == 1
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("cost", ["nan", "inf", "-inf", "0"])
     def test_cost_limit_that_never_ends_a_run_is_refused(self, tmp_path, capsys, cost):

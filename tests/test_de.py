@@ -1,16 +1,16 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, DEConfig, FunctionBenchmark, make_synthetic, run_de
+from diffevo import (Budget, DEConfig, FunctionBenchmark, ParameterSpec, SearchSpace,
+                     TabularBenchmark, make_synthetic, run_de, run_experiment)
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
-from conftest import (ReferenceRecorder, RecordingBenchmark, TransformedBenchmark, WithBatch,
-                      WithoutBatch, assert_same_traces, each_seed)
+from conftest import (ReferenceRecorder, RecordingBenchmark, ScalarBenchmark, TransformedBenchmark,
+                      assert_same_traces, each_seed)
 
 
 def identity_bench(dimension):
@@ -103,17 +103,27 @@ def reference_de(bench, cfg, seeds):
 
 
 def de_benchmark(kind, seed):
-    """Invalid keys, a constant objective (every selection a tie) or float
+    """Invalid keys, a constant objective (every selection a tie), a mixed
+    table with invalid keys and integers from a nonzero ``lo``, or float
     discretization."""
     if kind == "invalid":
         return make_synthetic(3, 4, invalid_fraction=0.5, seed=seed % 7)
     if kind == "ties":
         return TransformedBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0),
                                     lambda x: 0.5)
-    return FunctionBenchmark("sphere", 2)
+    if kind == "mixed":
+        space = SearchSpace(params=(
+            ParameterSpec(name="k", kind="integer", lo=-2, hi=3),
+            ParameterSpec(name="o", kind="ordinal", values=("s", "m", "l")),
+            ParameterSpec(name="c", kind="categorical", choices=("a", "b"))))
+        rng = np.random.default_rng(seed)
+        table = {(k, o, c): (float(rng.random()), None, float(rng.random()))
+                 for k in range(-2, 4) for o in "sml" for c in "ab" if rng.random() < 0.6}
+        return TabularBenchmark(space=space, table=table, benchmark_id="mixed")
+    return FunctionBenchmark(kind, 2)
 
 
-class OnePointBenchmark:
+class OnePointBenchmark(ScalarBenchmark):
     """Scores genotypes by membership: ``known`` configurations get
     ``known_result``, every other one ``other_result``. Float bounds [0, 1]."""
 
@@ -459,7 +469,10 @@ class TestRunDE:
             assert got_run == want_run
         else:
             assert_same_traces(got_run, want_run)
-        assert got.configs == want.configs
+        # the same configurations in the same order; a batch may also score
+        # rows of its last block past a cost limit
+        assert got.configs[:len(want.configs)] == want.configs
+        assert len(got.configs) == len(want.configs) or budget.max_cost is not None
 
 
 class TestLockstep:
@@ -473,13 +486,13 @@ class TestLockstep:
                      st.builds(Budget, max_cost=st.floats(0.5, 90.0)),
                      st.builds(Budget, max_evaluations=st.integers(1, 120),
                                max_cost=st.floats(0.5, 90.0))),
-           st.sampled_from(["invalid", "ties", "sphere"]),
-           st.sampled_from([WithoutBatch, WithBatch, None]))
+           st.sampled_from(["invalid", "ties", "mixed", "sphere", "rastrigin"]),
+           st.sampled_from([RecordingBenchmark, None]))
     def test_matches_scalar_reference(self, seed, runs, size, f, cr, budget, kind, wrap):
         # budgets cut runs during initialization and mid-generation and end
-        # them at different steps; the trials of a step are scored one at a
-        # time (WithoutBatch), through a looped evaluate_batch (WithBatch) or
-        # through the benchmark's own evaluate_batch (None)
+        # them at different steps; the trials of a step are scored through a
+        # looped evaluate_batch (RecordingBenchmark) or through the
+        # benchmark's own evaluate_batch (None)
         bench = de_benchmark(kind, seed)
         cfg = DEConfig(population_size=size, scaling_factor=f, crossover_rate=cr, budget=budget)
         seeds = range(seed, seed + runs)
@@ -491,16 +504,14 @@ class TestLockstep:
             assert got_runs == want_runs
         else:
             assert_same_traces(got_runs, want_runs)
-            if wrap is WithoutBatch:  # a batch may score rows past the cost limit
-                # every configuration the reference asked for, and nothing past a cap
-                assert Counter(got.configs) == Counter(want.configs)
 
-    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("higher_first", [True, False])
-    def test_failure_names_the_lowest_failing_seed(self, batch, higher_first):
+    def test_failure_names_the_lowest_failing_seed(self, chunked, higher_first):
         # a configuration that two seeds reach after initialization, and no
         # seed below the lower one at all: lockstep meets the higher seed's
-        # failure first, or the lower seed's while the higher one still runs
+        # failure first, or the lower seed's while the higher one still runs,
+        # in one run of the four seeds or in two concurrent chunks of two
         base = make_synthetic(5, 4, cost_model="unit", seed=0)
         cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=40))
         first = []  # per seed: configuration -> generation of its first evaluation
@@ -517,7 +528,7 @@ class TestLockstep:
             and (first[b][config] < generation) == higher_first
             and not any(config in first[c] for c in range(a)))
 
-        class Failing(WithBatch if batch else WithoutBatch):
+        class Failing(RecordingBenchmark):
             def evaluate(self, config):
                 if config == bad:
                     raise ValueError(f"no score for {config}")
@@ -525,15 +536,14 @@ class TestLockstep:
 
         want = outcome(reference_de, Failing(base), cfg, range(4))
         assert want.startswith(f"run with seed {low} failed: no score for ")
-        assert outcome(run_de, Failing(base), cfg, range(4)) == want
+        assert outcome(run_experiment, lambda b, s: run_de(b, cfg, s), Failing(base), 4, 0,
+                       2 if chunked else 1) == want
 
     def test_failure_during_initialization_names_the_lowest_seed(self):
-        class Broken(WithoutBatch):
+        class Broken(RecordingBenchmark):
             def evaluate(self, config):
-                self.configs.append(config)
                 raise ValueError("backend gone")
 
         bench = Broken(make_synthetic(3, 3, seed=0))
         cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=40))
         assert outcome(run_de, bench, cfg, range(3, 6)) == "run with seed 3 failed: backend gone"
-        assert len(bench.configs) == 1  # no seed after the failing one was started

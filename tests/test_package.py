@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import diffevo
+from diffevo.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +33,20 @@ def test_script_runs(tmp_path, script, args):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_every_benchmark_command_line_runs(tmp_path, capsys):
+    # the benchmark runs these command lines on every change, so a flag or
+    # option the CLI drops fails here first
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for name in workloads.WORKLOADS:
+        spec = workloads.build(name, 0, tmp_path / name)
+        for argv in [spec["argv"], *spec.get("verify", {}).values()]:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_every_benchmark_span_target_resolves():

