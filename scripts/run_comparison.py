@@ -22,7 +22,6 @@ from diffevo import (
     final_regrets,
     paired_sign_test,
     run_de,
-    run_experiment,
     run_random_search,
     run_regularized_evolution,
     write_curve_csv,
@@ -60,17 +59,18 @@ def main():
                       crossover_rate=args.crossover_rate, budget=budget)
     re_cfg = REConfig(population_size=args.re_pop, sample_size=args.re_sample,
                       budget=budget)
-    runners = {
-        "de": lambda b, seeds: run_de(b, de_cfg, seeds),
-        "rs": lambda b, seeds: run_random_search(b, budget, seeds),
-        "re": lambda b, seeds: run_regularized_evolution(b, re_cfg, seeds),
+    optimizers = {
+        "de": (run_de, de_cfg),
+        "rs": (run_random_search, budget),
+        "re": (run_regularized_evolution, re_cfg),
     }
+    seeds = range(args.seed, args.seed + args.runs)
 
     print(f"benchmark {bench.benchmark_id}: best validation error "
           f"{bench.best_validation_error:.6f}")
     finals = {}
-    for name, runner in runners.items():
-        traces = run_experiment(runner, bench, n_runs=args.runs, base_seed=args.seed)
+    for name, (run, cfg) in optimizers.items():
+        traces = run(bench, cfg, seeds)
         write_traces(traces, out_dir / f"{name}.jsonl")
         write_curve_csv(aggregate(traces, grid="log", points=args.grid_points),
                         out_dir / f"{name}.csv")

@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from diffevo import Budget, DEConfig, FunctionBenchmark, final_regrets, run_de, run_experiment
+from diffevo import Budget, DEConfig, FunctionBenchmark, final_regrets, run_de
 
 
 def main():
@@ -35,8 +35,7 @@ def main():
                    scaling_factor=args.scaling_factor,
                    crossover_rate=args.crossover_rate,
                    budget=Budget(max_evaluations=args.evals))
-    traces = run_experiment(lambda b, seeds: run_de(b, cfg, seeds), bench,
-                            n_runs=args.runs, base_seed=args.seed)
+    traces = run_de(bench, cfg, range(args.seed, args.seed + args.runs))
     finals = final_regrets(traces)
     hits = int((finals <= args.tolerance).sum())
     print(f"{bench.benchmark_id}: {hits}/{args.runs} runs within "

@@ -24,7 +24,6 @@ from .harness import (
     final_regrets,
     paired_sign_test,
     regret_series,
-    run_experiment,
     write_curve_csv,
 )
 from .space import Configuration, ParameterSpec, SearchSpace
@@ -52,7 +51,6 @@ __all__ = [
     "read_traces",
     "regret_series",
     "run_de",
-    "run_experiment",
     "run_random_search",
     "run_regularized_evolution",
     "write_curve_csv",

@@ -14,8 +14,7 @@ invalid configuration has no row (None). Three families are provided:
   objective squashed into [0, 1).
 
 All benchmarks are immutable after construction and their ``evaluate`` and
-``evaluate_batch`` are pure functions, safe for any number of concurrent
-callers.
+``evaluate_batch`` are pure functions.
 """
 
 from __future__ import annotations
@@ -237,10 +236,10 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     time, so that an error names the first bad line.
     """
     path = Path(path)
-    # lines end only at a newline, not at the other breaks str.splitlines()
-    # knows, such as U+2028, which JSON allows inside a string; an undecodable
-    # byte reads as a lone surrogate, which the checks reject
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # lines end only at "\n": JSON allows a lone "\r" between tokens and
+    # U+2028 inside a string; an undecodable byte reads as a lone surrogate,
+    # which the checks reject
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         first = fh.readline()
         if not first:
             raise BenchmarkLoadError(f"{path}: empty benchmark file")
@@ -335,7 +334,7 @@ def _load_lines(path: Path, space: SearchSpace, benchmark_id: str) -> TabularBen
         raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
 
     table = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if lineno == 1 or not line.strip():

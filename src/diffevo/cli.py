@@ -22,15 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .baselines import REConfig, run_random_search, run_regularized_evolution
 from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
 from .de import DEConfig, run_de
-from .harness import RunFn, aggregate, final_regrets, run_experiment, write_curve_csv
+from .harness import aggregate, final_regrets, write_curve_csv
 from .trace import Budget, read_traces, write_traces
 
 OPTIMIZERS = ("de", "rs", "re")
@@ -101,23 +103,21 @@ def _parse_options(parts: list[str], schema: dict) -> dict:
     return options
 
 
-def build_runner(optimizer: str, cfg: dict, budget: Budget) -> RunFn:
-    if optimizer == "de":
-        de_cfg = DEConfig(
-            population_size=cfg["np"],
-            scaling_factor=cfg["f"],
-            crossover_rate=cfg["cr"],
-            budget=budget,
-        )
-        return lambda bench, seeds: run_de(bench, de_cfg, seeds)
-    if optimizer == "rs":
-        return lambda bench, seeds: run_random_search(bench, budget, seeds)
-    if optimizer == "re":
-        re_cfg = REConfig(
-            population_size=cfg["pop"], sample_size=cfg["sample"], budget=budget,
-        )
-        return lambda bench, seeds: run_regularized_evolution(bench, re_cfg, seeds)
-    raise ValueError(f"unknown optimizer {optimizer!r}; known: {OPTIMIZERS}")
+def build_optimizer(name: str, cfg: dict, budget: Budget) -> tuple[Callable, object]:
+    """The function of optimizer ``name`` and the checked config it takes,
+    to be called as ``fn(bench, config, seeds)``."""
+    if name == "de":
+        config = DEConfig(population_size=cfg["np"], scaling_factor=cfg["f"],
+                          crossover_rate=cfg["cr"], budget=budget)
+    elif name == "rs":
+        config = budget
+    elif name == "re":
+        config = REConfig(population_size=cfg["pop"], sample_size=cfg["sample"], budget=budget)
+    else:
+        raise ValueError(f"unknown optimizer {name!r}; known: {OPTIMIZERS}")
+    # the table is read at each call, so that a function replaced on this
+    # module, such as a tracer's wrapper, is the one that runs
+    return {"de": run_de, "rs": run_random_search, "re": run_regularized_evolution}[name], config
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
@@ -153,6 +153,11 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             cfg[key] = value
     if cfg["seed"] < 0:
         raise ValueError(f"--seed must be non-negative, got {cfg['seed']}")
+    for key in ("runs", "jobs", "evals"):
+        if cfg[key] is not None and cfg[key] < 1:
+            raise ValueError(f"--{key} must be positive, got {cfg[key]}")
+    if cfg["cost"] is not None and not 0 < cfg["cost"] < math.inf:
+        raise ValueError(f"--cost must be positive and finite, got {cfg['cost']}")
     return cfg
 
 
@@ -171,11 +176,9 @@ def _budget(cfg: dict, parser: argparse.ArgumentParser) -> Budget:
 def cmd_run(args, parser) -> int:
     cfg = _merge_config(args, parser)
     _require(cfg, parser, "benchmark", "out")
-    budget = _budget(cfg, parser)
+    fn, config = build_optimizer(cfg["optimizer"], cfg, _budget(cfg, parser))
     bench = parse_benchmark(cfg["benchmark"])
-    runner = build_runner(cfg["optimizer"], cfg, budget)
-    traces = run_experiment(runner, bench, n_runs=cfg["runs"], base_seed=cfg["seed"],
-                            jobs=cfg["jobs"])
+    traces = fn(bench, config, range(cfg["seed"], cfg["seed"] + cfg["runs"]))
     write_traces(traces, cfg["out"])
     regrets = final_regrets(traces)
     costs = np.array([t.cumulative_cost[-1] for t in traces])
@@ -197,17 +200,17 @@ def cmd_compare(args, parser) -> int:
     repeated = [o for i, o in enumerate(optimizers) if o in optimizers[:i]]
     if repeated:
         parser.error(f"--optimizers names {repeated[0]!r} more than once")
+    # every name and its config are checked before the first run
+    runs = [(name, *build_optimizer(name, cfg, budget)) for name in optimizers]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     bench = parse_benchmark(cfg["benchmark"])
     # every optimizer runs before anything is written, so a failure leaves no
     # partial result set; of each, only the curve and final regrets are kept
-    results = []
-    for optimizer in optimizers:
-        runner = build_runner(optimizer, cfg, budget)
-        traces = run_experiment(runner, bench, n_runs=cfg["runs"], base_seed=cfg["seed"],
-                                jobs=cfg["jobs"])
+    results, seeds = [], range(cfg["seed"], cfg["seed"] + cfg["runs"])
+    for optimizer, fn, config in runs:
+        traces = fn(bench, config, seeds)
         results.append((optimizer, aggregate(traces, grid=args.grid, points=args.points),
                         final_regrets(traces)))
     for optimizer, curve, regrets in results:
@@ -245,7 +248,8 @@ def _add_shared_flags(sub):
     sub.add_argument("--runs", type=int, help="number of independent runs (default 1)")
     sub.add_argument("--seed", type=int, help="base seed; run k uses seed+k (default 0)")
     sub.add_argument("--jobs", type=int,
-                     help="split the seeds into this many concurrent chunks (default 1)")
+                     help="accepted for existing command lines, the benchmark's among them: a "
+                          "positive integer that changes nothing, as all runs advance together")
     sub.add_argument("--config", help="JSON config file; flags override its fields")
     sub.add_argument("--np", type=int, help="DE population size (default 20)")
     sub.add_argument("--f", type=float, help="DE scaling factor (default 0.5)")

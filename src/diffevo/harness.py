@@ -1,4 +1,8 @@
-"""Multi-seed experiments, regret series, and anytime-curve aggregation.
+"""The optimizers' shared lockstep loop, regret series, and anytime-curve aggregation.
+
+An experiment is one optimizer call, such as ``run_de(bench, cfg, seeds)``;
+:func:`run_lockstep` advances its runs together and returns their traces in
+seed order, or raises ``run_failure()`` of the lowest failing seed.
 
 Regret is measured against the benchmark's best achievable errors:
 validation regret is the incumbent validation error minus the best
@@ -15,7 +19,6 @@ runs is reported alongside the mean.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,11 +27,6 @@ import numpy as np
 
 from .benchmarks import Benchmark
 from .trace import Budget, RunRecorder, RunTrace, _spell_floats
-
-# a runner makes the runs of an experiment's seeds and returns their traces in
-# seed order; a run that raises ends the runner with run_failure() of the
-# lowest failing seed, as running the seeds one after another would
-RunFn = Callable[[Benchmark, Sequence[int]], list[RunTrace]]
 
 # rows per write of a curve CSV: bounds the text held in memory at once
 _CSV_CHUNK_ROWS = 4096
@@ -63,9 +61,11 @@ def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], populat
     children of the R live runs, each drawn from its run's own generator,
     and ``replace(genotypes, fitness, children, child_fitness)`` updates the
     populations of the runs still going in place. So a run draws and
-    records exactly what it would alone.
+    records exactly what it would alone. An empty ``seeds`` raises ValueError.
     """
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("an experiment needs at least one seed")
     dimension = bench.space.dimension
     rngs = [np.random.default_rng(seed) for seed in seeds]
     recorder = RunRecorder(bench, budget, len(seeds))
@@ -84,33 +84,6 @@ def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], populat
             rngs = [rngs[i] for i in keep]
         replace(genotypes, fitness, children, child_fitness)
     return recorder.finish(seeds, optimizer_id, config)
-
-
-def run_experiment(run_fn: RunFn, bench: Benchmark, n_runs: int, base_seed: int = 0,
-                   jobs: int = 1) -> list[RunTrace]:
-    """Independent runs with seeds ``base_seed .. base_seed + n_runs - 1``,
-    made by the runner ``run_fn`` (see :data:`RunFn`).
-
-    With ``jobs`` above 1 the seeds are split into that many contiguous
-    chunks, each handed to ``run_fn`` in its own thread; the traces come
-    back in seed order, and a failure names the lowest failing seed.
-    """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    seeds = range(base_seed, base_seed + n_runs)
-    if jobs <= 1:
-        traces = run_fn(bench, seeds)
-    else:
-        jobs = min(jobs, n_runs)
-        chunks = [seeds[k * n_runs // jobs:(k + 1) * n_runs // jobs] for k in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = [trace for part in pool.map(lambda chunk: run_fn(bench, chunk), chunks)
-                      for trace in part]
-    # a one-seed function passed as a runner would seed one run with all the
-    # seeds, since a generator accepts a sequence of seeds as its entropy
-    if not isinstance(traces, list) or [t.seed for t in traces] != list(seeds):
-        raise TypeError("a runner must return one trace per seed, in seed order")
-    return traces
 
 
 @dataclass(frozen=True)

@@ -398,10 +398,9 @@ def _read_lines(path: Path) -> list[RunTrace]:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
 
     # a line at a time: the file's text is never held whole, and lines end only
-    # at a newline, not at the other breaks str.splitlines() knows, such as
-    # U+2028, which JSON allows inside a string; an undecodable byte reads as
-    # a lone surrogate, and its line fails
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # at "\n": JSON allows a lone "\r" between tokens and U+2028 inside a
+    # string; an undecodable byte reads as a lone surrogate, and its line fails
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -457,7 +456,7 @@ def _read_columns(path: Path) -> list[RunTrace] | None:
     runs: list[tuple[str, list[dict[str, np.ndarray]]]] = []  # header lines and event blocks
     index: list[str] = []  # the eval_index pieces ":0,", ":1,", ...
     offset = 0  # the events of the last run so far
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         while lines := list(itertools.islice(fh, BLOCK_LINES)):
             for is_header, group in itertools.groupby(lines, _is_header):
                 text = "".join(group)

@@ -48,18 +48,17 @@ def assert_same_traces(got, want):
             assert np.array_equal(x, y, equal_nan=name == "incumbent_test_error"), name
 
 
-def each_seed(run):
-    """A runner that makes its runs one seed after another with the
-    one-seed function ``run``: the way the scalar references run."""
-    def runner(bench, seeds):
-        traces = []
-        for seed in seeds:
-            try:
-                traces.append(run(bench, seed))
-            except Exception as exc:
-                raise run_failure(seed, exc) from exc
-        return traces
-    return runner
+def each_seed(run, bench, seeds):
+    """The traces of the one-seed function ``run`` over ``seeds``, made one
+    after another: the way the scalar references run. A run that raises
+    ends them with ``run_failure()`` of its seed."""
+    traces = []
+    for seed in seeds:
+        try:
+            traces.append(run(bench, seed))
+        except Exception as exc:
+            raise run_failure(seed, exc) from exc
+    return traces
 
 
 def reference_read_traces(path):
@@ -142,7 +141,9 @@ def reference_read_traces(path):
             if name != "eval_index" and too_large(doc[name]):
                 raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
 
-    for lineno, line in enumerate(path.read_text().split("\n"), start=1):
+    with open(path, newline="\n") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -182,7 +183,7 @@ def reference_load_tabular(path):
     ``load_tabular`` must give an equal table and best errors, or raise the
     same BenchmarkLoadError."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         lines = (line.rstrip("\n") for line in fh)
         first = next(lines, None)
         if first is None:

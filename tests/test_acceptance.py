@@ -24,7 +24,6 @@ from diffevo import (
     paired_sign_test,
     regret_series,
     run_de,
-    run_experiment,
     run_random_search,
     run_regularized_evolution,
     write_tabular,
@@ -60,9 +59,9 @@ def comparison_bench():
     return make_synthetic(5, 4, invalid_fraction=0.0, seed=0)
 
 
-def timed_experiment(run_fn, bench, n_runs):
+def timed_experiment(run, bench, config, n_runs):
     start = time.perf_counter()
-    traces = run_experiment(run_fn, bench, n_runs=n_runs, base_seed=0)
+    traces = run(bench, config, range(n_runs))
     return traces, time.perf_counter() - start
 
 
@@ -70,23 +69,20 @@ def timed_experiment(run_fn, bench, n_runs):
 def de_result(comparison_bench):
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(lambda b, seeds: run_de(b, cfg, seeds),
-                            comparison_bench, N_SEEDS)
+    return timed_experiment(run_de, comparison_bench, cfg, N_SEEDS)
 
 
 @pytest.fixture(scope="module")
 def rs_result(comparison_bench):
     budget = Budget(max_evaluations=EVALS)
-    return timed_experiment(lambda b, seeds: run_random_search(b, budget, seeds),
-                            comparison_bench, N_SEEDS)
+    return timed_experiment(run_random_search, comparison_bench, budget, N_SEEDS)
 
 
 @pytest.fixture(scope="module")
 def re_result(comparison_bench):
     cfg = REConfig(population_size=100, sample_size=10,
                    budget=Budget(max_evaluations=EVALS))
-    return timed_experiment(lambda b, seeds: run_regularized_evolution(b, cfg, seeds),
-                            comparison_bench, N_SEEDS)
+    return timed_experiment(run_regularized_evolution, comparison_bench, cfg, N_SEEDS)
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +90,7 @@ def sphere_traces():
     bench = FunctionBenchmark("sphere", 3)
     cfg = DEConfig(population_size=20, scaling_factor=0.5, crossover_rate=0.5,
                    budget=Budget(max_evaluations=10_000))
-    return run_experiment(lambda b, seeds: run_de(b, cfg, seeds), bench,
-                          n_runs=100, base_seed=0)
+    return run_de(bench, cfg, range(100))
 
 
 # -- criteria -----------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import (Budget, REConfig, make_synthetic, run_experiment, run_random_search,
-                     run_regularized_evolution)
+from diffevo import Budget, REConfig, make_synthetic, run_random_search, run_regularized_evolution
 from diffevo.baselines import tournament_select
 
 from conftest import (RecordingBenchmark, TransformedBenchmark, assert_same_traces, each_seed,
@@ -40,9 +39,8 @@ class TestRandomSearch:
         got = bench if wrap is None else wrap(bench)
         want = RecordingBenchmark(bench)
         assert_same_traces(
-            run_experiment(lambda b, seeds: run_random_search(b, budget, seeds), got, runs, seed),
-            run_experiment(each_seed(lambda b, s: reference_run_rs(b, budget, s)), want, runs,
-                           seed))
+            run_random_search(got, budget, range(seed, seed + runs)),
+            each_seed(lambda b, s: reference_run_rs(b, budget, s), want, range(seed, seed + runs)))
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)
@@ -181,16 +179,14 @@ def reference_experiment(bench, cfg, seeds):
     """The traces of one reference run per seed, or the message of the
     ValueError that stopped the first failing one."""
     try:
-        return run_experiment(each_seed(lambda b, s: reference_run_re(b, cfg, s)), bench,
-                              n_runs=len(seeds), base_seed=seeds[0])
+        return each_seed(lambda b, s: reference_run_re(b, cfg, s), bench, seeds)
     except ValueError as exc:
         return str(exc)
 
 
-def lockstep_experiment(bench, cfg, seeds, jobs=1):
+def lockstep_experiment(bench, cfg, seeds):
     try:
-        return run_experiment(lambda b, s: run_regularized_evolution(b, cfg, s), bench,
-                              n_runs=len(seeds), base_seed=seeds[0], jobs=jobs)
+        return run_regularized_evolution(bench, cfg, seeds)
     except ValueError as exc:
         return str(exc)
 
@@ -228,11 +224,9 @@ class TestLockstep:
                            reference_experiment(want, cfg, range(4)))
         assert Counter(got.configs) == Counter(want.configs)
 
-    @pytest.mark.parametrize("chunked", [False, True])
-    def test_failure_names_the_lowest_failing_seed(self, chunked):
+    def test_failure_names_the_lowest_failing_seed(self):
         # a configuration that a higher seed reaches at an earlier step than
-        # a lower one: lockstep meets the higher seed's failure first, in one
-        # run of the four seeds or in two concurrent chunks of two
+        # a lower one: lockstep meets the higher seed's failure first
         base = make_synthetic(3, 3, cost_model="unit", seed=0)
         cfg = REConfig(population_size=4, sample_size=2, budget=Budget(max_evaluations=40))
         first = []  # per seed: configuration -> index of its first evaluation
@@ -255,7 +249,7 @@ class TestLockstep:
 
         want = reference_experiment(Failing(base), cfg, range(4))
         assert want.startswith(f"run with seed {low} failed: no score for ")
-        assert lockstep_experiment(Failing(base), cfg, range(4), jobs=2 if chunked else 1) == want
+        assert lockstep_experiment(Failing(base), cfg, range(4)) == want
 
     def test_failure_during_initialization_names_the_lowest_seed(self):
         class Broken(RecordingBenchmark):

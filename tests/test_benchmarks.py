@@ -364,6 +364,24 @@ class TestTabularFile:
         bench = load_tabular(path)
         assert bench.table == {("a\u2028b",): (0.25, None, 1.0), ("c",): (0.5, None, 2.0)}
 
+    def test_lone_carriage_return_is_not_a_line_end(self, tmp_path):
+        # JSON allows "\r" between tokens, and a line ends only at "\n", so a
+        # later bad line's number counts "\n" alone
+        record = '{"key":["a",1],\r"val_err":0.3,"cost":1}'
+        path = self.write_file(tmp_path, [record])
+        assert load_tabular(path).table == {("a", 1): (0.3, None, 1.0)}
+        path = self.write_file(tmp_path, [record, "{not json"])
+        for load in (load_tabular, reference_load_tabular):
+            with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: bad JSON"):
+                load(path)
+
+    def test_crlf_file_loads_as_its_lf_twin(self, tmp_path):
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        write_tabular(make_synthetic(3, 3, invalid_fraction=0.2, seed=5), lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        want, got = load_tabular(lf), load_tabular(crlf)
+        assert (got.benchmark_id, got.space, got.table) == (want.benchmark_id, want.space, want.table)
+
     def test_bad_json_fails(self, tmp_path):
         path = self.write_file(tmp_path, ["{not json"])
         with pytest.raises(BenchmarkLoadError, match="JSON"):

@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from diffevo import make_synthetic, read_traces, regret_series, write_tabular
+from diffevo import cli
 from diffevo.cli import main, parse_benchmark
 
 
@@ -126,12 +127,17 @@ class TestRun:
         (("--benchmark", "sphere:2:lo=-1e200:hi=1e200"),
          "benchmark 'sphere:2:lo=-1e200:hi=1e200': bounds [-1e+200, 1e+200] are too wide: "
          "sphere exceeds the largest float on them"),
+        (("--runs", "0", "--benchmark", "synthetic:3x3"), "--runs must be positive, got 0"),
+        (("--jobs", "-3", "--benchmark", "synthetic:3x3"), "--jobs must be positive, got -3"),
+        (("--evals", "0", "--benchmark", "synthetic:3x3"), "--evals must be positive, got 0"),
+        (("--cost", "nan", "--benchmark", "synthetic:3x3"),
+         "--cost must be positive and finite, got nan"),
     ])
     def test_error_line_names_the_flag_or_the_spec(self, tmp_path, capsys, flags, message):
         out = tmp_path / "t.jsonl"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("run", *flags, "--evals", "50", "--out", str(out)) == 1
+            assert run_cli("run", "--evals", "50", *flags, "--out", str(out)) == 1
         assert caught == []
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
@@ -142,7 +148,7 @@ class TestRun:
         code = run_cli("run", "--benchmark", "synthetic:3x4", f"--cost={cost}",
                        "--out", str(tmp_path / "x.jsonl"))
         assert code == 1
-        assert capsys.readouterr().err == (f"error: max_cost must be positive and finite, "
+        assert capsys.readouterr().err == (f"error: --cost must be positive and finite, "
                                            f"got {float(cost)}\n")
         assert list(tmp_path.iterdir()) == []
 
@@ -375,6 +381,21 @@ class TestCompare:
                     "--out-dir", str(tmp_path / "d"))
         assert err.value.code == 2
         assert capsys.readouterr().err.endswith("error: --optimizers names 'de' more than once\n")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--optimizers", "de,bogus"), "unknown optimizer 'bogus'; known: ('de', 'rs', 're')"),
+        (("--optimizers", "rs,de", "--f", "nan"), "scaling factor must be finite and >= 0, got nan"),
+    ])
+    def test_every_optimizer_is_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch,
+                                                              flags, message):
+        calls = []
+        for name in ("run_de", "run_random_search", "run_regularized_evolution"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        code = run_cli("compare", *flags, "--benchmark", "synthetic:3x3", "--evals", "20",
+                       "--out-dir", str(tmp_path / "d"))
+        assert (code, calls) == (1, [])
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "d").exists()
 
     def test_single_optimizer_is_usage_error(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffevo import (Budget, DEConfig, FunctionBenchmark, ParameterSpec, SearchSpace,
-                     TabularBenchmark, make_synthetic, run_de, run_experiment)
+                     TabularBenchmark, make_synthetic, run_de)
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
 from conftest import (ReferenceRecorder, RecordingBenchmark, ScalarBenchmark, TransformedBenchmark,
@@ -99,7 +99,7 @@ def reference_run_de(bench, cfg, seed):
 
 def reference_de(bench, cfg, seeds):
     """``reference_run_de`` for each seed, one run after another."""
-    return each_seed(lambda b, s: reference_run_de(b, cfg, s))(bench, seeds)
+    return each_seed(lambda b, s: reference_run_de(b, cfg, s), bench, seeds)
 
 
 def de_benchmark(kind, seed):
@@ -505,13 +505,11 @@ class TestLockstep:
         else:
             assert_same_traces(got_runs, want_runs)
 
-    @pytest.mark.parametrize("chunked", [False, True])
     @pytest.mark.parametrize("higher_first", [True, False])
-    def test_failure_names_the_lowest_failing_seed(self, chunked, higher_first):
+    def test_failure_names_the_lowest_failing_seed(self, higher_first):
         # a configuration that two seeds reach after initialization, and no
         # seed below the lower one at all: lockstep meets the higher seed's
-        # failure first, or the lower seed's while the higher one still runs,
-        # in one run of the four seeds or in two concurrent chunks of two
+        # failure first, or the lower seed's while the higher one still runs
         base = make_synthetic(5, 4, cost_model="unit", seed=0)
         cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=40))
         first = []  # per seed: configuration -> generation of its first evaluation
@@ -536,8 +534,7 @@ class TestLockstep:
 
         want = outcome(reference_de, Failing(base), cfg, range(4))
         assert want.startswith(f"run with seed {low} failed: no score for ")
-        assert outcome(run_experiment, lambda b, s: run_de(b, cfg, s), Failing(base), 4, 0,
-                       2 if chunked else 1) == want
+        assert outcome(run_de, Failing(base), cfg, range(4)) == want
 
     def test_failure_during_initialization_names_the_lowest_seed(self):
         class Broken(RecordingBenchmark):

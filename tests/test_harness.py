@@ -19,7 +19,6 @@ from diffevo import (
     read_traces,
     regret_series,
     run_de,
-    run_experiment,
     run_random_search,
     write_curve_csv,
     write_traces,
@@ -27,7 +26,7 @@ from diffevo import (
 
 from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, _build_grid
 
-from conftest import assert_same_traces, each_seed, trace_from_rows
+from conftest import RecordingBenchmark, assert_same_traces, trace_from_rows
 
 
 def make_trace(times, regrets, best=0.0, seed=0, optimizer="x", benchmark="hand"):
@@ -125,9 +124,7 @@ class TestAggregate:
 
     def test_mean_curve_monotone_when_runs_share_origin(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
-        traces = run_experiment(
-            lambda b, seeds: run_random_search(b, Budget(max_evaluations=150), seeds),
-            bench, n_runs=8, base_seed=0)
+        traces = run_random_search(bench, Budget(max_evaluations=150), range(8))
         curve = aggregate(traces, grid="union")
         assert np.all(np.diff(curve.mean_regret) <= 1e-15)
 
@@ -219,71 +216,65 @@ class TestAggregateAgainstReference:
 
 
 class TestRunExperiment:
-    def runner(self, budget=20):
-        return lambda bench, seeds: run_random_search(bench, Budget(max_evaluations=budget), seeds)
+    """An experiment is one optimizer call over a range of seeds."""
+
+    @staticmethod
+    def run(bench, seeds, budget=20):
+        return run_random_search(bench, Budget(max_evaluations=budget), seeds)
 
     def test_seed_order_and_count(self):
         bench = make_synthetic(4, 3, seed=0)
-        traces = run_experiment(self.runner(), bench, n_runs=5, base_seed=10)
+        traces = self.run(bench, range(10, 15))
         assert [t.seed for t in traces] == [10, 11, 12, 13, 14]
 
     def test_single_run(self):
         bench = make_synthetic(4, 3, seed=0)
-        traces = run_experiment(self.runner(), bench, n_runs=1, base_seed=0)
+        traces = self.run(bench, range(1))
         assert len(traces) == 1
 
     def test_many_independent_runs(self):
         bench = make_synthetic(4, 3, seed=0)
-        traces = run_experiment(self.runner(budget=1), bench, n_runs=500, base_seed=0)
+        traces = self.run(bench, range(500), budget=1)
         assert len(traces) == 500
         assert len({t.seed for t in traces}) == 500
 
     def test_rerun_identical(self):
         bench = make_synthetic(4, 3, seed=0)
-        a = run_experiment(self.runner(), bench, n_runs=4, base_seed=3)
-        b = run_experiment(self.runner(), bench, n_runs=4, base_seed=3)
+        a = self.run(bench, range(3, 7))
+        b = self.run(bench, range(3, 7))
         assert_same_traces(a, b)
 
-    def test_concurrent_execution_matches_sequential(self):
-        bench = make_synthetic(4, 3, seed=0)
-        sequential = run_experiment(self.runner(50), bench, n_runs=6, base_seed=0, jobs=1)
-        concurrent = run_experiment(self.runner(50), bench, n_runs=6, base_seed=0, jobs=4)
-        assert_same_traces(concurrent, sequential)
-
     def test_abort_carries_the_seed(self):
-        bench = make_synthetic(4, 3, seed=0)
+        # the benchmark fails on a configuration that seed 2 draws and seeds 0
+        # and 1 do not
+        base = make_synthetic(4, 3, seed=0)
+        logs = [RecordingBenchmark(base) for _ in range(4)]
+        for seed, log in enumerate(logs):
+            self.run(log, [seed])
+        bad = next(c for c in logs[2].configs if not any(c in log.configs for log in logs[:2]))
 
-        def failing(b, seed):
-            if seed == 2:
-                raise RuntimeError("boom")
-            return run_random_search(b, Budget(max_evaluations=20), [seed])[0]
+        class Failing(RecordingBenchmark):
+            def evaluate(self, config):
+                if config == bad:
+                    raise RuntimeError("boom")
+                return super().evaluate(config)
 
         with pytest.raises(RuntimeError, match="seed 2"):
-            run_experiment(each_seed(failing), bench, n_runs=4, base_seed=0)
+            self.run(Failing(base), range(4))
 
     def test_value_error_stays_a_value_error(self):
-        bench = make_synthetic(4, 3, seed=0)
+        class Failing(RecordingBenchmark):
+            def evaluate(self, config):
+                raise ValueError("bad input")
 
-        def failing(b, seed):
-            raise ValueError("bad input")
-
+        bench = Failing(make_synthetic(4, 3, seed=0))
         with pytest.raises(ValueError, match="^run with seed 5 failed: bad input$"):
-            run_experiment(each_seed(failing), bench, n_runs=2, base_seed=5)
-
-    def test_one_seed_function_is_not_a_runner(self):
-        bench = make_synthetic(4, 3, seed=0)
-
-        def one_seed(b, seed):
-            return run_random_search(b, Budget(max_evaluations=5), [seed])[0]
-
-        with pytest.raises(TypeError, match="one trace per seed"):
-            run_experiment(one_seed, bench, n_runs=2)
-        assert len(run_experiment(each_seed(one_seed), bench, n_runs=2)) == 2
+            self.run(bench, range(5, 7))
 
     def test_rejects_zero_runs(self):
         bench = make_synthetic(4, 3, seed=0)
         with pytest.raises(ValueError):
-            run_experiment(self.runner(), bench, n_runs=0)
+            self.run(bench, range(0))
 
 
 def scalar_invariant_violation(trace):
@@ -362,9 +353,7 @@ class TestTraceInvariants:
 class TestTracePersistence:
     def test_round_trip(self, tmp_path):
         bench = make_synthetic(5, 4, invalid_fraction=0.2, seed=0)
-        traces = run_experiment(
-            lambda b, seeds: run_de(b, DEConfig(budget=Budget(max_evaluations=60)), seeds),
-            bench, n_runs=3, base_seed=0)
+        traces = run_de(bench, DEConfig(budget=Budget(max_evaluations=60)), range(3))
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)
         loaded = read_traces(path)
@@ -381,9 +370,7 @@ class TestTracePersistence:
 
     def test_reaggregation_equals_in_process(self, tmp_path):
         bench = make_synthetic(5, 4, seed=0)
-        traces = run_experiment(
-            lambda b, seeds: run_random_search(b, Budget(max_evaluations=40), seeds),
-            bench, n_runs=4, base_seed=0)
+        traces = run_random_search(bench, Budget(max_evaluations=40), range(4))
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)
         direct = aggregate(traces, grid="union")

@@ -20,17 +20,30 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_thread_pool():
+    # all runs advance together in one thread, so the CLI has no use for one
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, diffevo.cli; print('concurrent.futures' in sys.modules)"],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.stdout, done.stderr) == ("False\n", "")
+
+
 @pytest.mark.parametrize("script, args", [
     ("sphere_convergence.py", ["--runs", "2", "--evals", "200"]),
     ("run_comparison.py", ["--runs", "2", "--evals", "100", "--out-dir", "{tmp}"]),
 ])
 def test_script_runs(tmp_path, script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script),
          *(a.format(tmp=tmp_path) for a in args)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout
 

@@ -231,7 +231,7 @@ def reference_outcome(bench, budget, genotypes, limit=ZERO_COST_LIMIT):
                 break
         return recorder.finish(run, "x")
 
-    return outcome(lambda: each_seed(reference)(bench, range(len(genotypes))))
+    return outcome(lambda: each_seed(reference, bench, range(len(genotypes))))
 
 
 class TestExperimentRecorder:
@@ -659,6 +659,31 @@ class TestTraceReader:
                         encoding="utf-8")
         assert_same_traces(read_traces(path), [trace])
         assert_same_traces(reference_read_traces(path), [trace])
+
+    def test_lone_carriage_return_is_not_a_line_end(self, tmp_path):
+        # JSON allows "\r" between tokens, and a line ends only at "\n", so a
+        # later bad line's number counts "\n" alone
+        trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, None, True)])
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        text = path.read_text().replace('"objective"', '\r"objective"')
+        path.write_text(text)
+        assert_same_traces(read_traces(path), [trace])
+        assert_same_traces(reference_read_traces(path), [trace])
+        path.write_text(text + "{not json\n")
+        for read in (read_traces, reference_read_traces):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: bad JSON"):
+                read(path)
+
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        traces = run_random_search(make_synthetic(3, 3, seed=0), Budget(max_evaluations=30),
+                                   range(3))
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        write_traces(traces, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert trace_module._read_columns(crlf) is None  # the line reader takes it
+        assert_same_traces(read_traces(crlf), read_traces(lf))
+        assert_same_traces(read_traces(crlf), traces)
 
     @pytest.mark.parametrize("bad_line", [1, 3])
     def test_undecodable_byte_names_the_line(self, tmp_path, bad_line):
