@@ -53,10 +53,10 @@ class REConfig:
 
     def __post_init__(self):
         if self.population_size < 1:
-            raise ValueError(f"population size must be >= 1, got {self.population_size}")
+            raise ValueError(f"population_size must be >= 1, got {self.population_size}")
         if not 1 <= self.sample_size <= self.population_size:
             raise ValueError(
-                f"sample size must be in [1, {self.population_size}], got {self.sample_size}"
+                f"sample_size must be in [1, {self.population_size}], got {self.sample_size}"
             )
 
 

@@ -220,6 +220,25 @@ def _undecodable(line: str) -> str | None:
     return None
 
 
+def _json_lines(path: Path, error: type[ValueError], start: int = 1):
+    """(line number, JSON value) of each line of ``path`` from line ``start`` on
+    that is not blank; raises ``error`` naming ``path:line`` for an undecodable
+    byte, which reads as a lone surrogate, or bad JSON. Lines end only at "\n":
+    JSON allows a lone "\r" between tokens and U+2028 inside a string."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if lineno < start or not line.strip():
+                continue
+            if problem := _undecodable(line):
+                raise error(f"{path}:{lineno}: {problem}")
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            yield lineno, value
+
+
 # a tabular file is read, decoded and checked this many lines at a time
 BLOCK_LINES = 1024
 _NUMBER = {int, float}
@@ -334,35 +353,25 @@ def _load_lines(path: Path, space: SearchSpace, benchmark_id: str) -> TabularBen
         raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
 
     table = {}
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 or not line.strip():
-                continue
-            if _undecodable(line):
-                fail(_undecodable(line))
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                fail(f"bad JSON: {exc}")
-            if not isinstance(row, dict):
-                fail("record is not a JSON object")
-            if missing := {"key", "val_err", "cost"} - set(row):
-                fail(f"record lacks fields {sorted(missing)}")
-            key = row["key"]
-            if not isinstance(key, list) or len(key) != space.dimension:
-                fail(f"key {key!r} is not a {space.dimension}-element list")
-            for p, v in zip(space.params, key):
-                if p.kind == "integer" and (isinstance(v, bool) or not isinstance(v, int)):
-                    fail(f"key component {v!r} for {p.name!r} is not an integer")
-                if p.kind != "integer" and not isinstance(v, str):
-                    fail(f"key component {v!r} for {p.name!r} is not a token")
-            key = tuple(key)
-            if problem := _row_problem(space, key, row["val_err"], row.get("test_err"), row["cost"]):
-                fail(f"line {lineno}: {problem}")
-            if key in table:
-                fail(f"duplicate configuration key {list(key)!r}")
-            table[key] = row["val_err"], row.get("test_err"), row["cost"]
+    for lineno, row in _json_lines(path, BenchmarkLoadError, start=2):
+        if not isinstance(row, dict):
+            fail("record is not a JSON object")
+        if missing := {"key", "val_err", "cost"} - set(row):
+            fail(f"record lacks fields {sorted(missing)}")
+        key = row["key"]
+        if not isinstance(key, list) or len(key) != space.dimension:
+            fail(f"key {key!r} is not a {space.dimension}-element list")
+        for p, v in zip(space.params, key):
+            if p.kind == "integer" and (isinstance(v, bool) or not isinstance(v, int)):
+                fail(f"key component {v!r} for {p.name!r} is not an integer")
+            if p.kind != "integer" and not isinstance(v, str):
+                fail(f"key component {v!r} for {p.name!r} is not a token")
+        key = tuple(key)
+        if problem := _row_problem(space, key, row["val_err"], row.get("test_err"), row["cost"]):
+            fail(problem)
+        if key in table:
+            fail(f"duplicate configuration key {list(key)!r}")
+        table[key] = row["val_err"], row.get("test_err"), row["cost"]
     if not table:
         raise BenchmarkLoadError(f"{path}: no configuration records")
     return TabularBenchmark(space, table, benchmark_id)

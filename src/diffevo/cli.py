@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Callable
@@ -35,31 +34,37 @@ from .de import DEConfig, run_de
 from .harness import aggregate, final_regrets, write_curve_csv
 from .trace import Budget, read_traces, write_traces
 
-OPTIMIZERS = ("de", "rs", "re")
-
-# defaults are overridden by --config file values, which flags override in turn
-DEFAULTS = {
-    "optimizer": "de",
-    "np": 20,
-    "f": 0.5,
-    "cr": 0.5,
-    "pop": 100,
-    "sample": 10,
-    "benchmark": None,
-    "evals": None,
-    "cost": None,
-    "runs": 1,
-    "seed": 0,
-    "jobs": 1,
-    "out": None,
+# each config field: its flag's type (its JSON type in a config file, where null
+# leaves a field with no default unset), default and help; flags override the file
+FIELDS = {
+    "optimizer": (str, "de", "optimizer"),
+    "out": (str, None, "output trace file (JSON Lines)"),
+    "benchmark": (str, None, "benchmark spec string or tabular file path"),
+    "evals": (int, None, "max evaluations per run"),
+    "cost": (float, None, "max cumulative cost (seconds) per run"),
+    "runs": (int, 1, "number of independent runs"),
+    "seed": (int, 0, "base seed; run k uses seed+k"),
+    "jobs": (int, 1, "accepted for existing command lines, the benchmark's among them: a "
+                     "positive integer that changes nothing, as all runs advance together"),
+    "np": (int, 20, "DE population size"),
+    "f": (float, 0.5, "DE scaling factor"),
+    "cr": (float, 0.5, "DE crossover rate"),
+    "pop": (int, 100, "RE population size"),
+    "sample": (int, 10, "RE tournament size"),
 }
-# the JSON type of each config file field, the type its flag parses to; an
-# integer is read as a float where a number is due, and null leaves a field
-# without a default unset
-_FIELD_TYPES = {"optimizer": str, "np": int, "f": float, "cr": float, "pop": int, "sample": int,
-                "benchmark": str, "evals": int, "cost": float, "runs": int, "seed": int,
-                "jobs": int, "out": str}
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+BUDGET_FIELDS = {"max_evaluations": "evals", "max_cost": "cost"}
+# each optimizer: the name of its function on this module, its config class and
+# the CLI field of each config field; the function is looked up at each call, so
+# that one replaced on this module, such as a tracer's wrapper, is the one that runs
+OPTIMIZERS = {
+    "de": ("run_de", DEConfig,
+           {"population_size": "np", "scaling_factor": "f", "crossover_rate": "cr"}),
+    "rs": ("run_random_search", Budget, BUDGET_FIELDS),
+    "re": ("run_regularized_evolution", REConfig,
+           {"population_size": "pop", "sample_size": "sample"}),
+}
 
 
 def parse_benchmark(spec: str) -> Benchmark:
@@ -103,25 +108,28 @@ def _parse_options(parts: list[str], schema: dict) -> dict:
     return options
 
 
-def build_optimizer(name: str, cfg: dict, budget: Budget) -> tuple[Callable, object]:
+def build_optimizer(name: str, cfg: dict) -> tuple[Callable, object]:
     """The function of optimizer ``name`` and the checked config it takes,
-    to be called as ``fn(bench, config, seeds)``."""
-    if name == "de":
-        config = DEConfig(population_size=cfg["np"], scaling_factor=cfg["f"],
-                          crossover_rate=cfg["cr"], budget=budget)
-    elif name == "rs":
-        config = budget
-    elif name == "re":
-        config = REConfig(population_size=cfg["pop"], sample_size=cfg["sample"], budget=budget)
-    else:
-        raise ValueError(f"unknown optimizer {name!r}; known: {OPTIMIZERS}")
-    # the table is read at each call, so that a function replaced on this
-    # module, such as a tracer's wrapper, is the one that runs
-    return {"de": run_de, "rs": run_random_search, "re": run_regularized_evolution}[name], config
+    to be called as ``fn(bench, config, seeds)``. A config error names the
+    flag of the field at fault."""
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}; known: {tuple(OPTIMIZERS)}")
+    fn_name, kind, fields = OPTIMIZERS[name]
+    flags = {**fields, **BUDGET_FIELDS}
+    try:
+        config = Budget(**{field: cfg[key] for field, key in BUDGET_FIELDS.items()})
+        if kind is not Budget:  # random search takes the budget itself
+            config = kind(**{field: cfg[key] for field, key in fields.items()}, budget=config)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in flags:
+            raise
+        raise ValueError(f"--{flags[field]} {rest}") from None
+    return globals()[fn_name], config
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    cfg = dict(DEFAULTS)
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *required) -> dict:
+    cfg = {key: default for key, (_, default, _) in FIELDS.items()}
     if getattr(args, "config", None):
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -131,11 +139,10 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
-        if unknown:
+        if unknown := set(file_cfg) - set(FIELDS):
             parser.error(f"unknown config file fields: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            kind = _FIELD_TYPES[key]
+            kind, default, _ = FIELDS[key]
             if kind is float and type(value) is int:
                 try:
                     value = file_cfg[key] = float(value)  # as the flag parses it
@@ -143,40 +150,30 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
                     raise ValueError(f"config file {args.config}: field {key!r} is too "
                                      "large for a number") from None
             # type(), not isinstance(): a bool is not an integer here
-            if not (type(value) is kind or (value is None and DEFAULTS[key] is None)):
+            if not (type(value) is kind or (value is None and default is None)):
                 raise ValueError(f"config file {args.config}: field {key!r} is not "
                                  f"{_TYPE_NAMES[kind]}: {value!r}")
         cfg.update(file_cfg)
-    for key in DEFAULTS:
+    for key in FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
     if cfg["seed"] < 0:
         raise ValueError(f"--seed must be non-negative, got {cfg['seed']}")
-    for key in ("runs", "jobs", "evals"):
-        if cfg[key] is not None and cfg[key] < 1:
+    for key in ("runs", "jobs"):
+        if cfg[key] < 1:
             raise ValueError(f"--{key} must be positive, got {cfg[key]}")
-    if cfg["cost"] is not None and not 0 < cfg["cost"] < math.inf:
-        raise ValueError(f"--cost must be positive and finite, got {cfg['cost']}")
+    for key in required:
+        if cfg[key] is None:
+            parser.error(f"--{key} is required (flag or config file)")
+    if cfg["evals"] is None and cfg["cost"] is None:
+        parser.error("a budget is required: --evals and/or --cost")
     return cfg
 
 
-def _require(cfg: dict, parser: argparse.ArgumentParser, *keys: str):
-    for key in keys:
-        if cfg.get(key) is None:
-            parser.error(f"--{key} is required (flag or config file)")
-
-
-def _budget(cfg: dict, parser: argparse.ArgumentParser) -> Budget:
-    if cfg["evals"] is None and cfg["cost"] is None:
-        parser.error("a budget is required: --evals and/or --cost")
-    return Budget(max_evaluations=cfg["evals"], max_cost=cfg["cost"])
-
-
 def cmd_run(args, parser) -> int:
-    cfg = _merge_config(args, parser)
-    _require(cfg, parser, "benchmark", "out")
-    fn, config = build_optimizer(cfg["optimizer"], cfg, _budget(cfg, parser))
+    cfg = _merge_config(args, parser, "benchmark", "out")
+    fn, config = build_optimizer(cfg["optimizer"], cfg)
     bench = parse_benchmark(cfg["benchmark"])
     traces = fn(bench, config, range(cfg["seed"], cfg["seed"] + cfg["runs"]))
     write_traces(traces, cfg["out"])
@@ -191,9 +188,7 @@ def cmd_run(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    cfg = _merge_config(args, parser)
-    _require(cfg, parser, "benchmark")
-    budget = _budget(cfg, parser)
+    cfg = _merge_config(args, parser, "benchmark")
     optimizers = [o.strip() for o in args.optimizers.split(",") if o.strip()]
     if len(optimizers) < 2:
         parser.error("--optimizers needs at least two comma-separated names")
@@ -201,10 +196,7 @@ def cmd_compare(args, parser) -> int:
     if repeated:
         parser.error(f"--optimizers names {repeated[0]!r} more than once")
     # every name and its config are checked before the first run
-    runs = [(name, *build_optimizer(name, cfg, budget)) for name in optimizers]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    runs = [(name, *build_optimizer(name, cfg)) for name in optimizers]
     bench = parse_benchmark(cfg["benchmark"])
     # every optimizer runs before anything is written, so a failure leaves no
     # partial result set; of each, only the curve and final regrets are kept
@@ -213,6 +205,8 @@ def cmd_compare(args, parser) -> int:
         traces = fn(bench, config, seeds)
         results.append((optimizer, aggregate(traces, grid=args.grid, points=args.points),
                         final_regrets(traces)))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for optimizer, curve, regrets in results:
         write_curve_csv(curve, out_dir / f"{optimizer}.csv")
         std = regrets.std(ddof=1) if len(regrets) > 1 else 0.0
@@ -241,21 +235,14 @@ def cmd_aggregate(args, parser) -> int:
     return 0
 
 
-def _add_shared_flags(sub):
-    sub.add_argument("--benchmark", help="benchmark spec string or tabular file path")
-    sub.add_argument("--evals", type=int, help="max evaluations per run")
-    sub.add_argument("--cost", type=float, help="max cumulative cost (seconds) per run")
-    sub.add_argument("--runs", type=int, help="number of independent runs (default 1)")
-    sub.add_argument("--seed", type=int, help="base seed; run k uses seed+k (default 0)")
-    sub.add_argument("--jobs", type=int,
-                     help="accepted for existing command lines, the benchmark's among them: a "
-                          "positive integer that changes nothing, as all runs advance together")
+def _add_field_flags(sub, skip=()):
+    """``--config`` and a flag for each field not in ``skip``."""
     sub.add_argument("--config", help="JSON config file; flags override its fields")
-    sub.add_argument("--np", type=int, help="DE population size (default 20)")
-    sub.add_argument("--f", type=float, help="DE scaling factor (default 0.5)")
-    sub.add_argument("--cr", type=float, help="DE crossover rate (default 0.5)")
-    sub.add_argument("--pop", type=int, help="RE population size (default 100)")
-    sub.add_argument("--sample", type=int, help="RE tournament size (default 10)")
+    for name, (kind, default, text) in FIELDS.items():
+        if name not in skip:
+            sub.add_argument(f"--{name}", type=kind,
+                             choices=tuple(OPTIMIZERS) if name == "optimizer" else None,
+                             help=text if default is None else f"{text} (default {default})")
 
 
 def _add_grid_flags(sub):
@@ -270,16 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one optimizer and write a trace file")
-    run_p.add_argument("--optimizer", choices=OPTIMIZERS, help="optimizer (default de)")
-    run_p.add_argument("--out", help="output trace file (JSON Lines)")
-    _add_shared_flags(run_p)
+    _add_field_flags(run_p)
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run several optimizers over shared seeds")
     cmp_p.add_argument("--optimizers", required=True,
                        help="comma-separated optimizer names, e.g. de,rs,re")
     cmp_p.add_argument("--out-dir", required=True, help="directory for per-optimizer CSVs")
-    _add_shared_flags(cmp_p)
+    _add_field_flags(cmp_p, skip=("optimizer", "out"))
     _add_grid_flags(cmp_p)
     cmp_p.set_defaults(func=cmd_compare)
 

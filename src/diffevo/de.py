@@ -40,12 +40,12 @@ class DEConfig:
     def __post_init__(self):
         if self.population_size < MIN_POPULATION:
             raise ValueError(
-                f"population size must be >= {MIN_POPULATION}, got {self.population_size}"
+                f"population_size must be >= {MIN_POPULATION}, got {self.population_size}"
             )
         if not 0 <= self.scaling_factor < np.inf:
-            raise ValueError(f"scaling factor must be finite and >= 0, got {self.scaling_factor}")
+            raise ValueError(f"scaling_factor must be finite and >= 0, got {self.scaling_factor}")
         if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
+            raise ValueError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
 
 
 def parent_indices(keys: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Every optimizer run produces a :class:`RunTrace`: one numpy array per event
 field, among them the cumulative cost and the best-so-far (incumbent)
 objective. One :class:`RunRecorder` per experiment centralizes the shared
-run mechanics for all its runs: the budget check before each evaluation,
-the invalid-configuration penalty (error 1.0 at zero cost), and incumbent
-tracking.
+run mechanics for all its runs: the budget check before each evaluation
+and incumbent tracking. The benchmark applies the invalid-configuration
+penalty (error 1.0 at zero cost); :func:`check_trace_invariants` enforces
+it on every trace produced or read.
 
 Traces persist as JSON Lines: one header line per run followed by one line
 per event. The header carries the benchmark's best-known errors so trace
@@ -25,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import BLOCK_LINES, Benchmark, _undecodable
+from .benchmarks import BLOCK_LINES, Benchmark, _json_lines, _undecodable
 
 
 @dataclass(frozen=True)
@@ -277,9 +278,9 @@ def check_trace_invariants(trace: RunTrace):
 
     Checked for every produced and every read trace: finite best-known
     errors, objectives in [0, 1], non-decreasing cumulative cost with zero
-    increments on invalid evaluations, a non-increasing incumbent, and
-    non-negative regret against the benchmark's best validation error. The
-    message names the first offending event.
+    increments on invalid evaluations, which score 1.0, a non-increasing
+    incumbent, and non-negative regret against the benchmark's best
+    validation error. The message names the first offending event.
     """
     if not len(trace):
         raise ValueError("trace has no events")
@@ -295,6 +296,7 @@ def check_trace_invariants(trace: RunTrace):
         ~((0.0 <= objective) & (objective <= 1.0)),
         ~(cost >= prev_cost),
         ~trace.valid & (cost != prev_cost),
+        ~trace.valid & (objective != 1.0),
         ~(incumbent <= prev_incumbent),
         incumbent < trace.best_validation_error,
     ])
@@ -306,6 +308,7 @@ def check_trace_invariants(trace: RunTrace):
         f"objective {objective[i]} outside [0, 1]",
         "cumulative cost decreased or is not a number",
         "invalid evaluation accrued cost",
+        "invalid evaluation scored other than 1.0",
         "incumbent objective increased or is not a number",
         "incumbent beats the benchmark's best (negative regret)",
     )
@@ -397,28 +400,15 @@ def _read_lines(path: Path) -> list[RunTrace]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
 
-    # a line at a time: the file's text is never held whole, and lines end only
-    # at "\n": JSON allows a lone "\r" between tokens and U+2028 inside a
-    # string; an undecodable byte reads as a lone surrogate, and its line fails
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if _undecodable(line):
-                raise ValueError(f"{path}:{lineno}: {_undecodable(line)}")
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            run = doc.get("run") if type(doc) is dict else None
-            if type(run) is dict:
-                flush()
-                header, header_line, rows = run, lineno, []
-                _check_header(path, lineno, header)
-                continue
-            _check_event(path, lineno, header, doc, len(rows))
-            rows.append(tuple(doc[name] for name in COLUMNS))
+    for lineno, doc in _json_lines(path, ValueError):  # the text is never held whole
+        run = doc.get("run") if type(doc) is dict else None
+        if type(run) is dict:
+            flush()
+            header, header_line, rows = run, lineno, []
+            _check_header(path, lineno, header)
+            continue
+        _check_event(path, lineno, header, doc, len(rows))
+        rows.append(tuple(doc[name] for name in COLUMNS))
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")

@@ -200,7 +200,7 @@ def reference_load_tabular(path):
         def check_rows():
             line_of = dict(zip(table, linenos))
             _reference_check_rows(space, table,
-                                  where=lambda key: f"{path}:{line_of[key]}: line {line_of[key]}")
+                                  where=lambda key: f"{path}:{line_of[key]}")
 
         def fail(lineno, msg):
             check_rows()
@@ -226,7 +226,7 @@ def reference_load_tabular(path):
             if key in table:
                 check_rows()
                 _reference_check_rows(space, {key: values},
-                                      where=lambda _: f"{path}:{lineno}: line {lineno}")
+                                      where=lambda _: f"{path}:{lineno}")
                 fail(lineno, f"duplicate configuration key {list(key)!r}")
             table[key] = values
             linenos.append(lineno)

@@ -252,7 +252,7 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
             json.dumps(record),
         ])
-        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: line 3: {name}"):
+        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: {name}"):
             load_tabular(path)
 
     @pytest.mark.parametrize("later", [
@@ -273,7 +273,7 @@ class TestTabularFile:
         ])
         with pytest.raises(BenchmarkLoadError) as err:
             load_tabular(path)
-        assert str(err.value) == f"{path}:3: line 3: validation error 1.2 outside [0, 1]"
+        assert str(err.value) == f"{path}:3: validation error 1.2 outside [0, 1]"
 
     @pytest.mark.parametrize("values, problem", [
         ({"val_err": "0.3", "cost": 1.0}, "validation error '0.3' is not a number"),
@@ -295,7 +295,7 @@ class TestTabularFile:
         ])
         with pytest.raises(BenchmarkLoadError) as err:
             load_tabular(path)
-        assert str(err.value) == f"{path}:3: line 3: {problem}"
+        assert str(err.value) == f"{path}:3: {problem}"
 
     @pytest.mark.parametrize("record", ["3", "[1]", '"key"', "null"])
     def test_record_that_is_not_an_object_fails_naming_the_line(self, tmp_path, record):
@@ -318,7 +318,7 @@ class TestTabularFile:
 
     @pytest.mark.parametrize("params, records, error, message", [
         ([{"name": "x", "kind": "float", "lo": 0.0, "hi": 1.0}], [{"key": ["a"]}],
-         BenchmarkLoadError, "{path}:2: line 2: key ('a',) outside the declared space"),
+         BenchmarkLoadError, "{path}:2: key ('a',) outside the declared space"),
         ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)],
          [{"key": [1, 2, 3, 4]}], ValueError,
          "the space's 18447869999386460161 configurations are too many for 64-bit "
@@ -342,7 +342,7 @@ class TestTabularFile:
         ])
         with pytest.raises(BenchmarkLoadError) as err:
             load_tabular(path)
-        assert str(err.value) == f"{path}:3: line 3: cost -1.0 is negative or not finite"
+        assert str(err.value) == f"{path}:3: cost -1.0 is negative or not finite"
 
     def test_key_outside_space_fails(self, tmp_path):
         path = self.write_file(tmp_path, [
@@ -598,7 +598,7 @@ class TestUndecodableBytes:
                           3)
         with pytest.raises(BenchmarkLoadError) as err:
             load_tabular(path)
-        assert str(err.value) == f"{path}:2: line 2: validation error 2.0 outside [0, 1]"
+        assert str(err.value) == f"{path}:2: validation error 2.0 outside [0, 1]"
 
 
 class TestWrittenBytes:

@@ -132,6 +132,10 @@ class TestRun:
         (("--evals", "0", "--benchmark", "synthetic:3x3"), "--evals must be positive, got 0"),
         (("--cost", "nan", "--benchmark", "synthetic:3x3"),
          "--cost must be positive and finite, got nan"),
+        (("--np", "2", "--benchmark", "synthetic:3x3"), "--np must be >= 4, got 2"),
+        (("--cr", "1.5", "--benchmark", "synthetic:3x3"), "--cr must be in [0, 1], got 1.5"),
+        (("--optimizer", "re", "--pop", "5", "--sample", "6", "--benchmark", "synthetic:3x3"),
+         "--sample must be in [1, 5], got 6"),
     ])
     def test_error_line_names_the_flag_or_the_spec(self, tmp_path, capsys, flags, message):
         out = tmp_path / "t.jsonl"
@@ -237,8 +241,7 @@ class TestRun:
         out = tmp_path / "t.jsonl"
         assert run_cli("run", "--benchmark", spec, "--evals", "100", "--f", value,
                        "--out", str(out)) == 1
-        assert capsys.readouterr().err == (f"error: scaling factor must be finite and >= 0, "
-                                           f"got {value}\n")
+        assert capsys.readouterr().err == f"error: --f must be finite and >= 0, got {value}\n"
         assert not out.exists()
 
     def test_non_finite_scaling_factor_in_a_config_file_fails_cleanly(self, tmp_path, capsys):
@@ -246,7 +249,7 @@ class TestRun:
         cfg.write_text('{"benchmark": "synthetic:3x3", "evals": 100, "f": NaN}')
         out = tmp_path / "t.jsonl"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
-        assert capsys.readouterr().err == "error: scaling factor must be finite and >= 0, got nan\n"
+        assert capsys.readouterr().err == "error: --f must be finite and >= 0, got nan\n"
         assert not out.exists()
 
     def test_unknown_config_field_is_usage_error(self, tmp_path):
@@ -361,7 +364,14 @@ class TestCompare:
         assert out == ""
         assert err.startswith("error: run with seed 189 failed: 100000 evaluations in a row")
         assert err.count("\n") == 1
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    def test_bad_benchmark_spec_leaves_no_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "d"
+        assert run_cli("compare", "--optimizers", "de,rs", "--benchmark", "synthetic:9",
+                       "--evals", "20", "--out-dir", str(out_dir)) == 1
+        assert capsys.readouterr().err.startswith("error: benchmark 'synthetic:9': ")
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_log_grid_without_points_fails_cleanly(self, tmp_path, capsys, points):
@@ -385,7 +395,10 @@ class TestCompare:
 
     @pytest.mark.parametrize("flags, message", [
         (("--optimizers", "de,bogus"), "unknown optimizer 'bogus'; known: ('de', 'rs', 're')"),
-        (("--optimizers", "rs,de", "--f", "nan"), "scaling factor must be finite and >= 0, got nan"),
+        (("--optimizers", "rs,de", "--f", "nan"), "--f must be finite and >= 0, got nan"),
+        (("--optimizers", "de,re", "--pop", "3", "--sample", "5"),
+         "--sample must be in [1, 3], got 5"),
+        (("--optimizers", "rs,re", "--pop", "0"), "--pop must be >= 1, got 0"),
     ])
     def test_every_optimizer_is_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch,
                                                               flags, message):

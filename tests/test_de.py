@@ -425,7 +425,7 @@ class TestRunDE:
         with pytest.raises(ValueError):
             DEConfig(population_size=3)
         for f in (-0.1, math.nan, math.inf):
-            with pytest.raises(ValueError, match="scaling factor must be finite and >= 0"):
+            with pytest.raises(ValueError, match="scaling_factor must be finite and >= 0"):
                 DEConfig(scaling_factor=f)
         with pytest.raises(ValueError):
             DEConfig(crossover_rate=1.5)

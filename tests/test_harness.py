@@ -290,6 +290,8 @@ def scalar_invariant_violation(trace):
             return f"{where}: cumulative cost decreased or is not a number"
         if not valid and cost != prev_cost:
             return f"{where}: invalid evaluation accrued cost"
+        if not valid and objective != 1.0:
+            return f"{where}: invalid evaluation scored other than 1.0"
         if not incumbent <= prev_incumbent:
             return f"{where}: incumbent objective increased or is not a number"
         if incumbent < trace.best_validation_error:

@@ -1,5 +1,6 @@
 """The package's public names and the scripts built on them."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -18,6 +19,14 @@ def test_every_exported_name_resolves():
     assert len(set(diffevo.__all__)) == len(diffevo.__all__)
     missing = [name for name in diffevo.__all__ if not hasattr(diffevo, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("path", sorted(p.relative_to(ROOT).as_posix() for folder in
+                                        ("src", "tests", "scripts")
+                                        for p in (ROOT / folder).rglob("*.py")))
+def test_source_parses_as_python_3_10(path):
+    # 3.10 is the floor pyproject.toml declares; syntax newer than that fails here
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path, feature_version=(3, 10))
 
 
 def src_env():

@@ -267,6 +267,38 @@ def bin_rows(*columns):
     return (np.array(columns, dtype=float)[..., None] + 0.5) / 5
 
 
+class TestInvalidPenalty:
+    def test_a_benchmark_that_scores_invalid_rows_fails_the_run(self):
+        # rows marked invalid that keep their table error and cost nothing
+        base = make_synthetic(3, 3, seed=0)
+
+        class Unpenalized:
+            space, benchmark_id = base.space, base.benchmark_id
+            best_validation_error, best_test_error = base.best_validation_error, None
+
+            def evaluate_batch(self, genotypes):
+                val, test, cost, valid = base.evaluate_batch(genotypes)
+                valid = np.arange(len(val)) % 2 == 0
+                return val, test, np.where(valid, cost, 0.0), valid
+
+        with pytest.raises(ValueError, match=r"^run with seed 3 failed: event 1 of rs run "
+                                             r"\(seed 3\): invalid evaluation scored other "
+                                             r"than 1\.0$"):
+            run_random_search(Unpenalized(), Budget(max_evaluations=20), [3])
+
+    def test_a_file_that_scores_an_invalid_event_is_refused(self, tmp_path):
+        trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, None, True),
+                                 (1.5, 0.2, 0.4, None, False)])
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        message = (f"{path}:1: event 2 of x run (seed 0): invalid evaluation scored "
+                   "other than 1.0")
+        for read in (read_traces, reference_read_traces):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == message
+
+
 class TestHistory:
     """The recorder's one (4, R, N) history array: grown by copying into
     min(2 * (n + k), evaluation limit) columns, checked against one scalar
