@@ -220,28 +220,35 @@ def _undecodable(line: str) -> str | None:
     return None
 
 
-def _json_lines(path: Path, error: type[ValueError], start: int = 1):
-    """(line number, JSON value) of each line of ``path`` from line ``start`` on
-    that is not blank; raises ``error`` naming ``path:line`` for an undecodable
-    byte, which reads as a lone surrogate, or bad JSON. Lines end only at "\n":
-    JSON allows a lone "\r" between tokens and U+2028 inside a string."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno < start or not line.strip():
-                continue
-            if problem := _undecodable(line):
-                raise error(f"{path}:{lineno}: {problem}")
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            yield lineno, value
-
-
-# a tabular file is read, decoded and checked this many lines at a time
+# a JSON Lines file is read, decoded and checked this many lines at a time
 BLOCK_LINES = 1024
 _NUMBER = {int, float}
+
+
+def _blocks(path: Path):
+    """The lines of ``path`` in lists of :data:`BLOCK_LINES`, from one open
+    file. A line ends only at "\\n": JSON allows a lone "\\r" between tokens
+    and U+2028 in a string. An undecodable byte reads as a lone surrogate."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+            yield lines
+
+
+def _decode_lines(path: Path, error: type[ValueError], lines: list[str], start: int):
+    """(line number, JSON value) of each line of ``lines`` that is not blank,
+    the first numbered ``start``; raises ``error`` naming ``path:line`` for an
+    undecodable byte or bad JSON."""
+    for lineno, line in enumerate(lines, start):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if problem := _undecodable(line):
+            raise error(f"{path}:{lineno}: {problem}")
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        yield lineno, value
 
 
 def load_tabular(path: str | Path) -> TabularBenchmark:
@@ -250,44 +257,45 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     Line 1 is a header holding the search-space document (and optionally a
     ``benchmark_id``); every further line is one configuration record
     ``{"key": [...], "val_err": ..., "test_err": ..., "cost": ...}``.
-    Records are decoded and checked :data:`BLOCK_LINES` lines at a time, as
-    columns; when a block cannot be, the file is read again a line at a
-    time, so that an error names the first bad line.
+    The file is read once, :data:`BLOCK_LINES` lines at a time, and each
+    block is decoded and checked as columns. A block that cannot be, or that
+    repeats a key, is read a line at a time, so that an error names the
+    first bad line. A space that no table can hold fails at the header.
     """
     path = Path(path)
-    # lines end only at "\n": JSON allows a lone "\r" between tokens and
-    # U+2028 inside a string; an undecodable byte reads as a lone surrogate,
-    # which the checks reject
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        first = fh.readline()
-        if not first:
-            raise BenchmarkLoadError(f"{path}: empty benchmark file")
-        if _undecodable(first):
-            raise BenchmarkLoadError(f"{path}:1: {_undecodable(first)}")
-        try:
-            header = json.loads(first.rstrip("\n"))
-            space = SearchSpace.from_json_dict(header)
-            benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
-            if not isinstance(benchmark_id, str):
-                raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
-        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
-        try:
-            weights = _code_weights(space)
-        except ValueError:  # the rows are checked before the space
-            return _load_lines(path, space, benchmark_id)
-        blocks = []
-        while lines := list(itertools.islice(fh, BLOCK_LINES)):
-            if (block := _block_columns(space, weights, lines)) is None:
-                return _load_lines(path, space, benchmark_id)
-            blocks.append(block)
-    codes = np.concatenate([c for c, _ in blocks] or [np.empty(0, np.int64)])
+    blocks = _blocks(path)
+    lines = next(blocks, None)
+    if lines is None:
+        raise BenchmarkLoadError(f"{path}: empty benchmark file")
+    first = lines[0].rstrip("\n")
+    if problem := _undecodable(first):
+        raise BenchmarkLoadError(f"{path}:1: {problem}")
+    try:
+        header = json.loads(first)
+        space = SearchSpace.from_json_dict(header)
+        weights = _code_weights(space)
+        benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
+        if not isinstance(benchmark_id, str):
+            raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
+    columns, seen, start = [], set(), 2  # the codes and rows of each block, every code so far
+    for lines in itertools.chain([lines[1:]], blocks):
+        block = _block_columns(space, weights, lines)
+        if block is not None:
+            count = len(seen)
+            seen.update(block[0].tolist())
+            if len(seen) - count < len(lines):  # a repeated key: the walk names its line
+                seen = set(itertools.chain.from_iterable(c.tolist() for c, _ in columns))
+                block = None
+        columns.append(block or _walk_records(path, space, weights, lines, start, seen))
+        start += len(lines)
+    codes = np.concatenate([c for c, _ in columns])
+    if not codes.size:
+        raise BenchmarkLoadError(f"{path}: no configuration records")
     order = codes.argsort(kind="stable")
-    codes = codes[order]
-    if not codes.size or (codes[1:] == codes[:-1]).any():  # no records, or a repeated key
-        return _load_lines(path, space, benchmark_id)
-    rows = np.concatenate([r for _, r in blocks], axis=1)[:, order]
-    return object.__new__(TabularBenchmark)._hold(space, benchmark_id, codes, rows)
+    rows = np.concatenate([r for _, r in columns], axis=1)[:, order]
+    return object.__new__(TabularBenchmark)._hold(space, benchmark_id, codes[order], rows)
 
 
 def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
@@ -340,20 +348,18 @@ def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
     return weights @ np.array(index, dtype=np.int64).reshape(len(weights), -1), rows
 
 
-def _load_lines(path: Path, space: SearchSpace, benchmark_id: str) -> TabularBenchmark:
-    """:func:`load_tabular` a line at a time, for a file in any spelling.
-
-    Raises BenchmarkLoadError for the first record line that breaks the
-    contract: undecodable bytes, bad JSON, a record that is not an object or
-    lacks a field, a wrongly typed key, the key and values
-    (:func:`_row_problem`), a repeated key; or for a file with no records.
-    Otherwise the mapping constructor builds the benchmark.
-    """
+def _walk_records(path: Path, space: SearchSpace, weights: np.ndarray, lines: list[str],
+                  start: int, seen: set[int]):
+    """The codes and (3, n) rows of the records on ``lines``, the first line
+    numbered ``start``, read a line at a time; each code joins ``seen``.
+    Raises BenchmarkLoadError for the first line with undecodable bytes, bad
+    JSON, a record that is not an object or lacks a field, a wrongly typed
+    key, a bad key or values (:func:`_row_problem`), or a code in ``seen``."""
     def fail(problem):
         raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
 
-    table = {}
-    for lineno, row in _json_lines(path, BenchmarkLoadError, start=2):
+    codes, rows, weights = [], [], weights.tolist()
+    for lineno, row in _decode_lines(path, BenchmarkLoadError, lines, start):
         if not isinstance(row, dict):
             fail("record is not a JSON object")
         if missing := {"key", "val_err", "cost"} - set(row):
@@ -362,19 +368,19 @@ def _load_lines(path: Path, space: SearchSpace, benchmark_id: str) -> TabularBen
         if not isinstance(key, list) or len(key) != space.dimension:
             fail(f"key {key!r} is not a {space.dimension}-element list")
         for p, v in zip(space.params, key):
-            if p.kind == "integer" and (isinstance(v, bool) or not isinstance(v, int)):
-                fail(f"key component {v!r} for {p.name!r} is not an integer")
-            if p.kind != "integer" and not isinstance(v, str):
-                fail(f"key component {v!r} for {p.name!r} is not a token")
-        key = tuple(key)
-        if problem := _row_problem(space, key, row["val_err"], row.get("test_err"), row["cost"]):
+            kind, what = (int, "an integer") if p.kind == "integer" else (str, "a token")
+            if isinstance(v, bool) or not isinstance(v, kind):
+                fail(f"key component {v!r} for {p.name!r} is not {what}")
+        values = row["val_err"], row.get("test_err"), row["cost"]
+        if problem := _row_problem(space, tuple(key), *values):
             fail(problem)
-        if key in table:
-            fail(f"duplicate configuration key {list(key)!r}")
-        table[key] = row["val_err"], row.get("test_err"), row["cost"]
-    if not table:
-        raise BenchmarkLoadError(f"{path}: no configuration records")
-    return TabularBenchmark(space, table, benchmark_id)
+        code = sum(_domain_index(p, (v,))[0] * w for p, v, w in zip(space.params, key, weights))
+        if code in seen:
+            fail(f"duplicate configuration key {key!r}")
+        seen.add(code)
+        codes.append(code)
+        rows.append(values)
+    return np.array(codes, dtype=np.int64), np.array(rows, dtype=float).reshape(-1, 3).T
 
 
 def write_tabular(bench: TabularBenchmark, path: str | Path):

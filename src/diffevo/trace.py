@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import BLOCK_LINES, Benchmark, _json_lines, _undecodable
+from .benchmarks import BLOCK_LINES, Benchmark, _blocks, _decode_lines
 
 
 @dataclass(frozen=True)
@@ -371,44 +371,65 @@ _EVENT_TYPE_SETS = [frozenset(types) for _, *types in _EVENT_TYPES.values()]
 def read_traces(path: str | Path) -> list[RunTrace]:
     """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
 
-    A file spelled as :func:`write_traces` spells it is read as columns; any
-    other is read a line at a time, raising ValueError naming ``path:line``
-    for the first line that is not JSON, is neither a run header nor an
-    event, lacks a field, has a field of the wrong JSON type or a number too
-    large for a float, or carries an ``eval_index`` other than its position.
+    The file is read once, :data:`BLOCK_LINES` lines at a time. A run's
+    event lines in a block are read as columns when spelled as
+    :func:`write_traces` spells them; any other line is read alone, raising
+    ValueError naming ``path:line`` when it is not JSON, is neither a run
+    header nor an event, lacks a field, has a field of the wrong JSON type
+    or a number too large for a float, or has an ``eval_index`` other than
+    its position.
     """
     path = Path(path)
-    return _read_columns(path) or _read_lines(path)
-
-
-def _read_lines(path: Path) -> list[RunTrace]:
-    """:func:`read_traces` a line at a time, for a file in any spelling."""
     traces: list[RunTrace] = []
     header: dict | None = None
-    header_line = 0
-    rows: list[tuple] = []  # the values of each event of the run, ordered like COLUMNS
+    header_line = count = 0  # the line of the run's header, its events so far
+    blocks: list[dict[str, np.ndarray]] = []  # the event columns of the run so far
+    rows: list[tuple] = []  # then its events read a line at a time, ordered like COLUMNS
+    index: list[str] = []  # the eval_index pieces ":0,", ":1,", ...
+
+    def take_rows():
+        if rows:  # None becomes NaN
+            blocks.append({name: np.array(column, dtype=bool if name == "valid" else float)
+                           for name, column in zip(COLUMNS, zip(*rows))})
+            rows.clear()
 
     def flush():
+        take_rows()
         if header is None:
             return
-        if not rows:
+        if not count:
             raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
-        try:  # None becomes NaN
-            columns = {name: np.array(column, dtype=bool if name == "valid" else float)
-                       for name, column in zip(COLUMNS, zip(*rows))}
-            traces.append(_checked_trace(header, columns))
+        try:
+            trace = RunTrace(header["seed"], header["optimizer"], header["benchmark"],
+                             header["best_validation_error"], header["best_test_error"],
+                             config=header.get("config", {}),
+                             **{c: np.concatenate([b[c] for b in blocks]) for c in COLUMNS})
+            check_trace_invariants(trace)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{header_line}: {exc}") from exc
+        traces.append(trace)
 
-    for lineno, doc in _json_lines(path, ValueError):  # the text is never held whole
-        run = doc.get("run") if type(doc) is dict else None
-        if type(run) is dict:
-            flush()
-            header, header_line, rows = run, lineno, []
-            _check_header(path, lineno, header)
-            continue
-        _check_event(path, lineno, header, doc, len(rows))
-        rows.append(tuple(doc[name] for name in COLUMNS))
+    start = 1
+    for lines in _blocks(path):
+        for is_header, group in itertools.groupby(lines, _is_header):
+            group = list(group)
+            index += map(":{},".format, range(len(index), count + len(group)))
+            if not is_header and header and (block := _event_block("".join(group), index, count)):
+                take_rows()
+                blocks.append(block)
+                count += len(group)
+            else:  # a line at a time
+                for lineno, doc in _decode_lines(path, ValueError, group, start):
+                    run = doc.get("run") if type(doc) is dict else None
+                    if type(run) is dict:
+                        flush()
+                        header, header_line, blocks, count = run, lineno, [], 0
+                        _check_header(path, lineno, header)
+                    else:
+                        _check_event(path, lineno, header, doc, count)
+                        rows.append(tuple(doc[name] for name in COLUMNS))
+                        count += 1
+            start += len(group)
     flush()
     if not traces:
         raise ValueError(f"{path}: no runs found")
@@ -425,53 +446,10 @@ def _check_header(path: Path, lineno: int, header: dict):
             raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large for a float")
 
 
-def _checked_trace(header: dict, columns: dict[str, np.ndarray]) -> RunTrace:
-    trace = RunTrace(header["seed"], header["optimizer"], header["benchmark"],
-                     header["best_validation_error"], header["best_test_error"],
-                     config=header.get("config", {}), **columns)
-    check_trace_invariants(trace)
-    return trace
-
-
 _KEY_PIECES = sorted(EVENT_FIELDS)
 _PIECE = {name: 2 + 2 * _KEY_PIECES.index(name) for name in EVENT_FIELDS}
 _VALID_PIECES = {":true}\n{": True, ":false}\n{": False}
 _is_header = operator.methodcaller("startswith", '{"run":')
-
-
-def _read_columns(path: Path) -> list[RunTrace] | None:
-    """:func:`read_traces` a block of :data:`BLOCK_LINES` lines at a time, as
-    columns, or None when a line is not spelled as :func:`write_traces`
-    spells it or fails one of the line reader's checks."""
-    runs: list[tuple[str, list[dict[str, np.ndarray]]]] = []  # header lines and event blocks
-    index: list[str] = []  # the eval_index pieces ":0,", ":1,", ...
-    offset = 0  # the events of the last run so far
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        while lines := list(itertools.islice(fh, BLOCK_LINES)):
-            for is_header, group in itertools.groupby(lines, _is_header):
-                text = "".join(group)
-                if is_header:  # two headers in a row are not one JSON value
-                    runs.append((text, []))
-                    offset = 0
-                    continue
-                index += map(":{},".format, range(len(index), offset + BLOCK_LINES))
-                block = runs and _event_block(text, index, offset)
-                if not block:
-                    return None
-                runs[-1][1].append(block)
-                offset += len(block["valid"])
-    traces = []
-    try:
-        for text, blocks in runs:
-            header = json.loads(text)["run"]
-            if type(header) is not dict or _undecodable(text):  # a non-ASCII event fails anyway
-                return None
-            _check_header(path, 0, header)
-            traces.append(_checked_trace(header, {name: np.concatenate([b[name] for b in blocks])
-                                                  for name in COLUMNS}))
-    except (TypeError, ValueError):  # as the line reader catches
-        return None
-    return traces or None
 
 
 def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarray] | None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import diffevo.baselines as baselines
+import diffevo.benchmarks as benchmarks
 from diffevo import BenchmarkLoadError, ParameterSpec, RunTrace, SearchSpace
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants, run_failure
 
@@ -439,6 +440,25 @@ def watch_tournaments(monkeypatch):
 
     monkeypatch.setattr(baselines, "tournament_select", watching)
     return seen
+
+
+def watch_line_reads(monkeypatch, module):
+    """Record the number of every line that ``module``'s reader sends
+    through the per-line decoder, and the files it opens."""
+    lines, opened = [], []
+    decode, real_open = module._decode_lines, open
+
+    def decoding(path, error, block, start):
+        lines.extend(range(start, start + len(block)))
+        return decode(path, error, block, start)
+
+    def opening(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_decode_lines", decoding)
+    monkeypatch.setattr(benchmarks, "open", opening, raising=False)  # the one block reader
+    return lines, opened
 
 
 def row_columns(rows):

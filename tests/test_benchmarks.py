@@ -5,7 +5,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from diffevo.benchmarks import BLOCK_LINES
 from diffevo.baselines import run_random_search
 from diffevo.trace import Budget
 
-from conftest import reference_load_tabular, row_columns
+from conftest import reference_load_tabular, row_columns, watch_line_reads
 
 
 def tiny_space():
@@ -316,24 +315,27 @@ class TestTabularFile:
         with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:1: bad header: "):
             load_tabular(path)
 
-    @pytest.mark.parametrize("params, records, error, message", [
-        ([{"name": "x", "kind": "float", "lo": 0.0, "hi": 1.0}], [{"key": ["a"]}],
-         BenchmarkLoadError, "{path}:2: key ('a',) outside the declared space"),
+    @pytest.mark.parametrize("params, records, problem", [
+        ([{"name": "x", "kind": "float", "lo": 0.0, "hi": 1.0}], [{"key": [0.5]}],
+         "tabular benchmarks require discrete parameters; 'x' is float"),
+        ([{"name": "x", "kind": "integer", "lo": 0, "hi": 2**60}], [{"key": [1]}],
+         "integer parameter 'x' has bounds [0, 1152921504606846976] beyond +-2**52, which "
+         "genotypes cannot decode exactly"),
         ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)],
-         [{"key": [1, 2, 3, 4]}], ValueError,
+         [{"key": [1, 2, 3, 4]}], "the space's 18447869999386460161 configurations are too "
+         "many for 64-bit configuration codes"),
+        ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)], [],
          "the space's 18447869999386460161 configurations are too many for 64-bit "
          "configuration codes"),
-        ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)], [],
-         BenchmarkLoadError, "{path}: no configuration records"),
-    ])
-    def test_space_a_table_cannot_hold_fails_after_its_lines(self, tmp_path, params, records,
-                                                             error, message):
+    ], ids=["float", "integer-bounds", "too-many-codes", "too-many-codes-no-records"])
+    def test_space_a_table_cannot_hold_fails_at_the_header(self, tmp_path, params, records,
+                                                           problem):
         path = tmp_path / "bench.jsonl"
         path.write_text("\n".join(json.dumps(doc) for doc in [
             {"params": params}, *({**r, "val_err": 0.2, "cost": 1.0} for r in records)]) + "\n")
-        with pytest.raises(error) as err:
+        with pytest.raises(BenchmarkLoadError) as err:
             load_tabular(path)
-        assert str(err.value) == message.format(path=path)
+        assert str(err.value) == f"{path}:1: bad header: {problem}"
 
     def test_repeated_key_with_bad_values_names_the_values(self, tmp_path):
         path = self.write_file(tmp_path, [
@@ -512,22 +514,67 @@ class TestBlockLoader:
     @pytest.mark.parametrize("token, blank", [("a{b", ""), ("a", "\n"), ("a", " \t\n")])
     def test_block_the_one_call_decode_misses_loads_a_line_at_a_time(self, tmp_path,
                                                                       monkeypatch, token, blank):
-        # a brace inside a token, or a blank line, takes the line reader
+        # a brace inside a token, or a blank line, sends its block, and only
+        # its block, through the per-line decoder; line 1 is the header
         space = SearchSpace(params=(
             ParameterSpec(name="op", kind="categorical", choices=(token, "b")),
-            ParameterSpec(name="depth", kind="integer", lo=1, hi=3)))
+            ParameterSpec(name="depth", kind="integer", lo=1, hi=3 * BLOCK_LINES)))
+        records = [json.dumps({"key": ["b", d], "val_err": 0.3, "test_err": None, "cost": 1})
+                   for d in range(1, 2 * BLOCK_LINES + 100)]
+        records[BLOCK_LINES + 10] = blank + json.dumps({"key": [token, 1], "val_err": 0.2,
+                                                        "cost": 2.0})
         path = tmp_path / "bench.jsonl"
-        path.write_text("\n".join([
-            json.dumps(space.to_json_dict()),
-            json.dumps({"key": [token, 1], "val_err": 0.3, "test_err": None, "cost": 1}),
-            blank + json.dumps({"key": ["b", 3], "val_err": 0.2, "cost": 2.0})]) + "\n")
-        load_lines = mock.Mock(wraps=benchmarks._load_lines)
-        monkeypatch.setattr(benchmarks, "_load_lines", load_lines)
+        path.write_text("\n".join([json.dumps(space.to_json_dict()), *records]) + "\n")
+        walked, opened = watch_line_reads(monkeypatch, benchmarks)
         bench = load_tabular(path)
-        assert load_lines.call_count == 1
+        assert walked == list(range(BLOCK_LINES + 1, 2 * BLOCK_LINES + 1)) and len(opened) == 1
         table, best_val, best_test = reference_load_tabular(path)
         assert bench.table == table
         assert (bench.best_validation_error, bench.best_test_error) == (best_val, best_test)
+
+    def test_a_trailing_blank_line_reads_only_the_last_block_a_line_at_a_time(self, tmp_path,
+                                                                             monkeypatch):
+        path = tmp_path / "t.jsonl"
+        write_tabular(make_synthetic(4, 8, invalid_fraction=0.2, seed=3), path)
+        walked, opened = watch_line_reads(monkeypatch, benchmarks)
+        load_tabular(path)
+        assert walked == [] and len(opened) == 1  # a written file is read as columns alone
+        path.write_text(path.read_text() + "\n")
+        lines = path.read_text().count("\n")
+        opened.clear()
+        bench = load_tabular(path)
+        assert lines > 3 * BLOCK_LINES and len(opened) == 1
+        assert walked == list(range(lines - (lines - 1) % BLOCK_LINES, lines + 1))  # the last block
+        table, best_val, best_test = reference_load_tabular(path)
+        assert bench.table == table
+        assert (bench.best_validation_error, bench.best_test_error) == (best_val, best_test)
+
+    def test_a_repeat_in_a_canonical_block_wins_over_a_later_odd_block(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_tabular(make_synthetic(4, 8, seed=3), path)
+        lines = path.read_text().split("\n")
+        lines[10] = lines[5]  # line 11 repeats line 6's key, in the first block
+        lines[3 * BLOCK_LINES] = "{not json"  # an odd block further on
+        path.write_text("\n".join(lines))
+        key = json.loads(lines[5])["key"]
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:11: duplicate configuration key {key!r}"
+        with pytest.raises(BenchmarkLoadError, match=re.escape(str(err.value))):
+            reference_load_tabular(path)
+
+    def test_a_repeat_across_two_canonical_blocks_names_the_second(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_tabular(make_synthetic(4, 8, seed=3), path)
+        lines = path.read_text().split("\n")
+        lines[BLOCK_LINES + 20] = lines[BLOCK_LINES - 20]  # from block 1 into block 2
+        path.write_text("\n".join(lines))
+        key = json.loads(lines[BLOCK_LINES - 20])["key"]
+        with pytest.raises(BenchmarkLoadError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:{BLOCK_LINES + 21}: duplicate configuration key {key!r}"
+        with pytest.raises(BenchmarkLoadError, match=re.escape(str(err.value))):
+            reference_load_tabular(path)
 
     def test_keeps_under_64_bytes_a_row(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -591,6 +638,20 @@ class TestUndecodableBytes:
             load_tabular(path)
         assert re.fullmatch(f"{re.escape(str(path))}:{bad_line}: 'utf-8' codec can't decode "
                             r"byte 0xff in position \d+: invalid start byte", str(err.value))
+
+    def test_a_truncated_sequence_reads_alike_on_the_header_and_a_record(self, tmp_path):
+        # the header is decoded without its "\n", as every record line is
+        for bad_line in (1, 2):
+            data = [json.dumps(tiny_space().to_json_dict()).encode(),
+                    json.dumps({"key": ["b", 1], "val_err": 0.2, "cost": 1.0}).encode()]
+            data[bad_line - 1] += b"\xc3"  # the first byte of a two-byte sequence
+            path = tmp_path / f"bench-{bad_line}.jsonl"
+            path.write_bytes(b"\n".join(data) + b"\n")
+            with pytest.raises(BenchmarkLoadError) as err:
+                load_tabular(path)
+            position = len(data[bad_line - 1]) - 1
+            assert str(err.value) == (f"{path}:{bad_line}: 'utf-8' codec can't decode byte 0xc3 "
+                                      f"in position {position}: unexpected end of data")
 
     def test_an_earlier_bad_line_wins(self, tmp_path):
         path = self.write(tmp_path, [json.dumps({"key": ["b", 1], "val_err": 2.0, "cost": 1.0}),

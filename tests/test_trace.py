@@ -25,6 +25,7 @@ from conftest import (
     each_seed,
     reference_read_traces,
     trace_from_rows,
+    watch_line_reads,
 )
 
 
@@ -707,15 +708,18 @@ class TestTraceReader:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: bad JSON"):
                 read(path)
 
-    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path, monkeypatch):
         traces = run_random_search(make_synthetic(3, 3, seed=0), Budget(max_evaluations=30),
                                    range(3))
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
         write_traces(traces, lf)
         crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        assert trace_module._read_columns(crlf) is None  # the line reader takes it
-        assert_same_traces(read_traces(crlf), read_traces(lf))
+        walked, opened = watch_line_reads(monkeypatch, trace_module)
         assert_same_traces(read_traces(crlf), traces)
+        assert walked == list(range(1, 3 * 31 + 1)) and opened == [crlf]  # every line, once
+        walked.clear()
+        assert_same_traces(read_traces(lf), traces)
+        assert walked == [1, 32, 63]  # the run headers alone
 
     @pytest.mark.parametrize("bad_line", [1, 3])
     def test_undecodable_byte_names_the_line(self, tmp_path, bad_line):
@@ -760,10 +764,40 @@ class TestTraceReader:
             traces.append(trace_from_rows(list(rows), seed=seed, config={"np": seed}))
         path = tmp_path / "runs.jsonl"
         write_traces(traces, path)
-        monkeypatch.setattr(trace_module, "_read_lines", mock.Mock(side_effect=AssertionError))
+        walked, opened = watch_line_reads(monkeypatch, trace_module)
         got = read_traces(path)
+        assert walked == [1, 3, BLOCK_LINES + 9] and opened == [path]  # the run headers alone
         assert_same_traces(got, traces)
         assert [t.objective.tobytes() for t in got] == [t.objective.tobytes() for t in traces]
+
+    def test_a_run_read_a_line_at_a_time_in_one_block_and_as_columns_in_the_next(
+            self, tmp_path, monkeypatch):
+        n = 2 * BLOCK_LINES
+        objective = np.random.default_rng(4).random(n)
+        trace = trace_from_rows(list(zip(np.arange(n) * 0.5, objective,
+                                         np.minimum.accumulate(objective), [None] * n,
+                                         [True] * n)))
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        lines = path.read_text().split("\n")
+        lines[5] = json.dumps(json.loads(lines[5]))  # spaced separators, in the first block
+        path.write_text("\n".join(lines))
+        walked, _ = watch_line_reads(monkeypatch, trace_module)
+        assert_same_traces(read_traces(path), [trace])
+        assert walked == list(range(1, BLOCK_LINES + 1))
+
+    def test_a_file_without_its_last_newline_reads_only_its_last_block_a_line_at_a_time(
+            self, tmp_path, monkeypatch):
+        traces = [trace_from_rows([(0.0, 1.0, 1.0, None, False)] * n, seed=seed)
+                  for seed, n in enumerate([BLOCK_LINES + 5, 2 * BLOCK_LINES])]
+        path = tmp_path / "runs.jsonl"
+        write_traces(traces, path)
+        path.write_text(path.read_text()[:-1])
+        lines = 3 * BLOCK_LINES + 7
+        walked, opened = watch_line_reads(monkeypatch, trace_module)
+        assert_same_traces(read_traces(path), reference_read_traces(path))
+        events = [i for i in walked if i not in (1, BLOCK_LINES + 7)]  # not the run headers
+        assert events == list(range(3 * BLOCK_LINES + 1, lines + 1)) and len(opened) == 1
 
     @pytest.mark.parametrize("name", EVENT_FIELDS)
     def test_respelled_value_in_a_written_file(self, tmp_path, name):
