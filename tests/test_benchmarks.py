@@ -327,7 +327,7 @@ class TestTabularFile:
         ([{"name": f"k{i}", "kind": "integer", "lo": 0, "hi": 2**16} for i in range(4)], [],
          "the space's 18447869999386460161 configurations are too many for 64-bit "
          "configuration codes"),
-    ], ids=["float", "integer-bounds", "too-many-codes", "too-many-codes-no-records"])
+    ], ids=["float", "bounds", "codes", "no_recs"])
     def test_space_a_table_cannot_hold_fails_at_the_header(self, tmp_path, params, records,
                                                            problem):
         path = tmp_path / "bench.jsonl"
