@@ -12,22 +12,15 @@ Example:
 """
 
 import argparse
+import re
+import sys
 from pathlib import Path
 
-from diffevo import (
-    Budget,
-    DEConfig,
-    REConfig,
-    aggregate,
-    final_regrets,
-    paired_sign_test,
-    run_de,
-    run_random_search,
-    run_regularized_evolution,
-    write_curve_csv,
-    write_traces,
-)
-from diffevo.cli import parse_benchmark
+from diffevo import aggregate, final_regrets, paired_sign_test, write_curve_csv, write_traces
+from diffevo.cli import FIELDS, build_optimizer, parse_benchmark
+
+# the CLI config field each optimizer flag of this script sets
+CONFIG_FLAGS = {"np": "np", "f": "f", "cr": "cr", "re-pop": "pop", "re-sample": "sample"}
 
 
 def build_parser():
@@ -37,11 +30,10 @@ def build_parser():
     parser.add_argument("--runs", type=int, default=100)
     parser.add_argument("--evals", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--np", type=int, default=20, dest="population_size")
-    parser.add_argument("--f", type=float, default=0.5, dest="scaling_factor")
-    parser.add_argument("--cr", type=float, default=0.5, dest="crossover_rate")
-    parser.add_argument("--re-pop", type=int, default=100)
-    parser.add_argument("--re-sample", type=int, default=10)
+    for flag, field in CONFIG_FLAGS.items():
+        kind, default, text = FIELDS[field]
+        parser.add_argument(f"--{flag}", type=kind, default=default, dest=field,
+                            help=f"{text} (default {default})")
     parser.add_argument("--grid-points", type=int, default=512)
     parser.add_argument("--out-dir", default="results")
     return parser
@@ -49,28 +41,32 @@ def build_parser():
 
 def main():
     args = build_parser().parse_args()
+    cfg = {key: default for key, (_, default, _) in FIELDS.items()}
+    cfg.update((key, value) for key, value in vars(args).items() if key in FIELDS)
+    # every flag is checked before the first run and before anything is written
+    try:
+        for flag, value in (("runs", args.runs), ("grid-points", args.grid_points)):
+            if value < 1:
+                raise ValueError(f"--{flag} must be positive, got {value}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        optimizers = {name: build_optimizer(name, cfg) for name in ("de", "rs", "re")}
+        bench = parse_benchmark(args.benchmark)
+    except (ValueError, OSError) as exc:  # as the CLI reports them
+        message = str(exc)
+        for flag, field in CONFIG_FLAGS.items():  # a field's flag as this script spells it
+            message = re.sub(f"^--{field} ", f"--{flag} ", message)
+        print(f"error: {message}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    bench = parse_benchmark(args.benchmark)
-    budget = Budget(max_evaluations=args.evals)
-    de_cfg = DEConfig(population_size=args.population_size,
-                      scaling_factor=args.scaling_factor,
-                      crossover_rate=args.crossover_rate, budget=budget)
-    re_cfg = REConfig(population_size=args.re_pop, sample_size=args.re_sample,
-                      budget=budget)
-    optimizers = {
-        "de": (run_de, de_cfg),
-        "rs": (run_random_search, budget),
-        "re": (run_regularized_evolution, re_cfg),
-    }
     seeds = range(args.seed, args.seed + args.runs)
 
     print(f"benchmark {bench.benchmark_id}: best validation error "
           f"{bench.best_validation_error:.6f}")
     finals = {}
-    for name, (run, cfg) in optimizers.items():
-        traces = run(bench, cfg, seeds)
+    for name, (run, config) in optimizers.items():
+        traces = run(bench, config, seeds)
         write_traces(traces, out_dir / f"{name}.jsonl")
         write_curve_csv(aggregate(traces, grid="log", points=args.grid_points),
                         out_dir / f"{name}.csv")
@@ -82,7 +78,8 @@ def main():
         p = paired_sign_test(finals[name], finals["rs"])
         print(f"sign test {name} below rs: p = {p:.2e}")
     print(f"traces and curves written to {out_dir}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

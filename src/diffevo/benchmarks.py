@@ -1,8 +1,10 @@
 """Evaluation contract and concrete benchmarks.
 
-A benchmark maps a native-domain configuration to one row: a validation
-error in [0, 1], an optional test error, and a training cost in seconds; an
-invalid configuration has no row (None). Three families are provided:
+A benchmark scores an (N, D) genotype block with ``evaluate_batch``, one row
+for each configuration its ``space`` discretizes the block to: four length-N
+columns, the validation error in [0, 1], the test error (NaN when missing) and
+the cost in seconds as float64, and valid as bool; an invalid configuration
+scores 1.0, NaN and 0.0. Three families are provided:
 
 * :class:`TabularBenchmark` -- a lookup table over a finite discrete space,
   loadable from a JSON Lines file; configurations absent from the table are
@@ -24,6 +26,7 @@ import json
 import math
 import operator
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -73,9 +76,6 @@ class TabularBenchmark:
     mixed-radix weights, and the (3, N) float64 ``(val, test, cost)`` rows in
     code order, a missing test error NaN. Best-known errors are recomputed
     from the rows, never trusted from a file. Missing keys are invalid.
-
-    Built here from a mapping ``{configuration: row}``, every row checked;
-    :func:`load_tabular` and :func:`make_synthetic` build the arrays directly.
     """
 
     space: SearchSpace
@@ -83,24 +83,11 @@ class TabularBenchmark:
     best_validation_error: float
     best_test_error: float | None
 
-    def __init__(self, space: SearchSpace,
-                 table: dict[Configuration, tuple[float, float | None, float]], benchmark_id: str):
-        weights = _code_weights(space)
-        if not table:
-            raise ValueError("tabular benchmark needs at least one listed configuration")
-        for key, row in table.items():
-            if problem := _row_problem(space, key, *row):
-                raise BenchmarkLoadError(f"{key!r}: {problem}")
-        index = [_domain_index(p, column) for p, column in zip(space.params, zip(*table))]
-        codes = weights @ np.array(index, dtype=np.int64)
-        order = np.argsort(codes)
-        rows = np.array(list(zip(*table.values())), dtype=float)  # None -> NaN
-        self._hold(space, benchmark_id, codes[order], rows[:, order])
-
-    def _hold(self, space, benchmark_id, codes, rows) -> TabularBenchmark:
-        """Set every field from sorted, distinct ``codes`` and their checked
-        (3, N) ``rows``, and return the benchmark; :func:`load_tabular` and
-        :func:`make_synthetic` call it on ``object.__new__(TabularBenchmark)``."""
+    def __init__(self, space: SearchSpace, benchmark_id: str, codes: np.ndarray,
+                 rows: np.ndarray):
+        """Set every field from sorted, distinct int64 ``codes`` and their
+        checked (3, N) float64 ``rows``, as :func:`load_tabular` and
+        :func:`make_synthetic` build them."""
         tests = rows[1][rows[1] == rows[1]]  # NaN is a missing test error
         base = [p.lo if p.kind == "integer" else 0 for p in space.params]
         # after the rows, the invalid row, under one code above every code
@@ -115,7 +102,6 @@ class TabularBenchmark:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-        return self
 
     @property
     def table(self) -> dict[Configuration, tuple[float, float | None, float]]:
@@ -176,7 +162,7 @@ def _code_weights(space: SearchSpace) -> np.ndarray:
 
 def _row_problem(space: SearchSpace, key, val, test, cost) -> str | None:
     """What makes one row of a table break the contract, or None."""
-    if len(key) != space.dimension or [-1] in map(_domain_index, space.params, zip(key)):
+    if [-1] in map(_domain_index, space.params, zip(key)):
         return f"key {key!r} outside the declared space"
     if not _is_number(val):
         return f"validation error {val!r} is not a number"
@@ -232,6 +218,22 @@ def _blocks(path: Path):
     with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         while lines := list(itertools.islice(fh, BLOCK_LINES)):
             yield lines
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """A file to write ``path`` through: ``path`` + ".tmp", opened as UTF-8
+    text without newline translation. It replaces ``path`` when the block
+    ends and is unlinked when the block raises."""
+    tmp = Path(f"{path}.tmp")
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _decode_lines(path: Path, error: type[ValueError], lines: list[str], start: int):
@@ -295,7 +297,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         raise BenchmarkLoadError(f"{path}: no configuration records")
     order = codes.argsort(kind="stable")
     rows = np.concatenate([r for _, r in columns], axis=1)[:, order]
-    return object.__new__(TabularBenchmark)._hold(space, benchmark_id, codes[order], rows)
+    return TabularBenchmark(space, benchmark_id, codes[order], rows)
 
 
 def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
@@ -389,20 +391,11 @@ def write_tabular(bench: TabularBenchmark, path: str | Path):
     Rows are sorted by key, so identical benchmarks serialize to identical
     bytes.
     """
-    path = Path(path)
-    header = bench.space.to_json_dict()
-    header["benchmark_id"] = bench.benchmark_id
-    out = [json.dumps(header, separators=(",", ":"))]
-    table = bench.table
-    for key in sorted(table):
-        val, test, cost = table[key]
-        out.append(json.dumps(
-            {"key": list(key), "val_err": val, "test_err": test, "cost": cost},
-            separators=(",", ":"),
-        ))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text("\n".join(out) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    header = {**bench.space.to_json_dict(), "benchmark_id": bench.benchmark_id}
+    records = ({"key": list(key), "val_err": val, "test_err": test, "cost": cost}
+               for key, (val, test, cost) in sorted(bench.table.items()))
+    with _replacing(path) as fh:
+        fh.writelines(json.dumps(doc, separators=(",", ":")) + "\n" for doc in [header, *records])
 
 
 COST_MODELS = ("unit", "lognormal")
@@ -477,8 +470,8 @@ def make_synthetic(
         f":invalid={invalid_fraction:g}:cost={cost_model}:seed={seed}"
     )
     # configurations are enumerated in code order: the code of row r is r
-    return object.__new__(TabularBenchmark)._hold(space, benchmark_id, np.flatnonzero(listed),
-                                                  np.array([val_err, test_err, cost])[:, listed])
+    return TabularBenchmark(space, benchmark_id, np.flatnonzero(listed),
+                            np.array([val_err, test_err, cost])[:, listed])
 
 
 # f over the last axis: one value per point, for one point or a block of them

@@ -280,6 +280,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "points", 1) < 1:  # compare and aggregate, before any benchmark
+            raise ValueError(f"--points must be positive, got {args.points}")
         return args.func(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

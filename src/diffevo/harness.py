@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .benchmarks import Benchmark
+from .benchmarks import Benchmark, _replacing
 from .trace import Budget, RunRecorder, RunTrace, _spell_floats
 
 # rows per write of a curve CSV: bounds the text held in memory at once
@@ -160,16 +160,13 @@ def write_curve_csv(curve: AggregateCurve, path: str | Path):
     """Write an aggregate curve as ``time,mean_regret,n_runs`` CSV, atomically
     (temp file then rename), in the bytes ``csv.writer`` would give: floats
     by ``repr``, rows ended by ``\\r\\n``, written a chunk of rows at a time."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write("time,mean_regret,n_runs\r\n")
         for start in range(0, len(curve.times), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             regrets = _spell_floats(curve.mean_regret[rows], nan="nan", inf="inf")
             fh.write("".join(f"{t!r},{r},{n}\r\n" for t, r, n in zip(
                 curve.times[rows].tolist(), regrets, curve.n_runs[rows].tolist())))
-    tmp.replace(path)
 
 
 def paired_sign_test(x: Sequence[float], y: Sequence[float]) -> float:

@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import BLOCK_LINES, Benchmark, _blocks, _decode_lines
+from .benchmarks import BLOCK_LINES, Benchmark, _blocks, _decode_lines, _replacing
 
 
 @dataclass(frozen=True)
@@ -347,9 +347,7 @@ def write_traces(traces: list[RunTrace], path: str | Path):
     """Write traces as JSON Lines, atomically (temp file then rename), one run
     at a time; event lines are built column by column, byte for byte as
     ``json.dumps`` spells them."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for trace in traces:
             fh.write(_header_line(trace) + "\n")
             columns = zip(_spell_floats(trace.cumulative_cost),
@@ -362,7 +360,6 @@ def write_traces(traces: list[RunTrace], path: str | Path):
                 f'"incumbent_test_error":{test},"objective":{objective},"valid":{valid}}}\n'
                 for i, (cost, incumbent, test, objective, valid) in enumerate(columns)
             ))
-    tmp.replace(path)
 
 
 _EVENT_TYPE_SETS = [frozenset(types) for _, *types in _EVENT_TYPES.values()]

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import diffevo.baselines as baselines
 import diffevo.benchmarks as benchmarks
-from diffevo import BenchmarkLoadError, ParameterSpec, RunTrace, SearchSpace
+from diffevo import BenchmarkLoadError, ParameterSpec, RunTrace, SearchSpace, load_tabular
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants, run_failure
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
@@ -281,6 +282,20 @@ def _reference_check_rows(space, table, where):
         else:
             continue
         raise BenchmarkLoadError(f"{where(key)}: {problem}")
+
+
+def tabular(space, table, benchmark_id):
+    """The tabular benchmark of ``table`` (``{configuration: (val, test or
+    None, cost)}``) over ``space``, written in the README file format to a
+    temporary file and read back by ``load_tabular``."""
+    header = {**space.to_json_dict(), "benchmark_id": benchmark_id}
+    records = [{"key": list(key), "val_err": val, "test_err": test, "cost": cost}
+               for key, (val, test, cost) in table.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in [header, *records]),
+                        encoding="utf-8")
+        return load_tabular(path)
 
 
 def bin_index(u, n):

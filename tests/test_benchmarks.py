@@ -16,7 +16,6 @@ from diffevo import (
     FunctionBenchmark,
     ParameterSpec,
     SearchSpace,
-    TabularBenchmark,
     load_tabular,
     make_synthetic,
     read_traces,
@@ -26,9 +25,10 @@ from diffevo import (
 import diffevo.benchmarks as benchmarks
 from diffevo.benchmarks import BLOCK_LINES
 from diffevo.baselines import run_random_search
+from diffevo.harness import aggregate, write_curve_csv
 from diffevo.trace import Budget
 
-from conftest import reference_load_tabular, row_columns, watch_line_reads
+from conftest import reference_load_tabular, row_columns, tabular, watch_line_reads
 
 
 def tiny_space():
@@ -48,17 +48,17 @@ def tiny_table():
 
 class TestTabularBenchmark:
     def test_best_values_recomputed_from_table(self):
-        bench = TabularBenchmark(space=tiny_space(), table=tiny_table(), benchmark_id="t")
+        bench = tabular(tiny_space(), tiny_table(), "t")
         assert bench.best_validation_error == 0.05
         assert bench.best_test_error == 0.06
 
     def test_lookup_and_missing_key(self):
-        bench = TabularBenchmark(space=tiny_space(), table=tiny_table(), benchmark_id="t")
+        bench = tabular(tiny_space(), tiny_table(), "t")
         assert bench.evaluate(("a", 2)) == (0.05, 0.06, 3.0)
         assert bench.evaluate(("b", 1)) is None
 
     def test_repeated_lookup_is_pure(self):
-        bench = TabularBenchmark(space=tiny_space(), table=tiny_table(), benchmark_id="t")
+        bench = tabular(tiny_space(), tiny_table(), "t")
         first = bench.evaluate(("a", 1))
         assert all(bench.evaluate(("a", 1)) == first for _ in range(100_000))
 
@@ -67,23 +67,12 @@ class TestTabularBenchmark:
             ParameterSpec(name="x", kind="float", lo=0.0, hi=1.0),
         ))
         with pytest.raises(ValueError, match="float"):
-            TabularBenchmark(space=space, table={(0.5,): (0.1, None, 1.0)}, benchmark_id="t")
+            tabular(space, {(0.5,): (0.1, None, 1.0)}, "t")
 
     def test_rejects_out_of_range_error(self):
         table = {("a", 1): (1.5, None, 1.0)}
         with pytest.raises(BenchmarkLoadError):
-            TabularBenchmark(space=tiny_space(), table=table, benchmark_id="t")
-
-    @pytest.mark.parametrize("row", [("0.3", None, 1.0), (True, None, 1.0), (0.3, "x", 1.0),
-                                     (0.3, None, None), (0.3, None, np.bool_(True))])
-    def test_rejects_values_that_are_not_numbers(self, row):
-        with pytest.raises(BenchmarkLoadError, match=r"^\('a', 1\): .* is not a number"):
-            TabularBenchmark(space=tiny_space(), table={("a", 1): row}, benchmark_id="t")
-
-    def test_accepts_numpy_numbers(self):
-        row = (np.float64(0.3), np.float32(0.25), np.int64(2))
-        bench = TabularBenchmark(space=tiny_space(), table={("a", 1): row}, benchmark_id="t")
-        assert bench.best_validation_error == np.float64(0.3)
+            tabular(tiny_space(), table, "t")
 
 
 def mixed_table(seed):
@@ -100,7 +89,7 @@ def mixed_table(seed):
     domains = [range(-3, 3), *(p.tokens for p in space.params[1:-1]), range(3)]
     table = {key: (float(rng.random()), None, float(rng.random()))
              for key in itertools.product(*domains) if rng.random() < 0.6}
-    return TabularBenchmark(space=space, table=table, benchmark_id="mixed")
+    return tabular(space, table, "mixed")
 
 
 def genotype_block(dimension, rows, seed):
@@ -136,7 +125,7 @@ class TestEvaluateBatch:
         ))
         table = {(-1000, 0, 1000, "a"): (0.1, None, 1.0), (999, -999, 0, "c"): (0.2, 0.3, 2.0),
                  (1000, 1000, 1000, "b"): (0.3, None, 3.0)}
-        bench = TabularBenchmark(space=space, table=table, benchmark_id="sparse")
+        bench = tabular(space, table, "sparse")
         hits = np.array([[0.0, 0.5, 1.0, 0.0], [1999 / 2000, 1 / 2000, 0.5, 1.0],
                          [1.0, 1.0, 1.0, 0.5]])
         block = np.concatenate([hits, genotype_block(4, 20, 0)])
@@ -151,14 +140,13 @@ class TestEvaluateBatch:
         space = SearchSpace(params=tuple(
             ParameterSpec(name=f"k{i}", kind="integer", lo=0, hi=2**16) for i in range(4)))
         with pytest.raises(ValueError, match="too many for 64-bit configuration codes"):
-            TabularBenchmark(space=space, table={(0, 0, 0, 0): (0.1, None, 1.0)},
-                             benchmark_id="t")
+            tabular(space, {(0, 0, 0, 0): (0.1, None, 1.0)}, "t")
 
     def test_rejects_integer_bounds_beyond_exact_decoding(self):
         space = SearchSpace(params=(
             ParameterSpec(name="k", kind="integer", lo=2**53, hi=2**53 + 3),))
         with pytest.raises(ValueError, match="beyond"):
-            TabularBenchmark(space=space, table={(2**53,): (0.1, None, 1.0)}, benchmark_id="t")
+            tabular(space, {(2**53,): (0.1, None, 1.0)}, "t")
 
     @pytest.mark.parametrize("name", ["sphere", "rastrigin"])
     @pytest.mark.parametrize("dimension", [1, 3, 12])
@@ -605,7 +593,7 @@ class TestBlockLoader:
         # a key prefix whose code is listed
         space = SearchSpace(params=(ParameterSpec(name="a", kind="integer", lo=0, hi=3),
                                     ParameterSpec(name="b", kind="integer", lo=0, hi=3)))
-        bench = TabularBenchmark(space=space, table={(0, 0): (0.1, None, 1.0)}, benchmark_id="t")
+        bench = tabular(space, {(0, 0): (0.1, None, 1.0)}, "t")
         assert bench.evaluate((0,)) is None and bench.evaluate((0, 0)) == (0.1, None, 1.0)
 
     def test_table_is_a_copy(self):
@@ -687,6 +675,22 @@ class TestWrittenBytes:
         header = (tmp_path / "t.jsonl").read_text().split("\n")[0]
         assert '"best_test_error":0.0,"best_validation_error":0.0' in header
         assert read_traces(tmp_path / "t.jsonl")[0].best_validation_error == 0.0
+
+
+@pytest.mark.parametrize("write", [
+    lambda bench, path: write_tabular(bench, path),
+    lambda bench, path: write_traces(run_random_search(bench, Budget(max_evaluations=5), [0]),
+                                     path),
+    lambda bench, path: write_curve_csv(
+        aggregate(run_random_search(bench, Budget(max_evaluations=5), [0])), path),
+], ids=["tabular", "traces", "curve"])
+def test_a_failed_write_leaves_no_temp_file(tmp_path, write):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write(make_synthetic(2, 2), target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    assert list(target.iterdir()) == []
 
 
 class TestSynthetic:

@@ -381,7 +381,7 @@ class TestCompare:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: the log grid needs at least 1 point, got {points}\n"
+        assert err == f"error: --points must be positive, got {points}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_repeated_optimizer_is_usage_error(self, tmp_path, capsys):
@@ -399,6 +399,7 @@ class TestCompare:
         (("--optimizers", "de,re", "--pop", "3", "--sample", "5"),
          "--sample must be in [1, 3], got 5"),
         (("--optimizers", "rs,re", "--pop", "0"), "--pop must be >= 1, got 0"),
+        (("--optimizers", "de,rs", "--points", "0"), "--points must be positive, got 0"),
     ])
     def test_every_optimizer_is_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch,
                                                               flags, message):
@@ -537,8 +538,16 @@ class TestAggregateCommand:
         capsys.readouterr()
         out = tmp_path / "c.csv"
         assert run_cli("aggregate", str(trace_file), "--points", points, "--out", str(out)) == 1
-        assert capsys.readouterr().err == (f"error: the log grid needs at least 1 point, "
-                                           f"got {points}\n")
+        assert capsys.readouterr().err == f"error: --points must be positive, got {points}\n"
+        assert not out.exists()
+
+    def test_points_are_checked_on_the_union_grid_too(self, tmp_path, capsys):
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--grid", "union", "--points", "-3",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: --points must be positive, got -3\n"
         assert not out.exists()
 
     def test_trace_breaking_invariants_fails_cleanly(self, tmp_path, capsys):

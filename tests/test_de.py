@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffevo import (Budget, DEConfig, FunctionBenchmark, ParameterSpec, SearchSpace,
-                     TabularBenchmark, make_synthetic, run_de)
+                     make_synthetic, run_de)
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
 from conftest import (ReferenceRecorder, RecordingBenchmark, ScalarBenchmark, TransformedBenchmark,
-                      assert_same_traces, each_seed)
+                      assert_same_traces, each_seed, tabular)
 
 
 def identity_bench(dimension):
@@ -119,7 +119,7 @@ def de_benchmark(kind, seed):
         rng = np.random.default_rng(seed)
         table = {(k, o, c): (float(rng.random()), None, float(rng.random()))
                  for k in range(-2, 4) for o in "sml" for c in "ab" if rng.random() < 0.6}
-        return TabularBenchmark(space=space, table=table, benchmark_id="mixed")
+        return tabular(space, table, "mixed")
     return FunctionBenchmark(kind, 2)
 
 

@@ -57,6 +57,20 @@ def test_script_runs(tmp_path, script, args):
     assert done.stdout
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--np", "2"], "--np must be >= 4, got 2"),
+    (["--re-pop", "3", "--re-sample", "5"], "--re-sample must be in [1, 3], got 5"),
+    (["--grid-points", "0"], "--grid-points must be positive, got 0"),
+])
+def test_comparison_script_checks_its_flags_before_writing(tmp_path, args, message):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_comparison.py"), *args,
+         "--out-dir", str(tmp_path / "out")],
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_benchmark_command_line_runs(tmp_path, capsys):
     # the benchmark runs these command lines on every change, so a flag or
     # option the CLI drops fails here first
