@@ -58,12 +58,12 @@ def parent_indices(keys: np.ndarray) -> np.ndarray:
     """
     diagonal = np.arange(keys.shape[-1])
     keys[..., diagonal, diagonal] = np.inf
-    return np.argsort(keys, axis=-1)[..., :3]
+    return keys.argsort(axis=-1)[..., :3]
 
 
 def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor: float) -> np.ndarray:
     """rand/1 mutant: ``x1 + F * (x2 - x3)``, clipped coordinatewise to [0, 1]."""
-    return np.clip(x1 + scaling_factor * (x2 - x3), 0.0, 1.0)
+    return np.minimum(np.maximum(x1 + scaling_factor * (x2 - x3), 0.0), 1.0)
 
 
 def crossover_binomial(target: np.ndarray, mutant: np.ndarray, crossover_rate: float,
@@ -78,8 +78,7 @@ def crossover_binomial(target: np.ndarray, mutant: np.ndarray, crossover_rate: f
     """
     if target.shape != mutant.shape:
         raise ValueError(f"target and mutant shapes differ: {target.shape} vs {mutant.shape}")
-    take_mutant = draws < crossover_rate
-    np.put_along_axis(take_mutant, forced[..., None], True, axis=-1)
+    take_mutant = (draws < crossover_rate) | (np.arange(target.shape[-1]) == forced[..., None])
     return np.where(take_mutant, mutant, target)
 
 
@@ -87,25 +86,25 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
     """One differential-evolution run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Every step is one generation of each live run: its own generator draws
-    the (NP, NP) parent keys, then the (NP, D) crossover values, then the NP
-    forced dimensions. The budget is checked before every evaluation, so a
-    run may stop in the middle of initialization or mid-generation. Invalid
-    configurations cost nothing and score 1.0, guaranteed to lose every
-    selection against a valid member.
+    Every step is one generation of each live run, drawn in one call to its
+    own generator: NP * NP parent keys, NP * D crossover values, then NP
+    uniforms ``u`` whose ``floor(u * D)`` are the forced dimensions. The
+    budget is checked before every evaluation, so a run may stop mid-
+    initialization or mid-generation. Invalid configurations cost nothing
+    and score 1.0, guaranteed to lose every selection against a valid member.
     """
     def generation(rngs, genotypes, fitness):
         live, size, dimension = genotypes.shape
-        keys, draws = np.empty((live, size, size)), np.empty((live, size, dimension))
-        forced = np.empty((live, size), dtype=np.intp)
-        for i, rng in enumerate(rngs):
-            rng.random(out=keys[i])
-            rng.random(out=draws[i])
-            forced[i] = rng.integers(dimension, size=size)
-        r1, r2, r3 = np.moveaxis(parent_indices(keys), -1, 0)
-        runs = np.arange(live)[:, None]
-        mutants = mutant_vector(genotypes[runs, r1], genotypes[runs, r2], genotypes[runs, r3],
-                                cfg.scaling_factor)
+        flat = np.empty((live, size * (size + dimension + 1)))
+        for row, rng in zip(flat, rngs):
+            rng.random(out=row)
+        keys = flat[:, :size * size].reshape(live, size, size)
+        draws = flat[:, size * size:-size].reshape(live, size, dimension)
+        forced = (flat[:, -size:] * dimension).astype(np.intp)  # floor(u * D)
+        # rows of the (live * NP, D) population, shaped (3, live, NP): x1s, x2s, x3s
+        rows = parent_indices(keys).transpose(2, 0, 1) + np.arange(0, live * size, size)[:, None]
+        x1, x2, x3 = genotypes.reshape(-1, dimension).take(rows, axis=0)
+        mutants = mutant_vector(x1, x2, x3, cfg.scaling_factor)
         return crossover_binomial(genotypes, mutants, cfg.crossover_rate, draws, forced)
 
     def select(genotypes, fitness, trials, trial_fitness):

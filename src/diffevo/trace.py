@@ -445,14 +445,14 @@ def _check_header(path: Path, lineno: int, header: dict):
 
 _KEY_PIECES = sorted(EVENT_FIELDS)
 _PIECE = {name: 2 + 2 * _KEY_PIECES.index(name) for name in EVENT_FIELDS}
-_VALID_PIECES = {":true}\n{": True, ":false}\n{": False}
+_VALID_PIECES = {":true}\n{": True, ":false}\n{": False, ":true}\r\n{": True, ":false}\r\n{": False}
 _is_header = operator.methodcaller("startswith", '{"run":')
 
 
 def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarray] | None:
     """The columns of the event lines ``text`` (split at '"': "{", then each
     sorted field name and its value, ":<number>," or ":true}\\n{" with the next
-    line's "{"), the first event ``offset`` of its run, or None."""
+    line's "{", "\\r\\n" ends too), the first event ``offset`` of its run, or None."""
     pieces = text.split('"')
     pieces[-1] += "{"  # as if the next line followed
     k = len(pieces) // 12

@@ -153,8 +153,9 @@ def test_criterion_3_de_vs_rs(de_result, rs_result):
     p = paired_sign_test(de_final, rs_final)
     assert p < 0.05
     assert de_time + rs_time < 60.0
-    # at these exact seeds: DE mean 0.002149 vs RS 0.002464, p=0.0113,
-    # DE reaching zero regret on 94/100 seeds (a clear majority)
+    # at these exact seeds: DE mean 0.0021487 vs RS 0.0024636, p=0.0047,
+    # DE reaching zero regret on 94/100 seeds (a clear majority); with the
+    # forced dimensions drawn by integers(D) it was p=0.0113, also 94/100
     assert int((de_final == 0.0).sum()) > N_SEEDS // 2
 
 

@@ -5,6 +5,7 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from diffevo import make_synthetic, read_traces, regret_series, write_tabular
@@ -14,6 +15,17 @@ from diffevo.cli import main, parse_benchmark
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def write_one_choice_table(path, costs):
+    """A tabular file of one categorical parameter whose choice ``k`` costs
+    ``costs[k]``; returns its benchmark spec."""
+    choices = [f"c{k}" for k in range(len(costs))]
+    lines = [{"params": [{"name": "p", "kind": "categorical", "choices": choices}]}]
+    lines += [{"key": [c], "val_err": 0.5, "test_err": None, "cost": cost}
+              for c, cost in zip(choices, costs)]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+    return str(path)
 
 
 class TestParseBenchmark:
@@ -104,17 +116,17 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     def test_run_that_never_spends_its_cost_budget_fails_cleanly(self, tmp_path, capsys):
-        # F = 0 only recombines the initial coordinates, all invalid at seed 189
-        out = tmp_path / "x.jsonl"
-        code = run_cli("run", "--benchmark", "synthetic:3x4:invalid=0.5:seed=0", "--np", "4",
-                       "--f", "0", "--cr", "0", "--cost", "0.5", "--seed", "189",
-                       "--out", str(out))
+        # every row of the table costs 0, whatever DE draws
+        table = tmp_path / "free.jsonl"
+        bench = write_one_choice_table(table, [0.0] * 4)
+        code = run_cli("run", "--benchmark", bench, "--np", "4", "--cost", "0.5",
+                       "--seed", "189", "--out", str(tmp_path / "x.jsonl"))
         assert code == 1
         err = capsys.readouterr().err
         assert err == ("error: run with seed 189 failed: 100000 evaluations in a row left the "
                        "cumulative cost at 0.0, so the cost budget may never be spent; add an "
                        "evaluation limit (--evals)\n")
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [table]
 
     @pytest.mark.parametrize("flags, message", [
         (("--seed", "-1", "--benchmark", "synthetic:3x3"), "--seed must be non-negative, got -1"),
@@ -263,26 +275,30 @@ class TestRun:
 class TestGoldenBytes:
     """Output bytes pinned by sha256; a change to any trace or curve byte
     must update these constants deliberately. The de constants changed when
-    DE began drawing a whole generation at once (a new draw order). The re
+    DE began drawing a whole generation at once (a new draw order). They
+    changed again when each run's generation became one draw of
+    NP * NP + NP * D + NP uniforms, the forced dimensions ``floor(u * D)``
+    of the last NP instead of ``integers(D)`` (keys and crossover values
+    unchanged). The re
     constants changed when each RE child began coming from one draw of
     S + 2 uniforms instead of three generator calls (a new draw order). rs
     is unchanged since it was first recorded. AGGREGATES pins
     ``diffevo aggregate`` over the TRACES files on both grids."""
 
     TRACES = {
-        "de": "c65f8aac0f5d6fc72831868384ce4f38ac4692a2b88630a7ea8dc4b43105fbff",
+        "de": "c99ef002fa706f392bf7e22c69b19c06d5f89310331f409721e3146279f0cebe",
         "rs": "98b71d1bb476e33313d41ad27724a18e48cd4d04d163522da21806260afc0cca",
         "re": "620eb6c1c7a28d4435124b91230413d503500114cc7fcec9dfe4f898bf7dba2a",
     }
     CURVES = {
-        "de": "adc4c88423da535c6f6dc4df693ebd0746439cb557e5dd4525eae3526b02af3b",
+        "de": "07e80b4da66c031fa116d6cbdd18693399733999858d2991e526263becba5813",
         "rs": "4302c9d191c46044379f553ae966ae48b1a5d55b1625ab771166c0663b379339",
         "re": "d8d357c450d82d659a128ffc811cc4bd2b434aceca4113cdf6b695eef7a41dfd",
     }
 
     AGGREGATES = {
-        ("de", "union"): "d029cec07f9972b333d0e15de0d88e7a83a7526a0c3c6eab5bbb5166b8c102c7",
-        ("de", "log"): "ab0582918819942c9c8c8d8fefe78bb0317a0d1056e4ab10a7d9ef6022dc17ab",
+        ("de", "union"): "acd6f9f3b296e4e2d3d4df009ca8e9e3f398326079a43511978aaf111cf476df",
+        ("de", "log"): "0e3ea11006afa132ad831bbf56dc44321fcb9a048f9805e46bb14e6e8fbf11e6",
         ("rs", "union"): "bbebd4fb57bfb26533281ec1214724b6cbcad5c7d1b011e616b6e24f06395dff",
         ("rs", "log"): "b597846ec17e4744f215fe5b04dafb7c9819b0cd1f4bbcf67fd7c0155185fa10",
         ("re", "union"): "5ab3bbbe6aa8355ce0891f5e9457a71db4566510c87bd631b0e6740aa41c0469",
@@ -353,18 +369,26 @@ class TestCompare:
                    (tmp_path / "rev" / name).read_bytes()
 
     def test_failing_optimizer_leaves_no_partial_results(self, tmp_path, capsys):
-        # rs finishes; de then meets the zero-cost limit (see TestRun)
+        # rs finishes; de then meets the zero-cost limit (see TestRun): in one
+        # dimension with F = 0 every trial copies a member, so de only ever
+        # scores the choices of its initial population, one (NP, 1) uniform
+        # draw, and those cost 0
+        initial = np.random.default_rng(189).random(4)
+        free = set(np.floor(initial * 8).astype(int).tolist())
+        bench = write_one_choice_table(tmp_path / "t.jsonl",
+                                       [0.0 if k in free else 1.0 for k in range(8)])
         out_dir = tmp_path / "d"
-        code = run_cli("compare", "--optimizers", "rs,de",
-                       "--benchmark", "synthetic:3x4:invalid=0.5:seed=0", "--np", "4",
-                       "--f", "0", "--cr", "0", "--cost", "0.5", "--seed", "189",
-                       "--out-dir", str(out_dir))
+        code = run_cli("compare", "--optimizers", "rs,de", "--benchmark", bench, "--np", "4",
+                       "--f", "0", "--cost", "0.5", "--seed", "189", "--out-dir", str(out_dir))
         assert code == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: run with seed 189 failed: 100000 evaluations in a row")
         assert err.count("\n") == 1
         assert not out_dir.exists()
+        # alone, rs finishes on this table
+        assert run_cli("run", "--optimizer", "rs", "--benchmark", bench, "--cost", "0.5",
+                       "--seed", "189", "--out", str(tmp_path / "rs.jsonl")) == 0
 
     def test_bad_benchmark_spec_leaves_no_out_dir(self, tmp_path, capsys):
         out_dir = tmp_path / "d"

@@ -63,19 +63,27 @@ def reference_parents(keys, target):
     return sorted(others, key=keys[target].__getitem__)[:3]
 
 
+def generation_draws(rng, size, dimension):
+    """One generation's draws as ``run_de`` makes them: a single draw of
+    NP * NP + NP * D + NP uniforms, cut into the (NP, NP) parent keys, the
+    (NP, D) crossover values and the NP forced dimensions ``floor(u * D)``."""
+    u = rng.random(size * size + size * dimension + size)
+    return (u[:size * size].reshape(size, size),
+            u[size * size:-size].reshape(size, dimension),
+            [math.floor(v * dimension) for v in u[-size:]])
+
+
 def reference_run_de(bench, cfg, seed):
     """DE one target at a time, consuming the generator exactly like
-    ``run_de``: per generation an (NP, NP) parent-key draw, an (NP, D)
-    crossover draw and NP forced dimensions. Uses the scalar recorder."""
+    ``run_de``: per generation one draw of NP * NP + NP * D + NP uniforms
+    (see ``generation_draws``). Uses the scalar recorder."""
     rng = np.random.default_rng(seed)
     recorder = ReferenceRecorder(bench, cfg.budget)
     size, dimension = cfg.population_size, bench.space.dimension
     genotypes = rng.random((size, dimension))
     fitness = [recorder.evaluate(g) for g in genotypes]
     while not recorder.exhausted():
-        keys = rng.random((size, size))
-        crossover_draws = rng.random((size, dimension))
-        forced = rng.integers(dimension, size=size)
+        keys, crossover_draws, forced = generation_draws(rng, size, dimension)
         next_genotypes, next_fitness = genotypes.copy(), list(fitness)
         for i in range(size):
             r1, r2, r3 = reference_parents(keys, i)
@@ -104,8 +112,12 @@ def reference_de(bench, cfg, seeds):
 
 def de_benchmark(kind, seed):
     """Invalid keys, a constant objective (every selection a tie), a mixed
-    table with invalid keys and integers from a nonzero ``lo``, or float
-    discretization."""
+    table with invalid keys and integers from a nonzero ``lo``, a table
+    whose every row costs 0, or float discretization."""
+    if kind == "free":
+        base = make_synthetic(3, 3, seed=0)
+        return tabular(base.space, {key: (val, test, 0.0)
+                                    for key, (val, test, _) in base.table.items()}, "free")
     if kind == "invalid":
         return make_synthetic(3, 4, invalid_fraction=0.5, seed=seed % 7)
     if kind == "ties":
@@ -181,6 +193,35 @@ class TestInitialize:
         assert np.array_equal(a, b)
         # one (NP, D) uniform draw from the run's generator, row by row
         assert np.array_equal(a, np.random.default_rng(4).random((8, 3)))
+
+
+class TestGenerationDraws:
+    @given(st.integers(min_value=0, max_value=2**64 - 1),
+           st.integers(min_value=4, max_value=40),
+           st.integers(min_value=1, max_value=20))
+    def test_one_draw_begins_with_the_keys_and_crossover_values_of_two(self, seed, size,
+                                                                       dimension):
+        # a generation drawn into one row of a (runs, NP*NP + NP*D + NP) block,
+        # as run_de draws it, begins with the values of an (NP, NP) draw and
+        # then an (NP, D) draw
+        flat = np.empty((2, size * (size + dimension + 1)))
+        np.random.default_rng(seed).random(out=flat[1])
+        rng = np.random.default_rng(seed)
+        keys, draws = np.empty((size, size)), np.empty((size, dimension))
+        rng.random(out=keys)
+        rng.random(out=draws)
+        assert flat[1, :size * size].tobytes() == keys.tobytes()
+        assert flat[1, size * size:-size].tobytes() == draws.tobytes()
+        got_keys, got_draws, _ = generation_draws(np.random.default_rng(seed), size, dimension)
+        assert got_keys.tobytes() == keys.tobytes() and got_draws.tobytes() == draws.tobytes()
+
+    def test_forced_dimension_is_below_the_dimension(self):
+        # floor(u * D) for the largest double below 1, in Python and as
+        # run_de truncates it in numpy
+        u = 1 - 2**-53
+        dimensions = np.arange(1, 65)
+        assert [math.floor(u * d) for d in dimensions.tolist()] == (dimensions - 1).tolist()
+        assert np.array_equal((u * dimensions).astype(np.intp), dimensions - 1)
 
 
 class TestParentIndices:
@@ -452,9 +493,8 @@ class TestRunDE:
            st.one_of(st.builds(Budget, max_evaluations=st.integers(1, 120)),
                      st.builds(Budget, max_cost=st.floats(0.5, 90.0))),
            st.sampled_from(["invalid", "ties", "sphere"]))
-    # F = 0 recombines only the initial coordinates, all of them invalid
-    # here, so this run meets the zero-cost limit
-    @example(seed=189, size=4, f=0.0, cr=0.0, budget=Budget(max_cost=0.5), kind="invalid")
+    # every row costs 0, so this run meets the zero-cost limit
+    @example(seed=189, size=4, f=0.5, cr=0.5, budget=Budget(max_cost=0.5), kind="free")
     def test_matches_scalar_reference(self, seed, size, f, cr, budget, kind):
         # budgets stop runs mid-initialization and mid-generation; invalid
         # keys, a constant objective (every selection a tie) and float
