@@ -6,9 +6,9 @@ columns, the validation error in [0, 1], the test error (NaN when missing) and
 the cost in seconds as float64, and valid as bool; an invalid configuration
 scores 1.0, NaN and 0.0. Three families are provided:
 
-* :class:`TabularBenchmark` -- a lookup table over a finite discrete space,
-  loadable from a JSON Lines file; configurations absent from the table are
-  invalid (the optimizers penalize them with error 1 at zero cost).
+* :class:`TabularBenchmark` -- a lookup table keyed by the configuration
+  codes of a finite discrete space, loadable from a JSON Lines file; keys
+  absent from the table are invalid (error 1 at zero cost).
 * :func:`make_synthetic` -- a seeded, exhaustively enumerated table with an
   additive-plus-pairwise score model, so nearby configurations have similar
   errors and the global optimum is known by construction.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ from .space import Configuration, ParameterSpec, SearchSpace, _is_number
 
 # configurations at most this large may be enumerated exhaustively
 MAX_SYNTHETIC_CONFIGS = 10**6
-# tabular integer bounds at most this large decode exactly through float genotypes
-MAX_INTEGER_BOUND = 2**52
 
 
 class BenchmarkLoadError(ValueError):
@@ -69,13 +66,12 @@ class Benchmark(Protocol):
 class TabularBenchmark:
     """Finite lookup benchmark; keys are native-value configuration tuples.
 
-    Only categorical/ordinal/integer parameters are allowed (float-keyed
-    lookup is ill-defined). The table is kept as two read-only arrays and
-    nothing else: the sorted int64 configuration codes, ``sum(index_j *
-    weight_j)`` over the position of each value in its domain with
-    mixed-radix weights, and the (3, N) float64 ``(val, test, cost)`` rows in
-    code order, a missing test error NaN. Best-known errors are recomputed
-    from the rows, never trusted from a file. Missing keys are invalid.
+    Only a space with configuration codes is allowed (no float parameter,
+    whose lookup is ill-defined; :meth:`SearchSpace.check_codes`). The table
+    is kept as two read-only arrays and nothing else: the sorted int64 codes
+    the space gives its configurations and the (3, N) float64 ``(val, test,
+    cost)`` rows in code order, a missing test error NaN. Best-known errors
+    are recomputed from the rows, never trusted from a file.
     """
 
     space: SearchSpace
@@ -85,18 +81,15 @@ class TabularBenchmark:
 
     def __init__(self, space: SearchSpace, benchmark_id: str, codes: np.ndarray,
                  rows: np.ndarray):
-        """Set every field from sorted, distinct int64 ``codes`` and their
-        checked (3, N) float64 ``rows``, as :func:`load_tabular` and
-        :func:`make_synthetic` build them."""
+        """Set every field from the sorted, distinct codes of a ``space`` that
+        passes ``check_codes`` and their checked (3, N) float64 ``rows``, as
+        :func:`load_tabular` and :func:`make_synthetic` build them."""
         tests = rows[1][rows[1] == rows[1]]  # NaN is a missing test error
-        base = [p.lo if p.kind == "integer" else 0 for p in space.params]
-        # after the rows, the invalid row, under one code above every code
+        # after the rows, the invalid row, under a code above every code
         fields = {"space": space, "benchmark_id": benchmark_id,
                   "best_validation_error": float(rows[0].min()),
                   "best_test_error": float(tests.min()) if tests.size else None,
-                  "_weights": _code_weights(space),
-                  "_base": np.array(base, dtype=np.int64) if any(base) else None,
-                  "_codes": np.append(codes, math.prod(_domain_sizes(space))),
+                  "_codes": np.append(codes, np.iinfo(np.int64).max),
                   "_rows": np.append(rows, [[1.0], [math.nan], [0.0]], axis=1)}
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
@@ -107,9 +100,7 @@ class TabularBenchmark:
     def table(self) -> dict[Configuration, tuple[float, float | None, float]]:
         """The rows by configuration, in code order: a new dict rebuilt from
         the arrays at every access."""
-        index = np.unravel_index(self._codes[:-1], _domain_sizes(self.space))
-        keys = zip(*((i + p.lo).tolist() if p.kind == "integer" else
-                     [p.tokens[k] for k in i.tolist()] for p, i in zip(self.space.params, index)))
+        keys = self.space.configurations(self._codes[:-1])
         val, test, cost = self._rows[:, :-1].tolist()
         return dict(zip(keys, zip(val, [None if t != t else t for t in test], cost)))
 
@@ -117,10 +108,9 @@ class TabularBenchmark:
         """The row ``(validation_error, test_error or None, cost_seconds)`` of
         ``config``, or None when it is not listed: the scalar reference for
         :meth:`evaluate_batch`."""
-        index = [_domain_index(p, (value,))[0] for p, value in zip(self.space.params, config)]
-        if len(config) != self.space.dimension or -1 in index:
+        if len(config) != self.space.dimension:
             return None
-        code = sum(map(operator.mul, index, self._weights.tolist()))
+        code = self.space.key_codes([config]).item()  # -1, below every code, outside the space
         position = int(self._codes.searchsorted(code))
         if self._codes.item(position) != code:
             return None
@@ -130,40 +120,14 @@ class TabularBenchmark:
     def evaluate_batch(self, genotypes: np.ndarray) -> tuple[np.ndarray, ...]:
         """The (val, test, cost, valid) columns of an (N, D) genotype block:
         the rows ``evaluate`` gives for the discretized configurations."""
-        index = self.space.decode(genotypes).astype(np.int64)
-        if self._base is not None:
-            index -= self._base
-        codes = index @ self._weights
+        codes = self.space.codes(self.space.decode(genotypes))
         position = self._codes.searchsorted(codes)
         valid = self._codes[position] == codes
         return (*self._rows[:, np.where(valid, position, len(self._codes) - 1)], valid)
 
 
-def _domain_sizes(space: SearchSpace) -> list[int]:
-    return [len(p.tokens) if p.tokens else p.hi - p.lo + 1 for p in space.params]
-
-
-def _code_weights(space: SearchSpace) -> np.ndarray:
-    """The mixed-radix weights of the configuration codes of ``space``; raises
-    ValueError for a space that a tabular benchmark cannot hold."""
-    for p in space.params:
-        if p.kind == "float":
-            raise ValueError(f"tabular benchmarks require discrete parameters; {p.name!r} is float")
-        if p.kind == "integer" and max(-p.lo, p.hi) > MAX_INTEGER_BOUND:
-            raise ValueError(f"integer parameter {p.name!r} has bounds [{p.lo}, {p.hi}] "
-                             f"beyond +-2**52, which genotypes cannot decode exactly")
-    sizes = _domain_sizes(space)
-    total = math.prod(sizes)
-    if total > np.iinfo(np.int64).max:
-        raise ValueError(f"the space's {total} configurations are too many "
-                         "for 64-bit configuration codes")
-    return np.array([math.prod(sizes[j + 1:]) for j in range(len(sizes))], dtype=np.int64)
-
-
-def _row_problem(space: SearchSpace, key, val, test, cost) -> str | None:
-    """What makes one row of a table break the contract, or None."""
-    if [-1] in map(_domain_index, space.params, zip(key)):
-        return f"key {key!r} outside the declared space"
+def _row_problem(val, test, cost) -> str | None:
+    """What makes the values of one row of a table break the contract, or None."""
     if not _is_number(val):
         return f"validation error {val!r} is not a number"
     if not 0.0 <= val <= 1.0:
@@ -182,17 +146,6 @@ def _row_problem(space: SearchSpace, key, val, test, cost) -> str | None:
 
 
 _FLOAT_MAX = sys.float_info.max
-
-
-def _domain_index(p: ParameterSpec, values) -> list[int]:
-    """The position of each value in the domain of ``p``, or -1 outside it."""
-    if p.kind == "integer":
-        lo, hi = p.lo, p.hi
-        return [v - lo if (type(v) is int or isinstance(v, int) and not isinstance(v, bool))
-                and lo <= v <= hi else -1 for v in values]
-    # a float parameter has no positions; tabular benchmarks reject it
-    position = {token: i for i, token in enumerate(p.tokens or ())}
-    return list(map(position.get, values, itertools.repeat(-1)))
 
 
 def _undecodable(line: str) -> str | None:
@@ -275,7 +228,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     try:
         header = json.loads(first)
         space = SearchSpace.from_json_dict(header)
-        weights = _code_weights(space)
+        space.check_codes()
         benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
         if not isinstance(benchmark_id, str):
             raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
@@ -283,14 +236,14 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
     columns, seen, start = [], set(), 2  # the codes and rows of each block, every code so far
     for lines in itertools.chain([lines[1:]], blocks):
-        block = _block_columns(space, weights, lines)
+        block = _block_columns(space, lines)
         if block is not None:
             count = len(seen)
             seen.update(block[0].tolist())
             if len(seen) - count < len(lines):  # a repeated key: the walk names its line
                 seen = set(itertools.chain.from_iterable(c.tolist() for c, _ in columns))
                 block = None
-        columns.append(block or _walk_records(path, space, weights, lines, start, seen))
+        columns.append(block or _walk_records(path, space, lines, start, seen))
         start += len(lines)
     codes = np.concatenate([c for c, _ in columns])
     if not codes.size:
@@ -300,7 +253,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     return TabularBenchmark(space, benchmark_id, codes[order], rows)
 
 
-def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
+def _block_columns(space: SearchSpace, lines: list[str]):
     """The configuration codes and (3, n) rows of the records on a block of
     lines, or None when the block does not decode in one call or one of them
     breaks the contract.
@@ -326,13 +279,9 @@ def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
         return None
     if not (set(map(type, keys)) <= {list} and set(map(len, keys)) <= {space.dimension}):
         return None
-    index = []
-    for p, column in zip(space.params, zip(*keys)):
-        if not set(map(type, column)) <= {int if p.kind == "integer" else str}:
-            return None
-        index.append(_domain_index(p, column))
-        if -1 in index[-1]:
-            return None
+    codes = space.key_codes(keys)
+    if -1 in codes:  # a key outside the space or of the wrong type
+        return None
     types = [set(map(type, column)) for column in values]
     if not (types[0] <= _NUMBER and types[1] <= _NUMBER | {type(None)} and types[2] <= _NUMBER
             and (int not in types[2] or max(values[2]) <= _FLOAT_MAX)):  # exact for integers
@@ -347,20 +296,19 @@ def _block_columns(space: SearchSpace, weights: np.ndarray, lines: list[str]):
             and np.all((0.0 <= val) & (val <= 1.0)) and np.all((0.0 <= tests) & (tests <= 1.0))
             and np.all((0.0 <= cost) & (cost <= _FLOAT_MAX))):
         return None
-    return weights @ np.array(index, dtype=np.int64).reshape(len(weights), -1), rows
+    return codes, rows
 
 
-def _walk_records(path: Path, space: SearchSpace, weights: np.ndarray, lines: list[str],
-                  start: int, seen: set[int]):
+def _walk_records(path: Path, space: SearchSpace, lines: list[str], start: int, seen: set[int]):
     """The codes and (3, n) rows of the records on ``lines``, the first line
     numbered ``start``, read a line at a time; each code joins ``seen``.
     Raises BenchmarkLoadError for the first line with undecodable bytes, bad
-    JSON, a record that is not an object or lacks a field, a wrongly typed
-    key, a bad key or values (:func:`_row_problem`), or a code in ``seen``."""
+    JSON, a record that is not an object or lacks a field, a bad key, bad
+    values (:func:`_row_problem`), or a code in ``seen``."""
     def fail(problem):
         raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
 
-    codes, rows, weights = [], [], weights.tolist()
+    codes, rows = [], []
     for lineno, row in _decode_lines(path, BenchmarkLoadError, lines, start):
         if not isinstance(row, dict):
             fail("record is not a JSON object")
@@ -369,14 +317,16 @@ def _walk_records(path: Path, space: SearchSpace, weights: np.ndarray, lines: li
         key = row["key"]
         if not isinstance(key, list) or len(key) != space.dimension:
             fail(f"key {key!r} is not a {space.dimension}-element list")
-        for p, v in zip(space.params, key):
-            kind, what = (int, "an integer") if p.kind == "integer" else (str, "a token")
-            if isinstance(v, bool) or not isinstance(v, kind):
-                fail(f"key component {v!r} for {p.name!r} is not {what}")
+        code = space.key_codes([key]).item()
+        if code < 0:  # a wrongly typed value, or else one outside its domain
+            for p, v in zip(space.params, key):
+                kind, what = (int, "an integer") if p.kind == "integer" else (str, "a token")
+                if isinstance(v, bool) or not isinstance(v, kind):
+                    fail(f"key component {v!r} for {p.name!r} is not {what}")
+            fail(f"key {tuple(key)!r} outside the declared space")
         values = row["val_err"], row.get("test_err"), row["cost"]
-        if problem := _row_problem(space, tuple(key), *values):
+        if problem := _row_problem(*values):
             fail(problem)
-        code = sum(_domain_index(p, (v,))[0] * w for p, v, w in zip(space.params, key, weights))
         if code in seen:
             fail(f"duplicate configuration key {key!r}")
         seen.add(code)

@@ -11,7 +11,8 @@ them to native-domain configurations only when a point has to be evaluated:
   token.
 
 Configurations are plain tuples, ordered exactly like the parameter list,
-which makes them hashable keys for tabular benchmark lookups.
+which makes them hashable keys for tabular benchmark lookups by the int64
+codes that the space owns, within limits it states (``check_codes``).
 """
 
 from __future__ import annotations
@@ -93,6 +94,15 @@ class ParameterSpec:
             return self.choices
         return None
 
+    def positions(self, values) -> list[int]:
+        """Each value's position in the domain, or -1 outside it (a bool is no integer)."""
+        if self.kind == "integer":
+            lo, hi = self.lo, self.hi
+            return [v - lo if (type(v) is int or isinstance(v, int) and not isinstance(v, bool))
+                    and lo <= v <= hi else -1 for v in values]
+        position = {token: i for i, token in enumerate(self.tokens or ())}
+        return [position.get(v, -1) if isinstance(v, str) else -1 for v in values]
+
     def to_json_dict(self) -> dict[str, Any]:
         if self.kind in ("float", "integer"):
             return {"name": self.name, "kind": self.kind, "lo": self.lo, "hi": self.hi}
@@ -118,6 +128,8 @@ def _is_number(value) -> bool:
 def _check_tokens(name: str, tokens: tuple[Token, ...]):
     if len(tokens) < 1:
         raise ValueError(f"parameter {name!r}: needs at least one token")
+    if not all(isinstance(token, str) for token in tokens):
+        raise ValueError(f"parameter {name!r}: tokens must be strings")
     if len(set(tokens)) != len(tokens):
         raise ValueError(f"parameter {name!r}: tokens must be unique")
 
@@ -141,6 +153,9 @@ class SearchSpace:
         n_tokens = [len(p.tokens) if p.tokens else 0 for p in self.params]
         lo = [0.0 if n else float(p.lo) for p, n in zip(self.params, n_tokens)]
         span = [float(n) if n else float(p.hi - p.lo) for p, n in zip(self.params, n_tokens)]
+        # codes: each value's position in its domain, in mixed radix, last fastest
+        sizes = [n or p.hi - p.lo + 1 for p, n in zip(self.params, n_tokens)]
+        weights = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
         terms = {
             # a float column keeps lo = 0, which turns u = -0.0 into 0.0
             "_lo": np.array(lo) if any(lo) or "float" in kinds else None,
@@ -150,8 +165,12 @@ class SearchSpace:
             "_top": (np.array([n - 1.0 if n else math.inf for n in n_tokens])
                      if any(n_tokens) else None),
             "_floats": np.array([k == "float" for k in kinds]) if "float" in kinds else None,
+            "_sizes": tuple(sizes),
+            "_weights": None if "float" in kinds or math.prod(sizes) >= 2**63 else np.array(weights),
         }
         for name, value in terms.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
@@ -206,11 +225,42 @@ class SearchSpace:
             np.copyto(values, x, where=self._floats)
         return values
 
+    def check_codes(self):
+        """Raise ValueError unless the space has the int64 codes that the three
+        methods below assume: no float parameter, integer bounds within
+        ``+-2**52`` and at most ``2**63 - 1`` configurations."""
+        for p in self.params:
+            if p.kind == "float":
+                raise ValueError(f"tabular benchmarks require discrete parameters; {p.name!r} is float")
+            if p.kind == "integer" and max(-p.lo, p.hi) > 2**52:
+                raise ValueError(f"integer parameter {p.name!r} has bounds [{p.lo}, {p.hi}] "
+                                 "beyond +-2**52, which genotypes cannot decode exactly")
+        if self._weights is None:
+            raise ValueError(f"the space's {math.prod(self._sizes)} configurations are too "
+                             "many for 64-bit configuration codes")
+
+    def codes(self, values: np.ndarray) -> np.ndarray:
+        """The int64 configuration codes of an (N, D) block of decoded values."""
+        index = values if self._lo is None else values - self._lo  # an integer's lo
+        return index.astype(np.int64) @ self._weights
+
+    def key_codes(self, keys) -> np.ndarray:
+        """The int64 codes of sequences of D native values, -1 for one outside the space."""
+        index = np.array([p.positions(column) for p, column in zip(self.params, zip(*keys))],
+                         dtype=np.int64).reshape(self.dimension, -1)
+        return np.where((index < 0).any(axis=0), -1, self._weights @ index)
+
+    def configurations(self, codes: np.ndarray) -> list[Configuration]:
+        """The configurations of an array of codes: the inverse of the two above."""
+        index = np.unravel_index(codes, self._sizes)
+        return list(zip(*((i + p.lo).tolist() if p.kind == "integer" else
+                          [p.tokens[k] for k in i.tolist()] for p, i in zip(self.params, index))))
+
     def to_json_dict(self) -> dict[str, Any]:
         return {"params": [p.to_json_dict() for p in self.params]}
 
     @classmethod
     def from_json_dict(cls, doc: dict[str, Any]) -> "SearchSpace":
-        if "params" not in doc:
+        if "params" not in doc or not isinstance(doc["params"], list):
             raise ValueError("search space document lacks a 'params' list")
         return cls(params=tuple(ParameterSpec.from_json_dict(p) for p in doc["params"]))

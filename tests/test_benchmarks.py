@@ -296,7 +296,12 @@ class TestTabularFile:
                                         '{"params": [{"name": "a", "kind": "ordinal", '
                                         '"values": 5}]}',
                                         '{"params": [{"name": "a", "kind": "ordinal", '
-                                        '"values": ["x"]}], "benchmark_id": 4}'])
+                                        '"values": ["x"]}], "benchmark_id": 4}',
+                                        '{"params": {"a": 1}}',
+                                        *('{"params": [{"name": "op", "kind": "categorical", '
+                                          f'"choices": {choices}}}]}}'
+                                          for choices in ("[1, 2]", "[true, false]",
+                                                          "[[1], [2]]"))])
     def test_malformed_header_fails_naming_the_line(self, tmp_path, header):
         path = tmp_path / "bench.jsonl"
         path.write_text(header + "\n" + json.dumps({"key": ["x"], "val_err": 0.3, "cost": 1.0}))
@@ -579,7 +584,7 @@ class TestBlockLoader:
 
     def test_arrays_are_read_only(self):
         bench = mixed_table(0)
-        for array in (bench._codes, bench._rows, bench._weights):
+        for array in (bench._codes, bench._rows, bench.space._weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -590,6 +595,8 @@ class TestBlockLoader:
         assert bench.evaluate((0, "x", "only", "p")) is None
         assert bench.evaluate((0, "x", "only", "p", 0, 0)) is None
         assert bench.evaluate((True, "x", "only", "p", 0)) is None
+        assert bench.evaluate((0, ["x"], "only", "p", 0)) is None  # unhashable components
+        assert bench.evaluate((0, "x", "only", {"p": 1}, 0)) is None
         # a key prefix whose code is listed
         space = SearchSpace(params=(ParameterSpec(name="a", kind="integer", lo=0, hi=3),
                                     ParameterSpec(name="b", kind="integer", lo=0, hi=3)))

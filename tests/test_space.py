@@ -94,6 +94,11 @@ class TestParameterSpec:
         with pytest.raises(ValueError):
             ParameterSpec(name="x", kind="categorical", choices=("a", "a"))
 
+    @pytest.mark.parametrize("tokens", [(1, 2), (True, False), ([1], [2]), ("a", None)])
+    def test_tokens_must_be_strings(self, tokens):
+        with pytest.raises(ValueError, match="^parameter 'x': tokens must be strings$"):
+            ParameterSpec(name="x", kind="categorical", choices=tokens)
+
     @pytest.mark.parametrize("name", ["", 5, None, ["x"]])
     def test_name_must_be_a_nonempty_string(self, name):
         with pytest.raises(ValueError, match="non-empty string"):
@@ -269,8 +274,8 @@ class TestDiscretizeRows:
 
 
 @st.composite
-def mixed_blocks(draw):
-    """A mixed space and a block of genotypes for it.
+def mixed_blocks(draw, kinds=KINDS):
+    """A mixed space of parameters of ``kinds`` and a block of genotypes for it.
 
     Floats have lo 0 in some draws, integers have negative lo and a span of
     a power of two, so ``(j + 0.5) / span`` is an exact .5 tie, and token
@@ -278,7 +283,7 @@ def mixed_blocks(draw):
     """
     params = []
     specials = {0.0, -0.0, 1.0}
-    for i, kind in enumerate(draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=6))):
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6))):
         name = f"p{i}"
         if kind == "float":
             lo = draw(st.sampled_from([0.0, -5.0, -2.5, 1.0]))
@@ -341,6 +346,52 @@ class TestDecode:
         with pytest.raises(ValueError, match="do not have 6 values a row"):
             BLOCK_SPACE.decode(np.full(6, 0.5))
         assert BLOCK_SPACE.decode(np.empty((0, 6))).shape == (0, 6)
+
+
+def reference_code(space, config):
+    """The code of ``config`` in plain Python ints: each value's position in
+    its domain, in mixed radix with the last parameter varying fastest."""
+    code = 0
+    for p, v in zip(space.params, config):
+        if p.kind == "integer":
+            code = code * (p.hi - p.lo + 1) + (v - p.lo)
+        else:
+            code = code * len(p.tokens) + p.tokens.index(v)
+    return code
+
+
+class TestCodes:
+    """The configuration codes of a space without float parameters against
+    the scalar reference."""
+
+    @settings(max_examples=200)
+    @given(mixed_blocks(kinds=("integer", "ordinal", "categorical")))
+    def test_equal_scalar_reference(self, space_and_block):
+        space, block = space_and_block
+        space.check_codes()
+        configs = [reference_discretize(space, row) for row in block]
+        want = [reference_code(space, config) for config in configs]
+        codes = space.codes(space.decode(block))
+        assert codes.dtype == np.int64 and codes.tolist() == want
+        total = math.prod(p.hi - p.lo + 1 if p.kind == "integer" else len(p.tokens)
+                          for p in space.params)
+        assert all(0 <= code < total for code in want)
+        assert space.key_codes(configs).tolist() == want
+        assert space.configurations(codes) == configs
+
+    @given(mixed_blocks(kinds=("integer", "ordinal", "categorical")))
+    def test_keys_outside_the_space_have_code_minus_one(self, space_and_block):
+        space, block = space_and_block
+        assume(len(block))
+        config = reference_discretize(space, block[0])
+        for j, p in enumerate(space.params):
+            if p.kind == "integer":
+                outside = [p.lo - 1, p.hi + 1, True, float(p.lo), str(p.lo)]
+            else:
+                outside = ["", p.tokens[0].upper(), 0, None, [p.tokens[0]], {p.tokens[0]: 1}]
+            keys = [config[:j] + (value,) + config[j + 1:] for value in outside]
+            assert space.key_codes(keys).tolist() == [-1] * len(keys)
+            assert [p.positions([value]) for value in outside] == [[-1]] * len(outside)
 
 
 class TestJsonRoundTrip:
