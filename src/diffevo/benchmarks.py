@@ -392,8 +392,7 @@ def make_synthetic(
     pairs = list(itertools.combinations(range(num_params), 2))
     inter = rng.normal(0.0, 0.5, size=(len(pairs), choices_per_param, choices_per_param))
 
-    idx = np.array(list(itertools.product(range(choices_per_param), repeat=num_params)),
-                   dtype=np.intp)
+    idx = np.indices((choices_per_param,) * num_params, dtype=np.intp).reshape(num_params, -1).T
     raw = np.zeros(total)
     for p in range(num_params):
         raw += main[p, idx[:, p]]

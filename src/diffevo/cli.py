@@ -46,11 +46,11 @@ FIELDS = {
     "seed": (int, 0, "base seed; run k uses seed+k"),
     "jobs": (int, 1, "accepted for existing command lines, the benchmark's among them: a "
                      "positive integer that changes nothing, as all runs advance together"),
-    "np": (int, 20, "DE population size"),
-    "f": (float, 0.5, "DE scaling factor"),
-    "cr": (float, 0.5, "DE crossover rate"),
-    "pop": (int, 100, "RE population size"),
-    "sample": (int, 10, "RE tournament size"),
+    "np": (int, DEConfig.population_size, "DE population size"),
+    "f": (float, DEConfig.scaling_factor, "DE scaling factor"),
+    "cr": (float, DEConfig.crossover_rate, "DE crossover rate"),
+    "pop": (int, REConfig.population_size, "RE population size"),
+    "sample": (int, REConfig.sample_size, "RE tournament size"),
 }
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 

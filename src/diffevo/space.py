@@ -53,11 +53,15 @@ class ParameterSpec:
             raise ValueError("parameter name must be a non-empty string")
         if self.kind not in KINDS:
             raise ValueError(f"parameter {self.name!r}: unknown kind {self.kind!r}")
-        # tuples keep the parameter hashable even when built from JSON lists
-        if self.values is not None:
-            object.__setattr__(self, "values", tuple(self.values))
-        if self.choices is not None:
-            object.__setattr__(self, "choices", tuple(self.choices))
+        # tuples keep the parameter hashable even when built from JSON lists;
+        # a string is refused, not split into one-character tokens
+        for field in ("values", "choices"):
+            tokens = getattr(self, field)
+            if tokens is not None:
+                if not isinstance(tokens, (list, tuple)):
+                    raise ValueError(f"parameter {self.name!r}: {field} must be a list of "
+                                     f"tokens (got {type(tokens).__name__})")
+                object.__setattr__(self, field, tuple(tokens))
 
         if self.kind in ("float", "integer"):
             if self.lo is None or self.hi is None:
@@ -112,6 +116,8 @@ class ParameterSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict[str, Any]) -> "ParameterSpec":
+        if not isinstance(doc, dict):
+            raise ValueError(f"parameter document is not a JSON object (got {type(doc).__name__})")
         known = {"name", "kind", "lo", "hi", "values", "choices"}
         extra = set(doc) - known
         if extra:
@@ -261,6 +267,9 @@ class SearchSpace:
 
     @classmethod
     def from_json_dict(cls, doc: dict[str, Any]) -> "SearchSpace":
+        if not isinstance(doc, dict):
+            raise ValueError(f"search space document is not a JSON object "
+                             f"(got {type(doc).__name__})")
         if "params" not in doc or not isinstance(doc["params"], list):
             raise ValueError("search space document lacks a 'params' list")
         return cls(params=tuple(ParameterSpec.from_json_dict(p) for p in doc["params"]))

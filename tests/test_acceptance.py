@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, run at the stated tolerances.
 
 Each test prints one ``ACCEPTANCE <n> PASS/FAIL`` line (visible with
-``pytest -s``). The experiment-scale criteria use fixed base seeds, so every
-number asserted here is reproducible bit for bit.
+``pytest -s``); a PASS line carries whatever figures its test returns. The
+experiment-scale criteria use fixed base seeds, so every number asserted or
+printed here is reproducible bit for bit.
 """
 
 import functools
@@ -39,13 +40,17 @@ def criterion(number, title):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             try:
-                fn(*args, **kwargs)
+                figures = fn(*args, **kwargs)
             except BaseException:
                 print(f"ACCEPTANCE {number} FAIL: {title}")
                 raise
-            print(f"ACCEPTANCE {number} PASS: {title}")
+            print(f"ACCEPTANCE {number} PASS: {title}" + (f"; {figures}" if figures else ""))
         return wrapper
     return decorate
+
+
+def zero_regret(finals):
+    return f"{int((finals == 0.0).sum())}/{len(finals)} at zero regret"
 
 
 # -- shared experiment fixtures (criteria 3, 7, 9 reuse the same traces) -----
@@ -153,10 +158,11 @@ def test_criterion_3_de_vs_rs(de_result, rs_result):
     p = paired_sign_test(de_final, rs_final)
     assert p < 0.05
     assert de_time + rs_time < 60.0
-    # at these exact seeds: DE mean 0.0021487 vs RS 0.0024636, p=0.0047,
-    # DE reaching zero regret on 94/100 seeds (a clear majority); with the
-    # forced dimensions drawn by integers(D) it was p=0.0113, also 94/100
+    # DE reaches zero regret on a clear majority of seeds; the PASS line
+    # prints the figures at these exact seeds
     assert int((de_final == 0.0).sum()) > N_SEEDS // 2
+    return (f"DE mean final regret {de_final.mean():.7f} ({zero_regret(de_final)}), "
+            f"RS {rs_final.mean():.7f} ({zero_regret(rs_final)}), p(DE below RS) = {p:.2g}")
 
 
 @criterion(4, "invalid configurations: never incumbent, never costed")
@@ -187,10 +193,12 @@ def test_criterion_4_invalid_contract():
 
 @criterion(5, "DE reaches the sphere optimum level within 1e-2")
 def test_criterion_5_continuous_sanity(sphere_traces):
-    # squashed objective at the optimum is exactly 0; pilot at these seeds:
-    # 100/100 runs finished within 1e-2 (all collapsed to regret 0.0)
+    # squashed objective at the optimum is exactly 0
     finals = final_regrets(sphere_traces)
-    assert int((finals <= 1e-2).sum()) >= 95
+    hits = int((finals <= 1e-2).sum())
+    assert hits >= 95
+    return (f"{hits}/{len(finals)} runs within 1e-2, final regret median "
+            f"{np.median(finals):.3g}, worst {finals.max():.3g}")
 
 
 @criterion(6, "identical CLI invocations write byte-identical traces")
@@ -259,3 +267,7 @@ def test_criterion_9_re_sanity(monkeypatch, comparison_bench, re_result, rs_resu
     re_final = final_regrets(re_result[0])
     rs_final = final_regrets(rs_result[0])
     assert re_final.mean() <= rs_final.mean()
+    # printed, not asserted: criterion 9 claims RE no worse than RS, not better
+    p = paired_sign_test(re_final, rs_final)
+    return (f"RE mean final regret {re_final.mean():.7f} ({zero_regret(re_final)}), "
+            f"p(RE below RS) = {p:.2g}")

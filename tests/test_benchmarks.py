@@ -301,7 +301,18 @@ class TestTabularFile:
                                         *('{"params": [{"name": "op", "kind": "categorical", '
                                           f'"choices": {choices}}}]}}'
                                           for choices in ("[1, 2]", "[true, false]",
-                                                          "[[1], [2]]"))])
+                                                          "[[1], [2]]")),
+                                        # a document of the wrong shape: its message is
+                                        # tested in test_space.py
+                                        pytest.param('"xparamsx"', id="str_doc"),
+                                        pytest.param('{"params": [["name"]]}', id="list_param"),
+                                        pytest.param('{"params": ["name"]}', id="str_param"),
+                                        pytest.param('{"params": [{"name": "a", "kind": '
+                                                     '"ordinal", "values": "ab"}]}',
+                                                     id="str_values"),
+                                        pytest.param('{"params": [{"name": "a", "kind": '
+                                                     '"categorical", "choices": "ab"}]}',
+                                                     id="str_choices")])
     def test_malformed_header_fails_naming_the_line(self, tmp_path, header):
         path = tmp_path / "bench.jsonl"
         path.write_text(header + "\n" + json.dumps({"key": ["x"], "val_err": 0.3, "cost": 1.0}))

@@ -1,4 +1,4 @@
-"""The package's public names and the scripts built on them."""
+"""The package's public names, its sources and the benchmark's use of its CLI."""
 
 import ast
 import importlib
@@ -22,7 +22,7 @@ def test_every_exported_name_resolves():
 
 
 @pytest.mark.parametrize("path", sorted(p.relative_to(ROOT).as_posix() for folder in
-                                        ("src", "tests", "scripts")
+                                        ("src", "tests")
                                         for p in (ROOT / folder).rglob("*.py")))
 def test_source_parses_as_python_3_10(path):
     # 3.10 is the floor pyproject.toml declares; syntax newer than that fails here
@@ -42,33 +42,6 @@ def test_cli_import_loads_no_thread_pool():
         [sys.executable, "-c", "import sys, diffevo.cli; print('concurrent.futures' in sys.modules)"],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert (done.stdout, done.stderr) == ("False\n", "")
-
-
-@pytest.mark.parametrize("script, args", [
-    ("sphere_convergence.py", ["--runs", "2", "--evals", "200"]),
-    ("run_comparison.py", ["--runs", "2", "--evals", "100", "--out-dir", "{tmp}"]),
-])
-def test_script_runs(tmp_path, script, args):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script),
-         *(a.format(tmp=tmp_path) for a in args)],
-        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--np", "2"], "--np must be >= 4, got 2"),
-    (["--re-pop", "3", "--re-sample", "5"], "--re-sample must be in [1, 3], got 5"),
-    (["--grid-points", "0"], "--grid-points must be positive, got 0"),
-])
-def test_comparison_script_checks_its_flags_before_writing(tmp_path, args, message):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_comparison.py"), *args,
-         "--out-dir", str(tmp_path / "out")],
-        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
-    assert not (tmp_path / "out").exists()
 
 
 def test_every_benchmark_command_line_runs(tmp_path, capsys):

@@ -99,6 +99,13 @@ class TestParameterSpec:
         with pytest.raises(ValueError, match="^parameter 'x': tokens must be strings$"):
             ParameterSpec(name="x", kind="categorical", choices=tokens)
 
+    @pytest.mark.parametrize("field", ["values", "choices"])
+    def test_a_string_is_not_a_token_list(self, field):
+        kind = "ordinal" if field == "values" else "categorical"
+        with pytest.raises(ValueError, match=f"^parameter 'x': {field} must be a list of tokens "
+                                             r"\(got str\)$"):
+            ParameterSpec(name="x", kind=kind, **{field: "xyz"})
+
     @pytest.mark.parametrize("name", ["", 5, None, ["x"]])
     def test_name_must_be_a_nonempty_string(self, name):
         with pytest.raises(ValueError, match="non-empty string"):
@@ -425,6 +432,18 @@ class TestJsonRoundTrip:
     def test_rejects_missing_params(self):
         with pytest.raises(ValueError):
             SearchSpace.from_json_dict({"parameters": []})
+
+    @pytest.mark.parametrize("doc, problem", [
+        (3, "search space document is not a JSON object (got int)"),
+        ("xparamsx", "search space document is not a JSON object (got str)"),
+        ({"params": [3]}, "parameter document is not a JSON object (got int)"),
+        ({"params": [["name"]]}, "parameter document is not a JSON object (got list)"),
+        ({"params": ["name"]}, "parameter document is not a JSON object (got str)"),
+    ], ids=["int_doc", "str_doc", "int_param", "list_param", "str_param"])
+    def test_a_document_that_is_not_an_object_says_so(self, doc, problem):
+        with pytest.raises(ValueError) as err:
+            SearchSpace.from_json_dict(doc)
+        assert str(err.value) == problem
 
     def test_load_from_file(self, mixed_space, tmp_path):
         path = tmp_path / "space.json"
