@@ -106,4 +106,4 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
         oldest = (oldest + 1) % size
 
     return run_lockstep(bench, cfg.budget, seeds, size, propose, age, "re",
-                        {"population_size": size, "sample_size": sample})
+                        {k: v for k, v in vars(cfg).items() if k != "budget"})

@@ -79,24 +79,18 @@ def parse_benchmark(spec: str) -> Benchmark:
             shape = parts[0].lower().split("x")
             if len(shape) != 2:
                 raise ValueError(f"synthetic spec needs PxC, got {parts[0]!r}")
-            options = _parse_options(parts[1:], {"invalid": float, "seed": int, "cost": str})
-            return make_synthetic(
-                num_params=int(shape[0]),
-                choices_per_param=int(shape[1]),
-                invalid_fraction=options.get("invalid", 0.0),
-                cost_model=options.get("cost", "lognormal"),
-                seed=options.get("seed", 0),
-            )
-        options = _parse_options(parts[1:], {"lo": float, "hi": float})
-        return FunctionBenchmark(
-            head, int(parts[0]),
-            lo=options.get("lo", -5.0), hi=options.get("hi", 5.0),
-        )
+            options = _parse_options(parts[1:], {"invalid": ("invalid_fraction", float),
+                                                 "seed": ("seed", int), "cost": ("cost_model", str)})
+            return make_synthetic(int(shape[0]), int(shape[1]), **options)
+        options = _parse_options(parts[1:], {"lo": ("lo", float), "hi": ("hi", float)})
+        return FunctionBenchmark(head, int(parts[0]), **options)
     except ValueError as exc:
         raise ValueError(f"benchmark {spec!r}: {exc}") from None
 
 
 def _parse_options(parts: list[str], schema: dict) -> dict:
+    """The builder's keyword arguments from ``key=value`` spec parts, where
+    ``schema`` maps each spec key to its parameter name and type."""
     options = {}
     for part in parts:
         if not part:
@@ -104,7 +98,8 @@ def _parse_options(parts: list[str], schema: dict) -> dict:
         key, eq, value = part.partition("=")
         if not eq or key not in schema:
             raise ValueError(f"bad benchmark option {part!r}; known: {sorted(schema)}")
-        options[key] = schema[key](value)
+        name, kind = schema[key]
+        options[name] = kind(value)
     return options
 
 
@@ -131,11 +126,9 @@ def build_optimizer(name: str, cfg: dict) -> tuple[Callable, object]:
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *required) -> dict:
     cfg = {key: default for key, (_, default, _) in FIELDS.items()}
     if getattr(args, "config", None):
-        try:
+        try:  # not UTF-8 or not JSON; an OSError reaches main as it is
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")

@@ -91,7 +91,8 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
     uniforms ``u`` whose ``floor(u * D)`` are the forced dimensions. The
     budget is checked before every evaluation, so a run may stop mid-
     initialization or mid-generation. Invalid configurations cost nothing
-    and score 1.0, guaranteed to lose every selection against a valid member.
+    and score 1.0, so they lose every selection against a valid member of
+    lower error; ties, a valid member's 1.0 among them, go to the trial.
     """
     def generation(rngs, genotypes, fitness):
         live, size, dimension = genotypes.shape
@@ -111,8 +112,5 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
         wins = trial_fitness <= fitness  # ties go to the trial
         genotypes[wins], fitness[wins] = trials[wins], trial_fitness[wins]
 
-    return run_lockstep(bench, cfg.budget, seeds, cfg.population_size, generation, select, "de", {
-        "population_size": cfg.population_size,
-        "scaling_factor": cfg.scaling_factor,
-        "crossover_rate": cfg.crossover_rate,
-    })
+    return run_lockstep(bench, cfg.budget, seeds, cfg.population_size, generation, select, "de",
+                        {k: v for k, v in vars(cfg).items() if k != "budget"})

@@ -22,7 +22,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import AbstractSet, Any, Sequence
 
 import numpy as np
 
@@ -49,23 +49,23 @@ class Budget:
 # cumulative cost unchanged (invalid or free) stop a run with ValueError
 ZERO_COST_LIMIT = 100_000
 
-# per-event fields, in the order of a recorder row
-COLUMNS = ("cumulative_cost", "objective", "incumbent_objective", "incumbent_test_error", "valid")
-EVENT_FIELDS = ("eval_index", *COLUMNS)
-# the JSON types of the run header fields; all but "config" are required
-_HEADER_TYPES = {"seed": ("an integer", int), "optimizer": ("a string", str),
-                 "benchmark": ("a string", str), "best_validation_error": ("a number", int, float),
-                 "best_test_error": ("a number or null", int, float, type(None)),
-                 "config": ("an object", dict)}
-_HEADER_KEYS = frozenset(_HEADER_TYPES) - {"config"}
-# the JSON types of the event fields, in the order of EVENT_FIELDS; a null
-# number reads as NaN, which check_trace_invariants rejects
+# each run header key: its RunTrace attribute, JSON type name and JSON types;
+# all but "config" are required
+_HEADER = {"seed": ("seed", "an integer", int), "optimizer": ("optimizer_id", "a string", str),
+           "benchmark": ("benchmark_id", "a string", str),
+           "best_validation_error": ("best_validation_error", "a number", int, float),
+           "best_test_error": ("best_test_error", "a number or null", int, float, type(None)),
+           "config": ("config", "an object", dict)}
+# each event field, eval_index then the fields of a recorder row in order: its
+# JSON type name and JSON types; a null number reads as NaN, which
+# check_trace_invariants rejects
 _NUMBER = ("a number", int, float, type(None))
 _EVENT_TYPES = {"eval_index": ("an integer", int), "cumulative_cost": _NUMBER,
                 "objective": _NUMBER, "incumbent_objective": _NUMBER,
                 "incumbent_test_error": ("a number or null", int, float, type(None)),
                 "valid": ("true or false", bool)}
-_EVENT_KEYS = frozenset(EVENT_FIELDS)
+EVENT_FIELDS = tuple(_EVENT_TYPES)
+COLUMNS = EVENT_FIELDS[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,14 +317,8 @@ def check_trace_invariants(trace: RunTrace):
 
 
 def _header_line(trace: RunTrace) -> str:
-    return json.dumps({"run": {
-        "seed": trace.seed,
-        "optimizer": trace.optimizer_id,
-        "benchmark": trace.benchmark_id,
-        "best_validation_error": trace.best_validation_error,
-        "best_test_error": trace.best_test_error,
-        "config": trace.config,
-    }}, separators=(",", ":"), sort_keys=True)
+    return json.dumps({"run": {key: getattr(trace, attr) for key, (attr, *_) in _HEADER.items()}},
+                      separators=(",", ":"), sort_keys=True)
 
 
 def _spell_floats(column: np.ndarray, nan: str = "NaN", inf: str = "Infinity") -> list[str]:
@@ -395,11 +389,9 @@ def read_traces(path: str | Path) -> list[RunTrace]:
         if header is None:
             return
         if not count:
-            raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
+            raise ValueError(f"{path}:{header_line}: run (seed {header['seed']}) has no events")
         try:
-            trace = RunTrace(header["seed"], header["optimizer"], header["benchmark"],
-                             header["best_validation_error"], header["best_test_error"],
-                             config=header.get("config", {}),
+            trace = RunTrace(**{attr: header.get(key, {}) for key, (attr, *_) in _HEADER.items()},
                              **{c: np.concatenate([b[c] for b in blocks]) for c in COLUMNS})
             check_trace_invariants(trace)
         except (TypeError, ValueError) as exc:
@@ -434,8 +426,8 @@ def read_traces(path: str | Path) -> list[RunTrace]:
 
 
 def _check_header(path: Path, lineno: int, header: dict):
-    _require(path, lineno, header, _HEADER_KEYS, "run header")
-    for name, (kind, *types) in _HEADER_TYPES.items():
+    _require(path, lineno, header, _HEADER.keys() - {"config"}, "run header")
+    for name, (_, kind, *types) in _HEADER.items():
         if type(header.get(name, {})) not in types:  # bool is not int here
             raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
                              f"{header[name]!r}")
@@ -477,7 +469,7 @@ def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarr
     return columns
 
 
-def _require(path: Path, lineno: int, doc: dict, keys: frozenset[str], what: str):
+def _require(path: Path, lineno: int, doc: dict, keys: AbstractSet[str], what: str):
     if not keys <= doc.keys():
         raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
 
@@ -490,11 +482,11 @@ def _too_large(value) -> bool:
 def _check_event(path: Path, lineno: int, header: dict | None, doc, position: int):
     """Raise ValueError naming ``path:lineno`` when ``doc`` is not event
     ``position`` of the run under ``header``."""
-    if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_KEYS):
+    if not isinstance(doc, dict) or doc.keys().isdisjoint(_EVENT_TYPES):
         raise ValueError(f"{path}:{lineno}: unrecognized line")
     if header is None:
         raise ValueError(f"{path}:{lineno}: event before any run header")
-    _require(path, lineno, doc, _EVENT_KEYS, "event")
+    _require(path, lineno, doc, _EVENT_TYPES.keys(), "event")
     if type(doc["valid"]) is not bool:
         raise ValueError(f"{path}:{lineno}: valid must be true or false")
     for name, (kind, *types) in _EVENT_TYPES.items():

@@ -79,7 +79,7 @@ def reference_read_traces(path):
         if header is None:
             return
         if not rows:
-            raise ValueError(f"{path}: run (seed {header['seed']}) has no events")
+            raise ValueError(f"{path}:{header_line}: run (seed {header['seed']}) has no events")
         try:
             columns = {name: np.array(column, dtype=bool if name == "valid" else float)
                        for name, column in zip(COLUMNS, zip(*rows))}

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diffevo import make_synthetic, read_traces, regret_series, write_tabular
+from diffevo import FunctionBenchmark, make_synthetic, read_traces, regret_series, write_tabular
 from diffevo import cli
 from diffevo.cli import main, parse_benchmark
 
@@ -43,6 +43,7 @@ class TestParseBenchmark:
         bench = parse_benchmark("sphere:3")
         assert bench.space.dimension == 3
         assert bench.space.params[0].lo == -5.0
+        assert bench == FunctionBenchmark("sphere", 3)
 
     def test_continuous_with_bounds(self):
         bench = parse_benchmark("rastrigin:2:lo=-1:hi=2")
@@ -246,6 +247,25 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 1
         assert capsys.readouterr().err == (f"error: config file {cfg}: 'utf-8' codec can't decode "
                                            "byte 0xff in position 19: invalid start byte\n")
+        assert not out.exists()
+
+    def test_config_file_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"np": 20,')
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--benchmark", "synthetic:3x3",
+                       "--evals", "10", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: config file {cfg}: Expecting property name "
+                                           "enclosed in double quotes: line 1 column 11 (char 10)\n")
+        assert not out.exists()
+
+    def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.json"
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", str(cfg), "--benchmark", "synthetic:3x3",
+                       "--evals", "10", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: [Errno 2] No such file or directory: "
+                                           f"{str(cfg)!r}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, value", [("sphere:2", "nan"), ("synthetic:3x3", "inf")])

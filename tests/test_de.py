@@ -381,11 +381,13 @@ class TestSelection:
 
     def test_tie_goes_to_trial(self):
         same = (0.3, None, 1.0)
-        trials = generation_trials(known_result=same, other_result=same)
-        # every trial tied its target, so each row moved on to its trial
-        assert np.all(differing(trials[2:], trials[1:-1]) <= 1)
-        # and some trials started from a target that had already changed
-        assert np.any(differing(trials[2], trials[0]) == 2)
+        # an invalid trial scores 1.0, so it also ties a valid target of error 1.0
+        for known, other in [(same, same), ((1.0, None, 1.0), None)]:
+            trials = generation_trials(known_result=known, other_result=other)
+            # every trial tied its target, so each row moved on to its trial
+            assert np.all(differing(trials[2:], trials[1:-1]) <= 1)
+            # and some trials started from a target that had already changed
+            assert np.any(differing(trials[2], trials[0]) == 2)
 
     def test_worse_trial_loses(self):
         trials = generation_trials(
@@ -402,6 +404,7 @@ class TestSelection:
         assert trial_wins(target_fitness=0.30, trial_fitness=0.30)
         assert not trial_wins(target_fitness=0.30, trial_fitness=0.50)
         assert not trial_wins(target_fitness=0.20, trial_fitness=1.00)
+        assert trial_wins(target_fitness=1.00, trial_fitness=1.00)
 
 
 class TestRunDE:

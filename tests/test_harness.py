@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from diffevo import (
     Budget,
     DEConfig,
+    REConfig,
     aggregate,
     check_trace_invariants,
     final_regrets,
@@ -20,6 +21,7 @@ from diffevo import (
     regret_series,
     run_de,
     run_random_search,
+    run_regularized_evolution,
     write_curve_csv,
     write_traces,
 )
@@ -360,6 +362,25 @@ class TestTracePersistence:
         write_traces(traces, path)
         loaded = read_traces(path)
         assert_same_traces(loaded, traces)
+
+    @pytest.mark.parametrize("run, config, fields", [
+        (run_de, DEConfig(population_size=6, scaling_factor=0.7, crossover_rate=0.2,
+                          budget=Budget(max_evaluations=30)),
+         {"population_size": 6, "scaling_factor": 0.7, "crossover_rate": 0.2}),
+        (run_regularized_evolution, REConfig(population_size=7, sample_size=3,
+                                             budget=Budget(max_evaluations=30)),
+         {"population_size": 7, "sample_size": 3}),
+        (run_random_search, Budget(max_evaluations=30), {}),
+    ], ids=["de", "re", "rs"])
+    def test_config_holds_the_optimizer_fields_but_the_budget(self, tmp_path, run, config,
+                                                              fields):
+        traces = run(make_synthetic(3, 3, seed=0), config, range(2))
+        path = tmp_path / "runs.jsonl"
+        write_traces(traces, path)
+        headers = [json.loads(line)["run"] for line in path.read_text().splitlines()
+                   if line.startswith('{"run":')]
+        assert [trace.config for trace in traces] == [fields] * 2
+        assert [header["config"] for header in headers] == [fields] * 2
 
     def test_missing_test_error_round_trips_as_null(self, tmp_path):
         trace = trace_from_rows([(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, 0.45, True)],

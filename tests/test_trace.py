@@ -661,6 +661,21 @@ class TestTraceReader:
                 read(path)
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("empty", [1, 2], ids=["middle", "end"])
+    def test_run_with_no_events_names_its_header_line(self, tmp_path, empty):
+        # three runs of two events each; run `empty` keeps its header alone
+        rows = [(0.0, 1.0, 1.0, None, False), (1.5, 0.4, 0.4, None, True)]
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace_from_rows(rows, seed=seed) for seed in range(3)], path)
+        lines = path.read_text().splitlines(keepends=True)
+        del lines[3 * empty + 1:3 * empty + 3]
+        path.write_text("".join(lines))
+        message = f"{path}:{3 * empty + 1}: run (seed {empty}) has no events"
+        for read in (read_traces, reference_read_traces):
+            with pytest.raises(ValueError) as err:
+                read(path)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("line", [1, 2])
     def test_integer_too_large_for_a_float(self, tmp_path, line):
         # 1 followed by 400 zeros is a JSON number, but no float holds it
