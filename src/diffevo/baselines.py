@@ -33,16 +33,16 @@ def run_random_search(bench: Benchmark, budget: Budget, seeds: Sequence[int]) ->
     """One random-search run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Each step draws uniform genotypes for every live run, about ``RS_BLOCK``
-    rows in all and at least 32 a run. A (k, D) draw is the same stream as k
-    draws of D values, so k leaves the trace as one genotype at a time would
-    make it.
+    Each step takes k uniform genotypes from every live run's stream, about
+    ``RS_BLOCK`` rows in all and at least 32 a run: the next k * D values,
+    row by row, so k leaves the trace as one genotype at a time would make it.
     """
-    def draw(rngs, genotypes, fitness):
-        shape = (max(32, RS_BLOCK // len(rngs)), bench.space.dimension)
-        return np.reshape([rng.random(shape) for rng in rngs], (len(rngs), *shape))
+    def propose(draw, genotypes, fitness):
+        live, _, dimension = genotypes.shape
+        k = max(32, RS_BLOCK // live)
+        return draw(k * dimension).reshape(live, k, dimension)
 
-    return run_lockstep(bench, budget, seeds, 0, draw, lambda *_: None, "rs", {})
+    return run_lockstep(bench, budget, seeds, 0, propose, lambda *_: None, "rs", {})
 
 
 @dataclass(frozen=True)
@@ -77,21 +77,19 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
     """One regularized-evolution run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Every step takes one child from each live run, whose own generator
-    makes one draw ``u`` of S + 2 uniforms: the entrants are
-    ``floor(u[:S] * P)``, the new value is ``u[S]``, and the coordinate it
-    replaces is ``floor(u[S + 1] * D)``.
+    Every step takes one child from each live run, from the next S + 2
+    values ``u`` of its stream: the entrants are ``floor(u[:S] * P)``, the
+    new value is ``u[S]``, and the coordinate it replaces is
+    ``floor(u[S + 1] * D)``.
     """
     size, sample = cfg.population_size, cfg.sample_size
     # fitness is kept oldest first; the genotypes are a ring whose oldest
     # member, the same in every run, sits at row `oldest`
     oldest = 0
 
-    def propose(rngs, genotypes, fitness):
+    def propose(draw, genotypes, fitness):
         live, _, dimension = genotypes.shape
-        draws = np.empty((live, sample + 2))
-        for rng, row in zip(rngs, draws):
-            rng.random(out=row)
+        draws = draw(sample + 2)
         steps = np.arange(live)
         parents = tournament_select(fitness, (draws[:, :sample] * size).astype(np.intp))
         children = genotypes[steps, (parents + oldest) % size]

@@ -125,9 +125,10 @@ def build_optimizer(name: str, cfg: dict) -> tuple[Callable, object]:
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *required) -> dict:
     cfg = {key: default for key, (_, default, _) in FIELDS.items()}
-    if getattr(args, "config", None):
+    if args.config is not None:  # "" too: open("") fails naming '', Path("") would be "."
         try:  # not UTF-8 or not JSON; an OSError reaches main as it is
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            with open(args.config, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
         except ValueError as exc:
             raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):

@@ -86,19 +86,18 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
     """One differential-evolution run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Every step is one generation of each live run, drawn in one call to its
-    own generator: NP * NP parent keys, NP * D crossover values, then NP
-    uniforms ``u`` whose ``floor(u * D)`` are the forced dimensions. The
-    budget is checked before every evaluation, so a run may stop mid-
-    initialization or mid-generation. Invalid configurations cost nothing
-    and score 1.0, so they lose every selection against a valid member of
-    lower error; ties, a valid member's 1.0 among them, go to the trial.
+    Every step is one generation of each live run, which takes the next
+    NP * NP + NP * D + NP values of its stream: NP * NP parent keys, NP * D
+    crossover values, then NP uniforms ``u`` whose ``floor(u * D)`` are the
+    forced dimensions. The budget is checked before every evaluation, so a
+    run may stop mid-initialization or mid-generation. Invalid
+    configurations cost nothing and score 1.0, so they lose every selection
+    against a valid member of lower error; ties, a valid member's 1.0 among
+    them, go to the trial.
     """
-    def generation(rngs, genotypes, fitness):
+    def generation(draw, genotypes, fitness):
         live, size, dimension = genotypes.shape
-        flat = np.empty((live, size * (size + dimension + 1)))
-        for row, rng in zip(flat, rngs):
-            rng.random(out=row)
+        flat = draw(size * (size + dimension + 1))
         keys = flat[:, :size * size].reshape(live, size, size)
         draws = flat[:, size * size:-size].reshape(live, size, dimension)
         forced = (flat[:, -size:] * dimension).astype(np.intp)  # floor(u * D)

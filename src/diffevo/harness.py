@@ -30,6 +30,8 @@ from .trace import Budget, RunRecorder, RunTrace, _spell_floats
 
 # rows per write of a curve CSV: bounds the text held in memory at once
 _CSV_CHUNK_ROWS = 4096
+# uniforms drawn ahead per refill, shared among the live runs: 512 KiB of doubles
+DRAW_BLOCK = 2**16
 
 
 def regret_series(trace: RunTrace) -> tuple[np.ndarray, np.ndarray | None]:
@@ -50,38 +52,74 @@ def final_regrets(traces: Sequence[RunTrace]) -> np.ndarray:
     return np.array([t.incumbent_objective[-1] - t.best_validation_error for t in traces])
 
 
+class RunStreams:
+    """The uniform streams of an experiment's live runs, one generator per
+    seed, drawn ahead in blocks.
+
+    ``streams(n)`` returns an (R, n) array whose row r holds the next n
+    values of live run r's stream; the caller may overwrite them, since
+    values once returned are never read again. A request that does not fit
+    what is drawn ahead refills each live run's row, after its unconsumed
+    tail, with one call to the run's generator: a row holds
+    ``max(n, DRAW_BLOCK // R)`` values.
+    """
+
+    def __init__(self, seeds: Sequence[int]):
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.ahead, self.used = np.empty((len(self.rngs), 0)), 0  # `used` of each row are spent
+
+    def __call__(self, n: int) -> np.ndarray:
+        if self.used + n > self.ahead.shape[1]:
+            tail = self.ahead[:, self.used:]
+            self.ahead = np.empty((len(self.rngs), max(n, DRAW_BLOCK // len(self.rngs))))
+            self.ahead[:, :tail.shape[1]] = tail
+            for rng, row in zip(self.rngs, self.ahead):
+                rng.random(out=row[tail.shape[1]:])
+            self.used = 0
+        self.used += n
+        return self.ahead[:, self.used - n:self.used]
+
+    def keep(self, rows: np.ndarray):
+        """Keep only the streams of the live runs at positions ``rows``."""
+        self.rngs = [self.rngs[i] for i in rows]
+        self.ahead, self.used = self.ahead[rows, self.used:], 0
+
+
 def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], population_size: int,
                  propose: Callable, replace: Callable, optimizer_id: str,
                  config: dict) -> list[RunTrace]:
     """One run of an optimizer per seed, all advanced together through one
     :class:`RunRecorder`; returns their traces in seed order.
 
-    Each run draws its initial (P, D) population from its own generator.
-    Each step, ``propose(rngs, genotypes, fitness)`` returns the (R, k, D)
-    children of the R live runs, each drawn from its run's own generator,
-    and ``replace(genotypes, fitness, children, child_fitness)`` updates the
+    Each run takes the values of its own generator in order: first its
+    initial (P, D) population, then whatever its steps ask for. Each step,
+    ``propose(draw, genotypes, fitness)`` returns the (R, k, D) children of
+    the R live runs, where ``draw`` is their :class:`RunStreams`, and
+    ``replace(genotypes, fitness, children, child_fitness)`` updates the
     populations of the runs still going in place. So a run draws and
-    records exactly what it would alone. An empty ``seeds`` raises ValueError.
+    records exactly what it would alone. How many values one generator
+    call makes is not part of this contract, and values drawn past a run's
+    end reach no trace. An empty ``seeds`` raises ValueError.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("an experiment needs at least one seed")
     dimension = bench.space.dimension
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draw = RunStreams(seeds)
     recorder = RunRecorder(bench, budget, len(seeds))
-    genotypes = np.reshape([rng.random((population_size, dimension)) for rng in rngs],
-                           (len(seeds), population_size, dimension))
+    genotypes = draw(population_size * dimension).reshape(len(seeds), population_size, dimension)
     fitness, keep = recorder.evaluate(genotypes)
-    genotypes, fitness, rngs = genotypes[keep], fitness[keep], [rngs[i] for i in keep]
-    while rngs:
-        children = propose(rngs, genotypes, fitness)
+    genotypes, fitness = genotypes[keep], fitness[keep]
+    draw.keep(keep)
+    while len(genotypes):
+        children = propose(draw, genotypes, fitness)
         child_fitness, keep = recorder.evaluate(children)
-        if len(keep) < len(rngs):
+        if len(keep) < len(genotypes):
             if not len(keep):
                 break
             genotypes, fitness, children, child_fitness = (
                 a[keep] for a in (genotypes, fitness, children, child_fitness))
-            rngs = [rngs[i] for i in keep]
+            draw.keep(keep)
         replace(genotypes, fitness, children, child_fitness)
     return recorder.finish(seeds, optimizer_id, config)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import Budget, REConfig, make_synthetic, run_random_search, run_regularized_evolution
+from diffevo import (Budget, REConfig, baselines, harness, make_synthetic, run_random_search,
+                     run_regularized_evolution)
 from diffevo.baselines import tournament_select
 
 from conftest import (RecordingBenchmark, TransformedBenchmark, assert_same_traces, each_seed,
@@ -41,6 +42,21 @@ class TestRandomSearch:
         assert_same_traces(
             run_random_search(got, budget, range(seed, seed + runs)),
             each_seed(lambda b, s: reference_run_rs(b, budget, s), want, range(seed, seed + runs)))
+
+    @pytest.mark.parametrize("block", [1, 50, 1000])
+    @pytest.mark.parametrize("budget", [Budget(max_evaluations=200), Budget(max_cost=60.0)])
+    def test_refills_match_scalar_reference(self, monkeypatch, block, budget):
+        # 32 genotypes of 3 values a run and step; draw-ahead blocks of 1 and
+        # 50 refill at every step, and 1000 leaves 6 runs rows of 166
+        # values, so steps of 96 cross refills with a tail; under the cost
+        # budget the runs leave at different steps
+        monkeypatch.setattr(baselines, "RS_BLOCK", 64)
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+        bench = make_synthetic(3, 4, invalid_fraction=0.5, cost_model="lognormal", seed=3)
+        got = run_random_search(bench, budget, range(6))
+        assert_same_traces(got, each_seed(lambda b, s: reference_run_rs(b, budget, s), bench,
+                                          range(6)))
+        assert (len({len(t) for t in got}) > 1) == (budget.max_cost is not None)
 
     def test_incumbent_non_increasing(self):
         bench = make_synthetic(5, 4, invalid_fraction=0.3, seed=0)
@@ -213,6 +229,20 @@ class TestLockstep:
             assert got_runs == want_runs
         else:
             assert_same_traces(got_runs, want_runs)
+
+    @pytest.mark.parametrize("block", [1, 50, 1000])
+    @pytest.mark.parametrize("budget", [Budget(max_evaluations=90), Budget(max_cost=60.0)])
+    def test_refills_match_scalar_reference(self, monkeypatch, block, budget):
+        # children of 3 + 2 values; a draw-ahead block of 1 refills at every
+        # step, and 50 and 1000 leave 6 runs rows of 8 and 166 values, so
+        # steps cross refills with a tail; under the cost budget the runs
+        # leave at different steps
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+        bench = make_synthetic(3, 4, invalid_fraction=0.5, cost_model="lognormal", seed=3)
+        cfg = REConfig(population_size=5, sample_size=3, budget=budget)
+        got = run_regularized_evolution(bench, cfg, range(6))
+        assert_same_traces(got, reference_experiment(bench, cfg, range(6)))
+        assert (len({len(t) for t in got}) > 1) == (budget.max_cost is not None)
 
     def test_ties_go_to_the_oldest_entrant(self):
         # a constant objective makes every tournament a tie

@@ -268,6 +268,16 @@ class TestRun:
                                            f"{str(cfg)!r}\n")
         assert not out.exists()
 
+    def test_empty_config_path_fails_cleanly(self, tmp_path, capsys):
+        # an empty path is a path that cannot be opened, not a missing --config
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "--config", "", "--benchmark", "synthetic:3x3",
+                       "--evals", "10", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert err.count("error:") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, value", [("sphere:2", "nan"), ("synthetic:3x3", "inf")])
     def test_non_finite_scaling_factor_fails_cleanly(self, tmp_path, capsys, spec, value):
         out = tmp_path / "t.jsonl"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diffevo import (Budget, DEConfig, FunctionBenchmark, ParameterSpec, SearchSpace,
+from diffevo import (Budget, DEConfig, FunctionBenchmark, ParameterSpec, SearchSpace, harness,
                      make_synthetic, run_de)
 from diffevo.de import crossover_binomial, mutant_vector, parent_indices
 
@@ -64,9 +64,10 @@ def reference_parents(keys, target):
 
 
 def generation_draws(rng, size, dimension):
-    """One generation's draws as ``run_de`` makes them: a single draw of
-    NP * NP + NP * D + NP uniforms, cut into the (NP, NP) parent keys, the
-    (NP, D) crossover values and the NP forced dimensions ``floor(u * D)``."""
+    """One generation's values as ``run_de`` takes them: the next
+    NP * NP + NP * D + NP values of the run's stream, cut into the (NP, NP)
+    parent keys, the (NP, D) crossover values and the NP forced dimensions
+    ``floor(u * D)``."""
     u = rng.random(size * size + size * dimension + size)
     return (u[:size * size].reshape(size, size),
             u[size * size:-size].reshape(size, dimension),
@@ -74,8 +75,8 @@ def generation_draws(rng, size, dimension):
 
 
 def reference_run_de(bench, cfg, seed):
-    """DE one target at a time, consuming the generator exactly like
-    ``run_de``: per generation one draw of NP * NP + NP * D + NP uniforms
+    """DE one target at a time, taking the values of the run's stream in
+    ``run_de``'s order: per generation the next NP * NP + NP * D + NP
     (see ``generation_draws``). Uses the scalar recorder."""
     rng = np.random.default_rng(seed)
     recorder = ReferenceRecorder(bench, cfg.budget)
@@ -547,6 +548,19 @@ class TestLockstep:
             assert got_runs == want_runs
         else:
             assert_same_traces(got_runs, want_runs)
+
+    @pytest.mark.parametrize("block", [1, 50, 1000])
+    @pytest.mark.parametrize("budget", [Budget(max_evaluations=90), Budget(max_cost=60.0)])
+    def test_refills_match_scalar_reference(self, monkeypatch, block, budget):
+        # draw-ahead blocks of 1 and 50 refill at every step; 1000 leaves 6
+        # runs rows of 166 values, so steps of 45 cross refills with a tail;
+        # under the cost budget the runs leave at different steps
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+        bench = make_synthetic(3, 4, invalid_fraction=0.5, cost_model="lognormal", seed=3)
+        cfg = DEConfig(population_size=5, budget=budget)
+        got = run_de(bench, cfg, range(6))
+        assert_same_traces(got, reference_de(bench, cfg, range(6)))
+        assert (len({len(t) for t in got}) > 1) == (budget.max_cost is not None)
 
     @pytest.mark.parametrize("higher_first", [True, False])
     def test_failure_names_the_lowest_failing_seed(self, higher_first):

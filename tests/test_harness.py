@@ -26,7 +26,8 @@ from diffevo import (
     write_traces,
 )
 
-from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, _build_grid
+from diffevo import harness
+from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, RunStreams, _build_grid
 
 from conftest import RecordingBenchmark, assert_same_traces, trace_from_rows
 
@@ -277,6 +278,25 @@ class TestRunExperiment:
         bench = make_synthetic(4, 3, seed=0)
         with pytest.raises(ValueError):
             self.run(bench, range(0))
+
+
+class TestRunStreams:
+    @pytest.mark.parametrize("block", [1, 50, 2**16])
+    def test_rows_are_each_runs_sequential_draws(self, monkeypatch, block):
+        # a block of 1 refills at every request; 50 gives 4 runs rows of 12
+        # values, so requests cross refills and leave tails; the second run
+        # leaves in the middle
+        monkeypatch.setattr(harness, "DRAW_BLOCK", block)
+        seeds = [3, 4, 5, 6]
+        streams, rngs = RunStreams(seeds), {seed: np.random.default_rng(seed) for seed in seeds}
+        for step, n in enumerate([7, 0, 13, 1, 5, 40, 2, 11, 3, 9]):
+            if step == 4:
+                streams.keep(np.array([0, 2, 3]))
+                seeds.remove(4)
+            got = streams(n)
+            assert got.shape == (len(seeds), n)
+            for row, seed in zip(got, seeds):
+                assert row.tobytes() == rngs[seed].random(n).tobytes()
 
 
 def scalar_invariant_violation(trace):
