@@ -10,7 +10,6 @@ anytime-regret curves are directly comparable across optimizers.
 from .baselines import REConfig, run_random_search, run_regularized_evolution
 from .benchmarks import (
     Benchmark,
-    BenchmarkLoadError,
     FunctionBenchmark,
     TabularBenchmark,
     load_tabular,
@@ -32,7 +31,6 @@ from .trace import Budget, RunTrace, check_trace_invariants, read_traces, write_
 __all__ = [
     "AggregateCurve",
     "Benchmark",
-    "BenchmarkLoadError",
     "Budget",
     "Configuration",
     "DEConfig",

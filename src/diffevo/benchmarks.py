@@ -38,10 +38,6 @@ from .space import Configuration, ParameterSpec, SearchSpace, _is_number
 MAX_SYNTHETIC_CONFIGS = 10**6
 
 
-class BenchmarkLoadError(ValueError):
-    """A tabular benchmark file failed validation; the message names the row."""
-
-
 class Benchmark(Protocol):
     """What optimizers and the harness need from an objective."""
 
@@ -189,20 +185,20 @@ def _replacing(path: str | Path):
         raise
 
 
-def _decode_lines(path: Path, error: type[ValueError], lines: list[str], start: int):
+def _decode_lines(path: Path, lines: list[str], start: int):
     """(line number, JSON value) of each line of ``lines`` that is not blank,
-    the first numbered ``start``; raises ``error`` naming ``path:line`` for an
-    undecodable byte or bad JSON."""
+    the first numbered ``start``; raises ValueError naming ``path:line`` for
+    an undecodable byte or bad JSON."""
     for lineno, line in enumerate(lines, start):
         line = line.rstrip("\n")
         if not line.strip():
             continue
         if problem := _undecodable(line):
-            raise error(f"{path}:{lineno}: {problem}")
+            raise ValueError(f"{path}:{lineno}: {problem}")
         try:
             value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise error(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         yield lineno, value
 
 
@@ -214,17 +210,18 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     ``{"key": [...], "val_err": ..., "test_err": ..., "cost": ...}``.
     The file is read once, :data:`BLOCK_LINES` lines at a time, and each
     block is decoded and checked as columns. A block that cannot be, or that
-    repeats a key, is read a line at a time, so that an error names the
-    first bad line. A space that no table can hold fails at the header.
+    repeats a key, is read a line at a time, so that an error, a ValueError
+    naming ``path:line``, names the first bad line. A space that no table
+    can hold fails at the header.
     """
     path = Path(path)
     blocks = _blocks(path)
     lines = next(blocks, None)
     if lines is None:
-        raise BenchmarkLoadError(f"{path}: empty benchmark file")
+        raise ValueError(f"{path}: empty benchmark file")
     first = lines[0].rstrip("\n")
     if problem := _undecodable(first):
-        raise BenchmarkLoadError(f"{path}:1: {problem}")
+        raise ValueError(f"{path}:1: {problem}")
     try:
         header = json.loads(first)
         space = SearchSpace.from_json_dict(header)
@@ -233,7 +230,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         if not isinstance(benchmark_id, str):
             raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
     except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
+        raise ValueError(f"{path}:1: bad header: {exc}") from exc
     columns, seen, start = [], set(), 2  # the codes and rows of each block, every code so far
     for lines in itertools.chain([lines[1:]], blocks):
         block = _block_columns(space, lines)
@@ -247,7 +244,7 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         start += len(lines)
     codes = np.concatenate([c for c, _ in columns])
     if not codes.size:
-        raise BenchmarkLoadError(f"{path}: no configuration records")
+        raise ValueError(f"{path}: no configuration records")
     order = codes.argsort(kind="stable")
     rows = np.concatenate([r for _, r in columns], axis=1)[:, order]
     return TabularBenchmark(space, benchmark_id, codes[order], rows)
@@ -302,14 +299,14 @@ def _block_columns(space: SearchSpace, lines: list[str]):
 def _walk_records(path: Path, space: SearchSpace, lines: list[str], start: int, seen: set[int]):
     """The codes and (3, n) rows of the records on ``lines``, the first line
     numbered ``start``, read a line at a time; each code joins ``seen``.
-    Raises BenchmarkLoadError for the first line with undecodable bytes, bad
-    JSON, a record that is not an object or lacks a field, a bad key, bad
-    values (:func:`_row_problem`), or a code in ``seen``."""
+    Raises ValueError for the first line with undecodable bytes, bad JSON, a
+    record that is not an object or lacks a field, a bad key, bad values
+    (:func:`_row_problem`), or a code in ``seen``."""
     def fail(problem):
-        raise BenchmarkLoadError(f"{path}:{lineno}: {problem}")
+        raise ValueError(f"{path}:{lineno}: {problem}")
 
     codes, rows = [], []
-    for lineno, row in _decode_lines(path, BenchmarkLoadError, lines, start):
+    for lineno, row in _decode_lines(path, lines, start):
         if not isinstance(row, dict):
             fail("record is not a JSON object")
         if missing := {"key", "val_err", "cost"} - set(row):

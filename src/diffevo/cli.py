@@ -165,9 +165,17 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *re
     return cfg
 
 
+def _check_directory(flag: str, path: str, directory: Path):
+    """Raise ValueError naming ``flag`` and its ``path`` unless ``directory``,
+    where the command writes, is a directory; checked before any work."""
+    if not directory.is_dir():
+        raise ValueError(f"{flag} {path}: {directory} is not a directory")
+
+
 def cmd_run(args, parser) -> int:
     cfg = _merge_config(args, parser, "benchmark", "out")
     fn, config = build_optimizer(cfg["optimizer"], cfg)
+    _check_directory("--out", cfg["out"], Path(cfg["out"]).parent)
     bench = parse_benchmark(cfg["benchmark"])
     traces = fn(bench, config, range(cfg["seed"], cfg["seed"] + cfg["runs"]))
     write_traces(traces, cfg["out"])
@@ -191,6 +199,9 @@ def cmd_compare(args, parser) -> int:
         parser.error(f"--optimizers names {repeated[0]!r} more than once")
     # every name and its config are checked before the first run
     runs = [(name, *build_optimizer(name, cfg)) for name in optimizers]
+    out_dir = Path(args.out_dir)  # made below, with any parents missing
+    _check_directory("--out-dir", args.out_dir,
+                     next(p for p in (out_dir, *out_dir.parents) if p.exists()))
     bench = parse_benchmark(cfg["benchmark"])
     # every optimizer runs before anything is written, so a failure leaves no
     # partial result set; of each, only the curve and final regrets are kept
@@ -199,7 +210,6 @@ def cmd_compare(args, parser) -> int:
         traces = fn(bench, config, seeds)
         results.append((optimizer, aggregate(traces, grid=args.grid, points=args.points),
                         final_regrets(traces)))
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for optimizer, curve, regrets in results:
         write_curve_csv(curve, out_dir / f"{optimizer}.csv")
@@ -210,6 +220,7 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_aggregate(args, parser) -> int:
+    _check_directory("--out", args.out, Path(args.out).parent)
     # count each run once and average one optimizer; aggregate() checks benchmarks
     traces, source = [], {}  # (benchmark, optimizer, seed) -> the file holding it
     for path in args.traces:

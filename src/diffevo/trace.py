@@ -22,7 +22,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Any, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -51,19 +51,20 @@ ZERO_COST_LIMIT = 100_000
 
 # each run header key: its RunTrace attribute, JSON type name and JSON types;
 # all but "config" are required
-_HEADER = {"seed": ("seed", "an integer", int), "optimizer": ("optimizer_id", "a string", str),
-           "benchmark": ("benchmark_id", "a string", str),
-           "best_validation_error": ("best_validation_error", "a number", int, float),
-           "best_test_error": ("best_test_error", "a number or null", int, float, type(None)),
-           "config": ("config", "an object", dict)}
+_HEADER = {"seed": ("seed", "an integer", (int,)),
+           "optimizer": ("optimizer_id", "a string", (str,)),
+           "benchmark": ("benchmark_id", "a string", (str,)),
+           "best_validation_error": ("best_validation_error", "a number", (int, float)),
+           "best_test_error": ("best_test_error", "a number or null", (int, float, type(None))),
+           "config": ("config", "an object", (dict,))}
 # each event field, eval_index then the fields of a recorder row in order: its
 # JSON type name and JSON types; a null number reads as NaN, which
 # check_trace_invariants rejects
-_NUMBER = ("a number", int, float, type(None))
-_EVENT_TYPES = {"eval_index": ("an integer", int), "cumulative_cost": _NUMBER,
+_NUMBER = ("a number", (int, float, type(None)))
+_EVENT_TYPES = {"eval_index": ("an integer", (int,)), "cumulative_cost": _NUMBER,
                 "objective": _NUMBER, "incumbent_objective": _NUMBER,
-                "incumbent_test_error": ("a number or null", int, float, type(None)),
-                "valid": ("true or false", bool)}
+                "incumbent_test_error": ("a number or null", (int, float, type(None))),
+                "valid": ("true or false", (bool,))}
 EVENT_FIELDS = tuple(_EVENT_TYPES)
 COLUMNS = EVENT_FIELDS[1:]
 
@@ -188,7 +189,7 @@ class RunRecorder:
         hold a negative or NaN cost or reach the zero-cost limit, or None."""
         count, k = cost.shape
         n, before, after = self._events, spent[:, :-1], spent[:, 1:]
-        fails = ~(after >= before)
+        fails = ~(cost >= 0.0)
         if watch_free:
             runs = self.live[:count]
             if self._paid is None:  # the first event count to see each run's total
@@ -205,7 +206,7 @@ class RunRecorder:
             return None
         run = int(fails.any(axis=1).argmax())
         row = int(fails[run].argmax())
-        if after[run, row] >= before[run, row]:
+        if cost[run, row] >= 0.0:
             return run, ValueError(
                 f"{self._free_limit} evaluations in a row left the cumulative cost at "
                 f"{float(after[run, row])!r}, so the cost budget may never be spent; add an "
@@ -356,7 +357,7 @@ def write_traces(traces: list[RunTrace], path: str | Path):
             ))
 
 
-_EVENT_TYPE_SETS = [frozenset(types) for _, *types in _EVENT_TYPES.values()]
+_EVENT_TYPE_SETS = [frozenset(types) for _, types in _EVENT_TYPES.values()]
 
 
 def read_traces(path: str | Path) -> list[RunTrace]:
@@ -408,12 +409,12 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 blocks.append(block)
                 count += len(group)
             else:  # a line at a time
-                for lineno, doc in _decode_lines(path, ValueError, group, start):
+                for lineno, doc in _decode_lines(path, group, start):
                     run = doc.get("run") if type(doc) is dict else None
                     if type(run) is dict:
                         flush()
                         header, header_line, blocks, count = run, lineno, [], 0
-                        _check_header(path, lineno, header)
+                        _check_fields(path, lineno, header, _HEADER, "run header", ("config",))
                     else:
                         _check_event(path, lineno, header, doc, count)
                         rows.append(tuple(doc[name] for name in COLUMNS))
@@ -423,16 +424,6 @@ def read_traces(path: str | Path) -> list[RunTrace]:
     if not traces:
         raise ValueError(f"{path}: no runs found")
     return traces
-
-
-def _check_header(path: Path, lineno: int, header: dict):
-    _require(path, lineno, header, _HEADER.keys() - {"config"}, "run header")
-    for name, (_, kind, *types) in _HEADER.items():
-        if type(header.get(name, {})) not in types:  # bool is not int here
-            raise ValueError(f"{path}:{lineno}: run header field {name!r} is not {kind}: "
-                             f"{header[name]!r}")
-        if name.startswith("best_") and _too_large(header[name]):
-            raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large for a float")
 
 
 _KEY_PIECES = sorted(EVENT_FIELDS)
@@ -469,14 +460,21 @@ def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarr
     return columns
 
 
-def _require(path: Path, lineno: int, doc: dict, keys: AbstractSet[str], what: str):
-    if not keys <= doc.keys():
-        raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(keys - doc.keys())}")
-
-
-def _too_large(value) -> bool:
-    """Whether ``value`` is an integer too large for a float."""
-    return type(value) is int and abs(value) >= 2**1024 - 2**970
+def _check_fields(path: Path, lineno: int, doc: dict, fields: dict, what: str, optional=()):
+    """Raise ValueError naming ``path:lineno`` when ``doc``, a ``what``, lacks
+    a field of ``fields`` not in ``optional``, or holds one of a JSON type its
+    row does not list or an integer too large for a float where the row lists
+    float; each row of ``fields`` ends in its JSON type name and JSON types."""
+    if missing := fields.keys() - doc.keys() - set(optional):
+        raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(missing)}")
+    for name, (*_, kind, types) in fields.items():
+        if name not in doc:
+            continue
+        if type(doc[name]) not in types:  # bool is not int here
+            raise ValueError(f"{path}:{lineno}: {what} field {name!r} is not {kind}: "
+                             f"{doc[name]!r}")
+        if float in types and type(doc[name]) is int and abs(doc[name]) >= 2**1024 - 2**970:
+            raise ValueError(f"{path}:{lineno}: {what} field {name!r} is too large for a float")
 
 
 def _check_event(path: Path, lineno: int, header: dict | None, doc, position: int):
@@ -486,15 +484,7 @@ def _check_event(path: Path, lineno: int, header: dict | None, doc, position: in
         raise ValueError(f"{path}:{lineno}: unrecognized line")
     if header is None:
         raise ValueError(f"{path}:{lineno}: event before any run header")
-    _require(path, lineno, doc, _EVENT_TYPES.keys(), "event")
-    if type(doc["valid"]) is not bool:
-        raise ValueError(f"{path}:{lineno}: valid must be true or false")
-    for name, (kind, *types) in _EVENT_TYPES.items():
-        if type(doc[name]) not in types:  # bool is not int here
-            raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
-                             f"{doc[name]!r}")
-        if name != "eval_index" and _too_large(doc[name]):
-            raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
+    _check_fields(path, lineno, doc, _EVENT_TYPES, "event")
     if doc["eval_index"] != position:
         raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
                          f"!= position {position} in its run")

@@ -11,7 +11,7 @@ import pytest
 
 import diffevo.baselines as baselines
 import diffevo.benchmarks as benchmarks
-from diffevo import BenchmarkLoadError, ParameterSpec, RunTrace, SearchSpace, load_tabular
+from diffevo import ParameterSpec, RunTrace, SearchSpace, load_tabular
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants, run_failure
 
 HEADER = ("seed", "optimizer_id", "benchmark_id", "best_validation_error", "best_test_error",
@@ -136,6 +136,7 @@ def reference_read_traces(path):
                    for name in ("cumulative_cost", "objective", "incumbent_objective")]
         test = doc["incumbent_test_error"]
         checks.append(("incumbent_test_error", "a number or null", test is None or is_number(test)))
+        checks.append(("valid", "true or false", isinstance(doc["valid"], bool)))
         for name, kind, ok in checks:
             if not ok:
                 raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
@@ -161,8 +162,6 @@ def reference_read_traces(path):
             if header is None:
                 raise ValueError(f"{path}:{lineno}: event before any run header")
             require(doc, event_keys, "event", lineno)
-            if type(doc["valid"]) is not bool:
-                raise ValueError(f"{path}:{lineno}: valid must be true or false")
             check_event_types(doc, lineno)
             if doc["eval_index"] != len(rows):
                 raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
@@ -183,20 +182,20 @@ def reference_load_tabular(path):
     first bad line. Returns ``(table, best validation error, best test
     error)``, the table holding the file's raw JSON values in file order.
     ``load_tabular`` must give an equal table and best errors, or raise the
-    same BenchmarkLoadError."""
+    same ValueError."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="\n") as fh:
         lines = (line.rstrip("\n") for line in fh)
         first = next(lines, None)
         if first is None:
-            raise BenchmarkLoadError(f"{path}: empty benchmark file")
+            raise ValueError(f"{path}: empty benchmark file")
         try:
             header = json.loads(first)
             space = SearchSpace.from_json_dict(header)
             if not isinstance(header.get("benchmark_id", ""), str):
                 raise ValueError(f"benchmark_id {header['benchmark_id']!r} is not a string")
         except (ValueError, TypeError) as exc:
-            raise BenchmarkLoadError(f"{path}:1: bad header: {exc}") from exc
+            raise ValueError(f"{path}:1: bad header: {exc}") from exc
         table, linenos = {}, []
 
         def check_rows():
@@ -206,7 +205,7 @@ def reference_load_tabular(path):
 
         def fail(lineno, msg):
             check_rows()
-            raise BenchmarkLoadError(f"{path}:{lineno}: {msg}")
+            raise ValueError(f"{path}:{lineno}: {msg}")
 
         for lineno, line in enumerate(lines, start=2):
             if not line.strip():
@@ -222,7 +221,7 @@ def reference_load_tabular(path):
                 fail(lineno, f"record lacks fields {sorted(missing)}")
             try:
                 key = _reference_key(space, row["key"])
-            except BenchmarkLoadError as exc:
+            except ValueError as exc:
                 fail(lineno, str(exc))
             values = (row["val_err"], row.get("test_err"), row["cost"])
             if key in table:
@@ -233,7 +232,7 @@ def reference_load_tabular(path):
             table[key] = values
             linenos.append(lineno)
     if not table:
-        raise BenchmarkLoadError(f"{path}: no configuration records")
+        raise ValueError(f"{path}: no configuration records")
     check_rows()
     tests = [test for _, test, _ in table.values() if test is not None]
     return table, min(val for val, _, _ in table.values()), min(tests) if tests else None
@@ -241,18 +240,18 @@ def reference_load_tabular(path):
 
 def _reference_key(space, raw):
     if not isinstance(raw, list) or len(raw) != space.dimension:
-        raise BenchmarkLoadError(f"key {raw!r} is not a {space.dimension}-element list")
+        raise ValueError(f"key {raw!r} is not a {space.dimension}-element list")
     for p, v in zip(space.params, raw):
         if p.kind == "integer":
             if isinstance(v, bool) or not isinstance(v, int):
-                raise BenchmarkLoadError(f"key component {v!r} for {p.name!r} is not an integer")
+                raise ValueError(f"key component {v!r} for {p.name!r} is not an integer")
         elif not isinstance(v, str):
-            raise BenchmarkLoadError(f"key component {v!r} for {p.name!r} is not a token")
+            raise ValueError(f"key component {v!r} for {p.name!r} is not a token")
     return tuple(raw)
 
 
 def _reference_check_rows(space, table, where):
-    """Raise BenchmarkLoadError, naming the row by ``where(key)``, for the
+    """Raise ValueError, naming the row by ``where(key)``, for the
     first row of ``table`` whose key or values break the contract."""
     def inside(p, v):
         if p.kind == "integer":
@@ -281,7 +280,7 @@ def _reference_check_rows(space, table, where):
                        else f"cost {cost} is negative or not finite")
         else:
             continue
-        raise BenchmarkLoadError(f"{where(key)}: {problem}")
+        raise ValueError(f"{where(key)}: {problem}")
 
 
 def tabular(space, table, benchmark_id):
@@ -363,7 +362,7 @@ class ReferenceRecorder:
         valid = row is not None
         objective, test, cost = row if valid else (1.0, None, 0.0)
         before = self.cumulative_cost
-        if not before + cost >= before:
+        if not cost >= 0.0:
             raise ValueError(f"benchmark cost {cost!r} of {config!r} is negative or not a number")
         self.cumulative_cost += cost
         self.free = self.free + 1 if self.cumulative_cost == before else 0
@@ -463,9 +462,9 @@ def watch_line_reads(monkeypatch, module):
     lines, opened = [], []
     decode, real_open = module._decode_lines, open
 
-    def decoding(path, error, block, start):
+    def decoding(path, block, start):
         lines.extend(range(start, start + len(block)))
-        return decode(path, error, block, start)
+        return decode(path, block, start)
 
     def opening(path, *args, **kwargs):
         opened.append(path)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffevo import (
-    BenchmarkLoadError,
     FunctionBenchmark,
     ParameterSpec,
     SearchSpace,
@@ -71,7 +70,7 @@ class TestTabularBenchmark:
 
     def test_rejects_out_of_range_error(self):
         table = {("a", 1): (1.5, None, 1.0)}
-        with pytest.raises(BenchmarkLoadError):
+        with pytest.raises(ValueError, match=r":2: validation error 1.5 outside \[0, 1\]$"):
             tabular(tiny_space(), table, "t")
 
 
@@ -204,21 +203,21 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0}),
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
         ])
-        with pytest.raises(BenchmarkLoadError, match=":3"):
+        with pytest.raises(ValueError, match=":3"):
             load_tabular(path)
 
     def test_error_out_of_range_fails(self, tmp_path):
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["a", 1], "val_err": 1.2, "cost": 1.0}),
         ])
-        with pytest.raises(BenchmarkLoadError, match=":2"):
+        with pytest.raises(ValueError, match=":2"):
             load_tabular(path)
 
     def test_negative_cost_fails(self, tmp_path):
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": -1.0}),
         ])
-        with pytest.raises(BenchmarkLoadError, match="cost"):
+        with pytest.raises(ValueError, match="cost"):
             load_tabular(path)
 
     @pytest.mark.parametrize("cost", ["Infinity", "NaN"])
@@ -227,7 +226,7 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
             f'{{"key":["b",1],"val_err":0.3,"cost":{cost}}}',
         ])
-        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: .*not finite"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*not finite"):
             load_tabular(path)
 
     @pytest.mark.parametrize("field, name", [("val_err", "validation error"),
@@ -239,7 +238,7 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
             json.dumps(record),
         ])
-        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: {name}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {name}"):
             load_tabular(path)
 
     @pytest.mark.parametrize("later", [
@@ -258,7 +257,7 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 1.2, "cost": 1.0}),
             later,
         ])
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:3: validation error 1.2 outside [0, 1]"
 
@@ -280,7 +279,7 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], **values}),
             json.dumps({"key": ["b", 2], "val_err": 0.3, "cost": 1.0}),
         ])
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:3: {problem}"
 
@@ -288,7 +287,7 @@ class TestTabularFile:
     def test_record_that_is_not_an_object_fails_naming_the_line(self, tmp_path, record):
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["a", 2], "val_err": 0.3, "cost": 1.0}), record])
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:3: record is not a JSON object"
 
@@ -316,7 +315,7 @@ class TestTabularFile:
     def test_malformed_header_fails_naming_the_line(self, tmp_path, header):
         path = tmp_path / "bench.jsonl"
         path.write_text(header + "\n" + json.dumps({"key": ["x"], "val_err": 0.3, "cost": 1.0}))
-        with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:1: bad header: "):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad header: "):
             load_tabular(path)
 
     @pytest.mark.parametrize("params, records, problem", [
@@ -337,7 +336,7 @@ class TestTabularFile:
         path = tmp_path / "bench.jsonl"
         path.write_text("\n".join(json.dumps(doc) for doc in [
             {"params": params}, *({**r, "val_err": 0.2, "cost": 1.0} for r in records)]) + "\n")
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:1: bad header: {problem}"
 
@@ -346,7 +345,7 @@ class TestTabularFile:
             json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0}),
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": -1.0}),
         ])
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:3: cost -1.0 is negative or not finite"
 
@@ -354,7 +353,8 @@ class TestTabularFile:
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["z", 1], "val_err": 0.2, "cost": 1.0}),
         ])
-        with pytest.raises(BenchmarkLoadError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: key "
+                                             r"\('z', 1\) outside the declared space$"):
             load_tabular(path)
 
     def test_lines_end_only_at_newlines(self, tmp_path):
@@ -378,7 +378,7 @@ class TestTabularFile:
         assert load_tabular(path).table == {("a", 1): (0.3, None, 1.0)}
         path = self.write_file(tmp_path, [record, "{not json"])
         for load in (load_tabular, reference_load_tabular):
-            with pytest.raises(BenchmarkLoadError, match=f"^{re.escape(str(path))}:3: bad JSON"):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad JSON"):
                 load(path)
 
     def test_crlf_file_loads_as_its_lf_twin(self, tmp_path):
@@ -390,7 +390,7 @@ class TestTabularFile:
 
     def test_bad_json_fails(self, tmp_path):
         path = self.write_file(tmp_path, ["{not json"])
-        with pytest.raises(BenchmarkLoadError, match="JSON"):
+        with pytest.raises(ValueError, match="JSON"):
             load_tabular(path)
 
     def test_missing_file(self, tmp_path):
@@ -505,8 +505,8 @@ class TestBlockLoader:
                           tabs, crlf, odd)
         try:
             table, best_val, best_test = reference_load_tabular(path)
-        except BenchmarkLoadError as exc:
-            with pytest.raises(BenchmarkLoadError) as err:
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
                 load_tabular(path)
             assert str(err.value) == str(exc)
             return
@@ -561,10 +561,10 @@ class TestBlockLoader:
         lines[3 * BLOCK_LINES] = "{not json"  # an odd block further on
         path.write_text("\n".join(lines))
         key = json.loads(lines[5])["key"]
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:11: duplicate configuration key {key!r}"
-        with pytest.raises(BenchmarkLoadError, match=re.escape(str(err.value))):
+        with pytest.raises(ValueError, match=re.escape(str(err.value))):
             reference_load_tabular(path)
 
     def test_a_repeat_across_two_canonical_blocks_names_the_second(self, tmp_path):
@@ -574,10 +574,10 @@ class TestBlockLoader:
         lines[BLOCK_LINES + 20] = lines[BLOCK_LINES - 20]  # from block 1 into block 2
         path.write_text("\n".join(lines))
         key = json.loads(lines[BLOCK_LINES - 20])["key"]
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:{BLOCK_LINES + 21}: duplicate configuration key {key!r}"
-        with pytest.raises(BenchmarkLoadError, match=re.escape(str(err.value))):
+        with pytest.raises(ValueError, match=re.escape(str(err.value))):
             reference_load_tabular(path)
 
     def test_keeps_under_64_bytes_a_row(self, tmp_path):
@@ -640,7 +640,7 @@ class TestUndecodableBytes:
                                      json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0}),
                                      json.dumps({"key": ["b", 2], "val_err": 0.3, "cost": 1.0})],
                           bad_line)
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert re.fullmatch(f"{re.escape(str(path))}:{bad_line}: 'utf-8' codec can't decode "
                             r"byte 0xff in position \d+: invalid start byte", str(err.value))
@@ -653,7 +653,7 @@ class TestUndecodableBytes:
             data[bad_line - 1] += b"\xc3"  # the first byte of a two-byte sequence
             path = tmp_path / f"bench-{bad_line}.jsonl"
             path.write_bytes(b"\n".join(data) + b"\n")
-            with pytest.raises(BenchmarkLoadError) as err:
+            with pytest.raises(ValueError) as err:
                 load_tabular(path)
             position = len(data[bad_line - 1]) - 1
             assert str(err.value) == (f"{path}:{bad_line}: 'utf-8' codec can't decode byte 0xc3 "
@@ -663,9 +663,40 @@ class TestUndecodableBytes:
         path = self.write(tmp_path, [json.dumps({"key": ["b", 1], "val_err": 2.0, "cost": 1.0}),
                                      json.dumps({"key": ["a", 1], "val_err": 0.3, "cost": 1.0})],
                           3)
-        with pytest.raises(BenchmarkLoadError) as err:
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
         assert str(err.value) == f"{path}:2: validation error 2.0 outside [0, 1]"
+
+
+@pytest.mark.parametrize("fault, problem", [
+    ("bad JSON", "bad JSON: "),
+    ("undecodable byte", "'utf-8' codec can't decode byte 0xff in position "),
+    ("missing field", "{what} lacks fields ['{field}']"),
+])
+@pytest.mark.parametrize("reader", ["load_tabular", "read_traces"])
+def test_both_readers_raise_a_plain_value_error_naming_path_and_line(tmp_path, reader, fault,
+                                                                     problem):
+    # line 3 is a table's second record or a trace's second event
+    path, bench = tmp_path / "in.jsonl", make_synthetic(2, 2, seed=0)
+    what, field = ("record", "val_err") if reader == "load_tabular" else ("event", "objective")
+    if reader == "load_tabular":
+        write_tabular(bench, path)
+    else:
+        write_traces(run_random_search(bench, Budget(max_evaluations=4), [0]), path)
+    lines = path.read_bytes().split(b"\n")
+    doc = json.loads(lines[2])
+    if fault == "bad JSON":
+        lines[2] = lines[2][:-1]
+    elif fault == "undecodable byte":
+        lines[2] = lines[2][:-1] + b',"note":"\xff"}'
+    else:
+        del doc[field]
+        lines[2] = json.dumps(doc).encode()
+    path.write_bytes(b"\n".join(lines))
+    problem = problem.format(what=what, field=field)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {problem}')}") as err:
+        {"load_tabular": load_tabular, "read_traces": read_traces}[reader](path)
+    assert type(err.value) is ValueError
 
 
 class TestWrittenBytes:

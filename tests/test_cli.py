@@ -174,6 +174,14 @@ class TestRun:
                        "--evals", "5", "--out", str(tmp_path / "t.jsonl"))
         assert code == 1
 
+    def test_missing_out_directory_fails_before_the_benchmark_is_read(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.jsonl"
+        assert run_cli("run", "--benchmark", str(tmp_path / "nope.jsonl"), "--evals", "5",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: --out {out}: {out.parent} "
+                                           "is not a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("optimizer,flags", [
         ("de", ("--np", "8")),
         ("rs", ()),
@@ -427,6 +435,18 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("error: benchmark 'synthetic:9': ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("out_dir", ["file", "file/sub"])
+    def test_out_dir_under_a_file_fails_before_the_benchmark_is_read(self, tmp_path, capsys,
+                                                                     out_dir):
+        (tmp_path / "file").write_text("kept")
+        assert run_cli("compare", "--optimizers", "de,rs", "--benchmark",
+                       str(tmp_path / "nope.jsonl"), "--evals", "20",
+                       "--out-dir", str(tmp_path / out_dir)) == 1
+        assert capsys.readouterr().err == (f"error: --out-dir {tmp_path / out_dir}: "
+                                           f"{tmp_path / 'file'} is not a directory\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "file"]
+        assert (tmp_path / "file").read_text() == "kept"
+
     @pytest.mark.parametrize("points", ["0", "-2"])
     def test_log_grid_without_points_fails_cleanly(self, tmp_path, capsys, points):
         code = run_cli("compare", "--optimizers", "de,rs", "--np", "4",
@@ -481,6 +501,13 @@ class TestAggregateCommand:
                 "--evals", "20", "--runs", "1", "--seed", str(seed),
                 "--out", str(out))
         return out
+
+    def test_missing_out_directory_fails_before_any_trace_is_read(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.csv"
+        assert run_cli("aggregate", str(tmp_path / "nope.jsonl"), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: --out {out}: {out.parent} "
+                                           "is not a directory\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_run_union_grid_reproduces_regret_steps(self, tmp_path):
         trace_file = self.write_run(tmp_path, "t.jsonl")
@@ -556,6 +583,7 @@ class TestAggregateCommand:
          "'cumulative_cost' is not a number: '1.5'"),
         ({"eval_index": True}, "'eval_index' is not an integer: True"),
         ({"incumbent_objective": False}, "'incumbent_objective' is not a number: False"),
+        ({"valid": 1}, "'valid' is not true or false: 1"),
     ])
     def test_wrongly_typed_event_fails_cleanly(self, tmp_path, capsys, fields, message):
         # line 3 is the event at position 1, which an eval_index of true would match

@@ -485,7 +485,8 @@ class TestTraceFileValidation:
         word = json.loads(self.event(1, 2.0, 0.3, 0.3))
         word["valid"] = "false"
         path = self.write(tmp_path, self.HEADER, self.event(0, 1.0, 0.5, 0.5), json.dumps(word))
-        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: valid must be"):
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:3: event field 'valid' "
+                                             "is not true or false: 'false'$"):
             read_traces(path)
 
     def test_run_breaking_invariants_names_the_path(self, tmp_path):

@@ -170,6 +170,20 @@ class TestBlockRecorder:
         with pytest.raises(ValueError, match=re.escape(f"benchmark cost {cost!r} of")):
             run_random_search(bench, budget, [0])
 
+    def test_negative_cost_that_leaves_the_total_as_it_was_stops_the_run(self):
+        # 3e20 - 1.0 rounds back to 3e20, so the cumulative cost never falls
+        bench = TableBench([(0.5, None, 1e20), (0.4, None, -1.0), None, None, None])
+        genotypes = np.array([[0.1], [0.1], [0.1], [0.3], [0.1]])
+        budget = Budget(max_evaluations=10)
+        message = "benchmark cost -1.0 of ('c1',) is negative or not a number"
+        for cuts in ([], [1], [3], [3, 4]):
+            with pytest.raises(ValueError) as got:
+                run_blocks(bench, budget, genotypes, cuts)
+            assert str(got.value) == f"run with seed 0 failed: {message}"
+        with pytest.raises(ValueError) as reference:
+            run_rows(bench, budget, genotypes)
+        assert str(reference.value) == message
+
     @pytest.mark.parametrize("cost", [math.nan, -1.0])
     def test_bad_cost_past_the_cost_limit_is_not_an_error(self, cost):
         # a batch scores the row after the one that spends the budget, which
