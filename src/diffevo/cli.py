@@ -166,10 +166,12 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *re
 
 
 def _check_directory(flag: str, path: str, directory: Path):
-    """Raise ValueError naming ``flag`` and its ``path`` unless ``directory``,
-    where the command writes, is a directory; checked before any work."""
+    """Raise ValueError naming ``flag`` and its ``path``, before any work, unless ``directory``,
+    where the command writes, is a directory and ``path`` is not another one."""
     if not directory.is_dir():
         raise ValueError(f"{flag} {path}: {directory} is not a directory")
+    if Path(path) != directory and Path(path).is_dir():
+        raise ValueError(f"{flag} {path}: {path} is a directory")
 
 
 def cmd_run(args, parser) -> int:

@@ -196,15 +196,20 @@ def _build_grid(grid, points: int, all_times: list[np.ndarray]) -> np.ndarray:
 
 def write_curve_csv(curve: AggregateCurve, path: str | Path):
     """Write an aggregate curve as ``time,mean_regret,n_runs`` CSV, atomically
-    (temp file then rename), in the bytes ``csv.writer`` would give: floats
-    by ``repr``, rows ended by ``\\r\\n``, written a chunk of rows at a time."""
+    (temp file then rename), in the bytes ``csv.writer`` would give: floats by
+    ``repr``, rows ended by ``\\r\\n``; a chunk of rows is one join, each column
+    set by one slice assignment, each distinct float or count spelled once."""
     with _replacing(path) as fh:
         fh.write("time,mean_regret,n_runs\r\n")
         for start in range(0, len(curve.times), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
-            regrets = _spell_floats(curve.mean_regret[rows], nan="nan", inf="inf")
-            fh.write("".join(f"{t!r},{r},{n}\r\n" for t, r, n in zip(
-                curve.times[rows].tolist(), regrets, curve.n_runs[rows].tolist())))
+            counts, inverse = np.unique(curve.n_runs[rows], return_inverse=True)
+            parts = [","] * (4 * len(inverse))
+            parts[0::4] = _spell_floats(curve.times[rows], nan="nan", inf="inf")
+            parts[2::4] = _spell_floats(curve.mean_regret[rows], nan="nan", inf="inf")
+            ends = np.array([f",{n}\r\n" for n in counts.tolist()], dtype=object)
+            parts[3::4] = ends[inverse].tolist()
+            fh.write("".join(parts))
 
 
 def paired_sign_test(x: Sequence[float], y: Sequence[float]) -> float:

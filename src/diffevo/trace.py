@@ -323,38 +323,51 @@ def _header_line(trace: RunTrace) -> str:
 
 
 def _spell_floats(column: np.ndarray, nan: str = "NaN", inf: str = "Infinity") -> list[str]:
-    """Each value spelled by ``repr`` when finite, else as ``nan``, ``inf``
-    or ``"-" + inf``: by default, as ``json.dumps`` spells a float.
-
-    Each distinct value is spelled once. Values are told apart by their bit
-    patterns, since comparing floats would merge -0.0 with 0.0.
-    """
-    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.int64),
-                              return_inverse=True)
-    values = bits.view(np.float64)
+    """Each value spelled by ``repr`` when finite, else as ``nan``, ``inf`` or ``"-" + inf``:
+    by default, as ``json.dumps`` spells a float. Each distinct bit pattern (-0.0 is not 0.0)
+    is spelled once, and each run of equal values looked up once; when the runs are in
+    increasing bit order, such as a cumulative cost's, they are distinct and need no sort."""
+    bits = np.asarray(column, dtype=float).view(np.int64)
+    starts = np.flatnonzero(bits != np.concatenate((~bits[:1], bits[:-1])))  # each run's first row
+    heads, inverse = bits[starts], None
+    if not (heads[1:] > heads[:-1]).all():
+        heads, inverse = np.unique(heads, return_inverse=True)
+    values = heads.view(np.float64)
     text = list(map(repr, values.tolist()))
     for i in np.flatnonzero(~np.isfinite(values)).tolist():  # repr gives nan, inf, -inf
         text[i] = {"nan": nan, "inf": inf, "-inf": "-" + inf}[text[i]]
-    return list(map(text.__getitem__, inverse.tolist()))
+    if inverse is None and len(text) == len(bits):  # distinct and in order
+        return text
+    text = np.array(text, dtype=object)
+    return np.repeat(text if inverse is None else text[inverse],
+                     np.diff(starts, append=len(bits))).tolist()
+
+
+# an event line's start, and the text from its valid flag, false or true, to the next one's
+_LINE_START = '{"cumulative_cost":'
+_VALID_TEXT = np.array([f',"valid":{v}}}\n{_LINE_START}' for v in ("false", "true")], dtype=object)
 
 
 def write_traces(traces: list[RunTrace], path: str | Path):
-    """Write traces as JSON Lines, atomically (temp file then rename), one run
-    at a time; event lines are built column by column, byte for byte as
-    ``json.dumps`` spells them."""
+    """Write traces as JSON Lines, atomically (temp file then rename), one run at a time,
+    byte for byte as ``json.dumps`` spells them: a run's events are one join over a list
+    that takes each column, or the key text between two, by one slice assignment."""
+    index = list(map(',"eval_index":{},"incumbent_objective":'.format,
+                     range(max(map(len, traces), default=0))))  # built once per call
     with _replacing(path) as fh:
         for trace in traces:
-            fh.write(_header_line(trace) + "\n")
-            columns = zip(_spell_floats(trace.cumulative_cost),
-                          _spell_floats(trace.incumbent_objective),
-                          _spell_floats(trace.incumbent_test_error, nan="null"),
-                          _spell_floats(trace.objective),
-                          ["true" if v else "false" for v in trace.valid.tolist()])
-            fh.write("".join(
-                f'{{"cumulative_cost":{cost},"eval_index":{i},"incumbent_objective":{incumbent},'
-                f'"incumbent_test_error":{test},"objective":{objective},"valid":{valid}}}\n'
-                for i, (cost, incumbent, test, objective, valid) in enumerate(columns)
-            ))
+            n = len(trace)
+            parts = [_LINE_START] * (8 * n + 1)
+            parts[1::8] = _spell_floats(trace.cumulative_cost)
+            parts[2::8] = index[:n]
+            parts[3::8] = _spell_floats(trace.incumbent_objective)
+            parts[4::8] = [',"incumbent_test_error":'] * n
+            parts[5::8] = _spell_floats(trace.incumbent_test_error, nan="null")
+            parts[6::8] = [',"objective":'] * n
+            parts[7::8] = _spell_floats(trace.objective)
+            parts[8::8] = _VALID_TEXT[np.asarray(trace.valid, dtype=np.intp)].tolist()
+            parts[-1] = parts[-1].removesuffix(_LINE_START)  # no next line
+            fh.write(_header_line(trace) + "\n" + "".join(parts))
 
 
 _EVENT_TYPE_SETS = [frozenset(types) for _, types in _EVENT_TYPES.values()]

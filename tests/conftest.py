@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import diffevo.baselines as baselines
 import diffevo.benchmarks as benchmarks
@@ -482,6 +483,25 @@ def row_columns(rows):
     filled = [(1.0, None, 0.0) if row is None else row for row in rows]
     val, test, cost = np.array(filled, dtype=float).reshape(len(rows), 3).T  # None -> NaN
     return val, test, cost, valid
+
+
+# floats that a speller must keep apart or spell by name beside any other float:
+# -0.0 and 0.0, NaN, +-inf
+REPEATABLE_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]) | st.floats()
+
+
+@st.composite
+def repeated_value_columns(draw, *strategies, max_size=40):
+    """Columns of one length, the k-th drawn from ``strategies[k]`` as runs
+    of 1-6 equal values, so that equal values often sit side by side."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    columns = []
+    for values in strategies:
+        column = []
+        while len(column) < size:
+            column += [draw(values)] * draw(st.integers(min_value=1, max_value=6))
+        columns.append(column[:size])
+    return columns
 
 
 class ScalarBenchmark:

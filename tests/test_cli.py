@@ -182,6 +182,19 @@ class TestRun:
                                            "is not a directory\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_that_is_a_directory_fails_before_the_optimizer_runs(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_de", lambda *args: calls.append(args))
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert run_cli("run", "--benchmark", "synthetic:3x3", "--evals", "5",
+                       "--out", str(out)) == 1
+        assert calls == []
+        assert capsys.readouterr() == ("", f"error: --out {out}: {out} is a directory\n")
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("optimizer,flags", [
         ("de", ("--np", "8")),
         ("rs", ()),
@@ -508,6 +521,20 @@ class TestAggregateCommand:
         assert capsys.readouterr().err == (f"error: --out {out}: {out.parent} "
                                            "is not a directory\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_out_that_is_a_directory_fails_before_any_trace_is_read(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        reads = []
+        monkeypatch.setattr(cli, "read_traces", lambda path: reads.append(path))
+        trace_file = self.write_run(tmp_path, "t.jsonl")
+        capsys.readouterr()
+        out = tmp_path / "adir"
+        out.mkdir()
+        assert run_cli("aggregate", str(trace_file), "--out", str(out)) == 1
+        assert reads == []
+        assert capsys.readouterr() == ("", f"error: --out {out}: {out} is a directory\n")
+        assert sorted(tmp_path.iterdir()) == [out, trace_file]
+        assert list(out.iterdir()) == []
 
     def test_single_run_union_grid_reproduces_regret_steps(self, tmp_path):
         trace_file = self.write_run(tmp_path, "t.jsonl")

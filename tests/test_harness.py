@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +32,8 @@ from diffevo import (
 from diffevo import harness
 from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, RunStreams, _build_grid
 
-from conftest import RecordingBenchmark, assert_same_traces, trace_from_rows
+from conftest import (REPEATABLE_FLOATS, RecordingBenchmark, assert_same_traces,
+                      repeated_value_columns, trace_from_rows)
 
 
 def make_trace(times, regrets, best=0.0, seed=0, optimizer="x", benchmark="hand"):
@@ -542,6 +546,18 @@ class TestCurveCsv:
                                n_runs=np.full(n, 4))
         assert _CSV_CHUNK_ROWS % 3
         assert_csv_matches_reference(curve, tmp_path)
+
+    @settings(deadline=None)
+    @given(repeated_value_columns(REPEATABLE_FLOATS, REPEATABLE_FLOATS,
+                                  st.integers(min_value=0, max_value=5)),
+           st.integers(min_value=1, max_value=8))
+    def test_repeated_values_match_csv_writer(self, columns, chunk_rows):
+        # a small chunk puts runs of equal values across chunk boundaries
+        times, regrets, counts = map(np.array, columns)
+        curve = AggregateCurve(times=times, mean_regret=regrets, n_runs=counts)
+        with (tempfile.TemporaryDirectory() as tmp,
+              mock.patch.object(harness, "_CSV_CHUNK_ROWS", chunk_rows)):
+            assert_csv_matches_reference(curve, Path(tmp))
 
     def test_empty_curve_is_a_header(self, tmp_path):
         curve = AggregateCurve(times=np.array([]), mean_regret=np.array([]),

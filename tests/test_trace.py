@@ -18,12 +18,14 @@ from diffevo.benchmarks import BLOCK_LINES
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
+    REPEATABLE_FLOATS,
     ReferenceRecorder,
     RecordingBenchmark,
     ScalarBenchmark,
     assert_same_traces,
     each_seed,
     reference_read_traces,
+    repeated_value_columns,
     trace_from_rows,
     watch_line_reads,
 )
@@ -438,6 +440,35 @@ class TestTraceWriter:
     def test_any_floats_match_json_dumps(self, rows):
         trace = trace_from_rows(rows)
         assert written_event_lines(trace) == reference_lines(trace)
+
+    @given(repeated_value_columns(st.floats(min_value=0.0), REPEATABLE_FLOATS, REPEATABLE_FLOATS,
+                                  st.none() | REPEATABLE_FLOATS, st.booleans()))
+    def test_repeated_values_match_json_dumps(self, columns):
+        # sorted, the costs' runs of equal values follow in increasing order
+        cost, *rest = columns
+        trace = trace_from_rows(list(zip(sorted(cost), *rest)))
+        assert written_event_lines(trace) == reference_lines(trace)
+
+    def test_runs_of_different_lengths_share_one_file(self, tmp_path):
+        # a 1-event run, a run longer than every run before it, then a short
+        # one: each run's eval_index counts from 0
+        rng = np.random.default_rng(0)
+        traces = [trace_from_rows([(c, o, o, t, v < 0.5) for c, o, t, v in rng.random((n, 4))],
+                                  seed=n) for n in (1, 9, 4)]
+        path = tmp_path / "t.jsonl"
+        write_traces(traces, path)
+        runs = []
+        for line in path.read_text().splitlines():
+            if line.startswith('{"run":'):
+                runs.append([])
+            else:
+                runs[-1].append(line)
+        assert runs == [reference_lines(trace) for trace in traces]
+
+    def test_no_traces_write_an_empty_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_traces([], path)
+        assert path.read_bytes() == b""
 
     def test_negative_zero_error_is_spelled_as_json_dumps_spells_it(self, tmp_path):
         # one column holds both -0.0 and 0.0, which compare equal as floats
