@@ -32,7 +32,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .space import Configuration, ParameterSpec, SearchSpace, _is_number
+from .space import Configuration, ParameterSpec, SearchSpace
 
 # configurations at most this large may be enumerated exhaustively
 MAX_SYNTHETIC_CONFIGS = 10**6
@@ -123,25 +123,22 @@ class TabularBenchmark:
 
 
 def _row_problem(val, test, cost) -> str | None:
-    """What makes the values of one row of a table break the contract, or None."""
-    if not _is_number(val):
-        return f"validation error {val!r} is not a number"
+    """What makes the values of one row of a table, of the JSON types
+    :data:`_RECORD` lists, break the contract, or None."""
     if not 0.0 <= val <= 1.0:
         return f"validation error {val} outside [0, 1]"
-    if test is not None and not _is_number(test):
-        return f"test error {test!r} is not a number or null"
     if test is not None and not 0.0 <= test <= 1.0:
         return f"test error {test} outside [0, 1]"
-    if not _is_number(cost):
-        return f"cost {cost!r} is not a number"
-    if not 0.0 <= cost <= _FLOAT_MAX:  # an integer compares exactly
-        if isinstance(cost, int) and cost > 0:
-            return "cost is an integer too large for a float"
+    if not 0.0 <= cost <= _FLOAT_MAX:
         return f"cost {cost} is negative or not finite"
     return None
 
 
 _FLOAT_MAX = sys.float_info.max
+# each tabular record field: its JSON type name and JSON types; test_err is optional
+_RECORD = {"key": ("a list", (list,)), "val_err": ("a number", (int, float)),
+           "test_err": ("a number or null", (int, float, type(None))),
+           "cost": ("a number", (int, float))}
 
 
 def _undecodable(line: str) -> str | None:
@@ -157,7 +154,6 @@ def _undecodable(line: str) -> str | None:
 
 # a JSON Lines file is read, decoded and checked this many lines at a time
 BLOCK_LINES = 1024
-_NUMBER = {int, float}
 
 
 def _blocks(path: Path):
@@ -200,6 +196,23 @@ def _decode_lines(path: Path, lines: list[str], start: int):
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         yield lineno, value
+
+
+def _check_fields(where: str, doc: dict, fields: dict, optional=()):
+    """Raise ValueError starting ``where`` when ``doc`` lacks a field of
+    ``fields`` not in ``optional``, or holds one of a JSON type its row does
+    not list, or an integer above the largest float where the row lists
+    float; each row of ``fields`` ends in its JSON type name and JSON types."""
+    if missing := fields.keys() - doc.keys() - set(optional):
+        raise ValueError(f"{where} lacks fields {sorted(missing)}")
+    for name, (*_, kind, types) in fields.items():
+        if name not in doc:
+            continue
+        value = doc[name]
+        if type(value) not in types:  # bool is not int here
+            raise ValueError(f"{where} field {name!r} is not {kind}: {value!r}")
+        if float in types and type(value) is int and abs(value) > _FLOAT_MAX:  # exact
+            raise ValueError(f"{where} field {name!r} is too large for a float")
 
 
 def load_tabular(path: str | Path) -> TabularBenchmark:
@@ -267,26 +280,25 @@ def _block_columns(space: SearchSpace, lines: list[str]):
         return None
     try:
         docs = json.loads(f"[{text}]")
-        if len(docs) != len(lines) or set(map(type, docs)) != {dict}:
-            return None
-        keys = [doc["key"] for doc in docs]
-        values = ([doc["val_err"] for doc in docs], [doc.get("test_err") for doc in docs],
-                  [doc["cost"] for doc in docs])
-    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+    except ValueError:  # JSONDecodeError is a ValueError
         return None
-    if not (set(map(type, keys)) <= {list} and set(map(len, keys)) <= {space.dimension}):
+    if len(docs) != len(lines) or set(map(type, docs)) != {dict}:
+        return None
+    # a missing field reads as null, which only test_err, the optional field, may hold
+    columns = [[doc.get(name) for doc in docs] for name in _RECORD]
+    types = [set(map(type, column)) for column in columns]
+    if not all(map(set.issubset, types, (kinds for _, kinds in _RECORD.values()))):
+        return None
+    keys, *values = columns
+    # a float conversion would round an integer above the largest float to it, or overflow
+    if not set(map(len, keys)) <= {space.dimension} or any(
+            int in kinds and max(abs(v) for v in column if type(v) is int) > _FLOAT_MAX
+            for kinds, column in zip(types[1:], values)):
         return None
     codes = space.key_codes(keys)
     if -1 in codes:  # a key outside the space or of the wrong type
         return None
-    types = [set(map(type, column)) for column in values]
-    if not (types[0] <= _NUMBER and types[1] <= _NUMBER | {type(None)} and types[2] <= _NUMBER
-            and (int not in types[2] or max(values[2]) <= _FLOAT_MAX)):  # exact for integers
-        return None
-    try:
-        rows = np.array(values, dtype=float)  # null -> NaN
-    except OverflowError:  # an integer too large for a float
-        return None
+    rows = np.array(values, dtype=float)  # null -> NaN
     val, test, cost = rows
     tests = test[test == test]  # a JSON NaN test error is not null, and fails
     if not (len(tests) + values[1].count(None) == len(test)
@@ -300,8 +312,8 @@ def _walk_records(path: Path, space: SearchSpace, lines: list[str], start: int, 
     """The codes and (3, n) rows of the records on ``lines``, the first line
     numbered ``start``, read a line at a time; each code joins ``seen``.
     Raises ValueError for the first line with undecodable bytes, bad JSON, a
-    record that is not an object or lacks a field, a bad key, bad values
-    (:func:`_row_problem`), or a code in ``seen``."""
+    record that is not an object or whose fields break :data:`_RECORD`, a bad
+    key, bad values (:func:`_row_problem`), or a code in ``seen``."""
     def fail(problem):
         raise ValueError(f"{path}:{lineno}: {problem}")
 
@@ -309,10 +321,9 @@ def _walk_records(path: Path, space: SearchSpace, lines: list[str], start: int, 
     for lineno, row in _decode_lines(path, lines, start):
         if not isinstance(row, dict):
             fail("record is not a JSON object")
-        if missing := {"key", "val_err", "cost"} - set(row):
-            fail(f"record lacks fields {sorted(missing)}")
+        _check_fields(f"{path}:{lineno}: record", row, _RECORD, ("test_err",))
         key = row["key"]
-        if not isinstance(key, list) or len(key) != space.dimension:
+        if len(key) != space.dimension:
             fail(f"key {key!r} is not a {space.dimension}-element list")
         code = space.key_codes([key]).item()
         if code < 0:  # a wrongly typed value, or else one outside its domain

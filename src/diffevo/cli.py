@@ -29,13 +29,14 @@ from typing import Callable
 import numpy as np
 
 from .baselines import REConfig, run_random_search, run_regularized_evolution
-from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
+from .benchmarks import Benchmark, FunctionBenchmark, _check_fields, load_tabular, make_synthetic
 from .de import DEConfig, run_de
 from .harness import aggregate, final_regrets, write_curve_csv
 from .trace import Budget, read_traces, write_traces
 
-# each config field: its flag's type (its JSON type in a config file, where null
-# leaves a field with no default unset), default and help; flags override the file
+# each config field: its flag's type (its JSON type in a config file, where an
+# integer is read as a float for a float flag and null leaves a field with no
+# default unset), default and help; flags override the file
 FIELDS = {
     "optimizer": (str, "de", "optimizer"),
     "out": (str, None, "output trace file (JSON Lines)"),
@@ -52,7 +53,6 @@ FIELDS = {
     "pop": (int, REConfig.population_size, "RE population size"),
     "sample": (int, REConfig.sample_size, "RE tournament size"),
 }
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 BUDGET_FIELDS = {"max_evaluations": "evals", "max_cost": "cost"}
 # each optimizer: the name of its function on this module, its config class and
@@ -69,10 +69,11 @@ OPTIMIZERS = {
 
 def parse_benchmark(spec: str) -> Benchmark:
     head, _, rest = spec.partition(":")
-    if head == "tabular":
-        return load_tabular(rest)
-    if head not in ("synthetic", "sphere", "rastrigin"):
-        return load_tabular(spec)
+    if head == "tabular" or head not in ("synthetic", "sphere", "rastrigin"):
+        path = rest if head == "tabular" else spec
+        if not path:  # Path("") is ".", which would fail naming "."
+            raise ValueError(f"benchmark {spec!r}: no tabular file path")
+        return load_tabular(path)
     parts = rest.split(":")
     try:  # a tabular file's errors name its path instead
         if head == "synthetic":
@@ -99,6 +100,8 @@ def _parse_options(parts: list[str], schema: dict) -> dict:
         if not eq or key not in schema:
             raise ValueError(f"bad benchmark option {part!r}; known: {sorted(schema)}")
         name, kind = schema[key]
+        if name in options:
+            raise ValueError(f"option {key!r} given twice")
         options[name] = kind(value)
     return options
 
@@ -135,18 +138,15 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *re
             raise ValueError(f"config file {args.config} does not hold a JSON object")
         if unknown := set(file_cfg) - set(FIELDS):
             parser.error(f"unknown config file fields: {sorted(unknown)}")
+        fields = {}  # each field's JSON type name and JSON types; null where there is no default
+        for key, (kind, default, _) in FIELDS.items():
+            name, types = {str: ("a string", [str]), int: ("an integer", [int]),
+                           float: ("a number", [int, float])}[kind]
+            fields[key] = name, (*types, *[type(None)] * (default is None))
+        _check_fields(f"config file {args.config}:", file_cfg, fields, optional=fields)
         for key, value in file_cfg.items():
-            kind, default, _ = FIELDS[key]
-            if kind is float and type(value) is int:
-                try:
-                    value = file_cfg[key] = float(value)  # as the flag parses it
-                except OverflowError:
-                    raise ValueError(f"config file {args.config}: field {key!r} is too "
-                                     "large for a number") from None
-            # type(), not isinstance(): a bool is not an integer here
-            if not (type(value) is kind or (value is None and default is None)):
-                raise ValueError(f"config file {args.config}: field {key!r} is not "
-                                 f"{_TYPE_NAMES[kind]}: {value!r}")
+            if FIELDS[key][0] is float and type(value) is int:
+                file_cfg[key] = float(value)  # as the flag parses it
         cfg.update(file_cfg)
     for key in FIELDS:
         value = getattr(args, key, None)

@@ -26,7 +26,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import BLOCK_LINES, Benchmark, _blocks, _decode_lines, _replacing
+from .benchmarks import (_FLOAT_MAX, BLOCK_LINES, Benchmark, _blocks, _check_fields,
+                         _decode_lines, _replacing)
 
 
 @dataclass(frozen=True)
@@ -427,7 +428,8 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                     if type(run) is dict:
                         flush()
                         header, header_line, blocks, count = run, lineno, [], 0
-                        _check_fields(path, lineno, header, _HEADER, "run header", ("config",))
+                        _check_fields(f"{path}:{lineno}: run header", header, _HEADER,
+                                      ("config",))
                     else:
                         _check_event(path, lineno, header, doc, count)
                         rows.append(tuple(doc[name] for name in COLUMNS))
@@ -463,31 +465,17 @@ def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarr
         joined = '"'.join(distinct)  # a '"' not in ',":' starts a string, which types reject
         try:  # a comma in a piece adds a value, and brackets that join pieces make a list
             numbers = json.loads("[" + joined[1:-1].replace(',":', ",") + "]")
-            if not (joined.startswith(":") and joined.endswith(",") and "\n" not in joined
-                    and len(numbers) == len(distinct) and set(map(type, numbers)) <= types):
-                return None
-            lookup = dict(zip(distinct, numbers))
-            columns[name] = np.array(list(map(lookup.__getitem__, values)), dtype=float)
-        except (ValueError, OverflowError):  # not JSON, or an integer too large for a float
+        except ValueError:  # not JSON
             return None
+        kinds = set(map(type, numbers))
+        # a float conversion would round an integer above the largest float to it, or overflow
+        if not (joined.startswith(":") and joined.endswith(",") and "\n" not in joined
+                and len(numbers) == len(distinct) and kinds <= types) or (
+                int in kinds and max(abs(x) for x in numbers if type(x) is int) > _FLOAT_MAX):
+            return None
+        lookup = dict(zip(distinct, numbers))
+        columns[name] = np.array(list(map(lookup.__getitem__, values)), dtype=float)
     return columns
-
-
-def _check_fields(path: Path, lineno: int, doc: dict, fields: dict, what: str, optional=()):
-    """Raise ValueError naming ``path:lineno`` when ``doc``, a ``what``, lacks
-    a field of ``fields`` not in ``optional``, or holds one of a JSON type its
-    row does not list or an integer too large for a float where the row lists
-    float; each row of ``fields`` ends in its JSON type name and JSON types."""
-    if missing := fields.keys() - doc.keys() - set(optional):
-        raise ValueError(f"{path}:{lineno}: {what} lacks fields {sorted(missing)}")
-    for name, (*_, kind, types) in fields.items():
-        if name not in doc:
-            continue
-        if type(doc[name]) not in types:  # bool is not int here
-            raise ValueError(f"{path}:{lineno}: {what} field {name!r} is not {kind}: "
-                             f"{doc[name]!r}")
-        if float in types and type(doc[name]) is int and abs(doc[name]) >= 2**1024 - 2**970:
-            raise ValueError(f"{path}:{lineno}: {what} field {name!r} is too large for a float")
 
 
 def _check_event(path: Path, lineno: int, header: dict | None, doc, position: int):
@@ -497,7 +485,7 @@ def _check_event(path: Path, lineno: int, header: dict | None, doc, position: in
         raise ValueError(f"{path}:{lineno}: unrecognized line")
     if header is None:
         raise ValueError(f"{path}:{lineno}: event before any run header")
-    _check_fields(path, lineno, doc, _EVENT_TYPES, "event")
+    _check_fields(f"{path}:{lineno}: event", doc, _EVENT_TYPES)
     if doc["eval_index"] != position:
         raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
                          f"!= position {position} in its run")

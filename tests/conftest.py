@@ -64,6 +64,12 @@ def each_seed(run, bench, seeds):
     return traces
 
 
+def _too_large(x):
+    """An integer whose magnitude is above the largest float: one that a
+    float conversion would round to it, or overflow on."""
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) > sys.float_info.max
+
+
 def reference_read_traces(path):
     """Reference trace reader: one ``json.loads`` and every check per line,
     in file order. ``read_traces`` must return the same traces or raise the
@@ -101,15 +107,6 @@ def reference_read_traces(path):
     def is_number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    def too_large(x):
-        if not isinstance(x, int) or isinstance(x, bool):
-            return False
-        try:
-            float(x)
-        except OverflowError:
-            return True
-        return False
-
     def check_header_types(header, lineno):
         kinds = {"seed": "an integer", "optimizer": "a string", "benchmark": "a string",
                  "best_validation_error": "a number", "best_test_error": "a number or null",
@@ -125,7 +122,7 @@ def reference_read_traces(path):
             if not ok[name]:
                 raise ValueError(f"{path}:{lineno}: run header field {name!r} is not "
                                  f"{kinds[name]}: {header[name]!r}")
-            if name in ("best_validation_error", "best_test_error") and too_large(header[name]):
+            if name in ("best_validation_error", "best_test_error") and _too_large(header[name]):
                 raise ValueError(f"{path}:{lineno}: run header field {name!r} is too large "
                                  "for a float")
 
@@ -142,7 +139,7 @@ def reference_read_traces(path):
             if not ok:
                 raise ValueError(f"{path}:{lineno}: event field {name!r} is not {kind}: "
                                  f"{doc[name]!r}")
-            if name != "eval_index" and too_large(doc[name]):
+            if name != "eval_index" and _too_large(doc[name]):
                 raise ValueError(f"{path}:{lineno}: event field {name!r} is too large for a float")
 
     with open(path, newline="\n") as fh:
@@ -220,6 +217,8 @@ def reference_load_tabular(path):
             missing = {"key", "val_err", "cost"} - set(row)
             if missing:
                 fail(lineno, f"record lacks fields {sorted(missing)}")
+            if problem := _reference_record_types(row):
+                fail(lineno, problem)
             try:
                 key = _reference_key(space, row["key"])
             except ValueError as exc:
@@ -239,8 +238,28 @@ def reference_load_tabular(path):
     return table, min(val for val, _, _ in table.values()), min(tests) if tests else None
 
 
+def _reference_record_types(row):
+    """What makes the JSON type of a field of ``row`` wrong, or None: the
+    key a list, the errors and cost numbers (no booleans), the test error
+    possibly null, and no integer above the largest float."""
+    def is_number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    checks = [("key", "a list", isinstance(row["key"], list)),
+              ("val_err", "a number", is_number(row["val_err"])),
+              ("test_err", "a number or null",
+               row.get("test_err") is None or is_number(row["test_err"])),
+              ("cost", "a number", is_number(row["cost"]))]
+    for name, kind, ok in checks:
+        if not ok:
+            return f"record field {name!r} is not {kind}: {row[name]!r}"
+        if _too_large(row.get(name)):
+            return f"record field {name!r} is too large for a float"
+    return None
+
+
 def _reference_key(space, raw):
-    if not isinstance(raw, list) or len(raw) != space.dimension:
+    if len(raw) != space.dimension:
         raise ValueError(f"key {raw!r} is not a {space.dimension}-element list")
     for p, v in zip(space.params, raw):
         if p.kind == "integer":
@@ -253,32 +272,22 @@ def _reference_key(space, raw):
 
 def _reference_check_rows(space, table, where):
     """Raise ValueError, naming the row by ``where(key)``, for the
-    first row of ``table`` whose key or values break the contract."""
+    first row of ``table`` whose key or values break the contract; the
+    values are of the JSON types that ``_reference_record_types`` allows."""
     def inside(p, v):
         if p.kind == "integer":
             return isinstance(v, int) and not isinstance(v, bool) and p.lo <= v <= p.hi
         return v in p.tokens
 
-    def is_number(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
     for key, (val, test, cost) in table.items():
         if not all(itertools.starmap(inside, zip(space.params, key))):
             problem = f"key {key!r} outside the declared space"
-        elif not is_number(val):
-            problem = f"validation error {val!r} is not a number"
         elif not 0.0 <= val <= 1.0:
             problem = f"validation error {val} outside [0, 1]"
-        elif test is not None and not is_number(test):
-            problem = f"test error {test!r} is not a number or null"
         elif test is not None and not 0.0 <= test <= 1.0:
             problem = f"test error {test} outside [0, 1]"
-        elif not is_number(cost):
-            problem = f"cost {cost!r} is not a number"
         elif not 0.0 <= cost <= sys.float_info.max:
-            too_large = isinstance(cost, int) and cost > 0
-            problem = ("cost is an integer too large for a float" if too_large
-                       else f"cost {cost} is negative or not finite")
+            problem = f"cost {cost} is negative or not finite"
         else:
             continue
         raise ValueError(f"{where(key)}: {problem}")

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -229,17 +230,37 @@ class TestTabularFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*not finite"):
             load_tabular(path)
 
-    @pytest.mark.parametrize("field, name", [("val_err", "validation error"),
-                                             ("test_err", "test error"), ("cost", "cost")])
-    def test_integer_too_large_for_a_float_fails_naming_the_line(self, tmp_path, field, name):
+    @pytest.mark.parametrize("field", ["val_err", "test_err", "cost"])
+    def test_integer_too_large_for_a_float_fails_naming_the_line(self, tmp_path, field):
         # 1 followed by 400 zeros is a JSON number, but no float holds it
         record = {"key": ["b", 1], "val_err": 0.3, "test_err": 0.4, "cost": 1.0, field: 10**400}
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
             json.dumps(record),
         ])
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: {name}"):
+        with pytest.raises(ValueError) as err:
             load_tabular(path)
+        assert str(err.value) == f"{path}:3: record field {field!r} is too large for a float"
+
+    @pytest.mark.parametrize("walked", [False, True], ids=["canonical", "walked"])
+    @pytest.mark.parametrize("cost", [2**1024 - 2**971, 2**1024 - 2**970 - 1],
+                             ids=["float_max", "above"])
+    def test_integer_cost_at_the_largest_float(self, tmp_path, monkeypatch, cost, walked):
+        # 2**1024 - 2**971 is the largest float; a float conversion rounds an
+        # integer up to 2**970 above it down to it, yet that integer is refused
+        records = [json.dumps({"key": ["a", 1], "val_err": 0.2, "cost": 1.0}),
+                   json.dumps({"key": ["b", 1], "val_err": 0.3, "cost": cost})]
+        path = self.write_file(tmp_path, records + [""] * walked)  # a blank line walks the block
+        lines, _ = watch_line_reads(monkeypatch, benchmarks)
+        if cost > sys.float_info.max:
+            for load in (load_tabular, reference_load_tabular):
+                with pytest.raises(ValueError) as err:
+                    load(path)
+                assert str(err.value) == f"{path}:3: record field 'cost' is too large for a float"
+            return
+        assert load_tabular(path).table[("b", 1)] == (0.3, None, sys.float_info.max)
+        assert lines == ([2, 3, 4] if walked else [])
+        assert reference_load_tabular(path)[0][("b", 1)] == (0.3, None, cost)
 
     @pytest.mark.parametrize("later", [
         "{not json",
@@ -262,16 +283,22 @@ class TestTabularFile:
         assert str(err.value) == f"{path}:3: validation error 1.2 outside [0, 1]"
 
     @pytest.mark.parametrize("values, problem", [
-        ({"val_err": "0.3", "cost": 1.0}, "validation error '0.3' is not a number"),
-        ({"val_err": True, "cost": 1.0}, "validation error True is not a number"),
-        ({"val_err": None, "cost": 1.0}, "validation error None is not a number"),
+        ({"val_err": "0.3", "cost": 1.0}, "record field 'val_err' is not a number: '0.3'"),
+        ({"val_err": True, "cost": 1.0}, "record field 'val_err' is not a number: True"),
+        ({"val_err": None, "cost": 1.0}, "record field 'val_err' is not a number: None"),
         ({"val_err": 0.3, "test_err": "0.2", "cost": 1.0},
-         "test error '0.2' is not a number or null"),
+         "record field 'test_err' is not a number or null: '0.2'"),
         ({"val_err": 0.3, "test_err": False, "cost": 1.0},
-         "test error False is not a number or null"),
-        ({"val_err": 0.3, "cost": "1"}, "cost '1' is not a number"),
-        ({"val_err": 0.3, "cost": None}, "cost None is not a number"),
-        ({"val_err": 0.3, "cost": [1.0]}, "cost [1.0] is not a number"),
+         "record field 'test_err' is not a number or null: False"),
+        ({"val_err": 0.3, "cost": "1"}, "record field 'cost' is not a number: '1'"),
+        ({"val_err": 0.3, "cost": None}, "record field 'cost' is not a number: None"),
+        ({"val_err": 0.3, "cost": [1.0]}, "record field 'cost' is not a number: [1.0]"),
+        # field types are checked before the key's length and domain
+        ({"key": "abc", "val_err": 0.3, "cost": 1.0}, "record field 'key' is not a list: 'abc'"),
+        ({"key": ["a"], "val_err": "0.3", "cost": 1.0},
+         "record field 'val_err' is not a number: '0.3'"),
+        ({"key": ["z", 1], "val_err": 0.3, "cost": True},
+         "record field 'cost' is not a number: True"),
     ])
     def test_value_that_is_not_a_number_fails_naming_the_line(self, tmp_path, values, problem):
         path = self.write_file(tmp_path, [

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -149,6 +150,13 @@ class TestRun:
         (("--cr", "1.5", "--benchmark", "synthetic:3x3"), "--cr must be in [0, 1], got 1.5"),
         (("--optimizer", "re", "--pop", "5", "--sample", "6", "--benchmark", "synthetic:3x3"),
          "--sample must be in [1, 5], got 6"),
+        # Path("") is ".", which no file is opened for
+        (("--benchmark", "tabular:"), "benchmark 'tabular:': no tabular file path"),
+        (("--benchmark", ""), "benchmark '': no tabular file path"),
+        (("--benchmark", "synthetic:3x3:cost=unit:cost=lognormal"),
+         "benchmark 'synthetic:3x3:cost=unit:cost=lognormal': option 'cost' given twice"),
+        (("--benchmark", "sphere:2:lo=-1:lo=-2"),
+         "benchmark 'sphere:2:lo=-1:lo=-2': option 'lo' given twice"),
     ])
     def test_error_line_names_the_flag_or_the_spec(self, tmp_path, capsys, flags, message):
         out = tmp_path / "t.jsonl"
@@ -235,7 +243,8 @@ class TestRun:
         ("cost", "5", "is not a number: '5'"), ("evals", 2.5, "is not an integer: 2.5"),
         ("runs", True, "is not an integer: True"), ("np", None, "is not an integer: None"),
         ("benchmark", ["synthetic:3x3"], "is not a string: ['synthetic:3x3']"),
-        ("cost", 10**400, "is too large for a number"),
+        ("cost", 10**400, "is too large for a float"),
+        ("cost", 2**1024 - 2**970 - 1, "is too large for a float"),  # above the largest float
     ])
     def test_wrongly_typed_config_field_fails_cleanly(self, tmp_path, capsys, field, value,
                                                       problem):
@@ -253,6 +262,13 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
         assert run_cli("run", "--benchmark", "synthetic:3x3", "--evals", "10", "--f", "1",
                        "--cr", "0", "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        # 2**1024 - 2**971 is the largest float, which the flag spells in full
+        cfg.write_text(json.dumps({"benchmark": "synthetic:3x3", "evals": 10,
+                                   "cost": 2**1024 - 2**971}))
+        assert run_cli("run", "--config", str(cfg), "--out", str(a)) == 0
+        assert run_cli("run", "--benchmark", "synthetic:3x3", "--evals", "10", "--cost",
+                       repr(sys.float_info.max), "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_config_file_that_is_not_an_object_fails_cleanly(self, tmp_path, capsys):

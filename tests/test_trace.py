@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -739,6 +740,39 @@ class TestTraceReader:
             with pytest.raises(ValueError) as err:
                 read(path)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("where", ["canonical event", "walked event", "header"])
+    @pytest.mark.parametrize("value", [2**1024 - 2**971, 2**1024 - 2**970 - 1],
+                             ids=["float_max", "above"])
+    def test_integer_at_the_largest_float(self, tmp_path, monkeypatch, value, where):
+        # 2**1024 - 2**971 is the largest float; a float conversion rounds an
+        # integer up to 2**970 above it down to it, yet that integer is refused
+        trace = trace_from_rows([(1.5, 0.4, 0.4, None, True)], best_test_error=0.25)
+        path = tmp_path / "runs.jsonl"
+        write_traces([trace], path)
+        header, event = path.read_text().splitlines()
+        if where == "header":
+            header = header.replace('"best_test_error":0.25', f'"best_test_error":{value}')
+        else:
+            event = event.replace('"cumulative_cost":1.5', f'"cumulative_cost":{value}')
+            if where == "walked event":
+                event = json.dumps(json.loads(event))  # spaced separators
+        path.write_text(f"{header}\n{event}\n")
+        lines, _ = watch_line_reads(monkeypatch, trace_module)
+        if value > sys.float_info.max:
+            problem = ("1: run header field 'best_test_error'" if where == "header"
+                       else "2: event field 'cumulative_cost'")
+            for read in (read_traces, reference_read_traces):
+                with pytest.raises(ValueError) as err:
+                    read(path)
+                assert str(err.value) == f"{path}:{problem} is too large for a float"
+            return
+        for read in (read_traces, reference_read_traces):
+            got, = read(path)
+            assert sys.float_info.max == (got.best_test_error if where == "header"
+                                          else got.cumulative_cost[0])
+        # the event line in canonical spelling is read as a column
+        assert lines == ([1, 2] if where == "walked event" else [1])
 
     def test_lines_end_only_at_newlines(self, tmp_path):
         # U+2028 is a line break to str.splitlines() but may stand raw in JSON
