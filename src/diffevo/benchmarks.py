@@ -239,11 +239,11 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         header = json.loads(first)
         space = SearchSpace.from_json_dict(header)
         space.check_codes()
-        benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
-        if not isinstance(benchmark_id, str):
-            raise ValueError(f"benchmark_id {benchmark_id!r} is not a string")
     except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"{path}:1: bad header: {exc}") from exc
+    _check_fields(f"{path}:1: bad header:", header, {"benchmark_id": ("a string", (str,))},
+                  ("benchmark_id",))
+    benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
     columns, seen, start = [], set(), 2  # the codes and rows of each block, every code so far
     for lines in itertools.chain([lines[1:]], blocks):
         block = _block_columns(space, lines)

@@ -48,17 +48,23 @@ class DEConfig:
             raise ValueError(f"crossover_rate must be in [0, 1], got {self.crossover_rate}")
 
 
-def parent_indices(keys: np.ndarray) -> np.ndarray:
-    """(..., NP, 3) parent rows from (..., NP, NP) uniform keys: row ``i`` is
-    an ordered triple of distinct rows other than ``i``.
+def parent_indices(u: np.ndarray) -> np.ndarray:
+    """(..., NP, 3) parent rows from (..., NP, 3) uniforms in [0, 1): row ``i``
+    is an ordered triple of distinct rows other than ``i``, each equally likely.
 
-    Each row ranks the other members by its keys (the target's own key is
-    set to +inf, in place) and takes the three lowest, so every ordered
-    triple of other members is equally likely in each row.
+    Row ``i`` takes offsets past itself, so that it drops out of every
+    exclusion: ``floor(u0 * (NP - 1))``, ``floor(u1 * (NP - 2))`` stepped past
+    the first, and ``floor(u2 * (NP - 3))`` stepped past the lower and then the
+    higher of those two. Its parents are ``(i + 1 + offset) % NP``.
     """
-    diagonal = np.arange(keys.shape[-1])
-    keys[..., diagonal, diagonal] = np.inf
-    return keys.argsort(axis=-1)[..., :3]
+    size = u.shape[-2]
+    offsets = (u * np.array([size - 1, size - 2, size - 3])).astype(np.intp)  # floors
+    d0, d1, d2 = offsets[..., 0], offsets[..., 1], offsets[..., 2]
+    d1 += d1 >= d0
+    d2 += d2 >= np.minimum(d0, d1)
+    d2 += d2 >= np.maximum(d0, d1)
+    offsets += np.arange(1, size + 1)[:, None]
+    return offsets % size
 
 
 def mutant_vector(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray, scaling_factor: float) -> np.ndarray:
@@ -87,29 +93,31 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
     :func:`run_lockstep`; returns their traces in seed order.
 
     Every step is one generation of each live run, which takes the next
-    NP * NP + NP * D + NP values of its stream: NP * NP parent keys, NP * D
-    crossover values, then NP uniforms ``u`` whose ``floor(u * D)`` are the
-    forced dimensions. The budget is checked before every evaluation, so a
-    run may stop mid-initialization or mid-generation. Invalid
+    NP * (3 + D + 1) values of its stream: the (NP, 3) uniforms of
+    :func:`parent_indices`, NP * D crossover values, then NP uniforms ``u``
+    whose ``floor(u * D)`` are the forced dimensions. The budget is checked
+    before every evaluation, so a run may stop mid-initialization or
+    mid-generation. Invalid
     configurations cost nothing and score 1.0, so they lose every selection
     against a valid member of lower error; ties, a valid member's 1.0 among
     them, go to the trial.
     """
     def generation(draw, genotypes, fitness):
         live, size, dimension = genotypes.shape
-        flat = draw(size * (size + dimension + 1))
-        keys = flat[:, :size * size].reshape(live, size, size)
-        draws = flat[:, size * size:-size].reshape(live, size, dimension)
+        flat = draw(size * (3 + dimension + 1))
+        parents = parent_indices(flat[:, :3 * size].reshape(live, size, 3))
+        draws = flat[:, 3 * size:-size].reshape(live, size, dimension)
         forced = (flat[:, -size:] * dimension).astype(np.intp)  # floor(u * D)
         # rows of the (live * NP, D) population, shaped (3, live, NP): x1s, x2s, x3s
-        rows = parent_indices(keys).transpose(2, 0, 1) + np.arange(0, live * size, size)[:, None]
+        rows = parents.transpose(2, 0, 1) + np.arange(0, live * size, size)[:, None]
         x1, x2, x3 = genotypes.reshape(-1, dimension).take(rows, axis=0)
         mutants = mutant_vector(x1, x2, x3, cfg.scaling_factor)
         return crossover_binomial(genotypes, mutants, cfg.crossover_rate, draws, forced)
 
     def select(genotypes, fitness, trials, trial_fitness):
         wins = trial_fitness <= fitness  # ties go to the trial
-        genotypes[wins], fitness[wins] = trials[wins], trial_fitness[wins]
+        np.copyto(genotypes, trials, where=wins[..., None])
+        np.copyto(fitness, trial_fitness, where=wins)
 
     return run_lockstep(bench, cfg.budget, seeds, cfg.population_size, generation, select, "de",
                         {k: v for k, v in vars(cfg).items() if k != "budget"})

@@ -151,18 +151,20 @@ class RunRecorder:
         totals = self.history[2, :, n - 1][runs] if n else np.zeros(len(runs))
         block, failure = self._ask(genotypes)
         cost = block[2]
-        spent = np.add.accumulate(np.concatenate((totals[:len(cost), None], cost), axis=1), axis=1)
+        spent = cost.copy()  # each run's cumulative cost after each row
+        spent[:, 0] += totals[:len(cost)]
+        np.add.accumulate(spent, axis=1, out=spent)
         # under a cost limit: which runs reach it, and the rows each run records
         gone = cut = None
         if self.budget.max_cost is not None:
-            reached = spent[:, 1:] >= self.budget.max_cost
+            reached = spent >= self.budget.max_cost
             if reached.any():
                 gone = reached.any(axis=1)
                 cut = np.where(gone, reached.argmax(axis=1) + 1, k)
         # a run can reach the zero-cost limit in this block only past this count
         watch_free = self._free_limit is not None and n + k >= self._free_limit
         if watch_free or not np.minimum.reduce(cost, axis=None, initial=math.inf) >= 0.0:
-            failure = self._check_costs(genotypes, cost, spent, cut, watch_free) or failure
+            failure = self._check_costs(genotypes, cost, totals, spent, cut, watch_free) or failure
         if failure is not None:  # the runs from the failing one on record nothing
             q = failure[0]
             self.failure = int(runs[q]), failure[1]
@@ -174,8 +176,9 @@ class RunRecorder:
             grown = np.empty((4, len(self.lengths), min(2 * (n + k), self._max_evaluations)))
             grown[:, :, :n] = self.history[:, :, :n]
             self.history = grown
-        block[2] = spent[:, 1:]
-        self.history[:, runs, n:n + k] = block
+        block[2] = spent
+        # a slice while every run is live, not a fancy write
+        self.history[:, slice(None) if len(runs) == len(self.lengths) else runs, n:n + k] = block
         self._events = n + k
         if n + k >= self._max_evaluations:
             gone = np.ones(len(runs), dtype=bool)
@@ -185,11 +188,12 @@ class RunRecorder:
         self.live = runs if gone is None else runs[keep]
         return block[0], keep
 
-    def _check_costs(self, genotypes, cost, spent, cut, watch_free):
+    def _check_costs(self, genotypes, cost, totals, after, cut, watch_free):
         """The (position, error) of the first run whose rows up to its cut
-        hold a negative or NaN cost or reach the zero-cost limit, or None."""
+        hold a negative or NaN cost or reach the zero-cost limit, or None;
+        ``after`` is each run's cumulative cost after each row."""
         count, k = cost.shape
-        n, before, after = self._events, spent[:, :-1], spent[:, 1:]
+        n, before = self._events, np.concatenate((totals[:count, None], after[:, :-1]), axis=1)
         fails = ~(cost >= 0.0)
         if watch_free:
             runs = self.live[:count]
@@ -430,6 +434,8 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                         header, header_line, blocks, count = run, lineno, [], 0
                         _check_fields(f"{path}:{lineno}: run header", header, _HEADER,
                                       ("config",))
+                        header.update((key, float(header[key])) for key in (  # 0 reads as 0.0
+                            "best_validation_error", "best_test_error") if header[key] is not None)
                     else:
                         _check_event(path, lineno, header, doc, count)
                         rows.append(tuple(doc[name] for name in COLUMNS))

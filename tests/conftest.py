@@ -92,8 +92,9 @@ def reference_read_traces(path):
                        for name, column in zip(COLUMNS, zip(*rows))}
             trace = RunTrace(seed=header["seed"], optimizer_id=header["optimizer"],
                              benchmark_id=header["benchmark"],
-                             best_validation_error=header["best_validation_error"],
-                             best_test_error=header["best_test_error"],
+                             best_validation_error=float(header["best_validation_error"]),
+                             best_test_error=None if header["best_test_error"] is None
+                             else float(header["best_test_error"]),
                              config=header.get("config", {}), **columns)
             check_trace_invariants(trace)
         except (TypeError, ValueError) as exc:
@@ -190,10 +191,10 @@ def reference_load_tabular(path):
         try:
             header = json.loads(first)
             space = SearchSpace.from_json_dict(header)
-            if not isinstance(header.get("benchmark_id", ""), str):
-                raise ValueError(f"benchmark_id {header['benchmark_id']!r} is not a string")
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}:1: bad header: {exc}") from exc
+        benchmarks._check_fields(f"{path}:1: bad header:", header,
+                                 {"benchmark_id": ("a string", (str,))}, ("benchmark_id",))
         table, linenos = {}, []
 
         def check_rows():

@@ -345,6 +345,18 @@ class TestTabularFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad header: "):
             load_tabular(path)
 
+    @pytest.mark.parametrize("benchmark_id", [4, None, ["b"]])
+    def test_benchmark_id_that_is_not_a_string_fails_as_a_field(self, tmp_path, benchmark_id):
+        path = tmp_path / "bench.jsonl"
+        path.write_text(json.dumps({"params": [{"name": "a", "kind": "ordinal", "values": ["x"]}],
+                                    "benchmark_id": benchmark_id}) + "\n"
+                        + json.dumps({"key": ["x"], "val_err": 0.3, "cost": 1.0}))
+        message = f"{path}:1: bad header: field 'benchmark_id' is not a string: {benchmark_id!r}"
+        for load in (load_tabular, reference_load_tabular):
+            with pytest.raises(ValueError) as err:
+                load(path)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("params, records, problem", [
         ([{"name": "x", "kind": "float", "lo": 0.0, "hi": 1.0}], [{"key": [0.5]}],
          "tabular benchmarks require discrete parameters; 'x' is float"),

@@ -346,26 +346,28 @@ class TestGoldenBytes:
     changed again when each run's generation became one draw of
     NP * NP + NP * D + NP uniforms, the forced dimensions ``floor(u * D)``
     of the last NP instead of ``integers(D)`` (keys and crossover values
-    unchanged). The re
+    unchanged). They changed again when the (NP, NP) parent keys gave way
+    to three uniforms a target (:func:`diffevo.de.parent_indices`), so that
+    a generation draws NP * 3 + NP * D + NP values. The re
     constants changed when each RE child began coming from one draw of
     S + 2 uniforms instead of three generator calls (a new draw order). rs
     is unchanged since it was first recorded. AGGREGATES pins
     ``diffevo aggregate`` over the TRACES files on both grids."""
 
     TRACES = {
-        "de": "c99ef002fa706f392bf7e22c69b19c06d5f89310331f409721e3146279f0cebe",
+        "de": "1acf6558a3d298712206f3b01d5989df8e1a6a4251da9b948a833e8a1413dc5c",
         "rs": "98b71d1bb476e33313d41ad27724a18e48cd4d04d163522da21806260afc0cca",
         "re": "620eb6c1c7a28d4435124b91230413d503500114cc7fcec9dfe4f898bf7dba2a",
     }
     CURVES = {
-        "de": "07e80b4da66c031fa116d6cbdd18693399733999858d2991e526263becba5813",
+        "de": "591d37e20e78560ba1426b9bf83a24d934a6bcb06aa88db3774dc181f9a6aab6",
         "rs": "4302c9d191c46044379f553ae966ae48b1a5d55b1625ab771166c0663b379339",
         "re": "d8d357c450d82d659a128ffc811cc4bd2b434aceca4113cdf6b695eef7a41dfd",
     }
 
     AGGREGATES = {
-        ("de", "union"): "acd6f9f3b296e4e2d3d4df009ca8e9e3f398326079a43511978aaf111cf476df",
-        ("de", "log"): "0e3ea11006afa132ad831bbf56dc44321fcb9a048f9805e46bb14e6e8fbf11e6",
+        ("de", "union"): "283bbccaf09573d7e42c39af30ca410d0e0dbd8e307173c1155344d965d6371d",
+        ("de", "log"): "e7ffad6fda2d8f4f2ae63f4cb80465bc0370381362c189f9cf4e4776e7231116",
         ("rs", "union"): "bbebd4fb57bfb26533281ec1214724b6cbcad5c7d1b011e616b6e24f06395dff",
         ("rs", "log"): "b597846ec17e4744f215fe5b04dafb7c9819b0cd1f4bbcf67fd7c0155185fa10",
         ("re", "union"): "5ab3bbbe6aa8355ce0891f5e9457a71db4566510c87bd631b0e6740aa41c0469",

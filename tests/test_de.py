@@ -57,26 +57,30 @@ def trial_wins(target_fitness, trial_fitness):
     return trial_fitness <= target_fitness
 
 
-def reference_parents(keys, target):
-    """The three other members with the lowest keys, lowest first."""
-    others = [k for k in range(len(keys)) if k != target]
-    return sorted(others, key=keys[target].__getitem__)[:3]
+def reference_parents(u, target):
+    """The parents of ``target`` from its row of three uniforms: the other
+    members listed from the one after the target on, wrapping round, and
+    three taken out of that list in turn, the one at ``floor(u * n)`` of
+    the n left."""
+    size = len(u)
+    others = [(target + 1 + j) % size for j in range(size - 1)]
+    return [others.pop(math.floor(v * len(others))) for v in u[target]]
 
 
 def generation_draws(rng, size, dimension):
     """One generation's values as ``run_de`` takes them: the next
-    NP * NP + NP * D + NP values of the run's stream, cut into the (NP, NP)
-    parent keys, the (NP, D) crossover values and the NP forced dimensions
-    ``floor(u * D)``."""
-    u = rng.random(size * size + size * dimension + size)
-    return (u[:size * size].reshape(size, size),
-            u[size * size:-size].reshape(size, dimension),
+    NP * 3 + NP * D + NP values of the run's stream, cut into the (NP, 3)
+    parent uniforms, the (NP, D) crossover values and the NP forced
+    dimensions ``floor(u * D)``."""
+    u = rng.random(size * 3 + size * dimension + size)
+    return (u[:size * 3].reshape(size, 3),
+            u[size * 3:-size].reshape(size, dimension),
             [math.floor(v * dimension) for v in u[-size:]])
 
 
 def reference_run_de(bench, cfg, seed):
     """DE one target at a time, taking the values of the run's stream in
-    ``run_de``'s order: per generation the next NP * NP + NP * D + NP
+    ``run_de``'s order: per generation the next NP * 3 + NP * D + NP
     (see ``generation_draws``). Uses the scalar recorder."""
     rng = np.random.default_rng(seed)
     recorder = ReferenceRecorder(bench, cfg.budget)
@@ -84,10 +88,10 @@ def reference_run_de(bench, cfg, seed):
     genotypes = rng.random((size, dimension))
     fitness = [recorder.evaluate(g) for g in genotypes]
     while not recorder.exhausted():
-        keys, crossover_draws, forced = generation_draws(rng, size, dimension)
+        parent_draws, crossover_draws, forced = generation_draws(rng, size, dimension)
         next_genotypes, next_fitness = genotypes.copy(), list(fitness)
         for i in range(size):
-            r1, r2, r3 = reference_parents(keys, i)
+            r1, r2, r3 = reference_parents(parent_draws, i)
             mutant = mutant_vector(genotypes[r1], genotypes[r2], genotypes[r3],
                                    cfg.scaling_factor)
             trial = np.array([mutant[j] if crossover_draws[i, j] < cfg.crossover_rate
@@ -200,21 +204,23 @@ class TestGenerationDraws:
     @given(st.integers(min_value=0, max_value=2**64 - 1),
            st.integers(min_value=4, max_value=40),
            st.integers(min_value=1, max_value=20))
-    def test_one_draw_begins_with_the_keys_and_crossover_values_of_two(self, seed, size,
-                                                                       dimension):
-        # a generation drawn into one row of a (runs, NP*NP + NP*D + NP) block,
-        # as run_de draws it, begins with the values of an (NP, NP) draw and
+    def test_one_draw_begins_with_the_parent_and_crossover_values_of_two(self, seed, size,
+                                                                         dimension):
+        # a generation drawn into one row of a (runs, NP*3 + NP*D + NP) block,
+        # as run_de draws it, begins with the values of an (NP, 3) draw and
         # then an (NP, D) draw
-        flat = np.empty((2, size * (size + dimension + 1)))
+        flat = np.empty((2, size * (3 + dimension + 1)))
         np.random.default_rng(seed).random(out=flat[1])
         rng = np.random.default_rng(seed)
-        keys, draws = np.empty((size, size)), np.empty((size, dimension))
-        rng.random(out=keys)
+        parents, draws = np.empty((size, 3)), np.empty((size, dimension))
+        rng.random(out=parents)
         rng.random(out=draws)
-        assert flat[1, :size * size].tobytes() == keys.tobytes()
-        assert flat[1, size * size:-size].tobytes() == draws.tobytes()
-        got_keys, got_draws, _ = generation_draws(np.random.default_rng(seed), size, dimension)
-        assert got_keys.tobytes() == keys.tobytes() and got_draws.tobytes() == draws.tobytes()
+        assert flat[1, :size * 3].tobytes() == parents.tobytes()
+        assert flat[1, size * 3:-size].tobytes() == draws.tobytes()
+        got_parents, got_draws, _ = generation_draws(np.random.default_rng(seed), size,
+                                                     dimension)
+        assert got_parents.tobytes() == parents.tobytes()
+        assert got_draws.tobytes() == draws.tobytes()
 
     def test_forced_dimension_is_below_the_dimension(self):
         # floor(u * D) for the largest double below 1, in Python and as
@@ -231,7 +237,7 @@ class TestParentIndices:
         rng = np.random.default_rng(0)
         seen = set()
         for _ in range(2_000):
-            parents = parent_indices(rng.random((population_size, population_size)))
+            parents = parent_indices(rng.random((population_size, 3)))
             assert parents.shape == (population_size, 3)
             for target, triple in enumerate(parents.tolist()):
                 assert len(set(triple)) == 3
@@ -240,15 +246,38 @@ class TestParentIndices:
         assert seen == set(range(population_size))
 
     @pytest.mark.parametrize("population_size", [4, 5, 20, 100])
-    def test_matches_sampling_from_the_other_members(self, population_size):
-        # reference: per target, the three other members with the lowest keys;
-        # a stack of key blocks, one per run, ranks each block alone
+    def test_matches_the_scalar_reference(self, population_size):
+        # a stack of uniform blocks, one per run, draws each block alone
         for seed in range(20):
-            keys = np.random.default_rng(seed).random((3, population_size, population_size))
+            u = np.random.default_rng(seed).random((3, population_size, 3))
             want = [[reference_parents(block, target) for target in range(population_size)]
-                    for block in keys]
-            assert parent_indices(keys.copy()).tolist() == want
-            assert parent_indices(keys[1].copy()).tolist() == want[1]
+                    for block in u]
+            assert parent_indices(u).tolist() == want
+            assert parent_indices(u[1]).tolist() == want[1]
+
+    @pytest.mark.parametrize("population_size", [4, 5])
+    def test_lattice_midpoints_give_every_triple_once(self, population_size):
+        # the midpoint of each cell of the (NP-1) x (NP-2) x (NP-3) lattice of
+        # uniforms, fed to every target row, gives each ordered triple of
+        # distinct other rows exactly once per row: the draw is exactly uniform
+        sides = [population_size - 1, population_size - 2, population_size - 3]
+        cells = np.stack(np.meshgrid(*[(np.arange(n) + 0.5) / n for n in sides],
+                                     indexing="ij"), axis=-1).reshape(-1, 1, 3)
+        parents = parent_indices(np.repeat(cells, population_size, axis=1))
+        for target in range(population_size):
+            others = set(range(population_size)) - {target}
+            want = {(a, b, c) for a in others for b in others - {a} for c in others - {a, b}}
+            got = list(map(tuple, parents[:, target].tolist()))
+            assert len(got) == len(want) and set(got) == want
+
+    def test_largest_uniform_below_one_stays_in_range(self):
+        # floor(u * (NP - j)) for the largest double below 1 is NP - j - 1
+        u = np.nextafter(1.0, 0.0)
+        for population_size in range(4, 65):
+            parents = parent_indices(np.full((population_size, 3), u))
+            for target, triple in enumerate(parents.tolist()):
+                assert len(set(triple)) == 3 and target not in triple
+                assert all(0 <= p < population_size for p in triple)
 
     def test_each_role_and_triple_is_uniform(self):
         # NP=5 at a fixed seed: per target, each role takes each of the 4
@@ -256,7 +285,7 @@ class TestParentIndices:
         # as the per-target reference sampler does
         size, draws = 5, 12_000
         rng = np.random.default_rng(11)
-        block = parent_indices(rng.random((draws, size, size)))
+        block = parent_indices(rng.random((draws, size, 3)))
         reference_rng = np.random.default_rng(12)
         reference = np.array([[draw_parent_indices(size, t, reference_rng) for t in range(size)]
                               for _ in range(draws)])
@@ -305,7 +334,7 @@ class TestMutantVector:
         # NP=4 leaves exactly one choice of parents, in some order, and the
         # mutants built from them must stay inside the cube
         for _ in range(50):
-            parents = parent_indices(rng.random((4, 4)))
+            parents = parent_indices(rng.random((4, 3)))
             for target, triple in enumerate(parents.tolist()):
                 assert sorted(triple) == sorted(set(range(4)) - {target})
             r1, r2, r3 = parents.T
@@ -566,9 +595,10 @@ class TestLockstep:
     def test_failure_names_the_lowest_failing_seed(self, higher_first):
         # a configuration that two seeds reach after initialization, and no
         # seed below the lower one at all: lockstep meets the higher seed's
-        # failure first, or the lower seed's while the higher one still runs
+        # failure first, or the lower seed's while the higher one still runs;
+        # 60 evaluations give both cases among seeds 0-3
         base = make_synthetic(5, 4, cost_model="unit", seed=0)
-        cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=40))
+        cfg = DEConfig(population_size=4, budget=Budget(max_evaluations=60))
         first = []  # per seed: configuration -> generation of its first evaluation
         for seed in range(4):
             log = RecordingBenchmark(base)

@@ -276,6 +276,23 @@ class TestExperimentRecorder:
         assert_same_traces(got, want)
 
 
+    def test_runs_leaving_at_different_steps_under_a_cost_cap(self):
+        # the history takes a slice while every run is live and the live runs'
+        # rows once some have left; every run matches its scalar reference
+        bench = TableBench(GROWTH_BINS)
+        budget = Budget(max_cost=30.0)
+        genotypes = np.random.default_rng(1).random((6, 90, 1))
+        recorder = RunRecorder(bench, budget, len(genotypes))
+        live, start = [], 0
+        while len(recorder.live):
+            live.append(len(recorder.live))
+            recorder.evaluate(genotypes[recorder.live, start:start + 3])
+            start += 3
+        traces = recorder.finish(range(len(genotypes)), "x")
+        assert live[:2] == [6, 6] and 0 < live[-1] < 6 and len(set(map(len, traces))) > 2
+        assert_same_traces(traces, reference_outcome(bench, budget, genotypes))
+
+
 # bins: cost 10, cost 1, invalid, free, cost 2
 GROWTH_BINS = [(0.5, None, 10.0), (0.4, 0.3, 1.0), None, (0.3, None, 0.0), (0.2, 0.1, 2.0)]
 
@@ -655,6 +672,22 @@ def mutate(data, lines):
 
 
 class TestTraceReader:
+    def test_integer_best_errors_read_as_floats(self, tmp_path):
+        # a hand-written header's JSON integers read as floats and write back as 0.0
+        header = {"seed": 0, "optimizer": "x", "benchmark": "b", "best_validation_error": 0,
+                  "best_test_error": 0}
+        path = tmp_path / "runs.jsonl"
+        path.write_text(json.dumps({"run": header}) + "\n" + json.dumps({
+            "eval_index": 0, "cumulative_cost": 0.0, "objective": 1.0, "incumbent_objective": 1.0,
+            "incumbent_test_error": None, "valid": False}) + "\n")
+        for read in (read_traces, reference_read_traces):
+            trace, = read(path)
+            assert type(trace.best_validation_error) is float
+            assert type(trace.best_test_error) is float
+        write_traces(read_traces(path), tmp_path / "again.jsonl")
+        again = (tmp_path / "again.jsonl").read_text().splitlines()[0]
+        assert '"best_test_error":0.0,"best_validation_error":0.0,' in again
+
     @pytest.mark.parametrize("name, value", [(name, value) for name, values
                                              in WRONG_HEADER_VALUES.items() for value in values])
     def test_wrongly_typed_header_field(self, tmp_path, name, value):
