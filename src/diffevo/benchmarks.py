@@ -215,6 +215,15 @@ def _check_fields(where: str, doc: dict, fields: dict, optional=()):
             raise ValueError(f"{where} field {name!r} is too large for a float")
 
 
+def _fits(values: list, types: tuple) -> bool:
+    """Whether each of the JSON ``values`` is of one of ``types`` (bool is
+    not int here), with no integer above the largest float where ``types``
+    lists float: a float conversion would round it to that float, or overflow."""
+    kinds = set(map(type, values))
+    return kinds.issubset(types) and not (float in types and int in kinds and max(
+        abs(v) for v in values if type(v) is int) > _FLOAT_MAX)
+
+
 def load_tabular(path: str | Path) -> TabularBenchmark:
     """Load a JSON Lines tabular benchmark.
 
@@ -286,14 +295,10 @@ def _block_columns(space: SearchSpace, lines: list[str]):
         return None
     # a missing field reads as null, which only test_err, the optional field, may hold
     columns = [[doc.get(name) for doc in docs] for name in _RECORD]
-    types = [set(map(type, column)) for column in columns]
-    if not all(map(set.issubset, types, (kinds for _, kinds in _RECORD.values()))):
+    if not all(_fits(column, types) for column, (_, types) in zip(columns, _RECORD.values())):
         return None
     keys, *values = columns
-    # a float conversion would round an integer above the largest float to it, or overflow
-    if not set(map(len, keys)) <= {space.dimension} or any(
-            int in kinds and max(abs(v) for v in column if type(v) is int) > _FLOAT_MAX
-            for kinds, column in zip(types[1:], values)):
+    if not set(map(len, keys)) <= {space.dimension}:
         return None
     codes = space.key_codes(keys)
     if -1 in codes:  # a key outside the space or of the wrong type

@@ -148,20 +148,15 @@ def aggregate(traces: Sequence[RunTrace], grid: str | Sequence[float] = "union",
     if len(ids) > 1:
         raise ValueError(f"traces from multiple benchmarks: {sorted(ids)}")
 
-    series = []
-    for trace in traces:
-        validation, _ = regret_series(trace)
-        series.append((trace.cumulative_cost, validation))
-
-    grid_times = _build_grid(grid, points, [t for t, _ in series])
+    grid_times = _build_grid(grid, points, [t.cumulative_cost for t in traces])
     n = len(grid_times)
     total = np.zeros(n)
     count = np.zeros(n, dtype=int)
-    for times, regret in series:
+    for trace in traces:
         # event j is the latest one at grid points first[j] .. first[j + 1] - 1;
         # before first[0] the run has not started
-        first = np.searchsorted(grid_times, times, side="left")
-        total[first[0]:] += np.repeat(regret, np.diff(first, append=n))
+        first = np.searchsorted(grid_times, trace.cumulative_cost, side="left")
+        total[first[0]:] += np.repeat(regret_series(trace)[0], np.diff(first, append=n))
         count[first[0]:] += 1
     mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
     return AggregateCurve(times=grid_times, mean_regret=mean, n_runs=count)

@@ -26,7 +26,12 @@ import numpy as np
 Token = str
 Configuration = tuple  # one native value per parameter, in declaration order
 
-KINDS = ("float", "integer", "ordinal", "categorical")
+# the fields each kind of parameter takes, in the order its JSON form spells
+# them; exactly these may be set. A one-field row is a token list.
+_KIND_FIELDS = {"float": ("lo", "hi"), "integer": ("lo", "hi"),
+                "ordinal": ("values",), "categorical": ("choices",)}
+KINDS = tuple(_KIND_FIELDS)
+_DOMAIN_FIELDS = tuple(dict.fromkeys(f for row in _KIND_FIELDS.values() for f in row))
 
 
 @dataclass(frozen=True)
@@ -53,50 +58,38 @@ class ParameterSpec:
             raise ValueError("parameter name must be a non-empty string")
         if self.kind not in KINDS:
             raise ValueError(f"parameter {self.name!r}: unknown kind {self.kind!r}")
-        # tuples keep the parameter hashable even when built from JSON lists;
-        # a string is refused, not split into one-character tokens
-        for field in ("values", "choices"):
+        fields = _KIND_FIELDS[self.kind]
+        if tuple(f for f in _DOMAIN_FIELDS if getattr(self, f) is not None) != fields:
+            raise ValueError(f"parameter {self.name!r}: {self.kind} kind takes exactly "
+                             + " and ".join(map(repr, fields)))
+        if len(fields) == 1:
+            # tuples keep the parameter hashable even when built from JSON lists;
+            # a string is refused, not split into one-character tokens
+            (field,) = fields
             tokens = getattr(self, field)
-            if tokens is not None:
-                if not isinstance(tokens, (list, tuple)):
-                    raise ValueError(f"parameter {self.name!r}: {field} must be a list of "
-                                     f"tokens (got {type(tokens).__name__})")
-                object.__setattr__(self, field, tuple(tokens))
-
-        if self.kind in ("float", "integer"):
-            if self.lo is None or self.hi is None:
-                raise ValueError(f"parameter {self.name!r}: {self.kind} kind requires lo and hi")
-            if self.values is not None or self.choices is not None:
-                raise ValueError(f"parameter {self.name!r}: {self.kind} kind takes no token list")
-            if not all(_is_number(b) for b in (self.lo, self.hi)):
-                raise ValueError(f"parameter {self.name!r}: bounds must be numeric")
-            if not all(math.isfinite(b) for b in (self.lo, self.hi)):
-                raise ValueError(f"parameter {self.name!r}: bounds must be finite")
-            if self.kind == "integer" and not (
-                isinstance(self.lo, int) and isinstance(self.hi, int)
-            ):
-                raise ValueError(f"parameter {self.name!r}: integer bounds must be ints")
-            if not self.lo < self.hi:
-                raise ValueError(
-                    f"parameter {self.name!r}: requires lo < hi, got [{self.lo}, {self.hi}]"
-                )
-        elif self.kind == "ordinal":
-            if self.values is None or self.lo is not None or self.hi is not None or self.choices is not None:
-                raise ValueError(f"parameter {self.name!r}: ordinal kind requires exactly 'values'")
-            _check_tokens(self.name, self.values)
-        else:  # categorical
-            if self.choices is None or self.lo is not None or self.hi is not None or self.values is not None:
-                raise ValueError(f"parameter {self.name!r}: categorical kind requires exactly 'choices'")
-            _check_tokens(self.name, self.choices)
+            if not isinstance(tokens, (list, tuple)):
+                raise ValueError(f"parameter {self.name!r}: {field} must be a list of "
+                                 f"tokens (got {type(tokens).__name__})")
+            object.__setattr__(self, field, tuple(tokens))
+            _check_tokens(self.name, getattr(self, field))
+            return
+        if not all(_is_number(b) for b in (self.lo, self.hi)):
+            raise ValueError(f"parameter {self.name!r}: bounds must be numeric")
+        if not all(math.isfinite(b) for b in (self.lo, self.hi)):
+            raise ValueError(f"parameter {self.name!r}: bounds must be finite")
+        if self.kind == "integer" and not (
+            isinstance(self.lo, int) and isinstance(self.hi, int)
+        ):
+            raise ValueError(f"parameter {self.name!r}: integer bounds must be ints")
+        if not self.lo < self.hi:
+            raise ValueError(
+                f"parameter {self.name!r}: requires lo < hi, got [{self.lo}, {self.hi}]"
+            )
 
     @property
     def tokens(self) -> tuple[Token, ...] | None:
         """The ordered token list for ordinal/categorical kinds, else None."""
-        if self.kind == "ordinal":
-            return self.values
-        if self.kind == "categorical":
-            return self.choices
-        return None
+        return self.values or self.choices  # a kind sets at most one, never empty
 
     def positions(self, values) -> list[int]:
         """Each value's position in the domain, or -1 outside it (a bool is no integer)."""
@@ -108,18 +101,17 @@ class ParameterSpec:
         return [position.get(v, -1) if isinstance(v, str) else -1 for v in values]
 
     def to_json_dict(self) -> dict[str, Any]:
-        if self.kind in ("float", "integer"):
-            return {"name": self.name, "kind": self.kind, "lo": self.lo, "hi": self.hi}
-        if self.kind == "ordinal":
-            return {"name": self.name, "kind": self.kind, "values": list(self.values)}
-        return {"name": self.name, "kind": self.kind, "choices": list(self.choices)}
+        doc = {"name": self.name, "kind": self.kind}
+        for field in _KIND_FIELDS[self.kind]:
+            value = getattr(self, field)
+            doc[field] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict[str, Any]) -> "ParameterSpec":
         if not isinstance(doc, dict):
             raise ValueError(f"parameter document is not a JSON object (got {type(doc).__name__})")
-        known = {"name", "kind", "lo", "hi", "values", "choices"}
-        extra = set(doc) - known
+        extra = set(doc) - {"name", "kind", *_DOMAIN_FIELDS}
         if extra:
             raise ValueError(f"parameter document has unknown fields {sorted(extra)}")
         return cls(**doc)

@@ -26,8 +26,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import (_FLOAT_MAX, BLOCK_LINES, Benchmark, _blocks, _check_fields,
-                         _decode_lines, _replacing)
+from .benchmarks import (BLOCK_LINES, Benchmark, _blocks, _check_fields, _decode_lines, _fits,
+                         _replacing)
 
 
 @dataclass(frozen=True)
@@ -375,9 +375,6 @@ def write_traces(traces: list[RunTrace], path: str | Path):
             fh.write(_header_line(trace) + "\n" + "".join(parts))
 
 
-_EVENT_TYPE_SETS = [frozenset(types) for _, types in _EVENT_TYPES.values()]
-
-
 def read_traces(path: str | Path) -> list[RunTrace]:
     """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
 
@@ -465,7 +462,7 @@ def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarr
             or pieces[_PIECE["eval_index"]::12] != index[offset:offset + k]):
         return None
     columns = {"valid": np.array(valid)}
-    for name, types in zip(COLUMNS[:-1], _EVENT_TYPE_SETS[1:-1]):
+    for name in COLUMNS[:-1]:
         values = pieces[_PIECE[name]::12]
         distinct = list(set(values))
         joined = '"'.join(distinct)  # a '"' not in ',":' starts a string, which types reject
@@ -473,11 +470,8 @@ def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarr
             numbers = json.loads("[" + joined[1:-1].replace(',":', ",") + "]")
         except ValueError:  # not JSON
             return None
-        kinds = set(map(type, numbers))
-        # a float conversion would round an integer above the largest float to it, or overflow
         if not (joined.startswith(":") and joined.endswith(",") and "\n" not in joined
-                and len(numbers) == len(distinct) and kinds <= types) or (
-                int in kinds and max(abs(x) for x in numbers if type(x) is int) > _FLOAT_MAX):
+                and len(numbers) == len(distinct) and _fits(numbers, _EVENT_TYPES[name][1])):
             return None
         lookup = dict(zip(distinct, numbers))
         columns[name] = np.array(list(map(lookup.__getitem__, values)), dtype=float)

@@ -191,6 +191,26 @@ class TestTabularFile:
         path.write_text("\n".join([header] + rows) + "\n")
         return path
 
+    def test_empty_file_fails(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}: empty benchmark file"
+
+    @pytest.mark.parametrize("blank", [[], ["", "  "]], ids=["header_only", "blank_lines"])
+    def test_a_header_without_records_fails(self, tmp_path, blank):
+        path = self.write_file(tmp_path, blank)
+        with pytest.raises(ValueError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}: no configuration records"
+
+    def test_a_key_of_the_wrong_length_fails_naming_the_line(self, tmp_path):
+        path = self.write_file(tmp_path, ['{"key":["x"],"val_err":0.2,"cost":1.0}'])
+        with pytest.raises(ValueError) as err:
+            load_tabular(path)
+        assert str(err.value) == f"{path}:2: key ['x'] is not a 2-element list"
+
     def test_minimum_is_recomputed_not_trusted(self, tmp_path):
         path = self.write_file(tmp_path, [
             json.dumps({"key": ["a", 1], "val_err": 0.3, "test_err": None, "cost": 1.0}),
@@ -791,6 +811,15 @@ class TestSynthetic:
         bench = make_synthetic(5, 4, invalid_fraction=fraction, seed=0)
         assert len(bench.table) == 1024 - math.floor(1024 * fraction)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_needs_a_parameter_and_a_choice(self, shape):
+        with pytest.raises(ValueError, match="^need at least one parameter and one choice$"):
+            make_synthetic(*shape)
+
+    def test_one_configuration_scores_the_middle_error(self):
+        # with a single configuration the errors have no span to rescale
+        assert make_synthetic(1, 1).best_validation_error == 0.5
+
     def test_best_matches_exhaustive_scan(self):
         # oracle: query every configuration through the public interface
         bench = make_synthetic(4, 3, invalid_fraction=0.0, seed=3)
@@ -835,6 +864,14 @@ class TestSynthetic:
 
 
 class TestContinuous:
+    def test_needs_a_dimension(self):
+        with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+            FunctionBenchmark("sphere", 0)
+
+    def test_needs_lo_below_hi(self):
+        with pytest.raises(ValueError, match=r"^requires lo < hi, got \[0\.0, 0\.0\]$"):
+            FunctionBenchmark("sphere", 2, lo=0.0, hi=0.0)
+
     def test_sphere_optimum_hits_best(self):
         bench = FunctionBenchmark("sphere", 3)
         val, test, cost = bench.evaluate((0.0, 0.0, 0.0))

@@ -57,6 +57,11 @@ class TestParseBenchmark:
         assert len(parse_benchmark(f"tabular:{path}").table) == 27
         assert len(parse_benchmark(str(path)).table) == 27
 
+    def test_an_empty_option_is_skipped(self):
+        got, want = parse_benchmark("synthetic:5x4:"), parse_benchmark("synthetic:5x4")
+        assert got.benchmark_id == want.benchmark_id
+        assert got.table == want.table
+
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="bad benchmark option"):
             parse_benchmark("synthetic:3x3:frac=0.5")
@@ -110,6 +115,13 @@ class TestRun:
             run_cli("run", "--benchmark", "synthetic:3x3",
                     "--out", str(tmp_path / "t.jsonl"))
         assert err.value.code == 2
+
+    def test_a_config_without_a_budget_keeps_the_budgets_message(self):
+        # the message names no flag of its own, so no flag is put in front of it
+        cfg = {key: default for key, (_, default, _) in cli.FIELDS.items()}
+        with pytest.raises(ValueError) as err:
+            cli.build_optimizer("de", cfg)
+        assert str(err.value) == "budget needs max_evaluations and/or max_cost"
 
     def test_bad_benchmark_spec_fails_cleanly(self, tmp_path, capsys):
         code = run_cli("run", "--benchmark", "synthetic:9", "--evals", "5",

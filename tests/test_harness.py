@@ -76,6 +76,11 @@ class TestRegret:
 
 
 class TestAggregate:
+    @pytest.mark.parametrize("grid", [[], [[1.0]]], ids=["empty", "2d"])
+    def test_explicit_grid_must_be_a_nonempty_sequence(self, grid):
+        with pytest.raises(ValueError, match="^explicit grid must be a non-empty 1-d sequence$"):
+            aggregate([make_trace([1.0], [0.5])], grid=grid)
+
     def test_two_trace_hand_example(self):
         a = make_trace([1.0, 3.0], [0.4, 0.2])
         b = make_trace([2.0], [0.3])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pickle
@@ -11,6 +12,14 @@ from diffevo import ParameterSpec, SearchSpace
 from diffevo.space import KINDS
 
 from conftest import bin_index, decoded_bin, reference_discretize, token_space
+
+
+# each kind's fields, stated apart from the table in space.py
+KIND_ROWS = {"float": ("lo", "hi"), "integer": ("lo", "hi"), "ordinal": ("values",),
+             "categorical": ("choices",)}
+KIND_ROWS_TEXT = {"float": "'lo' and 'hi'", "integer": "'lo' and 'hi'",
+                  "ordinal": "'values'", "categorical": "'choices'"}
+DOMAIN_VALUES = {"lo": 0, "hi": 3, "values": ("a", "b"), "choices": ("a", "b")}
 
 
 def value_at(p, u):
@@ -124,6 +133,20 @@ class TestParameterSpec:
             ParameterSpec(name="x", kind="float", lo=0.0, hi=1.0, choices=("a",))
         with pytest.raises(ValueError):
             ParameterSpec(name="x", kind="categorical", choices=("a",), lo=0.0)
+
+    @pytest.mark.parametrize("kind, fields", [
+        (kind, fields) for kind in KINDS
+        for n in range(5) for fields in itertools.combinations(DOMAIN_VALUES, n)
+        if fields != KIND_ROWS[kind]])
+    def test_kind_field_mismatch_names_the_kinds_fields(self, kind, fields):
+        with pytest.raises(ValueError) as err:
+            ParameterSpec(name="x", kind=kind, **{f: DOMAIN_VALUES[f] for f in fields})
+        assert str(err.value) == f"parameter 'x': {kind} kind takes exactly {KIND_ROWS_TEXT[kind]}"
+
+    def test_another_kinds_field_is_named_before_a_string_token_list(self):
+        with pytest.raises(ValueError) as err:
+            ParameterSpec(name="x", kind="integer", lo=0, hi=3, choices="ab")
+        assert str(err.value) == "parameter 'x': integer kind takes exactly 'lo' and 'hi'"
 
     def test_single_token_is_allowed(self):
         p = ParameterSpec(name="x", kind="categorical", choices=("only",))

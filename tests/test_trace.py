@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffevo import (Budget, REConfig, load_tabular, make_synthetic, read_traces,
-                     run_random_search, run_regularized_evolution, write_traces)
+from diffevo import (Budget, DEConfig, REConfig, load_tabular, make_synthetic, read_traces,
+                     run_de, run_random_search, run_regularized_evolution, write_traces)
 import diffevo.trace as trace_module
 from diffevo.benchmarks import BLOCK_LINES
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
@@ -291,6 +291,27 @@ class TestExperimentRecorder:
         traces = recorder.finish(range(len(genotypes)), "x")
         assert live[:2] == [6, 6] and 0 < live[-1] < 6 and len(set(map(len, traces))) > 2
         assert_same_traces(traces, reference_outcome(bench, budget, genotypes))
+
+    def test_a_batch_that_fails_is_asked_again_run_by_run(self):
+        # a block of every live run's rows runs out of memory, and each run's
+        # 20 rows alone do not: the traces are those of the plain benchmark
+        base = make_synthetic(4, 3, invalid_fraction=0.2)
+        sizes = []
+
+        class SmallBatches:
+            space, benchmark_id = base.space, base.benchmark_id
+            best_validation_error, best_test_error = base.best_validation_error, base.best_test_error
+
+            def evaluate_batch(self, genotypes):
+                sizes.append(len(genotypes))
+                if len(genotypes) > 20:
+                    raise MemoryError(f"no room for {len(genotypes)} rows")
+                return base.evaluate_batch(genotypes)
+
+        cfg = DEConfig(population_size=20, budget=Budget(max_evaluations=300))
+        got = run_de(SmallBatches(), cfg, range(5))
+        assert sizes[:6] == [100] + [20] * 5
+        assert_same_traces(got, run_de(base, cfg, range(5)))
 
 
 # bins: cost 10, cost 1, invalid, free, cost 2
@@ -672,6 +693,14 @@ def mutate(data, lines):
 
 
 class TestTraceReader:
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_a_file_without_runs_fails(self, tmp_path, text):
+        path = tmp_path / "runs.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_traces(path)
+        assert str(err.value) == f"{path}: no runs found"
+
     def test_integer_best_errors_read_as_floats(self, tmp_path):
         # a hand-written header's JSON integers read as floats and write back as 0.0
         header = {"seed": 0, "optimizer": "x", "benchmark": "b", "best_validation_error": 0,
