@@ -24,14 +24,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
 import numpy as np
 
+from .jsonl import FLOAT_MAX, check_fields, decode_lines, fits, line_blocks, replacing, undecodable
 from .space import Configuration, ParameterSpec, SearchSpace
 
 # configurations at most this large may be enumerated exhaustively
@@ -129,99 +128,15 @@ def _row_problem(val, test, cost) -> str | None:
         return f"validation error {val} outside [0, 1]"
     if test is not None and not 0.0 <= test <= 1.0:
         return f"test error {test} outside [0, 1]"
-    if not 0.0 <= cost <= _FLOAT_MAX:
+    if not 0.0 <= cost <= FLOAT_MAX:
         return f"cost {cost} is negative or not finite"
     return None
 
 
-_FLOAT_MAX = sys.float_info.max
 # each tabular record field: its JSON type name and JSON types; test_err is optional
 _RECORD = {"key": ("a list", (list,)), "val_err": ("a number", (int, float)),
            "test_err": ("a number or null", (int, float, type(None))),
            "cost": ("a number", (int, float))}
-
-
-def _undecodable(line: str) -> str | None:
-    """For text read with ``errors="surrogateescape"``: the UTF-8 decoder's
-    message for the first undecodable byte of ``line``, or None."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8", "surrogateescape").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return str(exc)
-    return None
-
-
-# a JSON Lines file is read, decoded and checked this many lines at a time
-BLOCK_LINES = 1024
-
-
-def _blocks(path: Path):
-    """The lines of ``path`` in lists of :data:`BLOCK_LINES`, from one open
-    file. A line ends only at "\\n": JSON allows a lone "\\r" between tokens
-    and U+2028 in a string. An undecodable byte reads as a lone surrogate."""
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-        while lines := list(itertools.islice(fh, BLOCK_LINES)):
-            yield lines
-
-
-@contextmanager
-def _replacing(path: str | Path):
-    """A file to write ``path`` through: ``path`` + ".tmp", opened as UTF-8
-    text without newline translation. It replaces ``path`` when the block
-    ends and is unlinked when the block raises."""
-    tmp = Path(f"{path}.tmp")
-    fh = open(tmp, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            yield fh
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _decode_lines(path: Path, lines: list[str], start: int):
-    """(line number, JSON value) of each line of ``lines`` that is not blank,
-    the first numbered ``start``; raises ValueError naming ``path:line`` for
-    an undecodable byte or bad JSON."""
-    for lineno, line in enumerate(lines, start):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        if problem := _undecodable(line):
-            raise ValueError(f"{path}:{lineno}: {problem}")
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        yield lineno, value
-
-
-def _check_fields(where: str, doc: dict, fields: dict, optional=()):
-    """Raise ValueError starting ``where`` when ``doc`` lacks a field of
-    ``fields`` not in ``optional``, or holds one of a JSON type its row does
-    not list, or an integer above the largest float where the row lists
-    float; each row of ``fields`` ends in its JSON type name and JSON types."""
-    if missing := fields.keys() - doc.keys() - set(optional):
-        raise ValueError(f"{where} lacks fields {sorted(missing)}")
-    for name, (*_, kind, types) in fields.items():
-        if name not in doc:
-            continue
-        value = doc[name]
-        if type(value) not in types:  # bool is not int here
-            raise ValueError(f"{where} field {name!r} is not {kind}: {value!r}")
-        if float in types and type(value) is int and abs(value) > _FLOAT_MAX:  # exact
-            raise ValueError(f"{where} field {name!r} is too large for a float")
-
-
-def _fits(values: list, types: tuple) -> bool:
-    """Whether each of the JSON ``values`` is of one of ``types`` (bool is
-    not int here), with no integer above the largest float where ``types``
-    lists float: a float conversion would round it to that float, or overflow."""
-    kinds = set(map(type, values))
-    return kinds.issubset(types) and not (float in types and int in kinds and max(
-        abs(v) for v in values if type(v) is int) > _FLOAT_MAX)
 
 
 def load_tabular(path: str | Path) -> TabularBenchmark:
@@ -230,19 +145,19 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     Line 1 is a header holding the search-space document (and optionally a
     ``benchmark_id``); every further line is one configuration record
     ``{"key": [...], "val_err": ..., "test_err": ..., "cost": ...}``.
-    The file is read once, :data:`BLOCK_LINES` lines at a time, and each
+    The file is read once, :data:`jsonl.BLOCK_LINES` lines at a time, and each
     block is decoded and checked as columns. A block that cannot be, or that
     repeats a key, is read a line at a time, so that an error, a ValueError
     naming ``path:line``, names the first bad line. A space that no table
     can hold fails at the header.
     """
     path = Path(path)
-    blocks = _blocks(path)
+    blocks = line_blocks(path)
     lines = next(blocks, None)
     if lines is None:
         raise ValueError(f"{path}: empty benchmark file")
     first = lines[0].rstrip("\n")
-    if problem := _undecodable(first):
+    if problem := undecodable(first):
         raise ValueError(f"{path}:1: {problem}")
     try:
         header = json.loads(first)
@@ -250,8 +165,8 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
         space.check_codes()
     except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"{path}:1: bad header: {exc}") from exc
-    _check_fields(f"{path}:1: bad header:", header, {"benchmark_id": ("a string", (str,))},
-                  ("benchmark_id",))
+    check_fields(f"{path}:1: bad header:", header, {"benchmark_id": ("a string", (str,))},
+                 ("benchmark_id",))
     benchmark_id = header.get("benchmark_id", f"tabular:{path.stem}")
     columns, seen, start = [], set(), 2  # the codes and rows of each block, every code so far
     for lines in itertools.chain([lines[1:]], blocks):
@@ -284,7 +199,7 @@ def _block_columns(space: SearchSpace, lines: list[str]):
     None. The checks run on the raw JSON values, a column at a time.
     """
     text, ones = ",".join(lines), [1] * len(lines)
-    if (_undecodable(text) or list(map(str.count, lines, itertools.repeat("{"))) != ones
+    if (undecodable(text) or list(map(str.count, lines, itertools.repeat("{"))) != ones
             or list(map(str.count, lines, itertools.repeat("}"))) != ones):
         return None
     try:
@@ -295,7 +210,7 @@ def _block_columns(space: SearchSpace, lines: list[str]):
         return None
     # a missing field reads as null, which only test_err, the optional field, may hold
     columns = [[doc.get(name) for doc in docs] for name in _RECORD]
-    if not all(_fits(column, types) for column, (_, types) in zip(columns, _RECORD.values())):
+    if not all(fits(column, types) for column, (_, types) in zip(columns, _RECORD.values())):
         return None
     keys, *values = columns
     if not set(map(len, keys)) <= {space.dimension}:
@@ -308,7 +223,7 @@ def _block_columns(space: SearchSpace, lines: list[str]):
     tests = test[test == test]  # a JSON NaN test error is not null, and fails
     if not (len(tests) + values[1].count(None) == len(test)
             and np.all((0.0 <= val) & (val <= 1.0)) and np.all((0.0 <= tests) & (tests <= 1.0))
-            and np.all((0.0 <= cost) & (cost <= _FLOAT_MAX))):
+            and np.all((0.0 <= cost) & (cost <= FLOAT_MAX))):
         return None
     return codes, rows
 
@@ -323,10 +238,10 @@ def _walk_records(path: Path, space: SearchSpace, lines: list[str], start: int, 
         raise ValueError(f"{path}:{lineno}: {problem}")
 
     codes, rows = [], []
-    for lineno, row in _decode_lines(path, lines, start):
+    for lineno, row in decode_lines(path, lines, start):
         if not isinstance(row, dict):
             fail("record is not a JSON object")
-        _check_fields(f"{path}:{lineno}: record", row, _RECORD, ("test_err",))
+        check_fields(f"{path}:{lineno}: record", row, _RECORD, ("test_err",))
         key = row["key"]
         if len(key) != space.dimension:
             fail(f"key {key!r} is not a {space.dimension}-element list")
@@ -357,7 +272,7 @@ def write_tabular(bench: TabularBenchmark, path: str | Path):
     header = {**bench.space.to_json_dict(), "benchmark_id": bench.benchmark_id}
     records = ({"key": list(key), "val_err": val, "test_err": test, "cost": cost}
                for key, (val, test, cost) in sorted(bench.table.items()))
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.writelines(json.dumps(doc, separators=(",", ":")) + "\n" for doc in [header, *records])
 
 

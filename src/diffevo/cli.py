@@ -29,9 +29,10 @@ from typing import Callable
 import numpy as np
 
 from .baselines import REConfig, run_random_search, run_regularized_evolution
-from .benchmarks import Benchmark, FunctionBenchmark, _check_fields, load_tabular, make_synthetic
+from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
 from .de import DEConfig, run_de
 from .harness import aggregate, final_regrets, write_curve_csv
+from .jsonl import check_fields
 from .trace import Budget, read_traces, write_traces
 
 # each config field: its flag's type (its JSON type in a config file, where an
@@ -143,7 +144,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *re
             name, types = {str: ("a string", [str]), int: ("an integer", [int]),
                            float: ("a number", [int, float])}[kind]
             fields[key] = name, (*types, *[type(None)] * (default is None))
-        _check_fields(f"config file {args.config}:", file_cfg, fields, optional=fields)
+        check_fields(f"config file {args.config}:", file_cfg, fields, optional=fields)
         for key, value in file_cfg.items():
             if FIELDS[key][0] is float and type(value) is int:
                 file_cfg[key] = float(value)  # as the flag parses it
@@ -165,9 +166,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser, *re
     return cfg
 
 
-def _check_directory(flag: str, path: str, directory: Path):
+def _check_directory(flag: str, path: str, directory: Path | None = None):
     """Raise ValueError naming ``flag`` and its ``path``, before any work, unless ``directory``,
-    where the command writes, is a directory and ``path`` is not another one."""
+    where the command writes, is a directory and ``path`` is not another one. Without
+    ``directory``, ``path`` names a file, which must not be empty, in its parent directory."""
+    if directory is None:
+        if not path:  # Path("") is ".", the directory it would lie in
+            raise ValueError(f"{flag} is empty and names no file")
+        directory = Path(path).parent
     if not directory.is_dir():
         raise ValueError(f"{flag} {path}: {directory} is not a directory")
     if Path(path) != directory and Path(path).is_dir():
@@ -177,7 +183,7 @@ def _check_directory(flag: str, path: str, directory: Path):
 def cmd_run(args, parser) -> int:
     cfg = _merge_config(args, parser, "benchmark", "out")
     fn, config = build_optimizer(cfg["optimizer"], cfg)
-    _check_directory("--out", cfg["out"], Path(cfg["out"]).parent)
+    _check_directory("--out", cfg["out"])
     bench = parse_benchmark(cfg["benchmark"])
     traces = fn(bench, config, range(cfg["seed"], cfg["seed"] + cfg["runs"]))
     write_traces(traces, cfg["out"])
@@ -222,7 +228,7 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_aggregate(args, parser) -> int:
-    _check_directory("--out", args.out, Path(args.out).parent)
+    _check_directory("--out", args.out)
     # count each run once and average one optimizer; aggregate() checks benchmarks
     traces, source = [], {}  # (benchmark, optimizer, seed) -> the file holding it
     for path in args.traces:

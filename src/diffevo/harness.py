@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .benchmarks import Benchmark, _replacing
-from .trace import Budget, RunRecorder, RunTrace, _spell_floats
+from .benchmarks import Benchmark
+from .jsonl import replacing, spell_floats
+from .trace import Budget, RunRecorder, RunTrace
 
 # rows per write of a curve CSV: bounds the text held in memory at once
 _CSV_CHUNK_ROWS = 4096
@@ -194,14 +195,14 @@ def write_curve_csv(curve: AggregateCurve, path: str | Path):
     (temp file then rename), in the bytes ``csv.writer`` would give: floats by
     ``repr``, rows ended by ``\\r\\n``; a chunk of rows is one join, each column
     set by one slice assignment, each distinct float or count spelled once."""
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         fh.write("time,mean_regret,n_runs\r\n")
         for start in range(0, len(curve.times), _CSV_CHUNK_ROWS):
             rows = slice(start, start + _CSV_CHUNK_ROWS)
             counts, inverse = np.unique(curve.n_runs[rows], return_inverse=True)
             parts = [","] * (4 * len(inverse))
-            parts[0::4] = _spell_floats(curve.times[rows], nan="nan", inf="inf")
-            parts[2::4] = _spell_floats(curve.mean_regret[rows], nan="nan", inf="inf")
+            parts[0::4] = spell_floats(curve.times[rows], nan="nan", inf="inf")
+            parts[2::4] = spell_floats(curve.mean_regret[rows], nan="nan", inf="inf")
             ends = np.array([f",{n}\r\n" for n in counts.tolist()], dtype=object)
             parts[3::4] = ends[inverse].tolist()
             fh.write("".join(parts))

@@ -26,8 +26,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .benchmarks import (BLOCK_LINES, Benchmark, _blocks, _check_fields, _decode_lines, _fits,
-                         _replacing)
+from .benchmarks import Benchmark
+from .jsonl import check_fields, decode_lines, fits, line_blocks, replacing, spell_floats
 
 
 @dataclass(frozen=True)
@@ -327,27 +327,6 @@ def _header_line(trace: RunTrace) -> str:
                       separators=(",", ":"), sort_keys=True)
 
 
-def _spell_floats(column: np.ndarray, nan: str = "NaN", inf: str = "Infinity") -> list[str]:
-    """Each value spelled by ``repr`` when finite, else as ``nan``, ``inf`` or ``"-" + inf``:
-    by default, as ``json.dumps`` spells a float. Each distinct bit pattern (-0.0 is not 0.0)
-    is spelled once, and each run of equal values looked up once; when the runs are in
-    increasing bit order, such as a cumulative cost's, they are distinct and need no sort."""
-    bits = np.asarray(column, dtype=float).view(np.int64)
-    starts = np.flatnonzero(bits != np.concatenate((~bits[:1], bits[:-1])))  # each run's first row
-    heads, inverse = bits[starts], None
-    if not (heads[1:] > heads[:-1]).all():
-        heads, inverse = np.unique(heads, return_inverse=True)
-    values = heads.view(np.float64)
-    text = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():  # repr gives nan, inf, -inf
-        text[i] = {"nan": nan, "inf": inf, "-inf": "-" + inf}[text[i]]
-    if inverse is None and len(text) == len(bits):  # distinct and in order
-        return text
-    text = np.array(text, dtype=object)
-    return np.repeat(text if inverse is None else text[inverse],
-                     np.diff(starts, append=len(bits))).tolist()
-
-
 # an event line's start, and the text from its valid flag, false or true, to the next one's
 _LINE_START = '{"cumulative_cost":'
 _VALID_TEXT = np.array([f',"valid":{v}}}\n{_LINE_START}' for v in ("false", "true")], dtype=object)
@@ -359,17 +338,17 @@ def write_traces(traces: list[RunTrace], path: str | Path):
     that takes each column, or the key text between two, by one slice assignment."""
     index = list(map(',"eval_index":{},"incumbent_objective":'.format,
                      range(max(map(len, traces), default=0))))  # built once per call
-    with _replacing(path) as fh:
+    with replacing(path) as fh:
         for trace in traces:
             n = len(trace)
             parts = [_LINE_START] * (8 * n + 1)
-            parts[1::8] = _spell_floats(trace.cumulative_cost)
+            parts[1::8] = spell_floats(trace.cumulative_cost)
             parts[2::8] = index[:n]
-            parts[3::8] = _spell_floats(trace.incumbent_objective)
+            parts[3::8] = spell_floats(trace.incumbent_objective)
             parts[4::8] = [',"incumbent_test_error":'] * n
-            parts[5::8] = _spell_floats(trace.incumbent_test_error, nan="null")
+            parts[5::8] = spell_floats(trace.incumbent_test_error, nan="null")
             parts[6::8] = [',"objective":'] * n
-            parts[7::8] = _spell_floats(trace.objective)
+            parts[7::8] = spell_floats(trace.objective)
             parts[8::8] = _VALID_TEXT[np.asarray(trace.valid, dtype=np.intp)].tolist()
             parts[-1] = parts[-1].removesuffix(_LINE_START)  # no next line
             fh.write(_header_line(trace) + "\n" + "".join(parts))
@@ -378,7 +357,7 @@ def write_traces(traces: list[RunTrace], path: str | Path):
 def read_traces(path: str | Path) -> list[RunTrace]:
     """Read a trace file; every run in it must pass :func:`check_trace_invariants`.
 
-    The file is read once, :data:`BLOCK_LINES` lines at a time. A run's
+    The file is read once, :data:`jsonl.BLOCK_LINES` lines at a time. A run's
     event lines in a block are read as columns when spelled as
     :func:`write_traces` spells them; any other line is read alone, raising
     ValueError naming ``path:line`` when it is not JSON, is neither a run
@@ -415,7 +394,7 @@ def read_traces(path: str | Path) -> list[RunTrace]:
         traces.append(trace)
 
     start = 1
-    for lines in _blocks(path):
+    for lines in line_blocks(path):
         for is_header, group in itertools.groupby(lines, _is_header):
             group = list(group)
             index += map(":{},".format, range(len(index), count + len(group)))
@@ -424,13 +403,12 @@ def read_traces(path: str | Path) -> list[RunTrace]:
                 blocks.append(block)
                 count += len(group)
             else:  # a line at a time
-                for lineno, doc in _decode_lines(path, group, start):
+                for lineno, doc in decode_lines(path, group, start):
                     run = doc.get("run") if type(doc) is dict else None
                     if type(run) is dict:
                         flush()
                         header, header_line, blocks, count = run, lineno, [], 0
-                        _check_fields(f"{path}:{lineno}: run header", header, _HEADER,
-                                      ("config",))
+                        check_fields(f"{path}:{lineno}: run header", header, _HEADER, ("config",))
                         header.update((key, float(header[key])) for key in (  # 0 reads as 0.0
                             "best_validation_error", "best_test_error") if header[key] is not None)
                     else:
@@ -471,7 +449,7 @@ def _event_block(text: str, index: list[str], offset: int) -> dict[str, np.ndarr
         except ValueError:  # not JSON
             return None
         if not (joined.startswith(":") and joined.endswith(",") and "\n" not in joined
-                and len(numbers) == len(distinct) and _fits(numbers, _EVENT_TYPES[name][1])):
+                and len(numbers) == len(distinct) and fits(numbers, _EVENT_TYPES[name][1])):
             return None
         lookup = dict(zip(distinct, numbers))
         columns[name] = np.array(list(map(lookup.__getitem__, values)), dtype=float)
@@ -485,7 +463,7 @@ def _check_event(path: Path, lineno: int, header: dict | None, doc, position: in
         raise ValueError(f"{path}:{lineno}: unrecognized line")
     if header is None:
         raise ValueError(f"{path}:{lineno}: event before any run header")
-    _check_fields(f"{path}:{lineno}: event", doc, _EVENT_TYPES)
+    check_fields(f"{path}:{lineno}: event", doc, _EVENT_TYPES)
     if doc["eval_index"] != position:
         raise ValueError(f"{path}:{lineno}: eval_index {doc['eval_index']} "
                          f"!= position {position} in its run")

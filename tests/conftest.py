@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 import diffevo.baselines as baselines
-import diffevo.benchmarks as benchmarks
+import diffevo.jsonl as jsonl
 from diffevo import ParameterSpec, RunTrace, SearchSpace, load_tabular
 from diffevo.trace import COLUMNS, EVENT_FIELDS, check_trace_invariants, run_failure
 
@@ -193,8 +193,9 @@ def reference_load_tabular(path):
             space = SearchSpace.from_json_dict(header)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}:1: bad header: {exc}") from exc
-        benchmarks._check_fields(f"{path}:1: bad header:", header,
-                                 {"benchmark_id": ("a string", (str,))}, ("benchmark_id",))
+        if "benchmark_id" in header and type(header["benchmark_id"]) is not str:
+            raise ValueError(f"{path}:1: bad header: field 'benchmark_id' is not a string: "
+                             f"{header['benchmark_id']!r}")
         table, linenos = {}, []
 
         def check_rows():
@@ -471,7 +472,7 @@ def watch_line_reads(monkeypatch, module):
     """Record the number of every line that ``module``'s reader sends
     through the per-line decoder, and the files it opens."""
     lines, opened = [], []
-    decode, real_open = module._decode_lines, open
+    decode, real_open = module.decode_lines, open
 
     def decoding(path, block, start):
         lines.extend(range(start, start + len(block)))
@@ -481,8 +482,8 @@ def watch_line_reads(monkeypatch, module):
         opened.append(path)
         return real_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(module, "_decode_lines", decoding)
-    monkeypatch.setattr(benchmarks, "open", opening, raising=False)  # the one block reader
+    monkeypatch.setattr(module, "decode_lines", decoding)
+    monkeypatch.setattr(jsonl, "open", opening, raising=False)  # the one block reader
     return lines, opened
 
 

@@ -23,7 +23,7 @@ from diffevo import (
     write_traces,
 )
 import diffevo.benchmarks as benchmarks
-from diffevo.benchmarks import BLOCK_LINES
+from diffevo.jsonl import BLOCK_LINES
 from diffevo.baselines import run_random_search
 from diffevo.harness import aggregate, write_curve_csv
 from diffevo.trace import Budget

@@ -194,12 +194,16 @@ class TestRun:
                        "--evals", "5", "--out", str(tmp_path / "t.jsonl"))
         assert code == 1
 
-    def test_missing_out_directory_fails_before_the_benchmark_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_missing_out_directory_fails_before_the_benchmark_is_read(self, tmp_path, capsys,
+                                                                      empty):
         out = tmp_path / "missing" / "t.jsonl"
+        error = f"error: --out {out}: {out.parent} is not a directory\n"
+        if empty:  # "" names no file, though Path("") is the directory "."
+            out, error = "", "error: --out is empty and names no file\n"
         assert run_cli("run", "--benchmark", str(tmp_path / "nope.jsonl"), "--evals", "5",
                        "--out", str(out)) == 1
-        assert capsys.readouterr().err == (f"error: --out {out}: {out.parent} "
-                                           "is not a directory\n")
+        assert capsys.readouterr().err == error
         assert list(tmp_path.iterdir()) == []
 
     def test_out_that_is_a_directory_fails_before_the_optimizer_runs(self, tmp_path, capsys,
@@ -545,11 +549,14 @@ class TestAggregateCommand:
                 "--out", str(out))
         return out
 
-    def test_missing_out_directory_fails_before_any_trace_is_read(self, tmp_path, capsys):
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_missing_out_directory_fails_before_any_trace_is_read(self, tmp_path, capsys, empty):
         out = tmp_path / "missing" / "c.csv"
+        error = f"error: --out {out}: {out.parent} is not a directory\n"
+        if empty:  # "" names no file, though Path("") is the directory "."
+            out, error = "", "error: --out is empty and names no file\n"
         assert run_cli("aggregate", str(tmp_path / "nope.jsonl"), "--out", str(out)) == 1
-        assert capsys.readouterr().err == (f"error: --out {out}: {out.parent} "
-                                           "is not a directory\n")
+        assert capsys.readouterr().err == error
         assert list(tmp_path.iterdir()) == []
 
     def test_out_that_is_a_directory_fails_before_any_trace_is_read(self, tmp_path, capsys,

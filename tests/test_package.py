@@ -29,6 +29,17 @@ def test_source_parses_as_python_3_10(path):
     ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path, feature_version=(3, 10))
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name one module shares with another is public: it has one owner, and
+    # no module leans on another's internals
+    borrowed = [f"{path.name}: from .{node.module} import {alias.name}"
+                for path in sorted((ROOT / "src" / "diffevo").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if alias.name.startswith("_")]
+    assert borrowed == []
+
+
 def src_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
     env = dict(os.environ)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from diffevo import (Budget, DEConfig, REConfig, load_tabular, make_synthetic, read_traces,
                      run_de, run_random_search, run_regularized_evolution, write_traces)
 import diffevo.trace as trace_module
-from diffevo.benchmarks import BLOCK_LINES
+from diffevo.jsonl import BLOCK_LINES
 from diffevo.trace import EVENT_FIELDS, ZERO_COST_LIMIT, RunRecorder
 
 from conftest import (
