@@ -4,8 +4,7 @@ Both run over the same search-space/benchmark/trace contract as the DE
 optimizer, so their traces are directly comparable: same genotype encoding,
 same invalid-configuration penalty, same budget semantics (checked before
 every evaluation). All runs of an experiment advance together through
-:func:`harness.run_lockstep`, with one benchmark call for every live run
-per step.
+:func:`harness.run_lockstep`, with one benchmark call per step.
 
 Regularized evolution keeps a fixed-size population per run: each step
 draws a tournament of ``sample_size`` members uniformly with replacement,
@@ -24,8 +23,8 @@ from .benchmarks import Benchmark
 from .harness import run_lockstep
 from .trace import Budget, RunTrace
 
-# genotypes drawn per step, shared among the live runs, but at least 32 a
-# run, so that many runs do not make many tiny draws
+# genotypes drawn per step, shared among the runs, but at least 32 a run,
+# so that many runs do not make many tiny draws
 RS_BLOCK = 1024
 
 
@@ -33,14 +32,14 @@ def run_random_search(bench: Benchmark, budget: Budget, seeds: Sequence[int]) ->
     """One random-search run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Each step takes k uniform genotypes from every live run's stream, about
+    Each step takes k uniform genotypes from every run's stream, about
     ``RS_BLOCK`` rows in all and at least 32 a run: the next k * D values,
     row by row, so k leaves the trace as one genotype at a time would make it.
     """
     def propose(draw, genotypes, fitness):
-        live, _, dimension = genotypes.shape
-        k = max(32, RS_BLOCK // live)
-        return draw(k * dimension).reshape(live, k, dimension)
+        runs, _, dimension = genotypes.shape
+        k = max(32, RS_BLOCK // runs)
+        return draw(k * dimension).reshape(runs, k, dimension)
 
     return run_lockstep(bench, budget, seeds, 0, propose, lambda *_: None, "rs", {})
 
@@ -77,7 +76,7 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
     """One regularized-evolution run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Every step takes one child from each live run, from the next S + 2
+    Every step takes one child from each run, from the next S + 2
     values ``u`` of its stream: the entrants are ``floor(u[:S] * P)``, the
     new value is ``u[S]``, and the coordinate it replaces is
     ``floor(u[S + 1] * D)``.
@@ -88,9 +87,9 @@ def run_regularized_evolution(bench: Benchmark, cfg: REConfig,
     oldest = 0
 
     def propose(draw, genotypes, fitness):
-        live, _, dimension = genotypes.shape
+        runs, _, dimension = genotypes.shape
         draws = draw(sample + 2)
-        steps = np.arange(live)
+        steps = np.arange(runs)
         parents = tournament_select(fitness, (draws[:, :sample] * size).astype(np.intp))
         children = genotypes[steps, (parents + oldest) % size]
         children[steps, (draws[:, sample + 1] * dimension).astype(np.intp)] = draws[:, sample]

@@ -9,8 +9,8 @@ built from three distinct other rows (rand/1), crossed binomially with the
 target; the (NP, D) trial block is evaluated at once, and each trial
 replaces its target when at least as good (ties to the trial). The runs of
 an experiment are independent, so they advance together as (R, NP, D)
-genotypes and (R, NP) fitness, and one benchmark call scores every live
-run's trials.
+genotypes and (R, NP) fitness, and one benchmark call scores the trials
+of every run.
 
 Out-of-bounds mutant coordinates are clipped back into [0, 1], the simplest
 rule that keeps every genotype inside the hypercube.
@@ -92,7 +92,7 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
     """One differential-evolution run per seed, advanced in lockstep by
     :func:`run_lockstep`; returns their traces in seed order.
 
-    Every step is one generation of each live run, which takes the next
+    Every step is one generation of each run, which takes the next
     NP * (3 + D + 1) values of its stream: the (NP, 3) uniforms of
     :func:`parent_indices`, NP * D crossover values, then NP uniforms ``u``
     whose ``floor(u * D)`` are the forced dimensions. The budget is checked
@@ -103,13 +103,13 @@ def run_de(bench: Benchmark, cfg: DEConfig, seeds: Sequence[int]) -> list[RunTra
     them, go to the trial.
     """
     def generation(draw, genotypes, fitness):
-        live, size, dimension = genotypes.shape
+        runs, size, dimension = genotypes.shape
         flat = draw(size * (3 + dimension + 1))
-        parents = parent_indices(flat[:, :3 * size].reshape(live, size, 3))
-        draws = flat[:, 3 * size:-size].reshape(live, size, dimension)
+        parents = parent_indices(flat[:, :3 * size].reshape(runs, size, 3))
+        draws = flat[:, 3 * size:-size].reshape(runs, size, dimension)
         forced = (flat[:, -size:] * dimension).astype(np.intp)  # floor(u * D)
-        # rows of the (live * NP, D) population, shaped (3, live, NP): x1s, x2s, x3s
-        rows = parents.transpose(2, 0, 1) + np.arange(0, live * size, size)[:, None]
+        # rows of the (R * NP, D) population, shaped (3, R, NP): x1s, x2s, x3s
+        rows = parents.transpose(2, 0, 1) + np.arange(0, runs * size, size)[:, None]
         x1, x2, x3 = genotypes.reshape(-1, dimension).take(rows, axis=0)
         mutants = mutant_vector(x1, x2, x3, cfg.scaling_factor)
         return crossover_binomial(genotypes, mutants, cfg.crossover_rate, draws, forced)

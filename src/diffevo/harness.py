@@ -31,7 +31,7 @@ from .trace import Budget, RunRecorder, RunTrace
 
 # rows per write of a curve CSV: bounds the text held in memory at once
 _CSV_CHUNK_ROWS = 4096
-# uniforms drawn ahead per refill, shared among the live runs: 512 KiB of doubles
+# uniforms drawn ahead per refill, shared among the runs: 512 KiB of doubles
 DRAW_BLOCK = 2**16
 
 
@@ -54,15 +54,15 @@ def final_regrets(traces: Sequence[RunTrace]) -> np.ndarray:
 
 
 class RunStreams:
-    """The uniform streams of an experiment's live runs, one generator per
-    seed, drawn ahead in blocks.
+    """The uniform streams of an experiment's runs, one generator per seed,
+    drawn ahead in blocks.
 
     ``streams(n)`` returns an (R, n) array whose row r holds the next n
-    values of live run r's stream; the caller may overwrite them, since
-    values once returned are never read again. A request that does not fit
-    what is drawn ahead refills each live run's row, after its unconsumed
-    tail, with one call to the run's generator: a row holds
-    ``max(n, DRAW_BLOCK // R)`` values.
+    values of run r's stream; the caller may overwrite them, since values
+    once returned are never read again. A request that does not fit what is
+    drawn ahead refills each run's row, after its unconsumed tail, with one
+    call to the run's generator: a row holds ``max(n, DRAW_BLOCK // R)``
+    values.
     """
 
     def __init__(self, seeds: Sequence[int]):
@@ -80,11 +80,6 @@ class RunStreams:
         self.used += n
         return self.ahead[:, self.used - n:self.used]
 
-    def keep(self, rows: np.ndarray):
-        """Keep only the streams of the live runs at positions ``rows``."""
-        self.rngs = [self.rngs[i] for i in rows]
-        self.ahead, self.used = self.ahead[rows, self.used:], 0
-
 
 def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], population_size: int,
                  propose: Callable, replace: Callable, optimizer_id: str,
@@ -95,12 +90,13 @@ def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], populat
     Each run takes the values of its own generator in order: first its
     initial (P, D) population, then whatever its steps ask for. Each step,
     ``propose(draw, genotypes, fitness)`` returns the (R, k, D) children of
-    the R live runs, where ``draw`` is their :class:`RunStreams`, and
+    all R runs, where ``draw`` is their :class:`RunStreams`, and
     ``replace(genotypes, fitness, children, child_fitness)`` updates the
-    populations of the runs still going in place. So a run draws and
-    records exactly what it would alone. How many values one generator
-    call makes is not part of this contract, and values drawn past a run's
-    end reach no trace. An empty ``seeds`` raises ValueError.
+    (R, P, D) populations in place. Steps go on while the recorder has a
+    run still going. So a run draws and records exactly what it would
+    alone. How many values one generator call makes is not part of this
+    contract, and values drawn past a run's end reach no trace. An empty
+    ``seeds`` raises ValueError.
     """
     seeds = list(seeds)
     if not seeds:
@@ -109,19 +105,10 @@ def run_lockstep(bench: Benchmark, budget: Budget, seeds: Sequence[int], populat
     draw = RunStreams(seeds)
     recorder = RunRecorder(bench, budget, len(seeds))
     genotypes = draw(population_size * dimension).reshape(len(seeds), population_size, dimension)
-    fitness, keep = recorder.evaluate(genotypes)
-    genotypes, fitness = genotypes[keep], fitness[keep]
-    draw.keep(keep)
-    while len(genotypes):
+    fitness = recorder.evaluate(genotypes)
+    while len(recorder.live):
         children = propose(draw, genotypes, fitness)
-        child_fitness, keep = recorder.evaluate(children)
-        if len(keep) < len(genotypes):
-            if not len(keep):
-                break
-            genotypes, fitness, children, child_fitness = (
-                a[keep] for a in (genotypes, fitness, children, child_fitness))
-            draw.keep(keep)
-        replace(genotypes, fitness, children, child_fitness)
+        replace(genotypes, fitness, children, recorder.evaluate(children))
     return recorder.finish(seeds, optimizer_id, config)
 
 

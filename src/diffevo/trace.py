@@ -107,12 +107,15 @@ _INVALID_KEY = np.nextafter(1.0, 2.0)
 
 class RunRecorder:
     """Evaluates genotype blocks for the runs of one experiment and records
-    their events, one block of rows for every live run per call.
+    their events, one block of rows for every run per call.
 
-    Every call gives each run still going the same number of rows, so those
-    runs share one event count. A run leaves once its budget is spent, which
-    may cut its last block short, or when it fails; a failing run takes
-    every later run along, and :meth:`finish` raises the lowest failure.
+    The recorder alone knows which runs are still going: :attr:`live`. Every
+    call gives each run still going the same number of rows, so those runs
+    share one event count. A run leaves once its budget is spent, which may
+    cut its last block short, or when it fails; a failing run takes every
+    later run along, and :meth:`finish` raises the lowest failure. Callers
+    keep proposing rows for every run; those of a run that has left never
+    reach the benchmark or a trace.
     """
 
     def __init__(self, bench: Benchmark, budget: Budget, runs: int = 1):
@@ -129,25 +132,27 @@ class RunRecorder:
         # after each event; a run's columns past its own events mean nothing
         self.history = np.empty((4, runs, 0))
 
-    def evaluate(self, genotypes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate and record an (L, k, D) block: k genotype rows for each of
-        the L live runs, in the order of :attr:`live`.
+    def evaluate(self, genotypes: np.ndarray) -> np.ndarray:
+        """Evaluate and record an (R, k, D) block: k genotype rows for every
+        run of the experiment, of which only the rows of :attr:`live` count.
 
-        Returns the fitness of the rows (the validation error, or 1.0 at zero
-        cost when invalid), which the caller owns since :attr:`history` keeps
-        a copy, and the positions of the runs still going, which become
-        :attr:`live`. The evaluation limit cuts the block before the
-        benchmark sees it; a run records its rows up to the first that
-        reaches the cost limit. Each run's cumulative cost adds its row costs
-        in turn to its last recorded total. :data:`ZERO_COST_LIMIT` stops a
-        cost-only run that spends nothing, and a negative or NaN cost fails
-        a run.
+        Returns the (R, k) fitness of the rows (the validation error, or 1.0
+        at zero cost when invalid), which the caller owns. Rows of a run that
+        has left or fails here, and rows past the evaluation limit, hold 1.0.
+        The evaluation limit cuts the block before the benchmark sees it; a
+        run records its rows up to the first that reaches the cost limit.
+        Each run's cumulative cost adds its row costs in turn to its last
+        recorded total. :data:`ZERO_COST_LIMIT` stops a cost-only run that
+        spends nothing, and a negative or NaN cost fails a run.
         """
+        fitness = np.ones(genotypes.shape[:2])
+        runs = self.live
+        if len(runs) < len(self.lengths):
+            genotypes = genotypes[runs]
         genotypes = genotypes[:, :self._max_evaluations - self._events]
         if not genotypes.size:
-            return np.empty(genotypes.shape[:2]), np.arange(len(genotypes))
+            return fitness
         n, k = self._events, genotypes.shape[1]
-        runs = self.live
         totals = self.history[2, :, n - 1][runs] if n else np.zeros(len(runs))
         block, failure = self._ask(genotypes)
         cost = block[2]
@@ -178,15 +183,17 @@ class RunRecorder:
             self.history = grown
         block[2] = spent
         # a slice while every run is live, not a fancy write
-        self.history[:, slice(None) if len(runs) == len(self.lengths) else runs, n:n + k] = block
+        rows = slice(None) if len(runs) == len(self.lengths) else runs
+        self.history[:, rows, n:n + k] = block
+        fitness[rows, :k] = block[0]
         self._events = n + k
         if n + k >= self._max_evaluations:
             gone = np.ones(len(runs), dtype=bool)
-        keep = np.arange(len(runs)) if gone is None else np.flatnonzero(~gone)
         if gone is not None:
             self.lengths[runs[gone]] = n + (k if cut is None else cut[gone])
-        self.live = runs if gone is None else runs[keep]
-        return block[0], keep
+            runs = runs[~gone]
+        self.live = runs
+        return fitness
 
     def _check_costs(self, genotypes, cost, totals, after, cut, watch_free):
         """The (position, error) of the first run whose rows up to its cut

@@ -29,8 +29,9 @@ from diffevo import (
     write_traces,
 )
 
-from diffevo import harness
+from diffevo import baselines, harness
 from diffevo.harness import _CSV_CHUNK_ROWS, AggregateCurve, RunStreams, _build_grid
+from diffevo.trace import RunRecorder
 
 from conftest import (REPEATABLE_FLOATS, RecordingBenchmark, assert_same_traces,
                       repeated_value_columns, trace_from_rows)
@@ -288,20 +289,64 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             self.run(bench, range(0))
 
+    @pytest.mark.parametrize("optimize, budget", [
+        (lambda bench, budget, seeds: run_de(
+            bench, DEConfig(population_size=5, budget=budget), seeds),
+         Budget(max_evaluations=178, max_cost=120.0)),
+        (lambda bench, budget, seeds: run_regularized_evolution(
+            bench, REConfig(population_size=5, sample_size=3, budget=budget), seeds),
+         Budget(max_evaluations=160, max_cost=120.0)),
+        (run_random_search, Budget(max_evaluations=170, max_cost=100.0))],
+        ids=["de", "re", "rs"])
+    def test_the_benchmark_sees_only_the_rows_of_runs_still_going(self, monkeypatch, optimize,
+                                                                 budget):
+        # under the cost cap the runs leave at different steps (random search
+        # at 32 genotypes a step), and some reach the evaluation limit, which
+        # cuts DE's and random search's last block; each evaluate_batch call
+        # holds exactly the rows of the runs live before its recorder call, up
+        # to that limit
+        monkeypatch.setattr(baselines, "RS_BLOCK", 64)
+        base = make_synthetic(3, 4, invalid_fraction=0.5, cost_model="lognormal", seed=3)
+        runs = 6
+        asked, wanted, live = [], [], []
+
+        class Batches:
+            space, benchmark_id = base.space, base.benchmark_id
+            best_validation_error, best_test_error = base.best_validation_error, base.best_test_error
+
+            def evaluate_batch(self, genotypes):
+                asked.append(genotypes.copy())
+                return base.evaluate_batch(genotypes)
+
+        evaluate = RunRecorder.evaluate
+
+        def watched(recorder, genotypes):
+            assert len(genotypes) == runs
+            events = sum(w.shape[1] for w in wanted)  # every run still going has as many
+            rows = genotypes[recorder.live, :budget.max_evaluations - events]
+            if rows.size:
+                wanted.append(rows)
+            live.append(len(recorder.live))
+            return evaluate(recorder, genotypes)
+
+        monkeypatch.setattr(RunRecorder, "evaluate", watched)
+        lengths = [len(t) for t in optimize(Batches(), budget, range(runs))]
+        assert len(asked) == len(wanted)
+        for got, want in zip(asked, wanted):
+            assert got.tobytes() == want.reshape(-1, base.space.dimension).tobytes()
+        assert any(0 < n < runs for n in live)
+        assert min(lengths) < max(lengths) == budget.max_evaluations
+
 
 class TestRunStreams:
     @pytest.mark.parametrize("block", [1, 50, 2**16])
     def test_rows_are_each_runs_sequential_draws(self, monkeypatch, block):
         # a block of 1 refills at every request; 50 gives 4 runs rows of 12
-        # values, so requests cross refills and leave tails; the second run
-        # leaves in the middle
+        # values, so requests cross refills and leave tails
         monkeypatch.setattr(harness, "DRAW_BLOCK", block)
         seeds = [3, 4, 5, 6]
         streams, rngs = RunStreams(seeds), {seed: np.random.default_rng(seed) for seed in seeds}
-        for step, n in enumerate([7, 0, 13, 1, 5, 40, 2, 11, 3, 9]):
-            if step == 4:
-                streams.keep(np.array([0, 2, 3]))
-                seeds.remove(4)
+        for n in [7, 0, 13, 1, 5, 40, 2, 11, 3, 9]:
             got = streams(n)
             assert got.shape == (len(seeds), n)
             for row, seed in zip(got, seeds):

@@ -52,7 +52,7 @@ def run_blocks(bench, budget, genotypes, cuts):
     recorder = RunRecorder(bench, budget)
     fitness = []
     for block in np.split(genotypes, cuts):
-        got, _ = recorder.evaluate(block[None])
+        got = recorder.evaluate(block[None])
         fitness.extend(got.ravel().tolist())
         if not len(recorder.live):
             break
@@ -98,12 +98,13 @@ class TestBlockRecorder:
     def test_spent_budget_evaluates_nothing(self):
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
         recorder = RunRecorder(bench, Budget(max_cost=2.0))
-        fitness, keep = recorder.evaluate(np.full((1, 5, 3), 0.5))
+        fitness = recorder.evaluate(np.full((1, 5, 3), 0.5))
         assert fitness[0, :2].tolist() == [bench.base.evaluate(("c1", "c1", "c1"))[0]] * 2
-        assert len(keep) == len(recorder.live) == 0
+        assert len(recorder.live) == 0
         asked = len(bench.configs)
-        fitness, keep = recorder.evaluate(np.full((0, 5, 3), 0.5))
-        assert fitness.size == len(keep) == 0
+        # the rows of a run that has left are not scored and hold 1.0
+        fitness = recorder.evaluate(np.full((1, 5, 3), 0.5))
+        assert fitness.tolist() == [[1.0] * 5]
         assert len(bench.configs) == asked
         assert len(recorder.finish([0], "x")[0]) == 2
 
@@ -113,12 +114,12 @@ class TestBlockRecorder:
         bench = RecordingBenchmark(make_synthetic(3, 3, cost_model="unit", seed=0))
         recorder = RunRecorder(bench, Budget(max_evaluations=5))
         genotypes = np.random.default_rng(0).random((4, 3))
-        assert recorder.evaluate(genotypes[None, :2])[0].shape == (1, 2)
-        fitness, keep = recorder.evaluate(genotypes[None])
+        assert recorder.evaluate(genotypes[None, :2]).shape == (1, 2)
+        fitness = recorder.evaluate(genotypes[None])
         want = [bench.base.evaluate(bench.space.discretize(g))[0] for g in genotypes]
-        assert fitness[0].tolist() == want[:3]
+        assert fitness[0].tolist() == want[:3] + [1.0]  # the row past the limit holds 1.0
         assert len(bench.configs) == 2 + 3
-        assert len(keep) == 0
+        assert len(recorder.live) == 0
         assert len(recorder.finish([0], "x")[0]) == 5
 
     def test_valid_point_displaces_invalid_incumbent_on_a_tie(self):
@@ -226,7 +227,7 @@ def outcome(run):
 
 def record_in_steps(bench, budget, genotypes, steps, limit=ZERO_COST_LIMIT):
     """Feed the (R, N, D) ``genotypes`` to one RunRecorder for R runs, ``k``
-    rows for every live run per call for each ``k`` in ``steps``, under a
+    rows for every run per call for each ``k`` in ``steps``, under a
     zero-cost limit of ``limit``; returns the outcome of ``finish`` and the
     history's capacity after each call."""
     with mock.patch.object(trace_module, "ZERO_COST_LIMIT", limit):
@@ -234,7 +235,7 @@ def record_in_steps(bench, budget, genotypes, steps, limit=ZERO_COST_LIMIT):
     capacities, start = [], 0
     for k in steps:
         if len(recorder.live):
-            recorder.evaluate(genotypes[recorder.live, start:start + k])
+            recorder.evaluate(genotypes[:, start:start + k])
             capacities.append(recorder.history.shape[2])
             start += k
     return outcome(lambda: recorder.finish(range(len(genotypes)), "x")), capacities
@@ -286,7 +287,7 @@ class TestExperimentRecorder:
         live, start = [], 0
         while len(recorder.live):
             live.append(len(recorder.live))
-            recorder.evaluate(genotypes[recorder.live, start:start + 3])
+            recorder.evaluate(genotypes[:, start:start + 3])
             start += 3
         traces = recorder.finish(range(len(genotypes)), "x")
         assert live[:2] == [6, 6] and 0 < live[-1] < 6 and len(set(map(len, traces))) > 2
@@ -409,7 +410,7 @@ class TestHistory:
         budget = Budget(max_evaluations=12)
         recorder = RunRecorder(bench, budget, 2)
         for block in np.split(genotypes, [4], axis=1):
-            fitness, _ = recorder.evaluate(block)
+            fitness = recorder.evaluate(block)
             fitness[...] = 0.5
         assert_same_traces(recorder.finish(range(2), "x"),
                            reference_outcome(bench, budget, genotypes))
