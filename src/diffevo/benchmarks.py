@@ -172,11 +172,11 @@ def load_tabular(path: str | Path) -> TabularBenchmark:
     for lines in itertools.chain([lines[1:]], blocks):
         block = _block_columns(space, lines)
         if block is not None:
-            count = len(seen)
-            seen.update(block[0].tolist())
-            if len(seen) - count < len(lines):  # a repeated key: the walk names its line
-                seen = set(itertools.chain.from_iterable(c.tolist() for c, _ in columns))
-                block = None
+            block_codes = set(block[0].tolist())
+            if len(block_codes) < len(lines) or not seen.isdisjoint(block_codes):
+                block = None  # a repeated key: the walk names its line
+            else:
+                seen |= block_codes
         columns.append(block or _walk_records(path, space, lines, start, seen))
         start += len(lines)
     codes = np.concatenate([c for c, _ in columns])

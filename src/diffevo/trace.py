@@ -291,9 +291,10 @@ def check_trace_invariants(trace: RunTrace):
 
     Checked for every produced and every read trace: finite best-known
     errors, objectives in [0, 1], non-decreasing cumulative cost with zero
-    increments on invalid evaluations, which score 1.0, a non-increasing
-    incumbent, and non-negative regret against the benchmark's best
-    validation error. The message names the first offending event.
+    increments on invalid evaluations, which score 1.0, an incumbent equal
+    to the lowest objective so far, and non-negative regret against the
+    benchmark's best validation error. The message names the first
+    offending event.
     """
     if not len(trace):
         raise ValueError("trace has no events")
@@ -303,14 +304,13 @@ def check_trace_invariants(trace: RunTrace):
         raise ValueError(f"best test error {trace.best_test_error} is not finite")
     cost, objective, incumbent = trace.cumulative_cost, trace.objective, trace.incumbent_objective
     prev_cost = np.concatenate(([0.0], cost[:-1]))
-    prev_incumbent = np.concatenate(([math.inf], incumbent[:-1]))
     # negated comparisons, so that NaN (null in a file) is a violation too
     violations = np.stack([
         ~((0.0 <= objective) & (objective <= 1.0)),
         ~(cost >= prev_cost),
         ~trace.valid & (cost != prev_cost),
         ~trace.valid & (objective != 1.0),
-        ~(incumbent <= prev_incumbent),
+        incumbent != np.fmin.accumulate(objective),
         incumbent < trace.best_validation_error,
     ])
     bad = np.flatnonzero(violations.any(axis=0))
@@ -322,7 +322,7 @@ def check_trace_invariants(trace: RunTrace):
         "cumulative cost decreased or is not a number",
         "invalid evaluation accrued cost",
         "invalid evaluation scored other than 1.0",
-        "incumbent objective increased or is not a number",
+        "incumbent objective is not the best objective so far",
         "incumbent beats the benchmark's best (negative regret)",
     )
     raise ValueError(f"event {i} of {trace.optimizer_id} run (seed {trace.seed}): "

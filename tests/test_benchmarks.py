@@ -595,6 +595,26 @@ class TestBlockLoader:
         assert bench.table == table
         assert (bench.best_validation_error, bench.best_test_error) == (best_val, best_test)
 
+    def test_lines_whose_brackets_cross_line_ends_fail_as_bad_json(self, tmp_path):
+        # decoding each line as a one-element list, '[[' + '],['.join(lines)
+        # + ']]', would take these three lines as three records, one a line:
+        # line 2 closes its list and opens the next, and line 3's "x" runs
+        # into line 4. So the block decode counts braces instead
+        lines = [('{"key":["a",1],"val_err":0.1,"cost":1}],'
+                  '[{"key":["a",2],"val_err":0.3,"cost":1}'),
+                 '{"key":["b",2],"val_err":0.2,"cost":1,"x":[[{}',
+                 '{}]]}']
+        assert [len(item) for item in json.loads("[[" + "],[".join(lines) + "]]")] == [1, 1, 1]
+        space = SearchSpace(params=(
+            ParameterSpec(name="op", kind="categorical", choices=("a", "b")),
+            ParameterSpec(name="n", kind="integer", lo=1, hi=2)))
+        path = tmp_path / "bench.jsonl"
+        path.write_text("\n".join([json.dumps(space.to_json_dict()), *lines]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad JSON: Extra data"):
+            load_tabular(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad JSON: Extra data"):
+            reference_load_tabular(path)
+
     def test_a_trailing_blank_line_reads_only_the_last_block_a_line_at_a_time(self, tmp_path,
                                                                              monkeypatch):
         path = tmp_path / "t.jsonl"

@@ -194,6 +194,23 @@ class TestRun:
                        "--evals", "5", "--out", str(tmp_path / "t.jsonl"))
         assert code == 1
 
+    @pytest.mark.parametrize("lines, error", [
+        ([{"params": [{"name": "op", "kind": "categorical", "choices": ["a", "b"]}]},
+          {"key": ["a"], "val_err": 0.2, "cost": 1.0},
+          {"key": ["b"], "val_err": "0.3", "cost": 1.0}],
+         "3: record field 'val_err' is not a number: '0.3'"),
+        ([{"params": [{"name": "x", "kind": "integer", "lo": 0, "hi": 3, "choices": ["a"]}]},
+          {"key": [1], "val_err": 0.2, "cost": 1.0}],
+         "1: bad header: parameter 'x': integer kind takes exactly 'lo' and 'hi'"),
+    ], ids=["string-val-err", "integer-with-choices"])
+    def test_bad_tabular_file_fails_naming_its_line(self, tmp_path, capsys, lines, error):
+        bench = tmp_path / "bench.jsonl"
+        bench.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        assert run_cli("run", "--benchmark", f"tabular:{bench}", "--evals", "5",
+                       "--out", str(tmp_path / "t.jsonl")) == 1
+        assert capsys.readouterr() == ("", f"error: {bench}:{error}\n")
+        assert list(tmp_path.iterdir()) == [bench]
+
     @pytest.mark.parametrize("empty", [False, True])
     def test_missing_out_directory_fails_before_the_benchmark_is_read(self, tmp_path, capsys,
                                                                       empty):
@@ -608,6 +625,23 @@ class TestAggregateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace_file}:3:") and "'cumulative_cost'" in err
         assert not out.exists()
+
+    def test_incumbent_that_is_not_the_best_objective_so_far_fails_cleanly(self, tmp_path,
+                                                                           capsys):
+        # both objectives are 0.9, so the incumbent's regret is 0.8, not the
+        # 0.1 that the file's incumbent of 0.2 would give
+        trace_file = tmp_path / "t.jsonl"
+        lines = [{"run": {"seed": 0, "optimizer": "de", "benchmark": "hand",
+                          "best_validation_error": 0.1, "best_test_error": None}}]
+        lines += [{"eval_index": i, "cumulative_cost": i + 1.0, "objective": 0.9,
+                   "incumbent_objective": 0.2, "incumbent_test_error": None, "valid": True}
+                  for i in range(2)]
+        trace_file.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        out = tmp_path / "c.csv"
+        assert run_cli("aggregate", str(trace_file), "--grid", "union", "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: {trace_file}:1: event 0 of de run (seed 0): "
+                                           "incumbent objective is not the best objective so far\n")
+        assert list(tmp_path.iterdir()) == [trace_file]
 
     @pytest.mark.parametrize("line, field", [(0, "best_validation_error"),
                                              (2, "cumulative_cost")])

@@ -355,7 +355,7 @@ class TestRunStreams:
 
 def scalar_invariant_violation(trace):
     """Reference: the event-by-event check, returning its first message or None."""
-    prev_cost, prev_incumbent = 0.0, math.inf
+    prev_cost, lowest = 0.0, math.inf
     events = zip(trace.cumulative_cost.tolist(), trace.objective.tolist(),
                  trace.incumbent_objective.tolist(), trace.valid.tolist())
     for i, (cost, objective, incumbent, valid) in enumerate(events):
@@ -368,11 +368,12 @@ def scalar_invariant_violation(trace):
             return f"{where}: invalid evaluation accrued cost"
         if not valid and objective != 1.0:
             return f"{where}: invalid evaluation scored other than 1.0"
-        if not incumbent <= prev_incumbent:
-            return f"{where}: incumbent objective increased or is not a number"
+        lowest = min(lowest, objective)
+        if incumbent != lowest:
+            return f"{where}: incumbent objective is not the best objective so far"
         if incumbent < trace.best_validation_error:
             return f"{where}: incumbent beats the benchmark's best (negative regret)"
-        prev_cost, prev_incumbent = cost, incumbent
+        prev_cost = cost
     return None
 
 

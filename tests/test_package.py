@@ -1,4 +1,5 @@
-"""The package's public names, its sources and the benchmark's use of its CLI."""
+"""The package's public names, its sources, its CLI's bytes across interpreters and the
+benchmark's use of its CLI."""
 
 import ast
 import importlib
@@ -53,6 +54,39 @@ def test_cli_import_loads_no_thread_pool():
         [sys.executable, "-c", "import sys, diffevo.cli; print('concurrent.futures' in sys.modules)"],
         env=src_env(), capture_output=True, text=True, timeout=120)
     assert (done.stdout, done.stderr) == ("False\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    # under a cost-only budget the runs leave the lockstep at different steps
+    ["compare", "--optimizers", "de,rs,re", "--benchmark", "synthetic:5x4:invalid=0.3",
+     "--cost", "100", "--runs", "5", "--pop", "10", "--sample", "3", "--out-dir", "out"],
+    # DE at its minimum population, where the third parent has one choice
+    *(["run", "--optimizer", "de", "--np", "4", "--evals", "200", "--runs", "3",
+       "--benchmark", bench, "--out", "out/t.jsonl"]
+      for bench in ("synthetic:4x3:invalid=0.2", "sphere:2")),
+], ids=["compare-cost", "de-np4-synthetic", "de-np4-sphere"])
+def test_two_interpreters_write_the_same_bytes(tmp_path, argv):
+    # each interpreter salts string hashes its own way, so output that
+    # follows a set's hash order differs between the two. Seed 0 turns the
+    # salt off; seed 3 lists the set {"de", "re", "rs"} in another order
+    # than seed 0 does, and seeds 1 and 2 happen not to
+    sides = []
+    for hash_seed in ("0", "3"):
+        side = tmp_path / f"hashseed-{hash_seed}"
+        (side / "out").mkdir(parents=True)
+        done = subprocess.run([sys.executable, "-m", "diffevo.cli", *argv], cwd=side,
+                              env={**src_env(), "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        sides.append((done.stdout, {p.name: p.read_bytes() for p in (side / "out").iterdir()}))
+    assert sides[0] == sides[1]
+    written = sorted(sides[0][1])
+    if argv[0] == "compare":
+        assert written == ["de.csv", "re.csv", "rs.csv"]
+    else:
+        assert written == ["t.jsonl"]
+        assert main(["aggregate", str(tmp_path / "hashseed-0" / "out" / "t.jsonl"),
+                     "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def test_every_benchmark_command_line_runs(tmp_path, capsys):
