@@ -342,10 +342,8 @@ def make_synthetic(
     listed = np.ones(total, dtype=bool)
     listed[rng.choice(total, size=n_invalid, replace=False)] = False
 
-    benchmark_id = (
-        f"synthetic:{num_params}x{choices_per_param}"
-        f":invalid={invalid_fraction:g}:cost={cost_model}:seed={seed}"
-    )
+    benchmark_id = _spec_id("synthetic", f"{num_params}x{choices_per_param}", {
+        "invalid_fraction": invalid_fraction, "cost_model": cost_model, "seed": seed})
     # configurations are enumerated in code order: the code of row r is r
     return TabularBenchmark(space, benchmark_id, np.flatnonzero(listed),
                             np.array([val_err, test_err, cost])[:, listed])
@@ -400,10 +398,7 @@ class FunctionBenchmark:
             ParameterSpec(name=f"x{i}", kind="float", lo=self.lo, hi=self.hi)
             for i in range(self.dimension)
         )))
-        object.__setattr__(
-            self, "benchmark_id",
-            f"{self.name}:{self.dimension}:lo={self.lo:g}:hi={self.hi:g}",
-        )
+        object.__setattr__(self, "benchmark_id", _spec_id(self.name, self.dimension, vars(self)))
 
     def evaluate(self, config: Configuration) -> tuple[float, None, float]:
         x = np.asarray(config, dtype=float)
@@ -422,3 +417,53 @@ class FunctionBenchmark:
         f = _FUNCTIONS[self.name](x)
         return f / (1.0 + f)
 
+
+# each spec family's option keys, in the order its ids spell them, with the
+# builder parameter and type of each
+SPECS = {"synthetic": {"invalid": ("invalid_fraction", float), "cost": ("cost_model", str),
+                       "seed": ("seed", int)},
+         **dict.fromkeys(_FUNCTIONS, {"lo": ("lo", float), "hi": ("hi", float)})}
+
+
+def _spec_id(family: str, head: int | str, values: dict) -> str:
+    """The id of a ``family`` benchmark: its spec with every option of :data:`SPECS`
+    spelled from ``values``, by builder parameter, short (``:g`` for a float)
+    where that reads back as the same value, else by ``repr``."""
+    parts = [family, str(head)]
+    for key, (name, kind) in SPECS[family].items():
+        value = kind(values[name])  # a numpy scalar's repr names its type
+        short = f"{value:g}" if kind is float else str(value)
+        parts.append(f"{key}={short if kind(short) == value else repr(value)}")
+    return ":".join(parts)
+
+
+def parse_benchmark(spec: str) -> Benchmark:
+    """The benchmark of ``synthetic:PxC[:invalid=F][:cost=unit|lognormal][:seed=K]``,
+    ``sphere:D[:lo=A][:hi=B]``, ``rastrigin:D[:lo=A][:hi=B]``, ``tabular:PATH``
+    or a bare PATH. Options come in any order and an empty one is skipped; a
+    spec's ValueError quotes it, a tabular file's names its path instead."""
+    family, _, rest = spec.partition(":")
+    if family not in SPECS:
+        path = rest if family == "tabular" else spec
+        if not path:  # Path("") is ".", which would fail naming "."
+            raise ValueError(f"benchmark {spec!r}: no tabular file path")
+        return load_tabular(path)
+    head, *parts = rest.split(":")
+    schema, options = SPECS[family], {}
+    try:
+        shape = head.lower().split("x")
+        if family == "synthetic" and len(shape) != 2:
+            raise ValueError(f"synthetic spec needs PxC, got {head!r}")
+        for part in filter(None, parts):
+            key, eq, value = part.partition("=")
+            if not eq or key not in schema:
+                raise ValueError(f"bad benchmark option {part!r}; known: {sorted(schema)}")
+            name, kind = schema[key]
+            if name in options:
+                raise ValueError(f"option {key!r} given twice")
+            options[name] = kind(value)
+        if family == "synthetic":
+            return make_synthetic(*map(int, shape), **options)
+        return FunctionBenchmark(family, int(head), **options)
+    except ValueError as exc:
+        raise ValueError(f"benchmark {spec!r}: {exc}") from None

@@ -7,11 +7,7 @@ Three subcommands:
   one aggregate-curve CSV per optimizer plus a summary table on stdout
 * ``aggregate`` -- turn existing trace files into an aggregate-curve CSV
 
-Benchmarks are named by spec strings:
-
-* ``synthetic:PxC[:invalid=F][:seed=K][:cost=unit|lognormal]``
-* ``sphere:D[:lo=A][:hi=B]`` / ``rastrigin:D[:lo=A][:hi=B]``
-* ``tabular:PATH`` (or any bare path to a tabular benchmark file)
+Benchmarks are named by spec strings; see ``benchmarks.parse_benchmark``.
 
 Every command is deterministic given its full flag set: identical
 invocations produce byte-identical output files. Stdout summaries use a
@@ -29,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .baselines import REConfig, run_random_search, run_regularized_evolution
-from .benchmarks import Benchmark, FunctionBenchmark, load_tabular, make_synthetic
+from .benchmarks import parse_benchmark  # looked up here at each call, so a wrapper set here runs
 from .de import DEConfig, run_de
 from .harness import aggregate, final_regrets, write_curve_csv
 from .jsonl import check_fields
@@ -66,45 +62,6 @@ OPTIMIZERS = {
     "re": ("run_regularized_evolution", REConfig,
            {"population_size": "pop", "sample_size": "sample"}),
 }
-
-
-def parse_benchmark(spec: str) -> Benchmark:
-    head, _, rest = spec.partition(":")
-    if head == "tabular" or head not in ("synthetic", "sphere", "rastrigin"):
-        path = rest if head == "tabular" else spec
-        if not path:  # Path("") is ".", which would fail naming "."
-            raise ValueError(f"benchmark {spec!r}: no tabular file path")
-        return load_tabular(path)
-    parts = rest.split(":")
-    try:  # a tabular file's errors name its path instead
-        if head == "synthetic":
-            shape = parts[0].lower().split("x")
-            if len(shape) != 2:
-                raise ValueError(f"synthetic spec needs PxC, got {parts[0]!r}")
-            options = _parse_options(parts[1:], {"invalid": ("invalid_fraction", float),
-                                                 "seed": ("seed", int), "cost": ("cost_model", str)})
-            return make_synthetic(int(shape[0]), int(shape[1]), **options)
-        options = _parse_options(parts[1:], {"lo": ("lo", float), "hi": ("hi", float)})
-        return FunctionBenchmark(head, int(parts[0]), **options)
-    except ValueError as exc:
-        raise ValueError(f"benchmark {spec!r}: {exc}") from None
-
-
-def _parse_options(parts: list[str], schema: dict) -> dict:
-    """The builder's keyword arguments from ``key=value`` spec parts, where
-    ``schema`` maps each spec key to its parameter name and type."""
-    options = {}
-    for part in parts:
-        if not part:
-            continue
-        key, eq, value = part.partition("=")
-        if not eq or key not in schema:
-            raise ValueError(f"bad benchmark option {part!r}; known: {sorted(schema)}")
-        name, kind = schema[key]
-        if name in options:
-            raise ValueError(f"option {key!r} given twice")
-        options[name] = kind(value)
-    return options
 
 
 def build_optimizer(name: str, cfg: dict) -> tuple[Callable, object]:

@@ -162,9 +162,7 @@ def _build_grid(grid, points: int, all_times: list[np.ndarray]) -> np.ndarray:
             if start <= 0.0:
                 positive = np.concatenate(all_times)
                 positive = positive[positive > 0]
-                if positive.size == 0:
-                    return np.unique(np.concatenate(all_times))
-                start = positive.min()
+                start = positive.min() if positive.size else stop
             if start >= stop:
                 return np.array([stop])
             return np.geomspace(start, stop, points)

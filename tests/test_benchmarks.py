@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diffevo import (
@@ -473,7 +473,7 @@ MUTATIONS = {
     "short key": "short key", "key outside": "key outside", "key type": "key type",
     "key not a list": ("key", "abc"), "duplicate": "duplicate", "missing field": "missing field",
     "bad JSON": "bad JSON", "not an object": "not an object", "split record": "split record",
-    "two records": "two records", "blank": "blank",
+    "two records": "two records", "blank": "blank", "trailing comma": "trailing comma",
 }
 
 
@@ -526,7 +526,7 @@ def mixed_file(tmp_path, seed, n, mutation, position, tabs, crlf, odd_tokens):
     elif change == "missing field":
         del record["cost"]
     if change not in (None, "bad JSON", "not an object", "split record", "two records",
-                      "blank"):
+                      "blank", "trailing comma"):
         lines[i] = json.dumps(record, ensure_ascii=False)
     elif change == "bad JSON":
         lines[i] = "{not json"
@@ -538,6 +538,8 @@ def mixed_file(tmp_path, seed, n, mutation, position, tabs, crlf, odd_tokens):
         lines[i] = "{},{}"
     elif change == "blank":
         lines[i:i] = ["", " \t "]
+    elif change == "trailing comma":  # one brace of each kind, yet not JSON
+        lines[i] = lines[i][:-1] + ",}"
     if tabs:
         lines = ["\t" + line for line in lines]
     header = json.dumps({**space.to_json_dict(), "benchmark_id": "mixed"}, ensure_ascii=False)
@@ -560,8 +562,19 @@ class TestBlockLoader:
            st.booleans(), st.booleans(), st.booleans())
     def test_same_table_or_same_error_as_the_reference(self, tmp_path_factory, seed, n,
                                                        mutation, position, tabs, crlf, odd):
-        path = mixed_file(tmp_path_factory.mktemp("block"), seed, n, mutation, position,
-                          tabs, crlf, odd)
+        self.assert_loads_as_reference(mixed_file(tmp_path_factory.mktemp("block"), seed, n,
+                                                  mutation, position, tabs, crlf, odd))
+
+    # the property test draws among the mutations; here each runs on every pass,
+    # over a first parameter that is ordinal (seed 0), then integer (seed 2)
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_every_mutation_gives_the_reference_table_or_error(self, tmp_path, mutation, seed):
+        self.assert_loads_as_reference(mixed_file(tmp_path, seed, 7, mutation, 1, False, False,
+                                                  False))
+
+    @staticmethod
+    def assert_loads_as_reference(path):
         try:
             table, best_val, best_test = reference_load_tabular(path)
         except ValueError as exc:
@@ -946,3 +959,51 @@ class TestContinuous:
         bench = FunctionBenchmark("sphere", 3)
         with pytest.raises(ValueError):
             bench.evaluate((0.0, 0.0))
+
+
+class TestSpecIds:
+    """A synthetic or function benchmark's id is its spec with every option
+    spelled out, and it parses back to the same benchmark."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.floats(0.0, 1.0, exclude_max=True),
+           st.sampled_from(benchmarks.COST_MODELS), st.integers(0, 2**64))
+    def test_a_synthetic_id_parses_back_to_the_same_table(self, params, choices, invalid,
+                                                          cost_model, seed):
+        bench = make_synthetic(params, choices, invalid, cost_model, seed)
+        again = benchmarks.parse_benchmark(bench.benchmark_id)
+        assert again.benchmark_id == bench.benchmark_id
+        assert again.table == bench.table
+        # on tables this small, fractions that differ past six digits drop the same keys
+        assert float(re.search(":invalid=([^:]*)", bench.benchmark_id)[1]) == invalid
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["sphere", "rastrigin"]), st.integers(1, 4),
+           st.floats(max_value=0.0, allow_infinity=False), st.floats(min_value=0.0))
+    def test_a_function_id_parses_back_to_an_equal_benchmark(self, name, dimension, lo, hi):
+        # lo == hi == 0 and bounds on which f overflows a float are refused
+        assume(lo < hi and math.isfinite(dimension * (max(-lo, hi) * max(-lo, hi) + 20.0)))
+        bench = FunctionBenchmark(name, dimension, lo=lo, hi=hi)
+        again = benchmarks.parse_benchmark(bench.benchmark_id)
+        assert again.benchmark_id == bench.benchmark_id
+        assert again == bench
+
+    @pytest.mark.parametrize("spec, benchmark_id", [
+        ("synthetic:5x4", "synthetic:5x4:invalid=0:cost=lognormal:seed=0"),
+        ("synthetic:3x3:seed=2:invalid=0.1070004",
+         "synthetic:3x3:invalid=0.1070004:cost=lognormal:seed=2"),
+        ("sphere:2:lo=-1.0000001", "sphere:2:lo=-1.0000001:hi=5"),
+        ("rastrigin:3:hi=0.1:lo=-2.5e-07", "rastrigin:3:lo=-2.5e-07:hi=0.1"),
+        ("sphere:1:hi=1e+150:lo=-0.1", "sphere:1:lo=-0.1:hi=1e+150"),
+    ])
+    def test_an_id_spells_each_option_in_table_order(self, spec, benchmark_id):
+        # ":g" where it reads back as the same float, repr where it does not
+        assert benchmarks.parse_benchmark(spec).benchmark_id == benchmark_id
+
+    def test_a_numpy_scalar_option_is_spelled_as_a_python_float(self):
+        # a float32 bound compares equal to the float its ":g" reads back as, yet is another float
+        synthetic = make_synthetic(2, 2, invalid_fraction=np.float64(0.1070004))
+        assert synthetic.benchmark_id == "synthetic:2x2:invalid=0.1070004:cost=lognormal:seed=0"
+        sphere = FunctionBenchmark("sphere", 1, lo=np.float32(-1.1))
+        assert sphere.benchmark_id == "sphere:1:lo=-1.100000023841858:hi=5"
+        assert benchmarks.parse_benchmark(sphere.benchmark_id).lo == sphere.lo

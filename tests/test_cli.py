@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from diffevo import FunctionBenchmark, make_synthetic, read_traces, regret_series, write_tabular
-from diffevo import cli
+from diffevo import benchmarks, cli
 from diffevo.cli import main, parse_benchmark
 
 
@@ -65,6 +65,12 @@ class TestParseBenchmark:
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="bad benchmark option"):
             parse_benchmark("synthetic:3x3:frac=0.5")
+
+    def test_the_cli_reads_specs_with_the_benchmarks_grammar(self):
+        # one grammar, in diffevo.benchmarks; the CLI builds no benchmark itself
+        assert cli.parse_benchmark is benchmarks.parse_benchmark
+        assert not {"_parse_options", "make_synthetic", "FunctionBenchmark",
+                    "load_tabular"} & set(vars(cli))
 
 
 class TestRun:
@@ -612,6 +618,20 @@ class TestAggregateCommand:
         code = run_cli("aggregate", str(a), str(b), "--out", str(tmp_path / "c.csv"))
         assert code == 1
         assert "multiple benchmarks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("specs", [("sphere:2:lo=-1.0000001", "sphere:2:lo=-1"),
+                                       ("synthetic:8x5:invalid=0.107",
+                                        "synthetic:8x5:invalid=0.1070004")],
+                             ids=["sphere-lo", "synthetic-invalid"])
+    def test_options_alike_to_six_digits_name_two_benchmarks(self, tmp_path, capsys, specs):
+        # ":g" alone spells each pair's options alike, and so would give one id to both
+        a, b = (self.write_run(tmp_path, f"{k}.jsonl", benchmark=spec, seed=k)
+                for k, spec in enumerate(specs))
+        assert read_traces(a)[0].benchmark_id != read_traces(b)[0].benchmark_id
+        capsys.readouterr()
+        assert run_cli("aggregate", str(a), str(b), "--out", str(tmp_path / "c.csv")) == 1
+        assert "error: traces from multiple benchmarks" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_trace_missing_a_field_fails_cleanly(self, tmp_path, capsys):
         trace_file = self.write_run(tmp_path, "t.jsonl")

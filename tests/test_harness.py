@@ -135,6 +135,16 @@ class TestAggregate:
         assert curve.times[-1] == pytest.approx(80.0)
         assert np.all(np.diff(curve.times) > 0)
 
+    @pytest.mark.parametrize("bests", [[0.1], [0.1, 0.3, 0.5]])
+    def test_log_grid_of_runs_that_spend_nothing_is_the_one_time_zero(self, bests):
+        # invalid evaluations cost nothing, so no time is positive to start a log grid
+        traces = [trace_from_rows([(0.0, 1.0, 1.0, None, False)] * 2, best_validation_error=b,
+                                  seed=seed) for seed, b in enumerate(bests)]
+        curve = aggregate(traces, grid="log")
+        assert curve.times.tolist() == [0.0]
+        assert curve.mean_regret.tolist() == pytest.approx([np.mean([1.0 - b for b in bests])])
+        assert curve.n_runs.tolist() == [len(bests)]
+
     def test_mean_curve_monotone_when_runs_share_origin(self):
         bench = make_synthetic(5, 4, cost_model="unit", seed=0)
         traces = run_random_search(bench, Budget(max_evaluations=150), range(8))

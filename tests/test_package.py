@@ -3,6 +3,7 @@ benchmark's use of its CLI."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diffevo
+import diffevo.cli
 from diffevo.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,3 +118,45 @@ def test_every_benchmark_span_target_resolves():
         for name in attr.split("."):
             owner = getattr(owner, name, None)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("name, builder", [("de-synthetic", "benchmarks.make_synthetic"),
+                                           ("compare-mixed", "benchmarks.load_tabular")])
+def test_a_traced_benchmark_sample_checks_and_traces_every_layer(tmp_path, name, builder):
+    # as the benchmark runs a sample: a fresh interpreter, the tracer's spans
+    # around each layer, the spec parsed in set-up, then the command and its checks
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    spec = workloads.build(name, 0, tmp_path)
+    spec["src"] = str(ROOT / "src")
+    spec_path, result_path = tmp_path / "spec.json", tmp_path / "result.json"
+    spec_path.write_text(json.dumps(spec, indent=1))
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "sample.py"), "traced",
+                           str(spec_path), str(result_path), "check"], cwd=ROOT,
+                          env={**os.environ, "PYTHONHASHSEED": "0"}, capture_output=True,
+                          text=True, timeout=300)
+    assert result_path.is_file(), done.stderr
+    result = json.loads(result_path.read_text())
+    assert result.get("error") is None and result["exit_code"] == 0
+    assert result["check"]["errors"] == [] and result["layers"]["missing"] == []
+    calls = result["layers"]["calls"]
+    assert (calls.get("cli.parse_benchmark"), calls.get(builder)) == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--benchmark", "synthetic:2x2", "--evals", "8", "--out", "t.jsonl"],
+    ["compare", "--optimizers", "rs,re", "--benchmark", "synthetic:2x2", "--evals", "8",
+     "--pop", "2", "--sample", "1", "--out-dir", "out"],
+])
+def test_commands_parse_the_benchmark_through_the_cli_modules_name(tmp_path, monkeypatch, argv):
+    # the benchmark's sample parses the spec in set-up and puts a function that
+    # returns the parsed benchmark in the place of diffevo.cli.parse_benchmark
+    specs, parse = [], diffevo.cli.parse_benchmark
+    monkeypatch.setattr(diffevo.cli, "parse_benchmark",
+                        lambda spec: specs.append(spec) or parse(spec))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert specs == ["synthetic:2x2"]
